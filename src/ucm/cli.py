@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import analysis
-from .diagnostics import Diagnostic, Severity, has_errors, render_diagnostic, sort_diagnostics
+from .diagnostics import Diagnostic, Severity, has_errors, render_diagnostics, sort_diagnostics
 from .export import export_dot, export_json, export_xmi, render_table
 from .model import Model
 from .parser import parse
@@ -50,8 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_diagnostics(diags: list[Diagnostic], source: str) -> None:
     use_color = sys.stderr.isatty() and not os.environ.get("NO_COLOR")
-    for diag in diags:
-        text = render_diagnostic(diag, source)
+    for diag, text in zip(diags, render_diagnostics(diags, source)):
         if use_color:
             color = "\x1b[31m" if diag.severity is Severity.ERROR else "\x1b[33m"
             text = text.replace(f"{diag.severity.value}[", f"{color}{diag.severity.value}\x1b[0m[", 1)

@@ -6,6 +6,8 @@ never change meaning. E-codes are errors, W-codes warnings.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -96,20 +98,41 @@ def render_diagnostic(diag: Diagnostic, source: str) -> str:
     then any suggestions and related notes. Total and deterministic; spans at
     or past end of file render one column past the last character.
     """
-    source = normalize(source)
-    start = min(diag.span.start, len(source))
-    line, column = position_at(source, start)
-    lines = [f"{diag.span.file}:{line}:{column}: {diag.severity.value}[{diag.code}]: {diag.message}"]
+    # One position: a scan of the text is cheaper than building a line index.
+    text = normalize(source)
+    start = min(diag.span.start, len(text))
+    return _render(diag, text, start, *position_at(text, start))
 
-    line_begin = source.rfind("\n", 0, start) + 1
-    line_end = source.find("\n", start)
+
+def render_diagnostics(diags: list[Diagnostic], source: str) -> list[str]:
+    """`render_diagnostic` of each of `diags`, all against one source.
+
+    The source is normalized and its line starts indexed once, so each
+    diagnostic costs a binary search instead of a scan of the whole text.
+    """
+    if not diags:
+        return []
+    text = normalize(source)
+    starts = [0, *(m.end() for m in re.finditer("\n", text))]
+    rendered = []
+    for diag in diags:
+        start = min(diag.span.start, len(text))
+        line = bisect_right(starts, start)
+        rendered.append(_render(diag, text, start, line, start - starts[line - 1] + 1))
+    return rendered
+
+
+def _render(diag: Diagnostic, text: str, start: int, line: int, column: int) -> str:
+    lines = [f"{diag.span.file}:{line}:{column}: {diag.severity.value}[{diag.code}]: {diag.message}"]
+    line_begin = start - column + 1
+    line_end = text.find("\n", start)
     if line_end == -1:
-        line_end = len(source)
-    text = source[line_begin:line_end]
-    if text:
+        line_end = len(text)
+    excerpt = text[line_begin:line_end]
+    if excerpt:
         width = max(1, min(diag.span.end, line_end) - start)
-        lines.append(f"  {text}")
-        lines.append("  " + " " * (start - line_begin) + "^" * width)
+        lines.append(f"  {excerpt}")
+        lines.append("  " + " " * (column - 1) + "^" * width)
     for suggestion in diag.suggestions:
         lines.append(f"  suggestion: {suggestion}")
     for span, note in diag.related:

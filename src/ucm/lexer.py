@@ -9,10 +9,10 @@ which keeps them distinct from identifiers. `//` comments run to end of line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .spans import SourceSpan, position_at
+from .spans import SourceSpan
 
 
 class TokenKind(Enum):
@@ -34,8 +34,7 @@ class TokenKind(Enum):
     EOF = "end of file"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     span: SourceSpan
@@ -67,6 +66,16 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+_GROUP_KINDS = {
+    "number": TokenKind.NUMBER,
+    "label": TokenKind.LABEL,
+    "ident": TokenKind.IDENT,
+    "string": TokenKind.STRING,
+    "arrow": TokenKind.ARROW,
+    "coloncolon": TokenKind.COLONCOLON,
+    "dotdot": TokenKind.DOTDOT,
+}
+
 _PUNCT_KINDS = {
     ":": TokenKind.COLON,
     ",": TokenKind.COMMA,
@@ -88,42 +97,35 @@ def normalize(source: str) -> str:
 
 
 def tokenize(source: str, file: str) -> list[Token]:
-    """Lex LF-normalized source; raises LexError on an unrecognizable character."""
+    """Lex LF-normalized source; raises LexError on an unrecognizable character.
+
+    Line and line start are tracked while scanning, so each position costs
+    O(1); only whitespace runs can hold newlines, as comments and strings
+    stop before one.
+    """
     tokens: list[Token] = []
     pos = 0
     n = len(source)
+    line, line_start = 1, 0
     while pos < n:
         m = _TOKEN_RE.match(source, pos)
         if m is None:
-            line, col = position_at(source, pos)
-            span = SourceSpan(file, pos, pos + 1, line, col)
+            span = SourceSpan(file, pos, pos + 1, line, pos - line_start + 1)
             raise LexError(f"unrecognized character {source[pos]!r}", span)
         start, end = m.span()
         group = m.lastgroup
-        if group not in ("ws", "comment"):
-            line, col = position_at(source, start)
-            span = SourceSpan(file, start, end, line, col)
+        if group == "ws":
+            newlines = source.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", start, end) + 1
+        elif group != "comment":
+            span = SourceSpan(file, start, end, line, start - line_start + 1)
             text = m.group()
-            if group == "number":
-                kind = TokenKind.NUMBER
-            elif group == "label":
-                kind = TokenKind.LABEL
-            elif group == "ident":
-                kind = TokenKind.IDENT
-            elif group == "string":
-                kind = TokenKind.STRING
-            elif group == "arrow":
-                kind = TokenKind.ARROW
-            elif group == "coloncolon":
-                kind = TokenKind.COLONCOLON
-            elif group == "dotdot":
-                kind = TokenKind.DOTDOT
-            else:
-                kind = _PUNCT_KINDS[text]
+            kind = _PUNCT_KINDS[text] if group == "punct" else _GROUP_KINDS[group]
             tokens.append(Token(kind, text, span))
         pos = end
-    line, col = position_at(source, n)
-    tokens.append(Token(TokenKind.EOF, "", SourceSpan(file, n, n, line, col)))
+    tokens.append(Token(TokenKind.EOF, "", SourceSpan(file, n, n, line, n - line_start + 1)))
     return tokens
 
 

@@ -286,8 +286,6 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         steps = block.steps()
         bind_steps(steps)
         bind_outcome(block)
-        if block.kind.value == "exceptional":
-            pass  # raise-count rule lives in validation (E008)
         for nested in block.nested_blocks():
             walk_block(nested, steps)
 

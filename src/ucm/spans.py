@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Half-open byte range [start, end) in one file, with 1-based start position."""
-
+class _SpanFields(NamedTuple):
     file: str
     start: int
     end: int
     line: int
     column: int
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"span start {self.start} after end {self.end}")
+
+class SourceSpan(_SpanFields):
+    """Half-open byte range [start, end) in one file, with 1-based start position.
+
+    Tuple-backed, so immutable, hashable and equal by value; the lexer builds
+    one per token, and a tuple costs about half what a frozen dataclass does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, file: str, start: int, end: int, line: int, column: int) -> SourceSpan:
+        if start > end:
+            raise ValueError(f"span start {start} after end {end}")
+        return tuple.__new__(cls, (file, start, end, line, column))
 
     def contains(self, other: SourceSpan) -> bool:
         return (

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from ucm.diagnostics import CODES, Diagnostic, Severity, render_diagnostic, sort_diagnostics
-from ucm.spans import SourceSpan
+from conftest import pipeline
+from ucm.diagnostics import CODES, Diagnostic, Severity, render_diagnostic, render_diagnostics, sort_diagnostics
+from ucm.spans import ZERO_SPAN, SourceSpan
 
 
 def span(file="store.ucm", start=0, end=1, line=1, column=1):
@@ -76,3 +77,90 @@ def test_to_dict_is_json_friendly():
     assert payload["code"] == "E010"
     assert payload["severity"] == "error"
     assert payload["line"] == 1
+
+
+def test_span_rejects_start_after_end():
+    with pytest.raises(ValueError):
+        SourceSpan("f", 5, 4, 1, 1)
+
+
+def test_spans_are_immutable_hashable_and_equal_by_value():
+    a, b = span(start=3, end=7, line=2, column=4), span(start=3, end=7, line=2, column=4)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, ZERO_SPAN}) == 2
+    assert a != span(start=3, end=8, line=2, column=4)
+    assert (a.file, a.start, a.end, a.line, a.column) == ("store.ucm", 3, 7, 2, 4)
+    with pytest.raises(AttributeError):
+        a.start = 0
+
+
+# A BOM, CRLF line ends, and eight defects; the last line is two spaces with
+# no line end, so the end of file sits at 21:3.
+MULTI_DEFECT = "\ufeff" + "\r\n".join([
+    "model M",
+    "modes { default normal Normal }",
+    "exceptions {",
+    "  exception HardwareException::Jam",
+    "  exception HardwareException::Jam",
+    "}",
+    "usecase A {",
+    '  scope: "s"',
+    "  level: user-goal",
+    '  intention: "i"',
+    '  multiplicity: "m"',
+    "  primary: Human::P [3..1]",
+    "  secondary: Sensr::Q",
+    "  main {",
+    '    1. System -> Ghost : "hello"',
+    "    2. invoke Missing",
+    "    3. raise SoftwareException::Nope",
+    "    outcome success",
+    "  }",
+    "}",
+    "  ",
+])
+
+MULTI_DEFECT_RENDERED = [
+    "m.ucm:4:3: warning[W002]: exception 'HardwareException::Jam' is declared but never raised\n"
+    "    exception HardwareException::Jam\n"
+    "    ^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^",
+    "m.ucm:5:3: error[E014]: duplicate exception 'Jam'\n"
+    "    exception HardwareException::Jam\n"
+    "    ^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^\n"
+    "  note: m.ucm:4:3: first definition",
+    "m.ucm:5:3: warning[W002]: exception 'HardwareException::Jam' is declared but never raised\n"
+    "    exception HardwareException::Jam\n"
+    "    ^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^^",
+    "m.ucm:12:12: error[E006]: multiplicity [3..1] has lower bound above upper bound\n"
+    "    primary: Human::P [3..1]\n"
+    "             ^^^^^^^^^^^^^^^",
+    "m.ucm:13:14: error[E005]: actor 'Q' uses unknown category 'Sensr'\n"
+    "    secondary: Sensr::Q\n"
+    "               ^^^^^^^^\n"
+    "  suggestion: use one of Human::Q, Software::Q, PhysicalEntity::Q, Device::Q, Sensor::Q, Actuator::Q, Tag::Q, Reader::Q",
+    "m.ucm:15:5: error[E010]: actor 'Ghost' is not declared in 'A' (declared actors: P, Q)\n"
+    '      1. System -> Ghost : "hello"\n'
+    "      ^^^^^^^^^^^^^^^^^^^^^^^^^^^^",
+    "m.ucm:16:5: error[E003]: invoked use case 'Missing' is not defined\n"
+    "      2. invoke Missing\n"
+    "      ^^^^^^^^^^^^^^^^^",
+    "m.ucm:17:14: error[E004]: exception 'SoftwareException::Nope' is not defined in the header\n"
+    "      3. raise SoftwareException::Nope\n"
+    "               ^^^^^^^^^^^^^^^^^^^^^^^",
+    "m.ucm:21:3: error[E000]: expected more\n    \n    ^",
+    "m.ucm:21:3: error[E000]: past the end\n    \n    ^",
+    "m.ucm:7:1: error[E014]: at a line start\n  usecase A {\n  ^^^^^^^",
+]
+
+
+def test_render_every_diagnostic_of_a_crlf_bom_model():
+    _, diags = pipeline(MULTI_DEFECT, "m.ucm")
+    diags = sort_diagnostics(diags)
+    eof = len(MULTI_DEFECT) - 1 - MULTI_DEFECT.count("\r\n")  # offsets exclude the BOM and the CRs
+    diags.append(Diagnostic("E000", "expected more", SourceSpan("m.ucm", eof, eof, 21, 3)))
+    diags.append(Diagnostic("E000", "past the end", SourceSpan("m.ucm", eof + 5, eof + 9, 21, 3)))
+    usecase = MULTI_DEFECT[1:].replace("\r\n", "\n").index("usecase")
+    diags.append(Diagnostic("E014", "at a line start", SourceSpan("m.ucm", usecase, usecase + 7, 7, 1)))
+    assert [render_diagnostic(d, MULTI_DEFECT) for d in diags] == MULTI_DEFECT_RENDERED
+    assert render_diagnostics(diags, MULTI_DEFECT) == MULTI_DEFECT_RENDERED
+    assert render_diagnostics([], MULTI_DEFECT) == []
