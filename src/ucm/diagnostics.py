@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .lexer import normalize
-from .spans import SourceSpan, position_at
+from .spans import SourceSpan
 
 
 class Severity(str, Enum):
@@ -98,10 +98,7 @@ def render_diagnostic(diag: Diagnostic, source: str) -> str:
     then any suggestions and related notes. Total and deterministic; spans at
     or past end of file render one column past the last character.
     """
-    # One position: a scan of the text is cheaper than building a line index.
-    text = normalize(source)
-    start = min(diag.span.start, len(text))
-    return _render(diag, text, start, *position_at(text, start))
+    return render_diagnostics([diag], source)[0]
 
 
 def render_diagnostics(diags: list[Diagnostic], source: str) -> list[str]:
