@@ -16,7 +16,6 @@ from .model import (
     ExtensionBlock,
     Interaction,
     Model,
-    Step,
     StepKind,
     UseCase,
 )
@@ -197,28 +196,13 @@ def _handlers_by_exception(resolved: ResolvedModel) -> dict[str, list[str]]:
     return out
 
 
-def _anchored_steps(uc: UseCase, block: ExtensionBlock) -> list[Step]:
-    anchor = block.label.anchor_label()
-    if anchor is None:
-        return []
-    if anchor.anchor_hi is not None and not anchor.suffix:
-        wanted = [str(n) for n in range(anchor.anchor_lo, anchor.anchor_hi + 1)]
-    else:
-        wanted = [anchor.text]
-    by_label = {}
-    for step in uc.all_steps():
-        by_label.setdefault(step.label.text, step)
-    return [by_label[w] for w in wanted if w in by_label]
-
-
-def _participants(uc: UseCase, site: RaiseSite) -> list[str]:
+def _participants(site: RaiseSite) -> list[str]:
     """Actors named by interaction steps inside the raising block and by the
     steps the block is anchored to."""
     if site.block is None:
         return []
-    steps = site.block.steps() + _anchored_steps(uc, site.block)
     actors: list[str] = []
-    for step in steps:
+    for step in site.block.steps() + site.anchored_steps:
         if step.kind is StepKind.INTERACTION and isinstance(step.payload, Interaction):
             for end in (step.payload.source, step.payload.target):
                 if end != "System" and end not in actors:
@@ -260,7 +244,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
             for site in exc_sites:
                 if site.block is not None and site.block.guard and site.block.guard not in situations:
                     situations.append(site.block.guard)
-                for actor in _participants(site.use_case, site):
+                for actor in _participants(site):
                     if actor not in actors:
                         actors.append(actor)
             rows.append(
@@ -286,7 +270,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
                     source,
                     handlers.get(qname, []),
                     [site.block.guard] if site.block is not None and site.block.guard else [],
-                    _participants(site.use_case, site),
+                    _participants(site),
                     paths,
                 )
             )
@@ -351,20 +335,13 @@ class ModeSwitchRow:
     to_mode: str
 
 
-def _handler_entry_mode(resolved: ResolvedModel, handler: UseCase, default: str) -> str:
+def _handler_entry_mode(handler: UseCase, entered: dict[str, set[str]], default: str) -> str:
     """Handlers start in the mode their triggering exception's block switched
     into, when that is unambiguous; otherwise in the default mode."""
-    wanted = {ctx.exception.qualified_name for ctx in handler.contexts}
-    candidates: list[str] = []
-    for site in resolved.raise_sites():
-        if site.exception.qualified_name not in wanted or site.block is None:
-            continue
-        switch = site.block.entry_switch or site.block.exit_switch
-        if switch is not None and switch.mode not in candidates:
-            candidates.append(switch.mode)
-    if len(candidates) == 1:
-        return candidates[0]
-    return default
+    candidates: set[str] = set()
+    for ctx in handler.contexts:
+        candidates |= entered.get(ctx.exception.qualified_name, set())
+    return candidates.pop() if len(candidates) == 1 else default
 
 
 def mode_switch_table(resolved: ResolvedModel) -> list[ModeSwitchRow]:
@@ -374,6 +351,11 @@ def mode_switch_table(resolved: ResolvedModel) -> list[ModeSwitchRow]:
     default_mode = resolved.model.default_mode()
     default = default_mode.name if default_mode else ""
     rows: list[ModeSwitchRow] = []
+    entered: dict[str, set[str]] = {}  # exception -> modes its raising blocks switch into
+    for site in resolved.raise_sites():
+        switch = site.block and (site.block.entry_switch or site.block.exit_switch)
+        if switch is not None:
+            entered.setdefault(site.exception.qualified_name, set()).add(switch.mode)
 
     def emit(uc: UseCase, location: str, current: str, to_mode: str) -> str:
         if to_mode != current:
@@ -390,7 +372,7 @@ def mode_switch_table(resolved: ResolvedModel) -> list[ModeSwitchRow]:
             emit(uc, f"block {block.label.text}-end", current, block.exit_switch.mode)
 
     for uc in resolved.model.use_cases:
-        entry = _handler_entry_mode(resolved, uc, default) if uc.is_handler else default
+        entry = _handler_entry_mode(uc, entered, default) if uc.is_handler else default
         current = entry
         if uc.main is not None:
             if uc.main.entry_switch is not None:

@@ -61,8 +61,11 @@ def _read_source(path: str) -> str | None:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        print(f"ucm: cannot read '{path}': {err.strerror or err}", file=sys.stderr)
-        return None
+        reason = err.strerror or err
+    except UnicodeDecodeError as err:
+        reason = f"not valid UTF-8 at byte {err.start}"
+    print(f"ucm: cannot read '{path}': {reason}", file=sys.stderr)
+    return None
 
 
 def _load(path: str) -> tuple[str, Model | None, list[Diagnostic]] | None:

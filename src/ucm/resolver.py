@@ -20,6 +20,7 @@ from .model import (
     ModeDecl,
     ModeSwitch,
     ControlFlow,
+    Outcome,
     Scenario,
     ServiceDecl,
     Step,
@@ -29,12 +30,6 @@ from .model import (
 )
 from .spans import SourceSpan
 
-BindingKey = tuple[str, int, int]
-
-
-def _key(span: SourceSpan) -> BindingKey:
-    return (span.file, span.start, span.end)
-
 
 @dataclass
 class RaiseSite:
@@ -43,6 +38,7 @@ class RaiseSite:
     use_case: UseCase
     block: ExtensionBlock | None  # None when raised in the main scenario
     step: Step
+    anchored_steps: list[Step]  # parent-sequence steps the block hangs off
 
     @property
     def exception(self) -> ExceptionRef:
@@ -52,9 +48,14 @@ class RaiseSite:
 
 @dataclass
 class ResolvedModel:
-    """A model plus lookup tables and one binding per resolvable reference.
+    """A model plus lookup tables, one binding per resolvable reference, and
+    the raise sites and invocation adjacency the resolver met on its walk.
 
-    Immutable by convention after resolve(); safe to share across readers.
+    Bindings are keyed by ``id()`` of the node that carries the reference: an
+    invocation or control-flow step, an exception reference, a mode switch,
+    a continue outcome, a block (its anchor) or a handler context (its use
+    case). Immutable by convention after resolve(); safe to share across
+    readers.
     """
 
     model: Model
@@ -62,34 +63,21 @@ class ResolvedModel:
     exception_by_qualified_name: dict[str, ExceptionDef] = field(default_factory=dict)
     mode_by_name: dict[str, ModeDecl] = field(default_factory=dict)
     service_by_name: dict[str, ServiceDecl] = field(default_factory=dict)
-    bindings: dict[BindingKey, object] = field(default_factory=dict)
+    bindings: dict[int, object] = field(default_factory=dict)
     declared_actors: dict[str, list[ActorRef]] = field(default_factory=dict)
+    _raise_sites: list[RaiseSite] = field(default_factory=list)
+    _invocations: dict[int, list[tuple[Step, UseCase]]] = field(default_factory=dict)
 
-    def binding_for(self, span: SourceSpan) -> object | None:
-        return self.bindings.get(_key(span))
+    def binding_for(self, node: object) -> object | None:
+        return self.bindings.get(id(node))
 
     def raise_sites(self) -> list[RaiseSite]:
-        sites: list[RaiseSite] = []
-        for uc in self.model.use_cases:
-            if uc.main:
-                for step in uc.main.steps:
-                    if step.kind is StepKind.RAISE:
-                        sites.append(RaiseSite(uc, None, step))
-            for block in uc.all_blocks():
-                for step in block.steps():
-                    if step.kind is StepKind.RAISE:
-                        sites.append(RaiseSite(uc, block, step))
-        return sites
+        """Every raise step, bound or not, in document order per use case."""
+        return self._raise_sites
 
     def invocations_of(self, uc: UseCase) -> list[tuple[Step, UseCase]]:
         """Resolved invocation steps of one use case, in document order."""
-        out = []
-        for step in uc.all_steps():
-            if step.kind is StepKind.INVOCATION:
-                target = self.binding_for(step.span)
-                if isinstance(target, UseCase):
-                    out.append((step, target))
-        return out
+        return self._invocations.get(id(uc), [])
 
 
 def resolve(ast: Model) -> tuple[ResolvedModel, list[Diagnostic]]:
@@ -182,6 +170,7 @@ def _duplicate(what: str, name: str, span: SourceSpan, first: SourceSpan) -> Dia
 
 def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]) -> None:
     label_index = {step.label.text: step for step in reversed(uc.all_steps())}
+    invocations = resolved._invocations[id(uc)] = []
 
     def bind_exception(ref: ExceptionRef) -> None:
         target = resolved.exception_by_qualified_name.get(ref.qualified_name)
@@ -194,7 +183,7 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                 )
             )
         else:
-            resolved.bindings[_key(ref.span)] = target
+            resolved.bindings[id(ref)] = target
 
     def bind_mode(switch: ModeSwitch | None) -> None:
         if switch is None:
@@ -203,16 +192,16 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         if target is None:
             diags.append(Diagnostic("E013", f"mode '{switch.mode}' is not declared", switch.span))
         else:
-            resolved.bindings[_key(switch.span)] = target
+            resolved.bindings[id(switch)] = target
 
-    def bind_step_ref(label: StepLabel, span: SourceSpan, what: str) -> None:
+    def bind_step_ref(node: Step | Outcome, label: StepLabel, what: str) -> None:
         target = label_index.get(label.text)
         if target is None:
-            diags.append(Diagnostic("E012", f"{what} names no existing step: '{label.text}'", span))
+            diags.append(Diagnostic("E012", f"{what} names no existing step: '{label.text}'", node.span))
         else:
-            resolved.bindings[_key(span)] = target
+            resolved.bindings[id(node)] = target
 
-    def bind_steps(steps: list[Step]) -> None:
+    def bind_steps(steps: list[Step], block: ExtensionBlock | None, anchored: list[Step]) -> None:
         for step in steps:
             payload = step.payload
             if step.kind is StepKind.INVOCATION:
@@ -223,19 +212,19 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                         Diagnostic("E003", f"invoked use case '{payload.target}' is not defined", step.span)
                     )
                 else:
-                    resolved.bindings[_key(step.span)] = target
+                    resolved.bindings[id(step)] = target
+                    invocations.append((step, target))
             elif step.kind is StepKind.RAISE:
                 assert isinstance(payload, ExceptionRef)
                 bind_exception(payload)
+                resolved._raise_sites.append(RaiseSite(uc, block, step, anchored))
             elif step.kind is StepKind.CONTROL_FLOW:
                 assert isinstance(payload, ControlFlow)
                 if payload.goto is not None:
-                    bind_step_ref(payload.goto, step.span, "goto target")
+                    bind_step_ref(step, payload.goto, "goto target")
                 if payload.repeat_from is not None:
-                    bind_step_ref(payload.repeat_from, step.span, "repeat range start")
+                    bind_step_ref(step, payload.repeat_from, "repeat range start")
                 if payload.repeat_to is not None and payload.repeat_to != payload.repeat_from:
-                    # second target recorded via diagnostics only; the span key
-                    # already binds the range start
                     if payload.repeat_to.text not in label_index:
                         diags.append(
                             Diagnostic(
@@ -248,10 +237,12 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
     def bind_outcome(scenario_or_block: Scenario | ExtensionBlock) -> None:
         outcome = scenario_or_block.outcome
         if outcome.continue_target is not None:
-            bind_step_ref(outcome.continue_target, outcome.span, "continue target")
+            bind_step_ref(outcome, outcome.continue_target, "continue target")
 
-    def bind_anchor(block: ExtensionBlock, parent_steps: list[Step]) -> None:
-        parent_labels = {s.label.text for s in parent_steps}
+    def bind_anchor(block: ExtensionBlock, parent_steps: list[Step]) -> list[Step]:
+        """Bind the block to its anchor step in the parent sequence and return
+        the steps it is attached to: the anchor, or every step of an anchor
+        range ``lo-hi`` (first occurrence per label)."""
         anchor = block.label.anchor_label()
         if anchor is None:
             diags.append(
@@ -261,13 +252,16 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                     block.span,
                 )
             )
-            return
+            return []
+        by_label: dict[str, Step] = {}
+        for step in parent_steps:
+            by_label.setdefault(step.label.text, step)
         if anchor.anchor_hi is not None and not anchor.suffix:
-            targets = [str(n) for n in (anchor.anchor_lo, anchor.anchor_hi)]
+            ends = [str(anchor.anchor_lo), str(anchor.anchor_hi)]
+            wanted = [str(n) for n in range(anchor.anchor_lo, anchor.anchor_hi + 1)]
         else:
-            targets = [anchor.text]
-        missing = [t for t in targets if t not in parent_labels]
-        if missing:
+            ends = wanted = [anchor.text]
+        if any(end not in by_label for end in ends):
             diags.append(
                 Diagnostic(
                     "E012",
@@ -275,16 +269,16 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                     block.span,
                 )
             )
-        else:
-            first = next(s for s in parent_steps if s.label.text == targets[0])
-            resolved.bindings[_key(block.span)] = first
+            return []
+        resolved.bindings[id(block)] = by_label[ends[0]]
+        return [by_label[label] for label in wanted if label in by_label]
 
     def walk_block(block: ExtensionBlock, parent_steps: list[Step]) -> None:
-        bind_anchor(block, parent_steps)
+        anchored = bind_anchor(block, parent_steps)
         bind_mode(block.entry_switch)
         bind_mode(block.exit_switch)
         steps = block.steps()
-        bind_steps(steps)
+        bind_steps(steps, block, anchored)
         bind_outcome(block)
         for nested in block.nested_blocks():
             walk_block(nested, steps)
@@ -296,7 +290,7 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                 Diagnostic("E003", f"context use case '{ctx.use_case}' is not defined", ctx.use_case_span)
             )
         else:
-            resolved.bindings[_key(ctx.use_case_span)] = target
+            resolved.bindings[id(ctx)] = target
         bind_exception(ctx.exception)
 
     main_steps: list[Step] = []
@@ -304,7 +298,7 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         bind_mode(uc.main.entry_switch)
         bind_mode(uc.main.exit_switch)
         main_steps = uc.main.steps
-        bind_steps(main_steps)
+        bind_steps(main_steps, None, [])
         bind_outcome(uc.main)
     for block in uc.extensions:
         walk_block(block, main_steps)

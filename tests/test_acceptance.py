@@ -19,11 +19,13 @@ from ucm.analysis import (
     exception_summary,
     handler_summary,
     mode_service_table,
+    mode_switch_table,
 )
 from ucm.export import export_dot, export_json, export_xmi, import_json
 from ucm.model import StepKind
 from ucm.parser import parse_file
-from ucm.resolver import resolve
+from ucm.resolver import reachable_use_cases, resolve
+from ucm.validation import validate
 
 THREE_SENSOR_SEQUENCES = [
     ("UseSmartStore", "Shopping", "AddToCart", "IdentifyItem"),
@@ -167,3 +169,32 @@ def test_corpus_reconstruction_extras(smartstore, firealarm, smartstore_resolved
     assert sum(1 for uc in firealarm.use_cases if uc.is_handler) == 13
     graph = build_invocation_graph(smartstore_resolved)
     assert graph.roots == ["UseSmartStore", "WorkAtSmartStore"]
+
+
+def _answers(resolved) -> dict:
+    """What the public entry points report about one resolved model."""
+    use_cases = resolved.model.use_cases
+    return {
+        "bindings": len(resolved.bindings),
+        "edges": [str(edge) for edge in build_invocation_graph(resolved).edges],
+        "exceptions": exception_summary(resolved),
+        "views": {uc.name: exception_summary(resolved, uc.name) for uc in use_cases if not uc.is_handler},
+        "handlers": handler_summary(resolved),
+        "modes": mode_switch_table(resolved),
+        "services": mode_service_table(resolved.model),
+        "reachable": {uc.name: reachable_use_cases(resolved, uc.name) for uc in use_cases},
+        "codes": sorted(d.code for d in validate(resolved)),
+    }
+
+
+def test_json_round_trip_answers_like_the_parsed_model(smartstore_resolved, firealarm_resolved):
+    """A model rebuilt with import_json has zero-length spans everywhere; every
+    table, reachability answer and validation code must still match."""
+    for resolved, bindings, edges in ((smartstore_resolved, 149, 22), (firealarm_resolved, 125, 15)):
+        back, diags = import_json(export_json(resolved))
+        assert diags == []
+        again, resolve_diags = resolve(back)
+        assert resolve_diags == []
+        expected = _answers(resolved)
+        assert (expected["bindings"], len(expected["edges"])) == (bindings, edges)
+        assert _answers(again) == expected

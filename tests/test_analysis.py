@@ -235,6 +235,47 @@ def test_situations_and_participants_come_from_raising_block(smartstore_resolved
     assert [r.participating_actors for r in entry] == [["EntryGate"], ["EntryGate"]]  # anchored step
 
 
+NESTED_UNDER_REPEATED_LABEL = """usecase A {
+  scope: "s"
+  level: user-goal
+  intention: "i"
+  multiplicity: "m"
+  primary: Human::P
+  secondary: Human::Q
+  main {
+    1. P -> System : "starts"
+    outcome success
+  }
+  extensions {
+    block 1a alternative when "first" {
+      1a1. P -> System : "first"
+      outcome success
+    }
+    block 1a alternative when "second" {
+      1a1. Q -> System : "second"
+      block 1a1a exceptional when "broken" {
+        1a1a1. raise HardwareException::X
+        outcome failure
+      }
+      outcome success
+    }
+  }
+}
+"""
+
+
+def test_nested_block_participants_come_from_its_parent_sequence():
+    """Two sibling blocks share the label 1a; the nested block 1a1a hangs off
+    step 1a1 of the block that contains it, not off the first 1a1 in the use
+    case."""
+    resolved = model_with(NESTED_UNDER_REPEATED_LABEL, header_exceptions="exception HardwareException::X")
+    (row,) = exception_summary(resolved)
+    assert row.participating_actors == ["Q"]
+    (site,) = resolved.raise_sites()
+    second = resolved.model.use_cases[0].extensions[1]
+    assert resolved.binding_for(site.block) is second.steps()[0]
+
+
 def test_model_without_exceptions_has_empty_summary():
     resolved = model_with(plain_uc("A"))
     assert exception_summary(resolved) == []

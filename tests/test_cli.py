@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import CORPUS
+from conftest import CORPUS, REPO_ROOT
+from strategies import model_source
 from ucm.cli import main
+from ucm.parser import parse
 
 SMARTSTORE = str(CORPUS / "smartstore.ucm")
 FIREALARM = str(CORPUS / "firealarm.ucm")
@@ -198,3 +204,85 @@ def test_stdout_is_reproducible(capsys):
     first = capsys.readouterr().out
     assert main(["table", "exceptions", SMARTSTORE]) == 0
     assert capsys.readouterr().out == first
+
+
+GOLDEN = REPO_ROOT / "tests" / "golden"
+GOLDEN_TABLES = {
+    "smartstore-exceptions.md": ["table", "exceptions", SMARTSTORE],
+    "smartstore-exceptions-IdentifyItem.md": ["table", "exceptions", SMARTSTORE, "--usecase", "IdentifyItem"],
+    "smartstore-handlers.md": ["table", "handlers", SMARTSTORE],
+    "smartstore-modes.md": ["table", "modes", SMARTSTORE],
+    "firealarm-exceptions.md": ["table", "exceptions", FIREALARM],
+    "firealarm-handlers.md": ["table", "handlers", FIREALARM],
+    "firealarm-modes.md": ["table", "modes", FIREALARM],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
+def test_table_output_matches_golden_file(name, capsys):
+    assert main(GOLDEN_TABLES[name]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_non_utf8_file_is_io_error(tmp_path, capsys):
+    path = tmp_path / "latin1.ucm"
+    path.write_bytes("model Caf\xe9\n".encode("latin-1"))
+    for argv in (["check", str(path)], ["table", "modes", str(path)], ["export", "dot", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "latin1.ucm" in captured.err and "UTF-8" in captured.err
+        assert captured.out == ""
+
+
+def _run_every_command(path: str, first_use_case: str) -> None:
+    commands = [
+        ["check", path],
+        ["check", "--format", "json", path],
+        *(["table", kind, path] for kind in ("exceptions", "handlers", "modes", "services")),
+        ["table", "exceptions", path, "--usecase", first_use_case],
+        *(["export", target, path] for target in ("json", "xmi", "dot")),
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+
+
+def _first_use_case(text: str) -> str:
+    model, _ = parse(text)
+    return model.use_cases[0].name if model is not None and model.use_cases else "Missing"
+
+
+SMARTSTORE_BYTES = (CORPUS / "smartstore.ucm").read_bytes()
+
+
+@st.composite
+def mutated_smartstore(draw) -> bytes:
+    """The smart-store corpus with a few byte ranges replaced by random bytes."""
+    data = bytearray(SMARTSTORE_BYTES)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        start = draw(st.integers(min_value=0, max_value=len(data)))
+        length = draw(st.integers(min_value=0, max_value=40))
+        data[start : start + length] = draw(st.binary(max_size=8))
+    return bytes(data)
+
+
+NEVER_CRASH = settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@NEVER_CRASH
+@given(source=model_source())
+def test_cli_never_crashes_on_generated_models(tmp_path_factory, source):
+    path = tmp_path_factory.mktemp("generated") / "model.ucm"
+    path.write_text(source, encoding="utf-8")
+    _run_every_command(str(path), _first_use_case(source))
+
+
+@NEVER_CRASH
+@given(data=mutated_smartstore())
+def test_cli_never_crashes_on_mutated_corpus(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mutated") / "smartstore.ucm"
+    path.write_bytes(data)
+    _run_every_command(str(path), _first_use_case(data.decode("utf-8", "replace")))

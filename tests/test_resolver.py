@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from ucm.model import StepKind, UseCase
+from ucm.model import StepKind
 from ucm.parser import parse
 from ucm.resolver import reachable_use_cases, resolve
 
@@ -39,7 +39,7 @@ def test_declared_raise_binds_without_diagnostics():
     errors = [d for d in diags if d.code.startswith("E")]
     assert errors == []
     step = resolved.model.use_cases[0].main.steps[0]
-    assert resolved.binding_for(step.payload.span) is resolved.model.exceptions[0]
+    assert resolved.binding_for(step.payload) is resolved.model.exceptions[0]
 
 
 def test_unresolved_invocation_is_e003():
@@ -148,8 +148,8 @@ def test_context_references_bind_to_usecase_and_exception():
     resolved, diags = resolved_of(src)
     assert [d.code for d in diags if d.code.startswith("E")] == []
     ctx = resolved.model.use_cases[1].contexts[0]
-    assert isinstance(resolved.binding_for(ctx.use_case_span), UseCase)
-    assert resolved.binding_for(ctx.exception.span) is resolved.model.exceptions[0]
+    assert resolved.binding_for(ctx) is resolved.model.use_cases[0]
+    assert resolved.binding_for(ctx.exception) is resolved.model.exceptions[0]
 
 
 def test_reachable_transitive_closure():
@@ -178,30 +178,45 @@ def test_reachable_is_a_fixed_point(smartstore_resolved):
 
 
 def test_clean_resolve_binds_every_reference(smartstore_resolved):
+    """Every reference site is bound, and nothing else is."""
     resolved = smartstore_resolved
+    sites: list[object] = []
     for uc in resolved.model.use_cases:
         for step in uc.all_steps():
-            if step.kind is StepKind.INVOCATION:
-                assert resolved.binding_for(step.span) is not None, step.label.text
+            if step.kind in (StepKind.INVOCATION, StepKind.CONTROL_FLOW):
+                sites.append(step)
             if step.kind is StepKind.RAISE:
-                assert resolved.binding_for(step.payload.span) is not None
+                sites.append(step.payload)
         for ctx in uc.contexts:
-            assert resolved.binding_for(ctx.use_case_span) is not None
-            assert resolved.binding_for(ctx.exception.span) is not None
+            sites += [ctx, ctx.exception]
         scenarios = ([uc.main] if uc.main else []) + list(uc.all_blocks())
         for seq in scenarios:
-            for switch in (seq.entry_switch, seq.exit_switch):
-                if switch is not None:
-                    assert resolved.binding_for(switch.span) is not None
+            sites += [switch for switch in (seq.entry_switch, seq.exit_switch) if switch is not None]
             if seq.outcome.continue_target is not None:
-                assert resolved.binding_for(seq.outcome.span) is not None
-        for block in uc.all_blocks():
-            assert resolved.binding_for(block.span) is not None
+                sites.append(seq.outcome)
+        sites += uc.all_blocks()
+    for node in sites:
+        assert resolved.binding_for(node) is not None, node
+    assert len(resolved.bindings) == len(sites) == 149
+
+
+def test_bindings_point_at_the_named_nodes(smartstore_resolved):
+    resolved = smartstore_resolved
+    shopping = resolved.use_case_by_name["Shopping"]
+    (block,) = [b for b in shopping.all_blocks() if b.label.text == "2-4a"]
+    assert resolved.binding_for(block) is shopping.main.steps[1]
+    assert resolved.binding_for(block.entry_switch) is resolved.mode_by_name["FireEmergency"]
+    for step, target in resolved.invocations_of(shopping):
+        assert resolved.binding_for(step) is target is resolved.use_case_by_name[step.payload.target]
 
 
 def test_resolve_is_pure(smartstore):
     first, d1 = resolve(smartstore)
     second, d2 = resolve(smartstore)
     assert d1 == d2
-    assert list(first.bindings.keys()) == list(second.bindings.keys())
+    # Same reference sites bound to the very same targets, in the same order.
+    assert len(first.bindings) == len(second.bindings)
+    for (site1, target1), (site2, target2) in zip(first.bindings.items(), second.bindings.items()):
+        assert site1 == site2 and target1 is target2
+    assert [s.step for s in first.raise_sites()] == [s.step for s in second.raise_sites()]
     assert first.use_case_by_name.keys() == second.use_case_by_name.keys()

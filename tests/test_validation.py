@@ -11,6 +11,7 @@ import pytest
 
 from conftest import CORPUS, pipeline
 from ucm.analysis import InvocationCycleError, build_invocation_graph, enumerate_paths
+from ucm.export import export_json, import_json
 from ucm.parser import parse
 from ucm.resolver import resolve
 from ucm.validation import validate
@@ -457,6 +458,8 @@ def test_global_exception_context_is_exempt_from_e007():
 
 
 def test_e007_satisfied_through_invocation_chain():
+    """Also after a JSON round trip, whose nodes all carry the same
+    zero-length span: reachability follows the invocation of B."""
     header = BASE_HEADER.replace("exceptions { }", "exceptions { exception HardwareException::X }")
     src = (
         header
@@ -464,8 +467,12 @@ def test_e007_satisfied_through_invocation_chain():
         + uc("B", "    1. raise HardwareException::X\n    outcome success")
         + _HANDLER_FOR_X
     )
-    _, diags = pipeline(src)
+    resolved, diags = pipeline(src)
     assert diags == []
+    back, import_diags = import_json(export_json(resolved))
+    assert import_diags == []
+    again, resolve_diags = resolve(back)
+    assert resolve_diags + validate(again) == []
 
 
 def test_corpora_are_diagnostic_free(smartstore, firealarm):
