@@ -1,13 +1,16 @@
 """Invocation-graph analysis and generated summaries.
 
-Builds the directed graph of `invoke` steps between non-handler use cases,
-enumerates simple root-to-target paths, and derives the exception, handler,
-mode-switch and mode-service summaries from a resolved model. Cyclic
-invocation structures abort path-based summaries with E015.
+Builds the directed graph of `invoke` steps between non-handler use cases
+and derives the exception, handler, mode-switch and mode-service summaries
+from a resolved model. Path totals are counted in one pass over a
+topological order, without listing paths; only the paths the exception table
+prints are enumerated, with an explicit stack. Cyclic invocation structures
+abort path-based summaries with E015.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic
@@ -137,23 +140,84 @@ def ensure_acyclic(graph: InvocationGraph) -> None:
         )
 
 
-def _paths_between(adj: dict[str, list[Edge]], source: str, target: str) -> list[PathRecord]:
-    """All simple source-to-target paths; parallel edges each contribute a
-    path. Paths end at the first arrival at target."""
-    records: list[PathRecord] = []
-
-    def walk(node: str, trail: list[str]) -> None:
-        if node == target:
-            records.append(PathRecord(tuple(trail)))
-            return
+def path_counts(graph: InvocationGraph) -> dict[str, int]:
+    """Exact number of root-to-node paths for every node, as counted by
+    `enumerate_paths`: a root counts 1 for itself and each parallel edge
+    contributes its own paths. One pass over a topological order (Kahn's
+    algorithm), O(V+E). Raises InvocationCycleError (E015) on cyclic graphs."""
+    adj = graph.successors()
+    indegree = dict.fromkeys(adj, 0)
+    for edge in graph.edges:
+        indegree[edge.callee] += 1
+    counts = dict.fromkeys(adj, 0)
+    for root in graph.roots:
+        counts[root] += 1
+    ready = [n for n in adj if indegree[n] == 0]
+    for node in ready:  # grows while it is walked
         for edge in adj[node]:
-            if edge.callee not in trail:
-                trail.append(edge.callee)
-                walk(edge.callee, trail)
-                trail.pop()
+            counts[edge.callee] += counts[node]
+            indegree[edge.callee] -= 1
+            if indegree[edge.callee] == 0:
+                ready.append(edge.callee)
+    if len(ready) < len(adj):
+        ensure_acyclic(graph)
+    return counts
 
-    walk(source, [source])
-    return sorted(records, key=lambda r: r.use_cases)
+
+_Adjacency = dict[str, list[tuple[str, int]]]
+
+
+def _path_adjacency(graph: InvocationGraph) -> tuple[_Adjacency, dict[str, list[str]]]:
+    """The distinct callees of every node in name order, each with its number
+    of parallel edges, and the distinct callers of every node."""
+    out: dict[str, dict[str, int]] = {n: {} for n in graph.nodes}
+    callers: dict[str, list[str]] = {n: [] for n in graph.nodes}
+    for edge in graph.edges:
+        callees = out[edge.caller]
+        if edge.callee not in callees:
+            callers[edge.callee].append(edge.caller)
+        callees[edge.callee] = callees.get(edge.callee, 0) + 1
+    return {n: sorted(callees.items()) for n, callees in out.items()}, callers
+
+
+def _paths_between(
+    adj: _Adjacency, callers: dict[str, list[str]], starts: Counter[str], target: str
+) -> list[PathRecord]:
+    """All paths from the `starts` to `target` in an acyclic graph, in
+    lexicographic order. A path over k parallel edges, or from a start counted
+    k times, is listed k times. Depth-first with an explicit stack, over only
+    the nodes that reach target and visiting callees in name order, so the
+    paths come out sorted and deep chains need no recursion."""
+    reaches = {target}
+    pending = [target]
+    while pending:
+        for caller in callers[pending.pop()]:
+            if caller not in reaches:
+                reaches.add(caller)
+                pending.append(caller)
+
+    records: list[PathRecord] = []
+    for start in sorted(n for n in reaches if n in starts):
+        if start == target:
+            records.extend([PathRecord((start,))] * starts[start])
+            continue
+        trail = [start]
+        stack = [(starts[start], iter(adj[start]))]  # copies of the trail, callees left
+        while stack:
+            copies, callees = stack[-1]
+            for callee, k in callees:
+                if callee in reaches:
+                    break
+            else:
+                stack.pop()
+                trail.pop()
+                continue
+            if callee == target:
+                records.extend([PathRecord((*trail, target))] * (copies * k))
+            else:
+                trail.append(callee)
+                stack.append((copies * k, iter(adj[callee])))
+    return records
 
 
 def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
@@ -163,11 +227,8 @@ def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
     if target not in graph.nodes:
         raise ValueError(f"unknown use case '{target}'")
     ensure_acyclic(graph)
-    adj = graph.successors()
-    records: list[PathRecord] = []
-    for root in graph.roots:
-        records.extend(_paths_between(adj, root, target))
-    return sorted(records, key=lambda r: r.use_cases)
+    adj, callers = _path_adjacency(graph)
+    return _paths_between(adj, callers, Counter(graph.roots), target)
 
 
 # -- exception summary ------------------------------------------------------
@@ -210,6 +271,14 @@ def _participants(site: RaiseSite) -> list[str]:
     return actors
 
 
+def _sites_by_exception(resolved: ResolvedModel) -> dict[str, list[RaiseSite]]:
+    """Raise sites grouped by qualified exception name, in document order."""
+    out: dict[str, list[RaiseSite]] = {}
+    for site in resolved.raise_sites():
+        out.setdefault(site.exception.qualified_name, []).append(site)
+    return out
+
+
 def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[ExceptionSummaryRow]:
     """Global view (view=None): one row per occurrence of a non-global
     exception, with all root paths to the occurrence's use case; each raised
@@ -222,7 +291,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
     graph = build_invocation_graph(resolved)
     ensure_acyclic(graph)
     handlers = _handlers_by_exception(resolved)
-    sites = resolved.raise_sites()
+    sites = _sites_by_exception(resolved)
 
     reach: set[str] | None = None
     if view is not None:
@@ -231,11 +300,13 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
             raise ValueError(f"unknown use case '{view}'")
         reach = reachable_use_cases(resolved, view)
 
-    adj = graph.successors()
+    adj, callers = _path_adjacency(graph)
+    starts = Counter(graph.roots if view is None else [view])
+    nodes = set(graph.nodes)
     rows = []
     for exc in resolved.model.exceptions:
         qname = exc.qualified_name
-        exc_sites = [s for s in sites if s.exception.qualified_name == qname]
+        exc_sites = sites.get(qname, [])
         if not exc_sites:
             continue
         if exc.is_global:
@@ -257,12 +328,10 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
             source = site.use_case.name
             if reach is not None and source not in reach:
                 continue
-            if site.use_case.is_handler or source not in graph.nodes:
+            if site.use_case.is_handler or source not in nodes:
                 paths: list[PathRecord] = []
-            elif view is None:
-                paths = enumerate_paths(graph, source)
             else:
-                paths = _paths_between(adj, view, source)
+                paths = _paths_between(adj, callers, starts, source)
             rows.append(
                 ExceptionSummaryRow(
                     qname,
@@ -291,12 +360,20 @@ class HandlerSummaryRow:
 
 def handler_summary(resolved: ResolvedModel) -> list[HandlerSummaryRow]:
     """One row per handler. The path total sums the global-view path counts
-    of every occurrence of every handled exception; actors that appear in no
-    non-handler use case are marked exceptional with ``*``."""
-    global_rows = exception_summary(resolved, view=None)
+    of every occurrence of every handled exception, counted without listing
+    the paths; actors that appear in no non-handler use case are marked
+    exceptional with ``*``."""
+    graph = build_invocation_graph(resolved)
+    ensure_acyclic(graph)
+    counts = path_counts(graph)
+    sites = _sites_by_exception(resolved)
     paths_by_exception: dict[str, int] = {}
-    for row in global_rows:
-        paths_by_exception[row.exception] = paths_by_exception.get(row.exception, 0) + len(row.paths)
+    for exc in resolved.model.exceptions:
+        if exc.is_global:  # a global exception's single row lists no paths
+            continue
+        qname = exc.qualified_name
+        found = sum(counts.get(s.use_case.name, 0) for s in sites.get(qname, []) if not s.use_case.is_handler)
+        paths_by_exception[qname] = paths_by_exception.get(qname, 0) + found
 
     base_actor_names: set[str] = set()
     for uc in resolved.model.use_cases:

@@ -64,7 +64,6 @@ class ResolvedModel:
     mode_by_name: dict[str, ModeDecl] = field(default_factory=dict)
     service_by_name: dict[str, ServiceDecl] = field(default_factory=dict)
     bindings: dict[int, object] = field(default_factory=dict)
-    declared_actors: dict[str, list[ActorRef]] = field(default_factory=dict)
     _raise_sites: list[RaiseSite] = field(default_factory=list)
     _invocations: dict[int, list[tuple[Step, UseCase]]] = field(default_factory=dict)
 
@@ -140,9 +139,7 @@ def _collect_actors(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:
     name under a different category is a duplicate definition."""
     first_category: dict[str, ActorRef] = {}
     for uc in resolved.model.use_cases:
-        refs = uc.all_actors()
-        resolved.declared_actors[uc.name] = refs
-        for ref in refs:
+        for ref in uc.all_actors():
             if ref.category is None:
                 continue
             prior = first_category.get(ref.name)

@@ -72,3 +72,19 @@ def firealarm_resolved(firealarm):
     resolved, diags = resolve(firealarm)
     assert diags == []
     return resolved
+
+
+def chain_source(depth: int) -> str:
+    """A linear invocation chain U0 -> U1 -> ... -> U(depth-1) whose last use
+    case raises SoftwareException::Boom, which handler H handles. Use cases
+    carry no descriptive fields, so the model checks with E001 errors only,
+    which block no table."""
+    parts = ["model Chain\nmodes { default normal Normal }\nexceptions { exception SoftwareException::Boom }\n"]
+    for i in range(depth - 1):
+        parts.append(f"usecase U{i} {{\n  main {{\n    1. invoke U{i + 1}\n    outcome success\n  }}\n}}\n")
+    parts.append(
+        f"usecase U{depth - 1} {{\n  main {{\n    1. raise SoftwareException::Boom\n    outcome success\n  }}\n}}\n"
+        f"handler H {{\n  contexts: U{depth - 1} on SoftwareException::Boom interrupt-fail\n"
+        "  main {\n    1. internal \"recover\"\n    outcome success\n  }\n}\n"
+    )
+    return "".join(parts)

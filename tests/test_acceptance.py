@@ -20,6 +20,7 @@ from ucm.analysis import (
     handler_summary,
     mode_service_table,
     mode_switch_table,
+    path_counts,
 )
 from ucm.export import export_dot, export_json, export_xmi, import_json
 from ucm.model import StepKind
@@ -123,8 +124,9 @@ def test_criterion_7_path_enumeration_matches_oracle_on_200_dags(acceptance_repo
         edges = possible[: rng.randint(0, min(20, len(possible)))]
         graph = InvocationGraph(nodes, [Edge(a, b, str(k)) for k, (a, b) in enumerate(edges)])
         target = rng.choice(nodes)
-        got = [p.use_cases for p in enumerate_paths(graph, target)]
-        assert got == brute_force_paths(nodes, edges, target)
+        expected = brute_force_paths(nodes, edges, target)
+        assert [p.use_cases for p in enumerate_paths(graph, target)] == expected
+        assert path_counts(graph)[target] == len(expected)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.3f}s"
     acceptance_report(7, f"200 random DAGs match the brute-force oracle in {elapsed:.2f} s")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pipeline
+from conftest import chain_source, pipeline
 from oracles import brute_force_paths
+from strategies import model_source
 from ucm.analysis import (
     Edge,
     GLOBAL_SOURCE,
@@ -21,7 +22,10 @@ from ucm.analysis import (
     handler_table,
     mode_service_table,
     mode_switch_table,
+    path_counts,
 )
+from ucm.parser import parse
+from ucm.resolver import resolve
 
 THREE_SENSOR_PATHS = [
     ("UseSmartStore", "Shopping", "AddToCart", "IdentifyItem"),
@@ -96,6 +100,7 @@ def test_parallel_invocations_are_distinct_edges():
     assert labels == ["1", "3"]
     # each parallel edge contributes one path
     assert len(enumerate_paths(graph, "B")) == 2
+    assert path_counts(graph) == {"A": 1, "B": 2}
 
 
 # -- path enumeration ---------------------------------------------------------
@@ -149,6 +154,7 @@ def test_enumeration_matches_brute_force_oracle_on_random_dags():
         got = [p.use_cases for p in enumerate_paths(graph, target)]
         expected = brute_force_paths(graph.nodes, [(e.caller, e.callee) for e in graph.edges], target)
         assert got == expected
+        assert path_counts(graph)[target] == len(expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,8 +167,61 @@ def test_enumeration_oracle_property(data):
     graph = InvocationGraph(nodes, [Edge(a, b, str(i)) for i, (a, b) in enumerate(chosen)])
     target = data.draw(st.sampled_from(nodes))
     got = [p.use_cases for p in enumerate_paths(graph, target)]
-    assert got == brute_force_paths(nodes, chosen, target)
+    expected = brute_force_paths(nodes, chosen, target)
+    assert got == expected
     assert got == sorted(got)
+    assert path_counts(graph)[target] == len(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parallel_edges_and_shuffled_names_match_oracle(data):
+    # Node order is not name order, and edges may repeat, so enumeration must
+    # list every copy of a path next to the others, as the sorted oracle does.
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    nodes = data.draw(st.permutations([f"N{i}" for i in range(n)]))
+    possible = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+    chosen = data.draw(st.lists(st.sampled_from(possible), max_size=14)) if possible else []
+    graph = InvocationGraph(nodes, [Edge(a, b, str(i)) for i, (a, b) in enumerate(chosen)])
+    counts = path_counts(graph)
+    for target in nodes:
+        expected = brute_force_paths(nodes, chosen, target)
+        assert [p.use_cases for p in enumerate_paths(graph, target)] == expected
+        assert counts[target] == len(expected)
+
+
+def diamond_chain(d: int) -> InvocationGraph:
+    """Joins J0..Jd; J(i-1) invokes A(i) and B(i), which both invoke J(i)."""
+    nodes = ["J0"]
+    edges = []
+    for i in range(1, d + 1):
+        nodes += [f"A{i}", f"B{i}", f"J{i}"]
+        for x in (f"A{i}", f"B{i}"):
+            edges += [Edge(f"J{i - 1}", x, "1"), Edge(x, f"J{i}", "1")]
+    return InvocationGraph(nodes, edges)
+
+
+def test_counts_paths_of_a_60_deep_diamond_chain_exactly():
+    counts = path_counts(diamond_chain(60))
+    assert counts["J60"] == 2**60
+    assert counts["A60"] == counts["B60"] == 2**59
+
+
+def test_listing_paths_skips_branches_that_miss_the_target():
+    # J0 also reaches 2**40 paths through the chain; none of them ends at L.
+    graph = diamond_chain(40)
+    graph.nodes.append("L")
+    graph.edges.append(Edge("J0", "L", "3"))
+    assert [p.use_cases for p in enumerate_paths(graph, "L")] == [("J0", "L")]
+
+
+def test_path_counts_rejects_cycles_with_the_enumeration_witness():
+    graph = InvocationGraph(["R", "A", "B"], [Edge("R", "A", "1"), Edge("A", "B", "1"), Edge("B", "A", "1")])
+    with pytest.raises(InvocationCycleError) as counted:
+        path_counts(graph)
+    with pytest.raises(InvocationCycleError) as listed:
+        enumerate_paths(graph, "B")
+    assert counted.value.diagnostic == listed.value.diagnostic
 
 
 # -- exception summary --------------------------------------------------------
@@ -312,15 +371,94 @@ def test_global_only_handler_has_zero_paths(smartstore_resolved):
     assert fire.dependent_use_cases == ["Shopping", "ExitStore", "MaintainStore", "CheckOut"]
 
 
+def assert_handler_totals_match_global_view(resolved) -> None:
+    """Handler totals equal the paths the global exception view lists for
+    the handled exceptions, and both summaries fail alike on a cycle."""
+    try:
+        global_rows = exception_summary(resolved)
+    except InvocationCycleError as listed:
+        with pytest.raises(InvocationCycleError) as counted:
+            handler_summary(resolved)
+        assert counted.value.diagnostic == listed.diagnostic
+        return
+    counts: dict[str, int] = {}
+    for row in global_rows:
+        counts[row.exception] = counts.get(row.exception, 0) + len(row.paths)
+    for handler_row in handler_summary(resolved):
+        expected = sum(counts.get(name, 0) for name in handler_row.handled_exceptions)
+        assert handler_row.total_invocation_paths == expected
+
+
 def test_handler_totals_match_global_view(smartstore_resolved, firealarm_resolved):
     for resolved in (smartstore_resolved, firealarm_resolved):
-        global_rows = exception_summary(resolved)
-        counts: dict[str, int] = {}
-        for row in global_rows:
-            counts[row.exception] = counts.get(row.exception, 0) + len(row.paths)
-        for handler_row in handler_summary(resolved):
-            expected = sum(counts.get(name, 0) for name in handler_row.handled_exceptions)
-            assert handler_row.total_invocation_paths == expected
+        assert_handler_totals_match_global_view(resolved)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_source())
+def test_handler_totals_match_global_view_on_generated_models(source):
+    resolved, _ = pipeline(source)
+    assert_handler_totals_match_global_view(resolved)
+
+
+def test_handler_summary_reports_a_cycle_without_raise_sites():
+    resolved = model_with(
+        plain_uc("A", "    1. invoke B\n    outcome success"),
+        plain_uc("B", "    1. invoke A\n    outcome success"),
+    )
+    assert resolved.raise_sites() == []
+    with pytest.raises(InvocationCycleError) as counted:
+        handler_summary(resolved)
+    with pytest.raises(InvocationCycleError) as listed:
+        exception_summary(resolved)
+    assert counted.value.diagnostic.code == "E015"
+    assert counted.value.diagnostic == listed.value.diagnostic
+
+
+def test_handler_counts_paths_it_could_never_list():
+    stages = []
+    for i in range(61):
+        body = f"    1. invoke A{i + 1}\n    2. invoke B{i + 1}\n    outcome success" if i < 60 else (
+            "    1. raise SoftwareException::Deep\n    outcome success"
+        )
+        stages.append(plain_uc(f"J{i}", body))
+        if i < 60:
+            for x in "AB":
+                stages.append(plain_uc(f"{x}{i + 1}", f"    1. invoke J{i + 1}\n    outcome success"))
+    handler = (
+        plain_uc("Fix")
+        .replace("usecase", "handler")
+        .replace("  main", "  contexts: J60 on SoftwareException::Deep interrupt-fail\n  main")
+    )
+    resolved = model_with(*stages, handler, header_exceptions="exception SoftwareException::Deep")
+    (row,) = handler_summary(resolved)
+    assert row.total_invocation_paths == 2**60
+
+
+# -- deep invocation chains ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def deep_chain():
+    model, diags = parse(chain_source(5000), "chain.ucm")
+    assert model is not None, diags
+    resolved, diags = resolve(model)
+    assert diags == []
+    return resolved
+
+
+def test_deep_chain_handler_total_is_one(deep_chain):
+    (row,) = handler_summary(deep_chain)
+    assert row.handler == "H"
+    assert row.total_invocation_paths == 1
+
+
+def test_deep_chain_exception_summary_lists_its_one_path(deep_chain):
+    expected = tuple(f"U{i}" for i in range(5000))
+    for view in (None, "U0"):
+        (row,) = exception_summary(deep_chain, view=view)
+        assert row.source_use_case == "U4999"
+        assert [p.use_cases for p in row.paths] == [expected]
 
 
 def test_one_row_per_handler(smartstore_resolved):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, REPO_ROOT
+from conftest import CORPUS, REPO_ROOT, chain_source
 from strategies import model_source
 from ucm.cli import main
 from ucm.parser import parse
@@ -165,6 +165,15 @@ def test_table_on_cyclic_model_reports_e015(tmp_path, capsys):
     path.write_text(src, encoding="utf-8")
     assert main(["table", "exceptions", str(path)]) == 1
     assert "E015" in capsys.readouterr().err
+
+
+def test_path_tables_on_a_1200_deep_invocation_chain(tmp_path, capsys):
+    path = tmp_path / "chain.ucm"
+    path.write_text(chain_source(1200), encoding="utf-8")
+    assert main(["table", "handlers", str(path)]) == 0
+    assert "| H | U1199 | SoftwareException::Boom |  | 1 |" in capsys.readouterr().out
+    assert main(["table", "exceptions", str(path)]) == 0
+    assert " -> ".join(f"U{i}" for i in range(1200)) in capsys.readouterr().out
 
 
 def test_export_json_to_stdout(capsys):
