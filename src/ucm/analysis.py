@@ -3,14 +3,15 @@
 Builds the directed graph of `invoke` steps between non-handler use cases
 and derives the exception, handler, mode-switch and mode-service summaries
 from a resolved model. Path totals are counted in one pass over a
-topological order, without listing paths; only the paths the exception table
-prints are enumerated, with an explicit stack. Cyclic invocation structures
-abort path-based summaries with E015.
+topological order, without listing paths. Only the paths the exception table
+prints are listed: every node that lies on one gets a single list of its path
+texts to the raise site, shared by all its callers, so the work is bounded by
+the printed text. Cyclic invocation structures abort path-based summaries
+with E015.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic
@@ -59,14 +60,16 @@ class InvocationGraph:
         return adj
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    """A simple path through the invocation graph, as use-case names."""
+class PathRecord(str):
+    """A simple path through the invocation graph, held as its printed text:
+    use-case names joined by `` -> ``. Use-case names are identifiers, so
+    the text and `use_cases` determine each other."""
 
-    use_cases: tuple[str, ...]
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        return " -> ".join(self.use_cases)
+    @property
+    def use_cases(self) -> tuple[str, ...]:
+        return tuple(self.split(" -> "))
 
 
 class InvocationCycleError(Exception):
@@ -181,13 +184,16 @@ def _path_adjacency(graph: InvocationGraph) -> tuple[_Adjacency, dict[str, list[
 
 
 def _paths_between(
-    adj: _Adjacency, callers: dict[str, list[str]], starts: Counter[str], target: str
+    adj: _Adjacency, callers: dict[str, list[str]], starts: list[str], target: str
 ) -> list[PathRecord]:
     """All paths from the `starts` to `target` in an acyclic graph, in
-    lexicographic order. A path over k parallel edges, or from a start counted
-    k times, is listed k times. Depth-first with an explicit stack, over only
-    the nodes that reach target and visiting callees in name order, so the
-    paths come out sorted and deep chains need no recursion."""
+    lexicographic order; a path over k parallel edges is listed k times.
+
+    Only live nodes take part: those that reach `target` and are reachable
+    from a start. Each gets one list of its path texts to `target`, built in
+    post-order from its callees' lists taken in name order, so the lists come
+    out sorted with no sort and no recursion. A callee's list is dropped once
+    its last live caller has read it."""
     reaches = {target}
     pending = [target]
     while pending:
@@ -196,27 +202,53 @@ def _paths_between(
                 reaches.add(caller)
                 pending.append(caller)
 
-    records: list[PathRecord] = []
-    for start in sorted(n for n in reaches if n in starts):
-        if start == target:
-            records.extend([PathRecord((start,))] * starts[start])
-            continue
-        trail = [start]
-        stack = [(starts[start], iter(adj[start]))]  # copies of the trail, callees left
+    roots = sorted(n for n in starts if n in reaches)
+    readers = dict.fromkeys(roots, 1)  # live callers of each live node, plus 1 for a root's output
+    live = set(roots)  # no start reaches another: they are the roots, or one view
+    order: list[str] = []  # live nodes, callees before callers
+    for root in roots:
+        stack = [(root, iter(adj[root]))]
         while stack:
-            copies, callees = stack[-1]
-            for callee, k in callees:
+            node, callees = stack[-1]
+            for callee, _ in callees:
                 if callee in reaches:
-                    break
+                    readers[callee] = readers.get(callee, 0) + 1
+                    if callee not in live:
+                        live.add(callee)
+                        stack.append((callee, iter(adj[callee])))
+                        break
             else:
                 stack.pop()
-                trail.pop()
+                order.append(node)
+
+    suffixes: dict[str, list[str]] = {}
+    for node in order:
+        if node == target:
+            suffixes[node] = [target]
+            continue
+        prefix = node + " -> "
+        texts: list[str] = []
+        for callee, k in adj[node]:
+            if callee not in reaches:
                 continue
-            if callee == target:
-                records.extend([PathRecord((*trail, target))] * (copies * k))
+            if k == 1:
+                texts += [prefix + s for s in suffixes[callee]]
             else:
-                trail.append(callee)
-                stack.append((copies * k, iter(adj[callee])))
+                for s in suffixes[callee]:
+                    texts += [prefix + s] * k
+            readers[callee] -= 1
+            if not readers[callee]:
+                del suffixes[callee]
+        suffixes[node] = texts
+
+    records: list[PathRecord] = []
+    for root in roots:
+        texts, record = suffixes.pop(root), None
+        for i, text in enumerate(texts):  # each text is freed as soon as it is wrapped
+            if text != record:  # repeated paths are adjacent and share one record
+                record = PathRecord(text)
+            texts[i] = record
+        records += texts
     return records
 
 
@@ -228,7 +260,7 @@ def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
         raise ValueError(f"unknown use case '{target}'")
     ensure_acyclic(graph)
     adj, callers = _path_adjacency(graph)
-    return _paths_between(adj, callers, Counter(graph.roots), target)
+    return _paths_between(adj, callers, graph.roots, target)
 
 
 # -- exception summary ------------------------------------------------------
@@ -301,7 +333,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
         reach = reachable_use_cases(resolved, view)
 
     adj, callers = _path_adjacency(graph)
-    starts = Counter(graph.roots if view is None else [view])
+    starts = graph.roots if view is None else [view]
     nodes = set(graph.nodes)
     rows = []
     for exc in resolved.model.exceptions:
@@ -488,7 +520,7 @@ def exception_table(rows: list[ExceptionSummaryRow], title: str = "Exception sum
                 ", ".join(row.handlers),
                 "; ".join(row.situations),
                 ", ".join(row.participating_actors),
-                "; ".join(str(p) for p in row.paths),
+                "; ".join(row.paths),
             ]
         )
     return SummaryTable(title, columns, cells)

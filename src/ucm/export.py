@@ -4,13 +4,13 @@ XMI, and DOT. All exporters are pure and byte-deterministic for equal models.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic
+from .lexer import IDENT_RE
 from .model import (
     ActorRef,
     BlockKind,
@@ -85,12 +85,25 @@ def _render_markdown(table: SummaryTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_field(text: str) -> str:
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text or "\r" in text:
+        return '"' + text + '"'
+    return text
+
+
 def _render_csv(table: SummaryTable) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(table.columns)
-    writer.writerows(table.rows)
-    return buffer.getvalue()
+    """CSV as the stdlib writer writes it with CRLF row ends and
+    QUOTE_MINIMAL: a field is quoted if and only if it holds a comma, a
+    double quote, CR or LF, inner double quotes are doubled, and a row that
+    is one empty field is ``""``. Str operations scan the large path cells
+    in C, where the stdlib writer inspects every character."""
+    lines = []
+    for row in (table.columns, *table.rows):
+        line = ",".join(map(_csv_field, row))
+        lines.append('""' if not line and len(row) == 1 else line)
+    return "\r\n".join(lines) + "\r\n"
 
 
 # -- canonical JSON -----------------------------------------------------------
@@ -441,8 +454,11 @@ def _usecase_from_json(doc) -> UseCase:
             )
         )
     main_doc = _need(doc, "main", None, "usecase")
+    name = _need(doc, "name", str, "usecase")
+    if not IDENT_RE.fullmatch(name):  # path texts join names with " -> " and split them back
+        raise _SchemaError(f"use case name {name!r} is not an identifier")
     return UseCase(
-        name=_need(doc, "name", str, "usecase"),
+        name=name,
         is_handler=_need(doc, "handler", bool, "usecase"),
         scope=_opt_str(doc, "scope", "usecase"),
         level=_enum_from(Level, level_text, "usecase") if level_text is not None else None,

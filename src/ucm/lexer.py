@@ -50,13 +50,17 @@ class LexError(Exception):
 # Identifiers may contain single hyphens between word parts so multi-word
 # keywords (user-goal, interrupt-continue) lex as one token. A hyphen not
 # followed by a letter is left for the next token (e.g. `->`).
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
+
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>[ \t\n]+)
     | (?P<comment>//[^\n]*)
     | (?P<number>\d+\.\d+)
     | (?P<label>\d+(?:-\d+)?(?:[a-z]\d*)*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*)
+    | (?P<ident>"""
+    + IDENT_RE.pattern
+    + r""")
     | (?P<string>"(?:[^"\\\n]|\\.)*")
     | (?P<arrow>->)
     | (?P<coloncolon>::)

@@ -3,7 +3,8 @@
 Each rule is a pure function returning diagnostics; validate() concatenates
 them all and sorts by (file, offset, code), so output is stable across runs.
 Name-resolution problems (E003/E004/E012/E013/E014) are the resolver's job
-and are not re-reported here.
+and are not re-reported here. A repeated block label is E014 too, but it
+is reported here: it breaks no binding, so tables stay available.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ def validate(resolved: ResolvedModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for uc in resolved.model.use_cases:
         diags.extend(check_required_clauses(uc))
+        diags.extend(check_block_labels(uc))
         if uc.main:
             diags.extend(check_step_ordering(uc.main))
         for block in uc.all_blocks():
@@ -78,6 +80,26 @@ def check_required_clauses(uc: UseCase) -> list[Diagnostic]:
 def _e001(uc: UseCase, clause: str) -> Diagnostic:
     kind = "handler" if uc.is_handler else "use case"
     return Diagnostic("E001", f"{kind} '{uc.name}' is missing its {clause} clause", uc.name_span)
+
+
+def check_block_labels(uc: UseCase) -> list[Diagnostic]:
+    """E014 for a block whose label an earlier block of the same use case
+    already carries: their steps would share labels, so goto, repeat and
+    continue targets could not tell them apart."""
+    first: dict[str, ExtensionBlock] = {}
+    diags = []
+    for block in uc.all_blocks():
+        prior = first.setdefault(block.label.text, block)
+        if prior is not block:
+            diags.append(
+                Diagnostic(
+                    "E014",
+                    f"duplicate block label '{block.label.text}' in '{uc.name}'",
+                    block.span,
+                    related=[(prior.span, "first block with this label")],
+                )
+            )
+    return diags
 
 
 def check_step_ordering(seq: Scenario | ExtensionBlock) -> list[Diagnostic]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -415,7 +416,11 @@ def test_handler_summary_reports_a_cycle_without_raise_sites():
     assert counted.value.diagnostic == listed.value.diagnostic
 
 
-def test_handler_counts_paths_it_could_never_list():
+@pytest.fixture(scope="module")
+def parsed_diamond_chain():
+    """A parsed chain of 60 width-2 diamonds, J(i-1) -> A(i)/B(i) -> J(i),
+    with 2**60 paths from J0 to J60, where SoftwareException::Deep is raised;
+    handler Fix handles it."""
     stages = []
     for i in range(61):
         body = f"    1. invoke A{i + 1}\n    2. invoke B{i + 1}\n    outcome success" if i < 60 else (
@@ -430,9 +435,23 @@ def test_handler_counts_paths_it_could_never_list():
         .replace("usecase", "handler")
         .replace("  main", "  contexts: J60 on SoftwareException::Deep interrupt-fail\n  main")
     )
-    resolved = model_with(*stages, handler, header_exceptions="exception SoftwareException::Deep")
-    (row,) = handler_summary(resolved)
+    return model_with(*stages, handler, header_exceptions="exception SoftwareException::Deep")
+
+
+def test_handler_counts_paths_it_could_never_list(parsed_diamond_chain):
+    (row,) = handler_summary(parsed_diamond_chain)
     assert row.total_invocation_paths == 2**60
+
+
+def test_view_lists_paths_without_paying_for_the_nodes_above_it(parsed_diamond_chain):
+    # Every node above J58 also reaches the raise site, over 2**58 paths from
+    # J0; only J58 and what it reaches may take part in the view's listing.
+    start = time.perf_counter()
+    (row,) = exception_summary(parsed_diamond_chain, view="J58")
+    assert time.perf_counter() - start < 0.5
+    assert [str(p) for p in row.paths] == [
+        f"J58 -> {x} -> J59 -> {y} -> J60" for x in ("A59", "B59") for y in ("A60", "B60")
+    ]
 
 
 # -- deep invocation chains ---------------------------------------------------

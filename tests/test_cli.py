@@ -224,6 +224,11 @@ GOLDEN_TABLES = {
     "firealarm-exceptions.md": ["table", "exceptions", FIREALARM],
     "firealarm-handlers.md": ["table", "handlers", FIREALARM],
     "firealarm-modes.md": ["table", "modes", FIREALARM],
+    **{
+        f"{name}-{kind}.csv": ["table", kind, path, "--format", "csv"]
+        for name, path in (("smartstore", SMARTSTORE), ("firealarm", FIREALARM))
+        for kind in ("exceptions", "handlers", "modes")
+    },
 }
 
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import model_source
 from ucm.export import (
@@ -51,6 +54,34 @@ def test_csv_quotes_embedded_quotes_and_newlines():
     assert '"say ""hi"""' in text
     assert '"two\nlines"' in text
     assert text.endswith("\r\n")
+
+
+CSV_CELLS = st.text(alphabet=[",", '"', "\r", "\n", " ", "\t", "a", "é", "→"], max_size=6)
+
+
+@st.composite
+def csv_tables(draw):
+    width = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(CSV_CELLS, min_size=width, max_size=width)
+    return SummaryTable("t", draw(row), draw(st.lists(row, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=csv_tables())
+def test_csv_matches_the_stdlib_writer(table):
+    # One-column tables with empty cells exercise the lone empty field,
+    # which the stdlib writer quotes.
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(table.columns)
+    writer.writerows(table.rows)
+    assert render_table(table, "csv") == buffer.getvalue()
+
+
+def test_csv_writes_a_lone_empty_field_quoted():
+    table = SummaryTable("t", ["H"], [[""], ["v"]])
+    assert render_table(table, "csv") == 'H\r\n""\r\nv\r\n'
+    assert render_table(SummaryTable("t", ["A", "B"], [["", ""]]), "csv") == "A,B\r\n,\r\n"
 
 
 def test_row_width_must_match_columns():
@@ -119,6 +150,24 @@ def test_non_object_document_rejected():
     model, diags = import_json("[1, 2]")
     assert model is None
     assert "object" in diags[0].message
+
+
+@pytest.mark.parametrize("name", ["A -> B", "Identify Item", "", "1a", "A-", "X::Y"])
+def test_use_case_name_that_is_not_an_identifier_is_an_error(smartstore_resolved, name):
+    doc = json.loads(export_json(smartstore_resolved))
+    doc["usecases"][0]["name"] = name
+    model, diags = import_json(json.dumps(doc))
+    assert model is None
+    assert [d.code for d in diags] == ["E000"]
+    assert repr(name) in diags[0].message
+
+
+def test_hyphenated_use_case_name_imports(smartstore_resolved):
+    doc = json.loads(export_json(smartstore_resolved))
+    doc["usecases"][0]["name"] = "Use-Smart_Store2"
+    model, diags = import_json(json.dumps(doc))
+    assert diags == []
+    assert model.use_cases[0].name == "Use-Smart_Store2"
 
 
 def test_imported_spans_are_synthetic(smartstore_resolved):

@@ -45,6 +45,7 @@ class MutationCase:
     extra_ok: frozenset = frozenset()
     suggestions: list[str] | None = None
     cycle_target: str | None = None  # set for E015: enumeration target
+    name: str | None = None  # test id when a code has more than one case
 
 
 def _case_e000():
@@ -220,6 +221,28 @@ def _case_e014():
     return MutationCase("E014", clean, defect, "// duplicate")
 
 
+_SIBLING_EXTENSIONS = """  extensions {
+    block 1a alternative when "first" {
+      1a1. internal "a"
+      outcome success
+    }
+    block 1b alternative when "second" {
+      1b1. internal "b"
+      outcome success
+    }
+  }
+"""
+
+
+def _case_e014_block_label():
+    clean = BASE_HEADER + uc("A", '    1. internal "x"\n    outcome success', extensions=_SIBLING_EXTENSIONS)
+    defect = clean.replace(
+        'block 1b alternative when "second" {\n      1b1.',
+        'block 1a alternative when "second" { // repeated\n      1a1.',
+    )
+    return MutationCase("E014", clean, defect, "// repeated", name="E014-block-label")
+
+
 def _case_e015():
     clean = BASE_HEADER + uc("A", "    1. invoke B\n    outcome success") + uc(
         "B", '    1. internal "x"\n    outcome success'
@@ -276,6 +299,7 @@ MUTATION_CATALOG: list[MutationCase] = [
     _case_e012(),
     _case_e013(),
     _case_e014(),
+    _case_e014_block_label(),
     _case_e015(),
     _case_w001(),
     _case_w002(),
@@ -317,12 +341,22 @@ def run_mutation_case(case: MutationCase) -> None:
         assert hits[0].suggestions == case.suggestions
 
 
-@pytest.mark.parametrize("case", MUTATION_CATALOG, ids=lambda c: c.code)
+@pytest.mark.parametrize("case", MUTATION_CATALOG, ids=lambda c: c.name or c.code)
 def test_mutation_pair(case: MutationCase):
     run_mutation_case(case)
 
 
 # -- individual rule behaviour beyond the catalog ----------------------------
+
+
+def test_duplicate_block_label_notes_the_first_block():
+    case = _case_e014_block_label()
+    _, diags = pipeline(case.defect)
+    (diag,) = diags
+    assert diag.message == "duplicate block label '1a' in 'A'"
+    ((first, note),) = diag.related
+    assert first.line == marker_line(case.defect, 'block 1a alternative when "first"')
+    assert note == "first block with this label"
 
 
 def test_duplicate_main_labels_get_e002_with_next_suggestion():
