@@ -27,8 +27,10 @@ from ucm.analysis import (  # noqa: E402
     mode_switch_table,
 )
 from ucm.export import export_dot, export_json, export_xmi, render_table  # noqa: E402
-from ucm.parser import parse_file  # noqa: E402
+from ucm.lexer import normalize  # noqa: E402
+from ucm.parser import parse  # noqa: E402
 from ucm.resolver import resolve  # noqa: E402
+from ucm.spans import LineIndex  # noqa: E402
 from ucm.validation import validate  # noqa: E402
 
 
@@ -40,15 +42,19 @@ def write(path: Path, text: str) -> None:
 
 
 def generate(corpus_file: Path, out_dir: Path) -> int:
-    model, diags = parse_file(corpus_file)
+    source = corpus_file.read_text(encoding="utf-8")
+    model, diags = parse(source, corpus_file)
     if model is None:
         for diag in diags:
             print(f"{corpus_file}: {diag.code} {diag.message}", file=sys.stderr)
         return 1
     resolved, resolve_diags = resolve(model)
     problems = resolve_diags + validate(resolved)
-    for diag in problems:
-        print(f"{corpus_file}:{diag.span.line}: {diag.code} {diag.message}", file=sys.stderr)
+    if problems:
+        index = LineIndex(normalize(source))
+        for diag in problems:
+            line, _ = index.position(diag.span.start)
+            print(f"{corpus_file}:{line}: {diag.code} {diag.message}", file=sys.stderr)
     if any(d.code.startswith("E") for d in problems):
         return 1
 

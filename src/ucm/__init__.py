@@ -16,7 +16,7 @@ from .export import SummaryTable, export_dot, export_json, export_xmi, import_js
 from .model import Model
 from .parser import parse, parse_file
 from .resolver import ResolvedModel, reachable_use_cases, resolve
-from .spans import SourceSpan
+from .spans import LineIndex, SourceSpan
 from .validation import validate
 
 __version__ = "0.1.0"
@@ -26,6 +26,7 @@ __all__ = [
     "Diagnostic",
     "InvocationCycleError",
     "InvocationGraph",
+    "LineIndex",
     "Model",
     "PathRecord",
     "ResolvedModel",

@@ -335,6 +335,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
     adj, callers = _path_adjacency(graph)
     starts = graph.roots if view is None else [view]
     nodes = set(graph.nodes)
+    listed: dict[str, list[PathRecord]] = {}  # paths per source use case, shared by its rows
     rows = []
     for exc in resolved.model.exceptions:
         qname = exc.qualified_name
@@ -362,8 +363,10 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
                 continue
             if site.use_case.is_handler or source not in nodes:
                 paths: list[PathRecord] = []
+            elif source in listed:
+                paths = listed[source]
             else:
-                paths = _paths_between(adj, callers, starts, source)
+                paths = listed[source] = _paths_between(adj, callers, starts, source)
             rows.append(
                 ExceptionSummaryRow(
                     qname,
@@ -395,9 +398,7 @@ def handler_summary(resolved: ResolvedModel) -> list[HandlerSummaryRow]:
     of every occurrence of every handled exception, counted without listing
     the paths; actors that appear in no non-handler use case are marked
     exceptional with ``*``."""
-    graph = build_invocation_graph(resolved)
-    ensure_acyclic(graph)
-    counts = path_counts(graph)
+    counts = path_counts(build_invocation_graph(resolved))
     sites = _sites_by_exception(resolved)
     paths_by_exception: dict[str, int] = {}
     for exc in resolved.model.exceptions:

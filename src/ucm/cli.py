@@ -16,9 +16,11 @@ from pathlib import Path
 from . import analysis
 from .diagnostics import Diagnostic, Severity, has_errors, render_diagnostics, sort_diagnostics
 from .export import export_dot, export_json, export_xmi, render_table
+from .lexer import normalize
 from .model import Model
 from .parser import parse
 from .resolver import ResolvedModel, resolve
+from .spans import LineIndex
 from .validation import validate
 
 OK, MODEL_ERRORS, USAGE_ERROR = 0, 1, 2
@@ -98,7 +100,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         resolved, resolve_diags = resolve(model)
         diags = sort_diagnostics(diags + resolve_diags + validate(resolved))
     if args.format == "json":
-        sys.stdout.write(json.dumps([d.to_dict() for d in diags], indent=2) + "\n")
+        index = LineIndex(normalize(source)) if diags else None
+        sys.stdout.write(json.dumps([d.to_dict(index) for d in diags], indent=2) + "\n")
     else:
         _print_diagnostics(diags, source)
     if has_errors(diags):

@@ -6,13 +6,11 @@ never change meaning. E-codes are errors, W-codes warnings.
 
 from __future__ import annotations
 
-import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .lexer import normalize
-from .spans import SourceSpan
+from .spans import LineIndex, SourceSpan
 
 
 class Severity(str, Enum):
@@ -67,21 +65,25 @@ class Diagnostic:
     def sort_key(self) -> tuple[str, int, str]:
         return (self.span.file, self.span.start, self.code)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, index: LineIndex) -> dict:
+        """JSON-friendly form; `index` indexes the normalized source the spans
+        point into and supplies every line and column."""
+        related = []
+        for span, note in self.related:
+            note_line, note_column = index.position(span.start)
+            related.append({"file": span.file, "line": note_line, "column": note_column, "note": note})
+        line, column = index.position(self.span.start)
         return {
             "code": self.code,
             "severity": self.severity.value,
             "message": self.message,
             "file": self.span.file,
-            "line": self.span.line,
-            "column": self.span.column,
+            "line": line,
+            "column": column,
             "start": self.span.start,
             "end": self.span.end,
             "suggestions": list(self.suggestions),
-            "related": [
-                {"file": s.file, "line": s.line, "column": s.column, "note": note}
-                for s, note in self.related
-            ],
+            "related": related,
         }
 
 
@@ -102,26 +104,20 @@ def render_diagnostic(diag: Diagnostic, source: str) -> str:
 
 
 def render_diagnostics(diags: list[Diagnostic], source: str) -> list[str]:
-    """`render_diagnostic` of each of `diags`, all against one source.
-
-    The source is normalized and its line starts indexed once, so each
-    diagnostic costs a binary search instead of a scan of the whole text.
-    """
+    """`render_diagnostic` of each of `diags`, all against one source, which
+    is normalized and indexed once."""
     if not diags:
         return []
-    text = normalize(source)
-    starts = [0, *(m.end() for m in re.finditer("\n", text))]
-    rendered = []
-    for diag in diags:
-        start = min(diag.span.start, len(text))
-        line = bisect_right(starts, start)
-        rendered.append(_render(diag, text, start, line, start - starts[line - 1] + 1))
-    return rendered
+    index = LineIndex(normalize(source))
+    return [_render(diag, index) for diag in diags]
 
 
-def _render(diag: Diagnostic, text: str, start: int, line: int, column: int) -> str:
+def _render(diag: Diagnostic, index: LineIndex) -> str:
+    text = index.text
+    line, column = index.position(diag.span.start)
+    line_begin = index.starts[line - 1]
+    start = line_begin + column - 1  # clamped to the end of the text
     lines = [f"{diag.span.file}:{line}:{column}: {diag.severity.value}[{diag.code}]: {diag.message}"]
-    line_begin = start - column + 1
     line_end = text.find("\n", start)
     if line_end == -1:
         line_end = len(text)
@@ -133,5 +129,6 @@ def _render(diag: Diagnostic, text: str, start: int, line: int, column: int) -> 
     for suggestion in diag.suggestions:
         lines.append(f"  suggestion: {suggestion}")
     for span, note in diag.related:
-        lines.append(f"  note: {span.file}:{span.line}:{span.column}: {note}")
+        note_line, note_column = index.position(span.start)
+        lines.append(f"  note: {span.file}:{note_line}:{note_column}: {note}")
     return "\n".join(lines)

@@ -26,6 +26,7 @@ from .model import (
     InterruptRelation,
     Invocation,
     Level,
+    MAX_BLOCK_DEPTH,
     Model,
     ModeDecl,
     ModeKind,
@@ -289,6 +290,8 @@ def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
         doc = json.loads(document)
     except json.JSONDecodeError as err:
         return None, [Diagnostic("E000", f"document is not valid JSON: {err.msg}", ZERO_SPAN)]
+    except RecursionError:  # the decoder recurses once per array or object level
+        return None, [Diagnostic("E000", "document nests too deeply to decode", ZERO_SPAN)]
     try:
         if not isinstance(doc, dict):
             raise _SchemaError("top-level value is not an object")
@@ -403,14 +406,16 @@ def _step_from_json(doc) -> Step:
     return Step(label, kind, payload, ZERO_SPAN)
 
 
-def _block_from_json(doc) -> ExtensionBlock:
+def _block_from_json(doc, depth: int = 1) -> ExtensionBlock:
+    if depth > MAX_BLOCK_DEPTH:
+        raise _SchemaError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels")
     body: list[Step | ExtensionBlock] = []
     for item in _need(doc, "body", list, "block"):
         node = _need(item, "node", str, "block body item")
         if node == "step":
             body.append(_step_from_json(item))
         elif node == "block":
-            body.append(_block_from_json(item))
+            body.append(_block_from_json(item, depth + 1))
         else:
             raise _SchemaError(f"unknown body node kind {node!r}")
     return ExtensionBlock(

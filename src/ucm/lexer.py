@@ -101,35 +101,23 @@ def normalize(source: str) -> str:
 
 
 def tokenize(source: str, file: str) -> list[Token]:
-    """Lex LF-normalized source; raises LexError on an unrecognizable character.
-
-    Line and line start are tracked while scanning, so each position costs
-    O(1); only whitespace runs can hold newlines, as comments and strings
-    stop before one.
-    """
+    """Lex LF-normalized source; raises LexError at the first offset that no
+    token, whitespace or comment matches."""
     tokens: list[Token] = []
     pos = 0
-    n = len(source)
-    line, line_start = 1, 0
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            span = SourceSpan(file, pos, pos + 1, line, pos - line_start + 1)
-            raise LexError(f"unrecognized character {source[pos]!r}", span)
+    for m in _TOKEN_RE.finditer(source):
         start, end = m.span()
+        if start != pos:  # finditer skipped text that nothing matches
+            break
+        pos = end
         group = m.lastgroup
-        if group == "ws":
-            newlines = source.count("\n", start, end)
-            if newlines:
-                line += newlines
-                line_start = source.rfind("\n", start, end) + 1
-        elif group != "comment":
-            span = SourceSpan(file, start, end, line, start - line_start + 1)
+        if group != "ws" and group != "comment":
             text = m.group()
             kind = _PUNCT_KINDS[text] if group == "punct" else _GROUP_KINDS[group]
-            tokens.append(Token(kind, text, span))
-        pos = end
-    tokens.append(Token(TokenKind.EOF, "", SourceSpan(file, n, n, line, n - line_start + 1)))
+            tokens.append(Token(kind, text, SourceSpan(file, start, end)))
+    if pos < len(source):
+        raise LexError(f"unrecognized character {source[pos]!r}", SourceSpan(file, pos, pos + 1))
+    tokens.append(Token(TokenKind.EOF, "", SourceSpan(file, pos, pos)))
     return tokens
 
 

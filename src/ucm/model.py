@@ -285,6 +285,12 @@ class Outcome:
     span: SourceSpan
 
 
+# Deepest block nesting the parser and `import_json` accept (a block in a
+# use case's extensions is at depth 1). Walkers over blocks recurse once per
+# level, so the bound keeps every command inside Python's recursion limit.
+MAX_BLOCK_DEPTH = 64
+
+
 @dataclass
 class ExtensionBlock:
     label: StepLabel

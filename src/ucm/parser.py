@@ -28,6 +28,7 @@ from .model import (
     InterruptRelation,
     Invocation,
     Level,
+    MAX_BLOCK_DEPTH,
     Model,
     ModeDecl,
     ModeKind,
@@ -126,8 +127,7 @@ class _Parser:
 
     def span_from(self, start: Token) -> SourceSpan:
         end = self.tokens[self.pos - 1].span.end if self.pos > 0 else start.span.end
-        s = start.span
-        return SourceSpan(self.file, s.start, max(s.end, end), s.line, s.column)
+        return SourceSpan(self.file, start.span.start, max(start.span.end, end))
 
     def parse_label(self) -> tuple[StepLabel, Token]:
         tok = self.current
@@ -443,8 +443,10 @@ class _Parser:
         self.expect(TokenKind.RBRACE)
         return blocks
 
-    def parse_block(self) -> ExtensionBlock:
+    def parse_block(self, depth: int = 1) -> ExtensionBlock:
         start = self.expect_keyword("block")
+        if depth > MAX_BLOCK_DEPTH:
+            raise ParseError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels", start.span)
         label, _ = self.parse_label()
         if not self.at_keyword("alternative", "exceptional"):
             raise self.error(["'alternative'", "'exceptional'"])
@@ -460,7 +462,7 @@ class _Parser:
             if self.current.kind is TokenKind.LABEL:
                 body.append(self.parse_step())
             elif self.at_keyword("block"):
-                body.append(self.parse_block())
+                body.append(self.parse_block(depth + 1))
             else:
                 break
         exit_switch = self.parse_mode_switch() if self.at_mode_switch() else None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from typing import NamedTuple
 
 
@@ -9,42 +11,40 @@ class _SpanFields(NamedTuple):
     file: str
     start: int
     end: int
-    line: int
-    column: int
 
 
 class SourceSpan(_SpanFields):
-    """Half-open byte range [start, end) in one file, with 1-based start position.
+    """Half-open offset range [start, end) in one LF-normalized file.
 
     Tuple-backed, so immutable, hashable and equal by value; the lexer builds
     one per token, and a tuple costs about half what a frozen dataclass does.
+    Line and column are not stored: a `LineIndex` computes them from `start`.
     """
 
     __slots__ = ()
 
-    def __new__(cls, file: str, start: int, end: int, line: int, column: int) -> SourceSpan:
+    def __new__(cls, file: str, start: int, end: int) -> SourceSpan:
         if start > end:
             raise ValueError(f"span start {start} after end {end}")
-        return tuple.__new__(cls, (file, start, end, line, column))
-
-    def contains(self, other: SourceSpan) -> bool:
-        return (
-            self.file == other.file
-            and self.start <= other.start
-            and other.end <= self.end
-        )
+        return tuple.__new__(cls, (file, start, end))
 
 
-ZERO_SPAN = SourceSpan("<synthetic>", 0, 0, 1, 1)
+ZERO_SPAN = SourceSpan("<synthetic>", 0, 0)
 
 
-def position_at(source: str, offset: int) -> tuple[int, int]:
-    """(line, column), both 1-based, for an offset into LF-normalized text.
+class LineIndex:
+    """The line starts of one LF-normalized text, indexed once, so each
+    offset's position costs a binary search."""
 
-    Offsets at or past the end of the text land one column past the last
-    character of the final line.
-    """
-    offset = max(0, min(offset, len(source)))
-    line = source.count("\n", 0, offset) + 1
-    last_nl = source.rfind("\n", 0, offset)
-    return line, offset - last_nl
+    __slots__ = ("text", "starts")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.starts = [0, *(m.end() for m in re.finditer("\n", text))]
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """(line, column), both 1-based. Offsets past the end of the text land
+        one column past the last character of the final line."""
+        offset = min(offset, len(self.text))
+        line = bisect_right(self.starts, offset)
+        return line, offset - self.starts[line - 1] + 1

@@ -297,28 +297,20 @@ def check_exception_rules(resolved: ResolvedModel) -> list[Diagnostic]:
 
 
 def check_outcomes(resolved: ResolvedModel) -> list[Diagnostic]:
-    """E011 when a main success scenario ends in anything but success; E008
-    re-checked defensively for sequences without an outcome (the grammar
-    prevents these in parsed models, but imported trees may lack them)."""
+    """E011 when a main success scenario ends in anything but success. Every
+    scenario and block has an outcome: the grammar and `import_json` require
+    one."""
     diags = []
     for uc in resolved.model.use_cases:
-        if uc.main is not None:
-            if uc.main.outcome is None:
-                diags.append(Diagnostic("E008", "main scenario has no outcome", uc.main.span))
-            elif uc.main.outcome.kind is not OutcomeKind.SUCCESS:
-                diags.append(
-                    Diagnostic(
-                        "E011",
-                        f"main success scenario of '{uc.name}' ends in "
-                        f"'{uc.main.outcome.kind.value}', expected success",
-                        uc.main.outcome.span,
-                    )
+        if uc.main is not None and uc.main.outcome.kind is not OutcomeKind.SUCCESS:
+            diags.append(
+                Diagnostic(
+                    "E011",
+                    f"main success scenario of '{uc.name}' ends in "
+                    f"'{uc.main.outcome.kind.value}', expected success",
+                    uc.main.outcome.span,
                 )
-        for block in uc.all_blocks():
-            if block.outcome is None:
-                diags.append(
-                    Diagnostic("E008", f"block '{block.label.text}' has no outcome", block.span)
-                )
+            )
     return diags
 
 

@@ -88,3 +88,27 @@ def chain_source(depth: int) -> str:
         "  main {\n    1. internal \"recover\"\n    outcome success\n  }\n}\n"
     )
     return "".join(parts)
+
+
+def nested_blocks_source(depth: int) -> str:
+    """A use case whose extensions nest `depth` blocks, each one hanging off
+    the first step of the block around it; the innermost block raises
+    HardwareException::X. Labels grow by two characters per level."""
+    head = (
+        "model Deep\nmodes { default normal Normal }\nexceptions { exception HardwareException::X }\n"
+        'usecase A {\n  scope: "s"\n  level: user-goal\n  intention: "i"\n  multiplicity: "m"\n'
+        '  primary: Human::P\n  main {\n    1. P -> System : "go"\n    outcome success\n  }\n  extensions {\n'
+    )
+    opening, closing, anchor = [], [], "1"
+    for level in range(1, depth + 1):
+        label, pad = f"{anchor}a", "  " * (level + 1)
+        if level < depth:
+            opening.append(f'{pad}block {label} alternative {{\n{pad}  {label}1. P -> System : "step"\n')
+            closing.append(f"{pad}  outcome success\n{pad}}}\n")
+        else:
+            opening.append(
+                f"{pad}block {label} exceptional {{\n{pad}  {label}1. raise HardwareException::X\n"
+                f"{pad}  outcome failure\n{pad}}}\n"
+            )
+        anchor = f"{label}1"
+    return head + "".join(opening) + "".join(reversed(closing)) + "  }\n}\n"

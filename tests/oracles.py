@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only as test oracles.
 
-Kept deliberately independent of the production graph code: plain edge
-lists, frontier expansion instead of recursive DFS, no shared helpers.
+Kept deliberately independent of the production code: plain edge
+lists, frontier expansion instead of recursive DFS, newline counting instead
+of a line index, no shared helpers.
 """
 
 from __future__ import annotations
@@ -28,3 +29,13 @@ def brute_force_paths(
                     grown.append(path + (b,))
         frontier = grown
     return sorted(found)
+
+
+def position_at(source: str, offset: int) -> tuple[int, int]:
+    """(line, column), both 1-based, for an offset into LF-normalized text,
+    counted from scratch. Offsets at or past the end of the text land one
+    column past the last character of the final line."""
+    offset = max(0, min(offset, len(source)))
+    line = source.count("\n", 0, offset) + 1
+    last_nl = source.rfind("\n", 0, offset)
+    return line, offset - last_nl

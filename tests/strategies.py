@@ -78,19 +78,31 @@ def use_case_source(draw, name: str, is_handler: bool, uc_names: list[str], exce
     lines.append("  }")
     if draw(st.booleans()):
         anchor = draw(st.integers(min_value=1, max_value=n_steps))
-        kind = draw(st.sampled_from(("alternative", "exceptional")))
         lines.append("  extensions {")
-        guard = f' when "{draw(WORDS)}"' if draw(st.booleans()) else ""
-        lines.append(f"    block {anchor}a {kind}{guard} {{")
-        n_block = draw(st.integers(min_value=0, max_value=2))
-        for i in range(1, n_block + 1):
-            lines.append("      " + draw(step_line(i, uc_names, exceptions, prefix=f"{anchor}a")))
-        outcome = draw(st.sampled_from(("success", "failure", "abandoned", "continue 1")))
-        lines.append(f"      outcome {outcome}")
-        lines.append("    }")
+        lines.extend(draw(block_lines(str(anchor), 2, uc_names, exceptions, "    ")))
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines)
+
+
+@st.composite
+def block_lines(draw, anchor: str, levels: int, uc_names: list[str], exceptions: list[str], indent: str) -> list[str]:
+    """A block hanging off step `anchor`; up to `levels` more blocks nest
+    inside it, each hanging off one of the steps of the block around it."""
+    label = f"{anchor}a"
+    kind = draw(st.sampled_from(("alternative", "exceptional")))
+    guard = f' when "{draw(WORDS)}"' if draw(st.booleans()) else ""
+    lines = [f"{indent}block {label} {kind}{guard} {{"]
+    n_block = draw(st.integers(min_value=0, max_value=2))
+    for i in range(1, n_block + 1):
+        lines.append(f"{indent}  " + draw(step_line(i, uc_names, exceptions, prefix=label)))
+    if levels and n_block and draw(st.booleans()):
+        inner = f"{label}{draw(st.integers(min_value=1, max_value=n_block))}"
+        lines.extend(draw(block_lines(inner, levels - 1, uc_names, exceptions, indent + "  ")))
+    outcome = draw(st.sampled_from(("success", "failure", "abandoned", "continue 1")))
+    lines.append(f"{indent}  outcome {outcome}")
+    lines.append(f"{indent}}}")
+    return lines
 
 
 @st.composite

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import chain_source, pipeline
 from oracles import brute_force_paths
 from strategies import model_source
+from ucm import analysis
 from ucm.analysis import (
     Edge,
     GLOBAL_SOURCE,
@@ -235,6 +236,26 @@ def test_global_view_sensor_rows_have_three_paths_each(smartstore_resolved):
         assert row.source_use_case == "IdentifyItem"
         assert row.handlers == ["ServiceSensor"]
         assert [p.use_cases for p in row.paths] == THREE_SENSOR_PATHS
+
+
+def test_paths_are_listed_once_per_source_use_case(smartstore_resolved, monkeypatch):
+    """14 non-global raise sites on the smart store raise in 9 distinct use
+    cases; each use case's paths are listed once and shared by its rows."""
+    calls = []
+    listing = analysis._paths_between
+
+    def counted(adj, callers, starts, target):
+        calls.append(target)
+        return listing(adj, callers, starts, target)
+
+    monkeypatch.setattr(analysis, "_paths_between", counted)
+    rows = exception_summary(smartstore_resolved)
+    assert len(calls) == len(set(calls)) == 9
+    assert len([r for r in rows if not r.is_global]) == 14
+    by_source = {}
+    for row in rows:
+        if not row.is_global:
+            assert by_source.setdefault(row.source_use_case, row.paths) is row.paths
 
 
 def test_global_exceptions_collapse_to_one_pathless_row(smartstore_resolved):

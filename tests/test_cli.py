@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, REPO_ROOT, chain_source
+from conftest import CORPUS, REPO_ROOT, chain_source, nested_blocks_source
 from strategies import model_source
 from ucm.cli import main
+from ucm.model import MAX_BLOCK_DEPTH
 from ucm.parser import parse
 
 SMARTSTORE = str(CORPUS / "smartstore.ucm")
@@ -250,18 +251,40 @@ def test_non_utf8_file_is_io_error(tmp_path, capsys):
         assert captured.out == ""
 
 
-def _run_every_command(path: str, first_use_case: str) -> None:
-    commands = [
+def _every_command(path: str, first_use_case: str) -> list[list[str]]:
+    return [
         ["check", path],
         ["check", "--format", "json", path],
         *(["table", kind, path] for kind in ("exceptions", "handlers", "modes", "services")),
         ["table", "exceptions", path, "--usecase", first_use_case],
         *(["export", target, path] for target in ("json", "xmi", "dot")),
     ]
-    for argv in commands:
+
+
+def _run_every_command(path: str, first_use_case: str) -> None:
+    for argv in _every_command(path, first_use_case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2), argv
+
+
+def test_blocks_nested_to_the_limit_pass_every_command(tmp_path, capsys):
+    path = tmp_path / "deep.ucm"
+    path.write_text(nested_blocks_source(MAX_BLOCK_DEPTH), encoding="utf-8")
+    for argv in _every_command(str(path), "A"):
+        assert main(argv) in (0, 1), argv
+        captured = capsys.readouterr()
+        assert "E000" not in captured.err + captured.out, argv
+
+
+def test_block_nested_past_the_limit_is_e000_for_every_command(tmp_path, capsys):
+    path = tmp_path / "deep.ucm"
+    path.write_text(nested_blocks_source(MAX_BLOCK_DEPTH + 1), encoding="utf-8")
+    for argv in _every_command(str(path), "A"):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        shown = captured.out + captured.err  # check --format json reports on stdout
+        assert "E000" in shown and "block nested deeper than 64 levels" in shown, argv
 
 
 def _first_use_case(text: str) -> str:

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from conftest import pipeline
+from conftest import REPO_ROOT, pipeline
+from ucm.cli import main
 from ucm.diagnostics import CODES, Diagnostic, Severity, render_diagnostic, render_diagnostics, sort_diagnostics
-from ucm.spans import ZERO_SPAN, SourceSpan
+from ucm.spans import ZERO_SPAN, LineIndex, SourceSpan
 
 
-def span(file="store.ucm", start=0, end=1, line=1, column=1):
-    return SourceSpan(file, start, end, line, column)
+def span(file="store.ucm", start=0, end=1):
+    return SourceSpan(file, start, end)
 
 
 def test_severity_follows_code_prefix():
@@ -25,7 +29,7 @@ def test_unknown_code_rejected():
 
 def test_render_contains_location_code_and_message():
     source = "\n" * 11 + "4. raise HardwareException::Nope\n"
-    diag = Diagnostic("E004", "exception 'HardwareException::Nope' is not defined", span(start=11, end=12, line=12))
+    diag = Diagnostic("E004", "exception 'HardwareException::Nope' is not defined", span(start=11, end=12))
     text = render_diagnostic(diag, source)
     assert text.startswith("store.ucm:12:")
     assert "E004" in text
@@ -50,15 +54,15 @@ def test_render_zero_length_span_at_end_of_file():
 
 
 def test_render_related_notes():
-    related = [(span(start=0, end=1, line=1, column=1), "first definition")]
-    diag = Diagnostic("E014", "duplicate", span(start=5, end=6, line=2, column=1), related=related)
+    related = [(span(start=0, end=1), "first definition")]
+    diag = Diagnostic("E014", "duplicate", span(start=5, end=6), related=related)
     text = render_diagnostic(diag, "abc\nabc\n")
     assert "note: store.ucm:1:1: first definition" in text
 
 
 def test_render_is_deterministic():
     source = "line one\nline two\n"
-    diag = Diagnostic("W002", "never raised", span(start=9, end=17, line=2), suggestions=["drop it"])
+    diag = Diagnostic("W002", "never raised", span(start=9, end=17), suggestions=["drop it"])
     assert render_diagnostic(diag, source) == render_diagnostic(diag, source)
 
 
@@ -72,24 +76,27 @@ def test_sort_orders_by_file_offset_code():
 def test_to_dict_is_json_friendly():
     import json
 
-    diag = Diagnostic("E010", "msg", span(), suggestions=["s"])
-    payload = json.loads(json.dumps(diag.to_dict()))
+    related = [(span(start=2, end=3), "first definition")]
+    diag = Diagnostic("E010", "msg", span(start=5, end=6), related=related, suggestions=["s"])
+    payload = json.loads(json.dumps(diag.to_dict(LineIndex("abc\nabc\n"))))
     assert payload["code"] == "E010"
     assert payload["severity"] == "error"
-    assert payload["line"] == 1
+    assert (payload["line"], payload["column"], payload["start"], payload["end"]) == (2, 2, 5, 6)
+    assert payload["related"] == [{"file": "store.ucm", "line": 1, "column": 3, "note": "first definition"}]
 
 
 def test_span_rejects_start_after_end():
     with pytest.raises(ValueError):
-        SourceSpan("f", 5, 4, 1, 1)
+        SourceSpan("f", 5, 4)
 
 
 def test_spans_are_immutable_hashable_and_equal_by_value():
-    a, b = span(start=3, end=7, line=2, column=4), span(start=3, end=7, line=2, column=4)
+    a, b = span(start=3, end=7), span(start=3, end=7)
     assert a == b and hash(a) == hash(b)
     assert len({a, b, ZERO_SPAN}) == 2
-    assert a != span(start=3, end=8, line=2, column=4)
-    assert (a.file, a.start, a.end, a.line, a.column) == ("store.ucm", 3, 7, 2, 4)
+    assert a != span(start=3, end=8)
+    assert SourceSpan._fields == ("file", "start", "end")
+    assert (a.file, a.start, a.end) == ("store.ucm", 3, 7)
     with pytest.raises(AttributeError):
         a.start = 0
 
@@ -157,10 +164,56 @@ def test_render_every_diagnostic_of_a_crlf_bom_model():
     _, diags = pipeline(MULTI_DEFECT, "m.ucm")
     diags = sort_diagnostics(diags)
     eof = len(MULTI_DEFECT) - 1 - MULTI_DEFECT.count("\r\n")  # offsets exclude the BOM and the CRs
-    diags.append(Diagnostic("E000", "expected more", SourceSpan("m.ucm", eof, eof, 21, 3)))
-    diags.append(Diagnostic("E000", "past the end", SourceSpan("m.ucm", eof + 5, eof + 9, 21, 3)))
+    diags.append(Diagnostic("E000", "expected more", SourceSpan("m.ucm", eof, eof)))
+    diags.append(Diagnostic("E000", "past the end", SourceSpan("m.ucm", eof + 5, eof + 9)))
     usecase = MULTI_DEFECT[1:].replace("\r\n", "\n").index("usecase")
-    diags.append(Diagnostic("E014", "at a line start", SourceSpan("m.ucm", usecase, usecase + 7, 7, 1)))
+    diags.append(Diagnostic("E014", "at a line start", SourceSpan("m.ucm", usecase, usecase + 7)))
     assert [render_diagnostic(d, MULTI_DEFECT) for d in diags] == MULTI_DEFECT_RENDERED
     assert render_diagnostics(diags, MULTI_DEFECT) == MULTI_DEFECT_RENDERED
     assert render_diagnostics([], MULTI_DEFECT) == []
+
+
+GOLDEN = REPO_ROOT / "tests" / "golden"
+
+
+# File name and text of MULTI_DEFECT, and of a copy missing the use case's
+# closing brace, so the parser stops at the end of the file (20:3, after the
+# trailing spaces).
+_MULTI_DEFECT_FILES = {
+    "m.ucm": MULTI_DEFECT,
+    "m-eof.ucm": "\r\n".join(MULTI_DEFECT.split("\r\n")[:-2] + ["  "]),
+}
+
+
+@pytest.mark.parametrize(("file", "golden"), [("m.ucm", "multi-defect"), ("m-eof.ucm", "multi-defect-eof")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_output_matches_golden_file(file, golden, fmt, tmp_path, monkeypatch, capsys):
+    """`ucm check` on the BOM+CRLF model, written as bytes: stderr (text) or
+    stdout (json) equals the file captured from the command before spans lost
+    their stored line and column."""
+    (tmp_path / file).write_bytes(_MULTI_DEFECT_FILES[file].encode("utf-8"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "--format", fmt, file]) == 1
+    captured = capsys.readouterr()
+    produced = captured.err if fmt == "text" else captured.out
+    suffix = "txt" if fmt == "text" else "json"
+    assert produced == (GOLDEN / f"{golden}-check.{suffix}").read_text(encoding="utf-8")
+
+
+def _report_script():
+    spec = importlib.util.spec_from_file_location("generate_reports", REPO_ROOT / "scripts" / "generate_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_script_prints_file_line_code_message(tmp_path, monkeypatch, capsys):
+    for file, text in _MULTI_DEFECT_FILES.items():
+        (tmp_path / file).write_bytes(text.encode("utf-8"))
+    monkeypatch.chdir(tmp_path)
+    generate = _report_script().generate
+    assert generate(Path("m.ucm"), tmp_path / "reports") == 1
+    assert capsys.readouterr().err == (GOLDEN / "multi-defect-report.txt").read_text(encoding="utf-8")
+    assert generate(Path("m-eof.ucm"), tmp_path / "reports") == 1
+    assert capsys.readouterr().err == "m-eof.ucm: E000 expected '}', got 'end of file'\n"
+    assert not (tmp_path / "reports").exists()

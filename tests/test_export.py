@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import nested_blocks_source
 from strategies import model_source
 from ucm.export import (
     SummaryTable,
@@ -18,6 +19,7 @@ from ucm.export import (
     import_json,
     render_table,
 )
+from ucm.model import MAX_BLOCK_DEPTH
 from ucm.parser import parse
 from ucm.resolver import resolve
 
@@ -174,6 +176,40 @@ def test_imported_spans_are_synthetic(smartstore_resolved):
     model, _ = import_json(export_json(smartstore_resolved))
     assert model.span.start == model.span.end == 0
     assert model.use_cases[0].span.file == "<synthetic>"
+
+
+def nested_block_document(depth: int) -> str:
+    """An export_json document whose use case nests `depth` blocks. It is
+    written as text, because the encoder itself recurses once per level."""
+    doc = json.loads(export_json(resolved_of(nested_blocks_source(1))))
+    (block,) = doc["usecases"][0]["extensions"]
+    doc["usecases"][0]["extensions"] = ["BLOCK"]
+    head, tail = json.dumps({**block, "body": ["BODY"]}).split('"BODY"')
+    return json.dumps(doc).replace('"BLOCK"', head * (depth - 1) + json.dumps(block) + tail * (depth - 1))
+
+
+def test_blocks_nested_to_the_limit_import_and_export_again():
+    model, diags = import_json(nested_block_document(MAX_BLOCK_DEPTH))
+    assert diags == []
+    (block,) = model.use_cases[0].extensions
+    for _ in range(MAX_BLOCK_DEPTH - 1):
+        (block,) = block.nested_blocks()
+    assert block.nested_blocks() == []
+    text = export_json(resolve(model)[0])
+    assert import_json(text)[1] == []
+
+
+@pytest.mark.parametrize("depth", [MAX_BLOCK_DEPTH + 1, 600])
+def test_block_nested_past_the_limit_is_e000(depth):
+    model, diags = import_json(nested_block_document(depth))
+    assert model is None
+    assert [d.code for d in diags] == ["E000"]
+
+
+def test_document_too_deep_for_the_decoder_is_e000():
+    model, diags = import_json("[" * 100_000 + "]" * 100_000)
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", "document nests too deeply to decode")]
 
 
 # -- XMI -------------------------------------------------------------------------

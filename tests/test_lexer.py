@@ -4,18 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import position_at
 from strategies import model_source
 from ucm.lexer import LexError, TokenKind, normalize, tokenize
 from ucm.parser import parse
-from ucm.spans import position_at
+from ucm.spans import LineIndex
 
 
-def assert_positions_match_oracle(text: str) -> list:
-    """Every token's (line, column) is what position_at computes from scratch."""
-    tokens = tokenize(text, "t.ucm")
-    for tok in tokens:
-        assert (tok.span.line, tok.span.column) == position_at(text, tok.span.start), tok
-    return tokens
+def positions(text: str) -> list[tuple[str, int, int]]:
+    """(text, line, column) of every token, placed by a LineIndex that is
+    checked against position_at at each token start."""
+    index = LineIndex(text)
+    placed = []
+    for tok in tokenize(text, "t.ucm"):
+        line_column = index.position(tok.span.start)
+        assert line_column == position_at(text, tok.span.start), tok
+        placed.append((tok.text, *line_column))
+    return placed
 
 
 @st.composite
@@ -33,9 +38,12 @@ def commented_source(draw) -> str:
 
 @settings(max_examples=60, deadline=None)
 @given(text=commented_source())
-def test_token_positions_equal_position_at(text):
-    tokens = assert_positions_match_oracle(text)
-    assert tokens[-1].kind is TokenKind.EOF
+def test_line_index_equals_position_at(text):
+    index = LineIndex(text)
+    for offset in range(len(text) + 3):
+        assert index.position(offset) == position_at(text, offset), offset
+    eof = tokenize(text, "t.ucm")[-1]
+    assert eof.kind is TokenKind.EOF and eof.span.start == len(text)
 
 
 def test_lex_error_on_third_line_reports_its_position():
@@ -43,30 +51,39 @@ def test_lex_error_on_third_line_reports_its_position():
     with pytest.raises(LexError) as err:
         tokenize(text, "t.ucm")
     span = err.value.span
-    assert (span.line, span.column) == (3, 9)
-    assert (span.line, span.column) == position_at(text, span.start)
+    assert (span.start, span.end) == (text.index("$"), text.index("$") + 1)
+    assert LineIndex(text).position(span.start) == (3, 9) == position_at(text, span.start)
+
+
+@pytest.mark.parametrize(
+    ("text", "offset"),
+    [("$", 0), ("model M $", 8), ("model M\n@@ x", 8), ('model M "open', 8), ("model M\n  ~", 10)],
+)
+def test_lex_error_is_at_the_first_unmatched_offset(text, offset):
+    with pytest.raises(LexError) as err:
+        tokenize(text, "t.ucm")
+    assert err.value.span.start == offset
+    assert err.value.message == f"unrecognized character {text[offset]!r}"
 
 
 def test_eof_after_trailing_comment_without_newline():
     text = "model M\n  exceptions { } // done"
-    eof = assert_positions_match_oracle(text)[-1]
-    assert eof.kind is TokenKind.EOF
-    assert (eof.span.start, eof.span.line, eof.span.column) == (len(text), 2, 25)
+    assert positions(text)[-1] == ("", 2, 25)
+    assert tokenize(text, "t.ucm")[-1].span.start == len(text)
 
 
 def test_crlf_input_counts_each_line_once():
     text = normalize("model M\r\nmodes {\r\n  default normal Normal\r\n}\r\n")
-    tokens = assert_positions_match_oracle(text)
-    assert [(t.text, t.span.line, t.span.column) for t in tokens[2:5]] == [
+    assert positions(text)[2:5] == [
         ("modes", 2, 1),
         ("{", 2, 7),
         ("default", 3, 3),
     ]
-    _, diags = parse("model M\r\n\r\n  $", "t.ucm")
-    assert (diags[0].span.line, diags[0].span.column) == (3, 3)
+    source = "model M\r\n\r\n  $"
+    _, diags = parse(source, "t.ucm")
+    assert LineIndex(normalize(source)).position(diags[0].span.start) == (3, 3)
 
 
 def test_multi_line_whitespace_run_sets_column_from_last_newline():
     text = "model  \n\n \t \n   M"
-    tokens = assert_positions_match_oracle(text)
-    assert (tokens[1].text, tokens[1].span.line, tokens[1].span.column) == ("M", 4, 4)
+    assert positions(text)[1] == ("M", 4, 4)

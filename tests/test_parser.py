@@ -21,6 +21,7 @@ from ucm.model import (
     UseCase,
 )
 from ucm.parser import parse
+from ucm.spans import SourceSpan
 
 MINIMAL = "model M modes { default normal Normal } exceptions { }"
 
@@ -254,9 +255,13 @@ def _child_spans(node):
             yield node.payload
 
 
+def _contains(outer: SourceSpan, inner: SourceSpan) -> bool:
+    return outer.file == inner.file and outer.start <= inner.start and inner.end <= outer.end
+
+
 def _assert_contained(node):
     for child in _child_spans(node):
-        assert node.span.contains(child.span), (node.span, child.span)
+        assert _contains(node.span, child.span), (node.span, child.span)
         _assert_contained(child)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 from ucm.model import StepKind
 from ucm.parser import parse
 from ucm.resolver import reachable_use_cases, resolve
+from ucm.spans import LineIndex
 
 HEADER = """model M
 modes { default normal Normal }
@@ -62,7 +63,7 @@ exceptions {
     _, diags = resolved_of(src)
     e014 = [d for d in diags if d.code == "E014"]
     assert len(e014) == 1
-    assert e014[0].span.line == 5  # the second declaration
+    assert LineIndex(src).position(e014[0].span.start)[0] == 5  # the second declaration
     assert e014[0].related
 
 

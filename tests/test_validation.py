@@ -14,6 +14,7 @@ from ucm.analysis import InvocationCycleError, build_invocation_graph, enumerate
 from ucm.export import export_json, import_json
 from ucm.parser import parse
 from ucm.resolver import resolve
+from ucm.spans import LineIndex
 from ucm.validation import validate
 
 BASE_HEADER = """model M
@@ -318,6 +319,7 @@ def run_mutation_case(case: MutationCase) -> None:
     assert clean_diags == [], [f"{d.code}:{d.message}" for d in clean_diags]
 
     line = marker_line(case.defect, case.marker)
+    index = LineIndex(case.defect)
     if case.cycle_target is not None:
         resolved, diags = pipeline(case.defect)
         assert diags == []  # cycles do not fail parse/resolve/validate
@@ -326,15 +328,14 @@ def run_mutation_case(case: MutationCase) -> None:
             enumerate_paths(graph, case.cycle_target)
         diag = excinfo.value.diagnostic
         assert diag.code == case.code
-        assert diag.span.line == line
+        assert index.position(diag.span.start)[0] == line
         return
 
     _, diags = pipeline(case.defect)
     hits = [d for d in diags if d.code == case.code]
     assert hits, f"expected {case.code}, got {[d.code for d in diags]}"
-    assert any(d.span.line == line for d in hits), (
-        f"{case.code} not at line {line}: {[(d.code, d.span.line) for d in diags]}"
-    )
+    found = [(d.code, index.position(d.span.start)[0]) for d in diags]
+    assert (case.code, line) in found, f"{case.code} not at line {line}: {found}"
     unexpected = {d.code for d in diags} - {case.code} - set(case.extra_ok)
     assert not unexpected, f"unexpected co-diagnostics {unexpected}"
     if case.suggestions is not None:
@@ -355,7 +356,8 @@ def test_duplicate_block_label_notes_the_first_block():
     (diag,) = diags
     assert diag.message == "duplicate block label '1a' in 'A'"
     ((first, note),) = diag.related
-    assert first.line == marker_line(case.defect, 'block 1a alternative when "first"')
+    line, _ = LineIndex(case.defect).position(first.start)
+    assert line == marker_line(case.defect, 'block 1a alternative when "first"')
     assert note == "first block with this label"
 
 
