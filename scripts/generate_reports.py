@@ -17,6 +17,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from ucm.analysis import (  # noqa: E402
+    AnalysisError,
     exception_summary,
     exception_table,
     handler_summary,
@@ -26,6 +27,8 @@ from ucm.analysis import (  # noqa: E402
     mode_switch_summary_table,
     mode_switch_table,
 )
+from ucm.cli import read_source  # noqa: E402
+from ucm.diagnostics import has_errors  # noqa: E402
 from ucm.export import export_dot, export_json, export_xmi, render_table  # noqa: E402
 from ucm.lexer import normalize  # noqa: E402
 from ucm.parser import parse  # noqa: E402
@@ -42,29 +45,34 @@ def write(path: Path, text: str) -> None:
 
 
 def generate(corpus_file: Path, out_dir: Path) -> int:
-    source = corpus_file.read_text(encoding="utf-8")
-    model, diags = parse(source, corpus_file)
-    if model is None:
-        for diag in diags:
-            print(f"{corpus_file}: {diag.code} {diag.message}", file=sys.stderr)
+    """Write every artifact of one model; print each problem as
+    `file:LINE: CODE message` and write nothing when any is an error."""
+    source = read_source(corpus_file)
+    if source is None:
         return 1
-    resolved, resolve_diags = resolve(model)
-    problems = resolve_diags + validate(resolved)
+    model, problems = parse(source, corpus_file)
+    if model is not None:
+        resolved, resolve_diags = resolve(model)
+        problems = resolve_diags + validate(resolved)
+        if not has_errors(problems):
+            try:
+                tables = {
+                    "exceptions": exception_table(exception_summary(resolved)),
+                    "handlers": handler_table(handler_summary(resolved)),
+                    "mode-switches": mode_switch_summary_table(mode_switch_table(resolved)),
+                    "mode-services": mode_service_summary_table(mode_service_table(model)),
+                }
+            except AnalysisError as err:
+                problems.append(err.diagnostic)
     if problems:
         index = LineIndex(normalize(source))
         for diag in problems:
             line, _ = index.position(diag.span.start)
             print(f"{corpus_file}:{line}: {diag.code} {diag.message}", file=sys.stderr)
-    if any(d.code.startswith("E") for d in problems):
+    if has_errors(problems):
         return 1
 
     stem = out_dir / corpus_file.stem
-    tables = {
-        "exceptions": exception_table(exception_summary(resolved)),
-        "handlers": handler_table(handler_summary(resolved)),
-        "mode-switches": mode_switch_summary_table(mode_switch_table(resolved)),
-        "mode-services": mode_service_summary_table(mode_service_table(model)),
-    }
     for name, table in tables.items():
         write(stem / f"{name}.md", render_table(table, "md"))
         write(stem / f"{name}.csv", render_table(table, "csv"))

@@ -1,6 +1,7 @@
 """ucm: compiler and static analyzer for textual IoT use-case models."""
 
 from .analysis import (
+    AnalysisError,
     InvocationCycleError,
     InvocationGraph,
     PathRecord,
@@ -22,6 +23,7 @@ from .validation import validate
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnalysisError",
     "CODES",
     "Diagnostic",
     "InvocationCycleError",

@@ -7,12 +7,13 @@ topological order, without listing paths. Only the paths the exception table
 prints are listed: every node that lies on one gets a single list of its path
 texts to the raise site, shared by all its callers, so the work is bounded by
 the printed text. Cyclic invocation structures abort path-based summaries
-with E015.
+with E015, and an exception table of more than `MAX_PATH_NODES` path nodes
+aborts with E016 before that many are listed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
 from .export import SummaryTable
@@ -27,6 +28,8 @@ from .resolver import RaiseSite, ResolvedModel, reachable_use_cases
 from .spans import SourceSpan, ZERO_SPAN
 
 GLOBAL_SOURCE = "(global)"
+#: Most path nodes the exception table lists; more is E016.
+MAX_PATH_NODES = 2**24
 
 
 @dataclass(frozen=True)
@@ -43,21 +46,37 @@ class Edge:
 @dataclass
 class InvocationGraph:
     """Non-handler use cases and one edge per invocation step; parallel
-    invocations of the same target are distinct edges."""
+    invocations of the same target are distinct edges.
+
+    Construction derives what the analyses read: each node's distinct callees
+    in name order, each with its number of parallel edges, its distinct
+    callers, the roots, and a topological order (Kahn's algorithm), which is
+    shorter than the distinct nodes when the graph has a cycle."""
 
     nodes: list[str]
     edges: list[Edge]
+    callees: dict[str, list[tuple[str, int]]] = field(init=False, repr=False)
+    callers: dict[str, list[str]] = field(init=False, repr=False)
+    roots: list[str] = field(init=False, repr=False)
+    order: list[str] = field(init=False, repr=False)
 
-    @property
-    def roots(self) -> list[str]:
-        invoked = {e.callee for e in self.edges}
-        return [n for n in self.nodes if n not in invoked]
-
-    def successors(self) -> dict[str, list[Edge]]:
-        adj: dict[str, list[Edge]] = {n: [] for n in self.nodes}
+    def __post_init__(self) -> None:
+        out: dict[str, dict[str, int]] = {n: {} for n in self.nodes}
+        self.callers = {n: [] for n in self.nodes}
         for edge in self.edges:
-            adj[edge.caller].append(edge)
-        return adj
+            callees = out[edge.caller]
+            if edge.callee not in callees:
+                self.callers[edge.callee].append(edge.caller)
+            callees[edge.callee] = callees.get(edge.callee, 0) + 1
+        self.callees = {n: sorted(callees.items()) for n, callees in out.items()}
+        self.roots = [n for n, callers in self.callers.items() if not callers]
+        indegree = {n: len(callers) for n, callers in self.callers.items()}
+        self.order = list(self.roots)
+        for node in self.order:  # grows while it is walked
+            for callee, _ in self.callees[node]:
+                indegree[callee] -= 1
+                if not indegree[callee]:
+                    self.order.append(callee)
 
 
 class PathRecord(str):
@@ -72,13 +91,19 @@ class PathRecord(str):
         return tuple(self.split(" -> "))
 
 
-class InvocationCycleError(Exception):
-    """Raised when path enumeration meets a cycle; carries an E015 diagnostic
-    with one witness cycle."""
+class AnalysisError(Exception):
+    """Raised when a path-based summary cannot be given; carries the
+    diagnostic: E015 for an invocation cycle, E016 for more path nodes than
+    `MAX_PATH_NODES`."""
 
     def __init__(self, diagnostic: Diagnostic):
         super().__init__(diagnostic.message)
         self.diagnostic = diagnostic
+
+
+class InvocationCycleError(AnalysisError):
+    """Raised when path analysis meets a cycle; the E015 diagnostic names one
+    witness cycle."""
 
 
 def build_invocation_graph(resolved: ResolvedModel) -> InvocationGraph:
@@ -94,8 +119,12 @@ def build_invocation_graph(resolved: ResolvedModel) -> InvocationGraph:
     return InvocationGraph(nodes, edges)
 
 
-def _find_cycle(graph: InvocationGraph) -> list[str] | None:
-    adj = graph.successors()
+def _find_cycle(graph: InvocationGraph) -> list[str]:
+    """One witness cycle, from a depth-first search that follows the edges
+    in the order they were declared."""
+    adj: dict[str, list[str]] = {n: [] for n in graph.nodes}
+    for edge in graph.edges:
+        adj[edge.caller].append(edge.callee)
     WHITE, GREY, BLACK = 0, 1, 2
     color = {n: WHITE for n in graph.nodes}
     parent: dict[str, str] = {}
@@ -109,7 +138,7 @@ def _find_cycle(graph: InvocationGraph) -> list[str] | None:
             node, i = stack[-1]
             if i < len(adj[node]):
                 stack[-1] = (node, i + 1)
-                nxt = adj[node][i].callee
+                nxt = adj[node][i]
                 if color[nxt] == GREY:
                     cycle = [nxt]
                     cur = node
@@ -126,12 +155,12 @@ def _find_cycle(graph: InvocationGraph) -> list[str] | None:
             else:
                 color[node] = BLACK
                 stack.pop()
-    return None
+    raise AssertionError("a short topological order implies a cycle")
 
 
 def ensure_acyclic(graph: InvocationGraph) -> None:
-    cycle = _find_cycle(graph)
-    if cycle is not None:
+    if len(graph.order) < len(graph.callees):
+        cycle = _find_cycle(graph)
         witness = " -> ".join(cycle)
         span = ZERO_SPAN
         for edge in graph.edges:
@@ -143,49 +172,33 @@ def ensure_acyclic(graph: InvocationGraph) -> None:
         )
 
 
+def _path_totals(graph: InvocationGraph, starts: list[str]) -> tuple[dict[str, int], dict[str, int]]:
+    """For every node, the number of paths from the `starts` to it and the
+    number of nodes on those paths, as `_paths_between` lists them: a start
+    is one path of one node, and each of k parallel edges u -> v adds u's
+    paths to v's, and u's path nodes plus one per path to v's. One pass over
+    the topological order of an acyclic graph, O(V+E)."""
+    counts = dict.fromkeys(graph.callees, 0)
+    sizes = dict.fromkeys(graph.callees, 0)
+    for start in starts:
+        counts[start] = sizes[start] = 1
+    for node in graph.order:
+        for callee, k in graph.callees[node]:
+            counts[callee] += k * counts[node]
+            sizes[callee] += k * (sizes[node] + counts[node])
+    return counts, sizes
+
+
 def path_counts(graph: InvocationGraph) -> dict[str, int]:
     """Exact number of root-to-node paths for every node, as counted by
     `enumerate_paths`: a root counts 1 for itself and each parallel edge
-    contributes its own paths. One pass over a topological order (Kahn's
-    algorithm), O(V+E). Raises InvocationCycleError (E015) on cyclic graphs."""
-    adj = graph.successors()
-    indegree = dict.fromkeys(adj, 0)
-    for edge in graph.edges:
-        indegree[edge.callee] += 1
-    counts = dict.fromkeys(adj, 0)
-    for root in graph.roots:
-        counts[root] += 1
-    ready = [n for n in adj if indegree[n] == 0]
-    for node in ready:  # grows while it is walked
-        for edge in adj[node]:
-            counts[edge.callee] += counts[node]
-            indegree[edge.callee] -= 1
-            if indegree[edge.callee] == 0:
-                ready.append(edge.callee)
-    if len(ready) < len(adj):
-        ensure_acyclic(graph)
-    return counts
+    contributes its own paths. Raises InvocationCycleError (E015) on cyclic
+    graphs."""
+    ensure_acyclic(graph)
+    return _path_totals(graph, graph.roots)[0]
 
 
-_Adjacency = dict[str, list[tuple[str, int]]]
-
-
-def _path_adjacency(graph: InvocationGraph) -> tuple[_Adjacency, dict[str, list[str]]]:
-    """The distinct callees of every node in name order, each with its number
-    of parallel edges, and the distinct callers of every node."""
-    out: dict[str, dict[str, int]] = {n: {} for n in graph.nodes}
-    callers: dict[str, list[str]] = {n: [] for n in graph.nodes}
-    for edge in graph.edges:
-        callees = out[edge.caller]
-        if edge.callee not in callees:
-            callers[edge.callee].append(edge.caller)
-        callees[edge.callee] = callees.get(edge.callee, 0) + 1
-    return {n: sorted(callees.items()) for n, callees in out.items()}, callers
-
-
-def _paths_between(
-    adj: _Adjacency, callers: dict[str, list[str]], starts: list[str], target: str
-) -> list[PathRecord]:
+def _paths_between(graph: InvocationGraph, starts: list[str], target: str) -> list[PathRecord]:
     """All paths from the `starts` to `target` in an acyclic graph, in
     lexicographic order; a path over k parallel edges is listed k times.
 
@@ -197,7 +210,7 @@ def _paths_between(
     reaches = {target}
     pending = [target]
     while pending:
-        for caller in callers[pending.pop()]:
+        for caller in graph.callers[pending.pop()]:
             if caller not in reaches:
                 reaches.add(caller)
                 pending.append(caller)
@@ -207,7 +220,7 @@ def _paths_between(
     live = set(roots)  # no start reaches another: they are the roots, or one view
     order: list[str] = []  # live nodes, callees before callers
     for root in roots:
-        stack = [(root, iter(adj[root]))]
+        stack = [(root, iter(graph.callees[root]))]
         while stack:
             node, callees = stack[-1]
             for callee, _ in callees:
@@ -215,7 +228,7 @@ def _paths_between(
                     readers[callee] = readers.get(callee, 0) + 1
                     if callee not in live:
                         live.add(callee)
-                        stack.append((callee, iter(adj[callee])))
+                        stack.append((callee, iter(graph.callees[callee])))
                         break
             else:
                 stack.pop()
@@ -228,7 +241,7 @@ def _paths_between(
             continue
         prefix = node + " -> "
         texts: list[str] = []
-        for callee, k in adj[node]:
+        for callee, k in graph.callees[node]:
             if callee not in reaches:
                 continue
             if k == 1:
@@ -259,8 +272,7 @@ def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
     if target not in graph.nodes:
         raise ValueError(f"unknown use case '{target}'")
     ensure_acyclic(graph)
-    adj, callers = _path_adjacency(graph)
-    return _paths_between(adj, callers, graph.roots, target)
+    return _paths_between(graph, graph.roots, target)
 
 
 # -- exception summary ------------------------------------------------------
@@ -332,9 +344,9 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
             raise ValueError(f"unknown use case '{view}'")
         reach = reachable_use_cases(resolved, view)
 
-    adj, callers = _path_adjacency(graph)
     starts = graph.roots if view is None else [view]
-    nodes = set(graph.nodes)
+    _, sizes = _path_totals(graph, starts)
+    printed = 0  # path nodes of the rows so far
     listed: dict[str, list[PathRecord]] = {}  # paths per source use case, shared by its rows
     rows = []
     for exc in resolved.model.exceptions:
@@ -361,12 +373,19 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
             source = site.use_case.name
             if reach is not None and source not in reach:
                 continue
-            if site.use_case.is_handler or source not in nodes:
-                paths: list[PathRecord] = []
-            elif source in listed:
+            paths: list[PathRecord] = []
+            if not site.use_case.is_handler and source in graph.callees:
+                printed += sizes[source]
+                if printed > MAX_PATH_NODES:
+                    raise AnalysisError(Diagnostic(
+                        "E016",
+                        f"invocation paths too many to list: {printed} path nodes up to this raise site,"
+                        f" over the limit of {MAX_PATH_NODES}",
+                        site.step.span,
+                    ))
+                if source not in listed:
+                    listed[source] = _paths_between(graph, starts, source)
                 paths = listed[source]
-            else:
-                paths = listed[source] = _paths_between(adj, callers, starts, source)
             rows.append(
                 ExceptionSummaryRow(
                     qname,
@@ -509,7 +528,7 @@ def mode_service_table(model: Model) -> list[ModeServiceRow]:
 # -- presentation adapters ---------------------------------------------------
 
 
-def exception_table(rows: list[ExceptionSummaryRow], title: str = "Exception summary") -> SummaryTable:
+def exception_table(rows: list[ExceptionSummaryRow]) -> SummaryTable:
     columns = ["Exception", "Source Use Case", "Handlers", "Situations", "Participating Actors", "Paths"]
     cells = []
     for row in rows:
@@ -524,10 +543,10 @@ def exception_table(rows: list[ExceptionSummaryRow], title: str = "Exception sum
                 "; ".join(row.paths),
             ]
         )
-    return SummaryTable(title, columns, cells)
+    return SummaryTable(columns, cells)
 
 
-def handler_table(rows: list[HandlerSummaryRow], title: str = "Handler summary") -> SummaryTable:
+def handler_table(rows: list[HandlerSummaryRow]) -> SummaryTable:
     columns = ["Handler", "Dependent Use Cases", "Handled Exceptions", "Actors", "Invocation Paths"]
     cells = [
         [
@@ -539,16 +558,16 @@ def handler_table(rows: list[HandlerSummaryRow], title: str = "Handler summary")
         ]
         for row in rows
     ]
-    return SummaryTable(title, columns, cells)
+    return SummaryTable(columns, cells)
 
 
-def mode_switch_summary_table(rows: list[ModeSwitchRow], title: str = "Mode switches") -> SummaryTable:
+def mode_switch_summary_table(rows: list[ModeSwitchRow]) -> SummaryTable:
     columns = ["Use Case", "Location", "From Mode", "To Mode"]
     cells = [[r.use_case, r.location, r.from_mode, r.to_mode] for r in rows]
-    return SummaryTable(title, columns, cells)
+    return SummaryTable(columns, cells)
 
 
-def mode_service_summary_table(rows: list[ModeServiceRow], title: str = "Mode summary") -> SummaryTable:
+def mode_service_summary_table(rows: list[ModeServiceRow]) -> SummaryTable:
     columns = ["Mode", "Type", "Available Services"]
     cells = [[r.mode, r.kind, ", ".join(r.services)] for r in rows]
-    return SummaryTable(title, columns, cells)
+    return SummaryTable(columns, cells)

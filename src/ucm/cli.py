@@ -59,7 +59,7 @@ def _print_diagnostics(diags: list[Diagnostic], source: str) -> None:
         print(text, file=sys.stderr)
 
 
-def _read_source(path: str) -> str | None:
+def read_source(path: str | Path) -> str | None:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -71,7 +71,7 @@ def _read_source(path: str) -> str | None:
 
 
 def _load(path: str) -> tuple[str, Model | None, list[Diagnostic]] | None:
-    source = _read_source(path)
+    source = read_source(path)
     if source is None:
         return None
     model, diags = parse(source, path)
@@ -131,27 +131,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if isinstance(outcome, int):
         return outcome
     source, resolved = outcome
-    name = resolved.model.name
     try:
         if args.kind == "exceptions":
-            view = args.usecase if args.usecase else None
-            rows = analysis.exception_summary(resolved, view)
-            scope = f"use case view: {view}" if view else "global view"
-            table = analysis.exception_table(rows, f"Exception summary ({scope}) - {name}")
+            table = analysis.exception_table(analysis.exception_summary(resolved, args.usecase or None))
         elif args.kind == "handlers":
-            table = analysis.handler_table(analysis.handler_summary(resolved), f"Handler summary - {name}")
+            table = analysis.handler_table(analysis.handler_summary(resolved))
         elif args.kind == "modes":
-            table = analysis.mode_switch_summary_table(
-                analysis.mode_switch_table(resolved), f"Mode switches - {name}"
-            )
+            table = analysis.mode_switch_summary_table(analysis.mode_switch_table(resolved))
         else:
-            table = analysis.mode_service_summary_table(
-                analysis.mode_service_table(resolved.model), f"Mode summary - {name}"
-            )
+            table = analysis.mode_service_summary_table(analysis.mode_service_table(resolved.model))
     except ValueError as err:
         print(f"ucm: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except analysis.InvocationCycleError as err:
+    except analysis.AnalysisError as err:
         _print_diagnostics([err.diagnostic], source)
         return MODEL_ERRORS
     sys.stdout.write(render_table(table, args.format))

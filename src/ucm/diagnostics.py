@@ -36,6 +36,7 @@ CODES: dict[str, str] = {
     "E013": "mode name is not declared in the header",
     "E014": "duplicate definition",
     "E015": "invocation cycle prevents path analysis",
+    "E016": "invocation paths are too many to list",
     "W001": "raised exception is not handled by any handler",
     "W002": "declared exception is never raised",
     "W003": "declared mode is never the target of a mode switch",

@@ -54,7 +54,6 @@ MODEL_NS = "http://ucm4iot/1.0"
 class SummaryTable:
     """Presentation-neutral table; every row must match the column count."""
 
-    title: str
     columns: list[str]
     rows: list[list[str]]
 

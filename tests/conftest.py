@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,36 @@ def chain_source(depth: int) -> str:
         "  main {\n    1. internal \"recover\"\n    outcome success\n  }\n}\n"
     )
     return "".join(parts)
+
+
+def diamond_chain_source(depth: int) -> str:
+    """A chain of `depth` width-2 diamonds: J(i-1) invokes A(i) and B(i),
+    which both invoke J(i), so 2**depth invocation paths lead from the root
+    J0 to J(depth), which raises SoftwareException::Deep; handler Fix handles
+    it. Like `chain_source`, use cases carry no descriptive fields."""
+
+    def usecase(name: str, *steps: str) -> str:
+        body = "".join(f"    {n}. {step}\n" for n, step in enumerate(steps, 1))
+        return f"usecase {name} {{\n  main {{\n{body}    outcome success\n  }}\n}}\n"
+
+    parts = ["model Diamonds\nmodes { default normal Normal }\nexceptions { exception SoftwareException::Deep }\n"]
+    for i in range(depth):
+        parts.append(usecase(f"J{i}", f"invoke A{i + 1}", f"invoke B{i + 1}"))
+        parts += [usecase(f"{x}{i + 1}", f"invoke J{i + 1}") for x in "AB"]
+    parts.append(usecase(f"J{depth}", "raise SoftwareException::Deep"))
+    parts.append(
+        f"handler Fix {{\n  contexts: J{depth} on SoftwareException::Deep interrupt-fail\n"
+        '  main {\n    1. internal "recover"\n    outcome success\n  }\n}\n'
+    )
+    return "".join(parts)
+
+
+def report_script():
+    """scripts/generate_reports.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("generate_reports", REPO_ROOT / "scripts" / "generate_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def nested_blocks_source(depth: int) -> str:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_source, pipeline
+from conftest import chain_source, diamond_chain_source, pipeline
 from oracles import brute_force_paths
 from strategies import model_source
 from ucm import analysis
@@ -157,6 +157,7 @@ def test_enumeration_matches_brute_force_oracle_on_random_dags():
         expected = brute_force_paths(graph.nodes, [(e.caller, e.callee) for e in graph.edges], target)
         assert got == expected
         assert path_counts(graph)[target] == len(expected)
+        assert analysis._path_totals(graph, graph.roots)[1][target] == sum(map(len, expected))
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,10 +187,12 @@ def test_parallel_edges_and_shuffled_names_match_oracle(data):
     chosen = data.draw(st.lists(st.sampled_from(possible), max_size=14)) if possible else []
     graph = InvocationGraph(nodes, [Edge(a, b, str(i)) for i, (a, b) in enumerate(chosen)])
     counts = path_counts(graph)
+    _, sizes = analysis._path_totals(graph, graph.roots)
     for target in nodes:
         expected = brute_force_paths(nodes, chosen, target)
         assert [p.use_cases for p in enumerate_paths(graph, target)] == expected
         assert counts[target] == len(expected)
+        assert sizes[target] == sum(map(len, expected))
 
 
 def diamond_chain(d: int) -> InvocationGraph:
@@ -211,9 +214,8 @@ def test_counts_paths_of_a_60_deep_diamond_chain_exactly():
 
 def test_listing_paths_skips_branches_that_miss_the_target():
     # J0 also reaches 2**40 paths through the chain; none of them ends at L.
-    graph = diamond_chain(40)
-    graph.nodes.append("L")
-    graph.edges.append(Edge("J0", "L", "3"))
+    chain = diamond_chain(40)
+    graph = InvocationGraph(chain.nodes + ["L"], chain.edges + [Edge("J0", "L", "3")])
     assert [p.use_cases for p in enumerate_paths(graph, "L")] == [("J0", "L")]
 
 
@@ -244,9 +246,9 @@ def test_paths_are_listed_once_per_source_use_case(smartstore_resolved, monkeypa
     calls = []
     listing = analysis._paths_between
 
-    def counted(adj, callers, starts, target):
+    def counted(graph, starts, target):
         calls.append(target)
-        return listing(adj, callers, starts, target)
+        return listing(graph, starts, target)
 
     monkeypatch.setattr(analysis, "_paths_between", counted)
     rows = exception_summary(smartstore_resolved)
@@ -439,29 +441,42 @@ def test_handler_summary_reports_a_cycle_without_raise_sites():
 
 @pytest.fixture(scope="module")
 def parsed_diamond_chain():
-    """A parsed chain of 60 width-2 diamonds, J(i-1) -> A(i)/B(i) -> J(i),
-    with 2**60 paths from J0 to J60, where SoftwareException::Deep is raised;
-    handler Fix handles it."""
-    stages = []
-    for i in range(61):
-        body = f"    1. invoke A{i + 1}\n    2. invoke B{i + 1}\n    outcome success" if i < 60 else (
-            "    1. raise SoftwareException::Deep\n    outcome success"
-        )
-        stages.append(plain_uc(f"J{i}", body))
-        if i < 60:
-            for x in "AB":
-                stages.append(plain_uc(f"{x}{i + 1}", f"    1. invoke J{i + 1}\n    outcome success"))
-    handler = (
-        plain_uc("Fix")
-        .replace("usecase", "handler")
-        .replace("  main", "  contexts: J60 on SoftwareException::Deep interrupt-fail\n  main")
-    )
-    return model_with(*stages, handler, header_exceptions="exception SoftwareException::Deep")
+    """A parsed chain of 60 width-2 diamonds, with 2**60 paths from J0 to J60,
+    where SoftwareException::Deep is raised; handler Fix handles it."""
+    resolved, diags = pipeline(diamond_chain_source(60))
+    assert resolved is not None, diags
+    return resolved
 
 
 def test_handler_counts_paths_it_could_never_list(parsed_diamond_chain):
     (row,) = handler_summary(parsed_diamond_chain)
     assert row.total_invocation_paths == 2**60
+
+
+def test_exception_table_stops_before_listing_past_the_bound(parsed_diamond_chain):
+    # 2**60 paths of 121 nodes each: E016 at the raise step, from counts alone.
+    start = time.perf_counter()
+    with pytest.raises(analysis.AnalysisError) as excinfo:
+        exception_summary(parsed_diamond_chain)
+    assert time.perf_counter() - start < 0.5
+    diag = excinfo.value.diagnostic
+    assert diag.code == "E016"
+    assert f"{121 * 2**60} path nodes" in diag.message and str(analysis.MAX_PATH_NODES) in diag.message
+    (site,) = parsed_diamond_chain.raise_sites()
+    assert diag.span == site.step.span
+
+
+def test_path_node_bound_counts_every_printed_row(smartstore_resolved, monkeypatch):
+    """Rows that share a source use case each count its paths; the table is
+    refused only when it would print more than the bound."""
+    printed = sum(len(p.use_cases) for row in exception_summary(smartstore_resolved) for p in row.paths)
+    monkeypatch.setattr(analysis, "MAX_PATH_NODES", printed)
+    exception_summary(smartstore_resolved)
+    monkeypatch.setattr(analysis, "MAX_PATH_NODES", printed - 1)
+    with pytest.raises(analysis.AnalysisError) as excinfo:
+        exception_summary(smartstore_resolved)
+    assert excinfo.value.diagnostic.code == "E016"
+    assert f"{printed} path nodes" in excinfo.value.diagnostic.message
 
 
 def test_view_lists_paths_without_paying_for_the_nodes_above_it(parsed_diamond_chain):

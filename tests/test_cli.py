@@ -3,12 +3,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, REPO_ROOT, chain_source, nested_blocks_source
+from conftest import CORPUS, REPO_ROOT, chain_source, diamond_chain_source, nested_blocks_source, report_script
 from strategies import model_source
 from ucm.cli import main
 from ucm.model import MAX_BLOCK_DEPTH
@@ -177,6 +179,20 @@ def test_path_tables_on_a_1200_deep_invocation_chain(tmp_path, capsys):
     assert " -> ".join(f"U{i}" for i in range(1200)) in capsys.readouterr().out
 
 
+def test_exception_table_past_the_path_node_bound_is_e016(tmp_path, capsys):
+    # 2**22 paths of 45 nodes each: far more than the table may list.
+    path = tmp_path / "diamonds.ucm"
+    path.write_text(diamond_chain_source(22), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["table", "exceptions", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error[E016]: invocation paths too many to list: 188743680 path nodes" in captured.err
+    assert main(["table", "exceptions", str(path), "--usecase", "J20"]) == 0
+    assert "J20 -> A21 -> J21 -> A22 -> J22" in capsys.readouterr().out
+
+
 def test_export_json_to_stdout(capsys):
     assert main(["export", "json", SMARTSTORE]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -261,11 +277,17 @@ def _every_command(path: str, first_use_case: str) -> list[list[str]]:
     ]
 
 
+GENERATE = report_script().generate
+
+
 def _run_every_command(path: str, first_use_case: str) -> None:
     for argv in _every_command(path, first_use_case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2), argv
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = GENERATE(Path(path), Path(path).parent / "reports")
+    assert code in (0, 1), "generate_reports"
 
 
 def test_blocks_nested_to_the_limit_pass_every_command(tmp_path, capsys):

@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-from conftest import REPO_ROOT, pipeline
+from conftest import REPO_ROOT, pipeline, report_script
 from ucm.cli import main
 from ucm.diagnostics import CODES, Diagnostic, Severity, render_diagnostic, render_diagnostics, sort_diagnostics
 from ucm.spans import ZERO_SPAN, LineIndex, SourceSpan
@@ -200,20 +199,48 @@ def test_check_output_matches_golden_file(file, golden, fmt, tmp_path, monkeypat
     assert produced == (GOLDEN / f"{golden}-check.{suffix}").read_text(encoding="utf-8")
 
 
-def _report_script():
-    spec = importlib.util.spec_from_file_location("generate_reports", REPO_ROOT / "scripts" / "generate_reports.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_report_script_prints_file_line_code_message(tmp_path, monkeypatch, capsys):
     for file, text in _MULTI_DEFECT_FILES.items():
         (tmp_path / file).write_bytes(text.encode("utf-8"))
     monkeypatch.chdir(tmp_path)
-    generate = _report_script().generate
+    generate = report_script().generate
     assert generate(Path("m.ucm"), tmp_path / "reports") == 1
     assert capsys.readouterr().err == (GOLDEN / "multi-defect-report.txt").read_text(encoding="utf-8")
     assert generate(Path("m-eof.ucm"), tmp_path / "reports") == 1
-    assert capsys.readouterr().err == "m-eof.ucm: E000 expected '}', got 'end of file'\n"
+    assert capsys.readouterr().err == "m-eof.ucm:20: E000 expected '}', got 'end of file'\n"
+    assert not (tmp_path / "reports").exists()
+
+
+def _usecase(name: str, step: str, extra: str = "") -> str:
+    return (
+        f'usecase {name} {{\n  scope: "s"\n  level: user-goal\n  intention: "i"\n  multiplicity: "m"\n'
+        f"  primary: Human::P\n  main {{\n    1. {step}\n    outcome success\n  }}\n{extra}}}\n"
+    )
+
+
+# A invokes B and B invokes A; B raises a handled exception. The model checks
+# clean, but its exception table is blocked by the cycle.
+CYCLIC = (
+    "model M\nmodes { default normal Normal }\nexceptions { exception SoftwareException::Down }\n"
+    + _usecase("A", "invoke B")
+    + _usecase(
+        "B",
+        "invoke A",
+        '  extensions {\n    block 1a exceptional when "down" {\n      1a1. raise SoftwareException::Down\n'
+        "      outcome failure\n    }\n  }\n",
+    )
+    + 'handler H {\n  scope: "s"\n  level: sub-function\n  intention: "i"\n  multiplicity: "m"\n'
+    "  primary: Human::P\n  contexts: B on SoftwareException::Down interrupt-fail\n"
+    '  main {\n    1. internal "recover"\n    outcome success\n  }\n}\n'
+)
+
+
+def test_report_script_prints_an_invocation_cycle_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    (tmp_path / "cycle.ucm").write_text(CYCLIC, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "cycle.ucm"]) == 0
+    assert report_script().generate(Path("cycle.ucm"), tmp_path / "reports") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "cycle.ucm:11: E015 invocation cycle detected: A -> B -> A\n"
+    assert captured.out == ""
     assert not (tmp_path / "reports").exists()

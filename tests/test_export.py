@@ -36,22 +36,22 @@ def resolved_of(src: str):
 
 
 def test_markdown_one_by_one_table_contract():
-    table = SummaryTable("t", ["H"], [["v"]])
+    table = SummaryTable(["H"], [["v"]])
     assert render_table(table, "md") == "| H |\n| --- |\n| v |\n"
 
 
 def test_markdown_escapes_pipes():
-    table = SummaryTable("t", ["H"], [["a|b"]])
+    table = SummaryTable(["H"], [["a|b"]])
     assert "a\\|b" in render_table(table, "md")
 
 
 def test_csv_quotes_cells_with_commas():
-    table = SummaryTable("t", ["H"], [["a,b"]])
+    table = SummaryTable(["H"], [["a,b"]])
     assert render_table(table, "csv") == 'H\r\n"a,b"\r\n'
 
 
 def test_csv_quotes_embedded_quotes_and_newlines():
-    table = SummaryTable("t", ["H"], [['say "hi"'], ["two\nlines"]])
+    table = SummaryTable(["H"], [['say "hi"'], ["two\nlines"]])
     text = render_table(table, "csv")
     assert '"say ""hi"""' in text
     assert '"two\nlines"' in text
@@ -65,7 +65,7 @@ CSV_CELLS = st.text(alphabet=[",", '"', "\r", "\n", " ", "\t", "a", "é", "→"]
 def csv_tables(draw):
     width = draw(st.integers(min_value=1, max_value=4))
     row = st.lists(CSV_CELLS, min_size=width, max_size=width)
-    return SummaryTable("t", draw(row), draw(st.lists(row, max_size=5)))
+    return SummaryTable(draw(row), draw(st.lists(row, max_size=5)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -81,19 +81,19 @@ def test_csv_matches_the_stdlib_writer(table):
 
 
 def test_csv_writes_a_lone_empty_field_quoted():
-    table = SummaryTable("t", ["H"], [[""], ["v"]])
+    table = SummaryTable(["H"], [[""], ["v"]])
     assert render_table(table, "csv") == 'H\r\n""\r\nv\r\n'
-    assert render_table(SummaryTable("t", ["A", "B"], [["", ""]]), "csv") == "A,B\r\n,\r\n"
+    assert render_table(SummaryTable(["A", "B"], [["", ""]]), "csv") == "A,B\r\n,\r\n"
 
 
 def test_row_width_must_match_columns():
     with pytest.raises(ValueError):
-        SummaryTable("t", ["A", "B"], [["only one"]])
+        SummaryTable(["A", "B"], [["only one"]])
 
 
 def test_render_table_rejects_unknown_format():
     with pytest.raises(ValueError):
-        render_table(SummaryTable("t", ["H"], []), "html")
+        render_table(SummaryTable(["H"], []), "html")
 
 
 def test_table_rendering_is_deterministic(smartstore_resolved):
