@@ -82,20 +82,18 @@ class _Parser:
         self.tokens = tokens
         self.file = file
         self.pos = 0
+        self.current = tokens[0]
 
     # -- token plumbing -------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def peek(self, offset: int = 1) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
         tok = self.current
-        if tok.kind is not TokenKind.EOF:
+        if tok.kind is not TokenKind.EOF:  # the last token is EOF
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return tok
 
     def at_keyword(self, *words: str) -> bool:
@@ -105,7 +103,7 @@ class _Parser:
         tok = self.current
         found = tok.text if tok.kind is not TokenKind.EOF else "end of file"
         wanted = " or ".join(expected)
-        return ParseError(f"expected {wanted}, got {found!r}", tok.span, expected)
+        return ParseError(f"expected {wanted}, got {found!r}", self.span_of(tok), expected)
 
     def expect(self, kind: TokenKind) -> Token:
         if self.current.kind is not kind:
@@ -125,9 +123,12 @@ class _Parser:
     def expect_string(self) -> str:
         return string_value(self.expect(TokenKind.STRING))
 
+    def span_of(self, tok: Token) -> SourceSpan:
+        return SourceSpan(self.file, tok.start, tok.end)
+
     def span_from(self, start: Token) -> SourceSpan:
-        end = self.tokens[self.pos - 1].span.end if self.pos > 0 else start.span.end
-        return SourceSpan(self.file, start.span.start, max(start.span.end, end))
+        end = self.tokens[self.pos - 1].end if self.pos > 0 else start.end
+        return SourceSpan(self.file, start.start, max(start.end, end))
 
     def parse_label(self) -> tuple[StepLabel, Token]:
         tok = self.current
@@ -135,7 +136,7 @@ class _Parser:
             raise self.error(["step label"])
         label = StepLabel.parse(tok.text)
         if label is None:
-            raise ParseError(f"malformed step label {tok.text!r}", tok.span)
+            raise ParseError(f"malformed step label {tok.text!r}", self.span_of(tok))
         self.advance()
         return label, tok
 
@@ -239,8 +240,8 @@ class _Parser:
             contexts=[],
             main=None,
             extensions=[],
-            span=start.span,
-            name_span=name_tok.span,
+            span=self.span_of(start),
+            name_span=self.span_of(name_tok),
         )
         self.parse_clauses(uc)
         if self.at_keyword("main"):
@@ -258,7 +259,7 @@ class _Parser:
             rank = _CLAUSE_ORDER[word]
             if rank <= last_rank:
                 raise ParseError(
-                    f"clause '{word}' repeated or out of order", self.current.span
+                    f"clause '{word}' repeated or out of order", self.span_of(self.current)
                 )
             last_rank = rank
             self.advance()
@@ -327,7 +328,7 @@ class _Parser:
         relation = _RELATIONS[self.advance().text]
         return HandlerContext(
             use_case=start.text,
-            use_case_span=start.span,
+            use_case_span=self.span_of(start),
             exception=ExceptionRef(category, name, exc_span),
             relation=relation,
             span=self.span_from(start),
@@ -398,7 +399,7 @@ class _Parser:
                 else:
                     amount = float(self.parse_int("timeout amount"))
                 if amount <= 0:
-                    raise ParseError("timeout amount must be positive", amount_tok.span)
+                    raise ParseError("timeout amount must be positive", self.span_of(amount_tok))
                 if not self.at_keyword(*_TIME_UNITS):
                     raise self.error([f"'{u}'" for u in _TIME_UNITS])
                 unit = self.advance().text
@@ -415,7 +416,7 @@ class _Parser:
             rng, rng_tok = self.parse_label()
             if rng.anchor_hi is None or rng.suffix:
                 raise ParseError(
-                    f"repeat expects a label range like 2-4, got {rng_tok.text!r}", rng_tok.span
+                    f"repeat expects a label range like 2-4, got {rng_tok.text!r}", self.span_of(rng_tok)
                 )
             payload = ControlFlow(
                 goto=None,
@@ -446,7 +447,7 @@ class _Parser:
     def parse_block(self, depth: int = 1) -> ExtensionBlock:
         start = self.expect_keyword("block")
         if depth > MAX_BLOCK_DEPTH:
-            raise ParseError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels", start.span)
+            raise ParseError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels", self.span_of(start))
         label, _ = self.parse_label()
         if not self.at_keyword("alternative", "exceptional"):
             raise self.error(["'alternative'", "'exceptional'"])

@@ -16,8 +16,8 @@ class _SpanFields(NamedTuple):
 class SourceSpan(_SpanFields):
     """Half-open offset range [start, end) in one LF-normalized file.
 
-    Tuple-backed, so immutable, hashable and equal by value; the lexer builds
-    one per token, and a tuple costs about half what a frozen dataclass does.
+    Tuple-backed, so immutable, hashable and equal by value; the parser builds
+    one per AST node, and a tuple costs about half what a frozen dataclass does.
     Line and column are not stored: a `LineIndex` computes them from `start`.
     """
 

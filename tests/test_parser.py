@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from ucm.model import (
@@ -190,7 +192,7 @@ handler FixGate {
 
 
 def test_parse_is_deterministic(smartstore):
-    source = (smartstore.source_file and open(smartstore.source_file, encoding="utf-8").read())
+    source = Path(smartstore.source_file).read_text(encoding="utf-8")
     first, d1 = parse(source, "x.ucm")
     second, d2 = parse(source, "x.ucm")
     assert d1 == d2 == []
