@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from .diagnostics import Diagnostic
 from .export import SummaryTable
 from .model import (
+    ExceptionDef,
     ExtensionBlock,
     Interaction,
     Model,
-    StepKind,
     UseCase,
 )
 from .resolver import RaiseSite, ResolvedModel, reachable_use_cases
@@ -289,38 +289,34 @@ class ExceptionSummaryRow:
     paths: list[PathRecord]
 
 
-def _handlers_by_exception(resolved: ResolvedModel) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for uc in resolved.model.use_cases:
-        if not uc.is_handler:
+def _exception_row(
+    resolved: ResolvedModel, exc: ExceptionDef, sites: list[RaiseSite], paths: list[PathRecord]
+) -> ExceptionSummaryRow:
+    """The row of a global exception's raise sites, or of one site of
+    another exception: the distinct guards of their raising blocks as the
+    situations, and as the participating actors the distinct non-System
+    endpoints of the interactions inside those blocks and in the steps the
+    blocks are anchored to, each in order of first appearance."""
+    situations: dict[str, None] = {}
+    actors: dict[str, None] = {}
+    for site in sites:
+        if site.block is None:
             continue
-        for ctx in uc.contexts:
-            bucket = out.setdefault(ctx.exception.qualified_name, [])
-            if uc.name not in bucket:
-                bucket.append(uc.name)
-    return out
-
-
-def _participants(site: RaiseSite) -> list[str]:
-    """Actors named by interaction steps inside the raising block and by the
-    steps the block is anchored to."""
-    if site.block is None:
-        return []
-    actors: list[str] = []
-    for step in site.block.steps() + site.anchored_steps:
-        if step.kind is StepKind.INTERACTION and isinstance(step.payload, Interaction):
-            for end in (step.payload.source, step.payload.target):
-                if end != "System" and end not in actors:
-                    actors.append(end)
-    return actors
-
-
-def _sites_by_exception(resolved: ResolvedModel) -> dict[str, list[RaiseSite]]:
-    """Raise sites grouped by qualified exception name, in document order."""
-    out: dict[str, list[RaiseSite]] = {}
-    for site in resolved.raise_sites():
-        out.setdefault(site.exception.qualified_name, []).append(site)
-    return out
+        if site.block.guard:
+            situations[site.block.guard] = None
+        for step in site.block.steps() + site.anchored_steps:
+            if isinstance(step.payload, Interaction):
+                actors.update(dict.fromkeys((step.payload.source, step.payload.target)))
+    actors.pop("System", None)
+    return ExceptionSummaryRow(
+        exc.qualified_name,
+        exc.is_global,
+        GLOBAL_SOURCE if exc.is_global else sites[0].use_case.name,
+        list(resolved.handlers_by_exception.get(exc.qualified_name, [])),
+        list(situations),
+        list(actors),
+        paths,
+    )
 
 
 def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[ExceptionSummaryRow]:
@@ -334,8 +330,6 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
     """
     graph = build_invocation_graph(resolved)
     ensure_acyclic(graph)
-    handlers = _handlers_by_exception(resolved)
-    sites = _sites_by_exception(resolved)
 
     reach: set[str] | None = None
     if view is not None:
@@ -350,24 +344,10 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
     listed: dict[str, list[PathRecord]] = {}  # paths per source use case, shared by its rows
     rows = []
     for exc in resolved.model.exceptions:
-        qname = exc.qualified_name
-        exc_sites = sites.get(qname, [])
-        if not exc_sites:
-            continue
+        exc_sites = resolved.sites_by_exception.get(exc.qualified_name, [])
         if exc.is_global:
-            situations = []
-            actors: list[str] = []
-            for site in exc_sites:
-                if site.block is not None and site.block.guard and site.block.guard not in situations:
-                    situations.append(site.block.guard)
-                for actor in _participants(site):
-                    if actor not in actors:
-                        actors.append(actor)
-            rows.append(
-                ExceptionSummaryRow(
-                    qname, True, GLOBAL_SOURCE, handlers.get(qname, []), situations, actors, []
-                )
-            )
+            if exc_sites:
+                rows.append(_exception_row(resolved, exc, exc_sites, []))
             continue
         for site in exc_sites:
             source = site.use_case.name
@@ -386,17 +366,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
                 if source not in listed:
                     listed[source] = _paths_between(graph, starts, source)
                 paths = listed[source]
-            rows.append(
-                ExceptionSummaryRow(
-                    qname,
-                    False,
-                    source,
-                    handlers.get(qname, []),
-                    [site.block.guard] if site.block is not None and site.block.guard else [],
-                    _participants(site),
-                    paths,
-                )
-            )
+            rows.append(_exception_row(resolved, exc, [site], paths))
     return rows
 
 
@@ -418,7 +388,7 @@ def handler_summary(resolved: ResolvedModel) -> list[HandlerSummaryRow]:
     the paths; actors that appear in no non-handler use case are marked
     exceptional with ``*``."""
     counts = path_counts(build_invocation_graph(resolved))
-    sites = _sites_by_exception(resolved)
+    sites = resolved.sites_by_exception
     paths_by_exception: dict[str, int] = {}
     for exc in resolved.model.exceptions:
         if exc.is_global:  # a global exception's single row lists no paths

@@ -111,8 +111,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return OK
 
 
-def _resolved_for_artifact(args: argparse.Namespace) -> tuple[str, ResolvedModel] | int:
-    loaded = _load(args.file)
+def _load_resolved(path: str) -> tuple[str, ResolvedModel, list[Diagnostic]] | int:
+    """Read, parse and resolve a model, or print why not and return the exit
+    code."""
+    loaded = _load(path)
     if loaded is None:
         return USAGE_ERROR
     source, model, parse_diags = loaded
@@ -120,17 +122,17 @@ def _resolved_for_artifact(args: argparse.Namespace) -> tuple[str, ResolvedModel
         _print_diagnostics(parse_diags, source)
         return MODEL_ERRORS
     resolved, resolve_diags = resolve(model)
-    if has_errors(resolve_diags):
-        _print_diagnostics(resolve_diags, source)
-        return MODEL_ERRORS
-    return source, resolved
+    return source, resolved, resolve_diags
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    outcome = _resolved_for_artifact(args)
+    outcome = _load_resolved(args.file)
     if isinstance(outcome, int):
         return outcome
-    source, resolved = outcome
+    source, resolved, resolve_diags = outcome
+    if has_errors(resolve_diags):
+        _print_diagnostics(resolve_diags, source)
+        return MODEL_ERRORS
     try:
         if args.kind == "exceptions":
             table = analysis.exception_table(analysis.exception_summary(resolved, args.usecase or None))
@@ -153,14 +155,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     # Exporters are total over any resolved model, so unlike `table` this
     # only requires a successful parse; resolution diagnostics still print.
-    loaded = _load(args.file)
-    if loaded is None:
-        return USAGE_ERROR
-    source, model, parse_diags = loaded
-    if model is None:
-        _print_diagnostics(parse_diags, source)
-        return MODEL_ERRORS
-    resolved, resolve_diags = resolve(model)
+    outcome = _load_resolved(args.file)
+    if isinstance(outcome, int):
+        return outcome
+    source, resolved, resolve_diags = outcome
     _print_diagnostics(resolve_diags, source)
     if args.target == "json":
         text = export_json(resolved)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .model import (
     Invocation,
     Level,
     MAX_BLOCK_DEPTH,
+    MAX_DIGITS,
     Model,
     ModeDecl,
     ModeKind,
@@ -39,8 +41,10 @@ from .model import (
     Step,
     StepKind,
     StepLabel,
+    TIME_UNITS,
     Timeout,
     UseCase,
+    too_many_digits,
 )
 from .resolver import ResolvedModel
 from .spans import ZERO_SPAN
@@ -275,6 +279,8 @@ def _enum_from(enum_cls, text: str, where: str):
 def _label_from(text, where: str) -> StepLabel:
     if not isinstance(text, str):
         raise _SchemaError(f"label in {where} is not a string")
+    if too_many_digits(text):
+        raise _SchemaError(f"label in {where} has a number with more than {MAX_DIGITS} digits")
     label = StepLabel.parse(text)
     if label is None:
         raise _SchemaError(f"malformed label {text!r} in {where}")
@@ -289,6 +295,8 @@ def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
         doc = json.loads(document)
     except json.JSONDecodeError as err:
         return None, [Diagnostic("E000", f"document is not valid JSON: {err.msg}", ZERO_SPAN)]
+    except ValueError:  # an integer past Python's limit on digits converted from str
+        return None, [Diagnostic("E000", "document holds an integer too long to decode", ZERO_SPAN)]
     except RecursionError:  # the decoder recurses once per array or object level
         return None, [Diagnostic("E000", "document nests too deeply to decode", ZERO_SPAN)]
     try:
@@ -384,7 +392,12 @@ def _step_from_json(doc) -> Step:
             amount = _need(timeout_doc, "amount", None, "timeout")
             if isinstance(amount, bool) or not isinstance(amount, (int, float)):
                 raise _SchemaError("timeout amount is not a number")
-            timeout = Timeout(float(amount), _need(timeout_doc, "unit", str, "timeout"))
+            if not 0 < amount <= sys.float_info.max:  # NaN fails too; ints compare exactly
+                raise _SchemaError("timeout amount is not positive and finite")
+            unit = _need(timeout_doc, "unit", str, "timeout")
+            if unit not in TIME_UNITS:
+                raise _SchemaError(f"unknown timeout unit {unit!r}")
+            timeout = Timeout(float(amount), unit)
         payload = Internal(_need(doc, "description", str, "step"), timeout)
     elif kind is StepKind.CONTROL_FLOW:
         goto_text = _opt_str(doc, "goto", "step")
@@ -402,7 +415,7 @@ def _step_from_json(doc) -> Step:
             _need(exc, "name", str, "step exception"),
             ZERO_SPAN,
         )
-    return Step(label, kind, payload, ZERO_SPAN)
+    return Step(label, payload, ZERO_SPAN)
 
 
 def _block_from_json(doc, depth: int = 1) -> ExtensionBlock:
@@ -711,7 +724,7 @@ def export_dot(resolved: ResolvedModel) -> str:
 
     for uc in model.use_cases:
         for step in uc.all_steps():
-            if step.kind is StepKind.INVOCATION and isinstance(step.payload, Invocation):
+            if isinstance(step.payload, Invocation):
                 lines.append(
                     f"  {_dot_quote(uc.name)} -> {_dot_quote(step.payload.target)}"
                     ' [label="<<include>>"];'

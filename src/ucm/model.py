@@ -49,7 +49,6 @@ ACTOR_CATEGORIES = (
     "Tag",
     "Reader",
 )
-DEVICE_SUBCATEGORIES = ("Device", "Sensor", "Actuator", "Tag", "Reader")
 
 
 class Level(str, Enum):
@@ -83,6 +82,18 @@ class OutcomeKind(str, Enum):
 class InterruptRelation(str, Enum):
     CONTINUE = "interrupt-continue"
     FAIL = "interrupt-fail"
+
+
+# Most digits a number in a model may have: step labels, multiplicity bounds
+# and timeout amounts. Such a number, and a label's successor, converts to and
+# from `int`, `str` and `float` without hitting a limit of Python's.
+MAX_DIGITS = 100
+_LONG_NUMBER_RE = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
+
+
+def too_many_digits(text: str) -> bool:
+    """Whether `text` holds a number of more than `MAX_DIGITS` digits."""
+    return len(text) > MAX_DIGITS and _LONG_NUMBER_RE.search(text) is not None
 
 
 _LABEL_RE = re.compile(r"^(\d+)(?:-(\d+))?((?:[a-z]\d*)*)$")
@@ -246,10 +257,13 @@ class Condition:
     text: str
 
 
+TIME_UNITS = ("ms", "s", "min")
+
+
 @dataclass
 class Timeout:
-    amount: float
-    unit: str  # ms | s | min
+    amount: float  # positive and finite
+    unit: str  # one of TIME_UNITS
 
 
 @dataclass
@@ -269,13 +283,26 @@ class ControlFlow:
 
 StepPayload = Interaction | Invocation | Condition | Internal | ControlFlow | ExceptionRef
 
+# A step's kind is the type of its payload.
+_STEP_KINDS: dict[type, StepKind] = {
+    Interaction: StepKind.INTERACTION,
+    Invocation: StepKind.INVOCATION,
+    Condition: StepKind.CONDITION,
+    Internal: StepKind.INTERNAL,
+    ControlFlow: StepKind.CONTROL_FLOW,
+    ExceptionRef: StepKind.RAISE,
+}
+
 
 @dataclass
 class Step:
     label: StepLabel
-    kind: StepKind
     payload: StepPayload
     span: SourceSpan
+
+    @property
+    def kind(self) -> StepKind:
+        return _STEP_KINDS[type(self.payload)]
 
 
 @dataclass

@@ -29,6 +29,7 @@ from .model import (
     Invocation,
     Level,
     MAX_BLOCK_DEPTH,
+    MAX_DIGITS,
     Model,
     ModeDecl,
     ModeKind,
@@ -39,10 +40,11 @@ from .model import (
     Scenario,
     ServiceDecl,
     Step,
-    StepKind,
     StepLabel,
+    TIME_UNITS,
     Timeout,
     UseCase,
+    too_many_digits,
 )
 from .spans import SourceSpan
 
@@ -59,7 +61,6 @@ _MODE_KINDS = {k.value: k for k in ModeKind}
 _LEVELS = {lv.value: lv for lv in Level}
 _OUTCOMES = {o.value: o for o in OutcomeKind}
 _RELATIONS = {r.value: r for r in InterruptRelation}
-_TIME_UNITS = ("ms", "s", "min")
 
 # Use-case clauses in their mandatory order; value is the rank used to
 # reject out-of-order or repeated clauses.
@@ -130,10 +131,15 @@ class _Parser:
         end = self.tokens[self.pos - 1].end if self.pos > 0 else start.end
         return SourceSpan(self.file, start.start, max(start.end, end))
 
+    def check_digits(self, tok: Token) -> None:
+        if too_many_digits(tok.text):
+            raise ParseError(f"number with more than {MAX_DIGITS} digits", self.span_of(tok))
+
     def parse_label(self) -> tuple[StepLabel, Token]:
         tok = self.current
         if tok.kind is not TokenKind.LABEL:
             raise self.error(["step label"])
+        self.check_digits(tok)
         label = StepLabel.parse(tok.text)
         if label is None:
             raise ParseError(f"malformed step label {tok.text!r}", self.span_of(tok))
@@ -316,6 +322,7 @@ class _Parser:
         tok = self.current
         if tok.kind is not TokenKind.LABEL or not tok.text.isdigit():
             raise self.error([what])
+        self.check_digits(tok)
         self.advance()
         return int(tok.text)
 
@@ -378,39 +385,35 @@ class _Parser:
             self.expect(TokenKind.COLON)
             message = self.expect_string()
             payload: object = Interaction(source, target, message)
-            kind = StepKind.INTERACTION
         elif self.at_keyword("invoke"):
             self.advance()
             payload = Invocation(self.expect_ident("use case name").text)
-            kind = StepKind.INVOCATION
         elif self.at_keyword("condition"):
             self.advance()
             payload = Condition(self.expect_string())
-            kind = StepKind.CONDITION
         elif self.at_keyword("internal"):
             self.advance()
             timeout = None
             if self.at_keyword("timeout"):
                 self.advance()
-                amount_tok = self.current
+                amount_tok = self.current  # its digit bound keeps the amount finite
                 if amount_tok.kind is TokenKind.NUMBER:
+                    self.check_digits(amount_tok)
                     amount = float(amount_tok.text)
                     self.advance()
                 else:
                     amount = float(self.parse_int("timeout amount"))
                 if amount <= 0:
                     raise ParseError("timeout amount must be positive", self.span_of(amount_tok))
-                if not self.at_keyword(*_TIME_UNITS):
-                    raise self.error([f"'{u}'" for u in _TIME_UNITS])
+                if not self.at_keyword(*TIME_UNITS):
+                    raise self.error([f"'{u}'" for u in TIME_UNITS])
                 unit = self.advance().text
                 timeout = Timeout(amount, unit)
             payload = Internal(self.expect_string(), timeout)
-            kind = StepKind.INTERNAL
         elif self.at_keyword("goto"):
             self.advance()
             target, _ = self.parse_label()
             payload = ControlFlow(goto=target, repeat_from=None, repeat_to=None)
-            kind = StepKind.CONTROL_FLOW
         elif self.at_keyword("repeat"):
             self.advance()
             rng, rng_tok = self.parse_label()
@@ -423,17 +426,15 @@ class _Parser:
                 repeat_from=StepLabel(rng.anchor_lo),
                 repeat_to=StepLabel(rng.anchor_hi),
             )
-            kind = StepKind.CONTROL_FLOW
         elif self.at_keyword("raise"):
             self.advance()
             category, name, exc_span = self.parse_exception_name()
             payload = ExceptionRef(category, name, exc_span)
-            kind = StepKind.RAISE
         else:
             raise self.error(
                 ["interaction", "'invoke'", "'condition'", "'internal'", "'goto'", "'repeat'", "'raise'"]
             )
-        return Step(label, kind, payload, self.span_from(label_tok))
+        return Step(label, payload, self.span_from(label_tok))
 
     def parse_extensions(self) -> list[ExtensionBlock]:
         self.expect_keyword("extensions")

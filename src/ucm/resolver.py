@@ -7,6 +7,7 @@ resolvable references are bound regardless.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, sort_diagnostics
@@ -24,7 +25,6 @@ from .model import (
     Scenario,
     ServiceDecl,
     Step,
-    StepKind,
     StepLabel,
     UseCase,
 )
@@ -49,13 +49,18 @@ class RaiseSite:
 @dataclass
 class ResolvedModel:
     """A model plus lookup tables, one binding per resolvable reference, and
-    the raise sites and invocation adjacency the resolver met on its walk.
+    the raise sites, handlers and invocation adjacency the resolver met on
+    its walk.
 
     Bindings are keyed by ``id()`` of the node that carries the reference: an
     invocation or control-flow step, an exception reference, a mode switch,
     a continue outcome, a block (its anchor) or a handler context (its use
     case). Immutable by convention after resolve(); safe to share across
     readers.
+
+    `sites_by_exception` maps a qualified exception name to its raise sites
+    in document order, and `handlers_by_exception` to the distinct handlers
+    whose contexts name it, in document order.
     """
 
     model: Model
@@ -64,6 +69,8 @@ class ResolvedModel:
     mode_by_name: dict[str, ModeDecl] = field(default_factory=dict)
     service_by_name: dict[str, ServiceDecl] = field(default_factory=dict)
     bindings: dict[int, object] = field(default_factory=dict)
+    sites_by_exception: dict[str, list[RaiseSite]] = field(default_factory=dict)
+    handlers_by_exception: dict[str, list[str]] = field(default_factory=dict)
     _raise_sites: list[RaiseSite] = field(default_factory=list)
     _invocations: dict[int, list[tuple[Step, UseCase]]] = field(default_factory=dict)
 
@@ -165,6 +172,22 @@ def _duplicate(what: str, name: str, span: SourceSpan, first: SourceSpan) -> Dia
     )
 
 
+# A parent sequence as block anchors read it: the first step per label text,
+# then the plain-integer labels among those in ascending order, and their steps.
+_Sequence = tuple[dict[str, Step], list[int], list[Step]]
+
+
+def _index_sequence(steps: list[Step]) -> _Sequence:
+    by_label: dict[str, Step] = {}
+    for step in steps:
+        by_label.setdefault(step.label.text, step)
+    numbered = sorted(
+        (s for s in by_label.values() if s.label.anchor_hi is None and not s.label.suffix),
+        key=lambda s: s.label.anchor_lo,
+    )
+    return by_label, [s.label.anchor_lo for s in numbered], numbered
+
+
 def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]) -> None:
     label_index = {step.label.text: step for step in reversed(uc.all_steps())}
     invocations = resolved._invocations[id(uc)] = []
@@ -201,8 +224,7 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
     def bind_steps(steps: list[Step], block: ExtensionBlock | None, anchored: list[Step]) -> None:
         for step in steps:
             payload = step.payload
-            if step.kind is StepKind.INVOCATION:
-                assert isinstance(payload, Invocation)
+            if isinstance(payload, Invocation):
                 target = resolved.use_case_by_name.get(payload.target)
                 if target is None:
                     diags.append(
@@ -211,12 +233,12 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                 else:
                     resolved.bindings[id(step)] = target
                     invocations.append((step, target))
-            elif step.kind is StepKind.RAISE:
-                assert isinstance(payload, ExceptionRef)
+            elif isinstance(payload, ExceptionRef):
                 bind_exception(payload)
-                resolved._raise_sites.append(RaiseSite(uc, block, step, anchored))
-            elif step.kind is StepKind.CONTROL_FLOW:
-                assert isinstance(payload, ControlFlow)
+                site = RaiseSite(uc, block, step, anchored)
+                resolved._raise_sites.append(site)
+                resolved.sites_by_exception.setdefault(payload.qualified_name, []).append(site)
+            elif isinstance(payload, ControlFlow):
                 if payload.goto is not None:
                     bind_step_ref(step, payload.goto, "goto target")
                 if payload.repeat_from is not None:
@@ -236,10 +258,10 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         if outcome.continue_target is not None:
             bind_step_ref(outcome, outcome.continue_target, "continue target")
 
-    def bind_anchor(block: ExtensionBlock, parent_steps: list[Step]) -> list[Step]:
+    def bind_anchor(block: ExtensionBlock, parent: _Sequence) -> list[Step]:
         """Bind the block to its anchor step in the parent sequence and return
         the steps it is attached to: the anchor, or every step of an anchor
-        range ``lo-hi`` (first occurrence per label)."""
+        range ``lo-hi`` (first occurrence per label), found by bisection."""
         anchor = block.label.anchor_label()
         if anchor is None:
             diags.append(
@@ -250,14 +272,11 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                 )
             )
             return []
-        by_label: dict[str, Step] = {}
-        for step in parent_steps:
-            by_label.setdefault(step.label.text, step)
+        by_label, numbers, numbered = parent
         if anchor.anchor_hi is not None and not anchor.suffix:
             ends = [str(anchor.anchor_lo), str(anchor.anchor_hi)]
-            wanted = [str(n) for n in range(anchor.anchor_lo, anchor.anchor_hi + 1)]
         else:
-            ends = wanted = [anchor.text]
+            ends = [anchor.text]
         if any(end not in by_label for end in ends):
             diags.append(
                 Diagnostic(
@@ -267,18 +286,21 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                 )
             )
             return []
-        resolved.bindings[id(block)] = by_label[ends[0]]
-        return [by_label[label] for label in wanted if label in by_label]
+        first = resolved.bindings[id(block)] = by_label[ends[0]]
+        if len(ends) == 1:
+            return [first]
+        return numbered[bisect_left(numbers, anchor.anchor_lo) : bisect_right(numbers, anchor.anchor_hi)]
 
-    def walk_block(block: ExtensionBlock, parent_steps: list[Step]) -> None:
-        anchored = bind_anchor(block, parent_steps)
+    def walk_block(block: ExtensionBlock, parent: _Sequence) -> None:
+        anchored = bind_anchor(block, parent)
         bind_mode(block.entry_switch)
         bind_mode(block.exit_switch)
         steps = block.steps()
         bind_steps(steps, block, anchored)
         bind_outcome(block)
+        sequence = _index_sequence(steps)
         for nested in block.nested_blocks():
-            walk_block(nested, steps)
+            walk_block(nested, sequence)
 
     for ctx in uc.contexts:
         target = resolved.use_case_by_name.get(ctx.use_case)
@@ -289,6 +311,10 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         else:
             resolved.bindings[id(ctx)] = target
         bind_exception(ctx.exception)
+        if uc.is_handler:
+            handlers = resolved.handlers_by_exception.setdefault(ctx.exception.qualified_name, [])
+            if uc.name not in handlers:
+                handlers.append(uc.name)
 
     main_steps: list[Step] = []
     if uc.main:
@@ -297,8 +323,9 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         main_steps = uc.main.steps
         bind_steps(main_steps, None, [])
         bind_outcome(uc.main)
+    main_sequence = _index_sequence(main_steps)
     for block in uc.extensions:
-        walk_block(block, main_steps)
+        walk_block(block, main_sequence)
 
 
 def reachable_use_cases(resolved: ResolvedModel, root: str) -> set[str]:

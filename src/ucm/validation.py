@@ -13,12 +13,12 @@ from .diagnostics import Diagnostic, sort_diagnostics
 from .model import (
     ACTOR_CATEGORIES,
     BlockKind,
+    ExceptionRef,
     ExtensionBlock,
     Interaction,
     Level,
     OutcomeKind,
     Scenario,
-    StepKind,
     StepLabel,
     UseCase,
 )
@@ -182,9 +182,8 @@ def check_interaction_endpoints(resolved: ResolvedModel) -> list[Diagnostic]:
             continue
         declared = [ref.name for ref in uc.all_actors()]
         for step in uc.all_steps():
-            if step.kind is not StepKind.INTERACTION:
+            if not isinstance(step.payload, Interaction):
                 continue
-            assert isinstance(step.payload, Interaction)
             ends = (step.payload.source, step.payload.target)
             system_count = sum(1 for e in ends if e == "System")
             if system_count == 0:
@@ -223,18 +222,10 @@ def check_exception_rules(resolved: ResolvedModel) -> list[Diagnostic]:
     - W002: a header exception that is never raised
     """
     diags = []
-    sites = resolved.raise_sites()
-    raised_in: dict[str, set[str]] = {}
-    for site in sites:
-        raised_in.setdefault(site.exception.qualified_name, set()).add(site.use_case.name)
+    sites = resolved.sites_by_exception
+    handled = resolved.handlers_by_exception
 
-    handled: set[str] = set()
-    for uc in resolved.model.use_cases:
-        if uc.is_handler:
-            for ctx in uc.contexts:
-                handled.add(ctx.exception.qualified_name)
-
-    for site in sites:
+    for site in resolved.raise_sites():
         name = site.exception.qualified_name
         if name in resolved.exception_by_qualified_name and name not in handled:
             diags.append(
@@ -252,7 +243,7 @@ def check_exception_rules(resolved: ResolvedModel) -> list[Diagnostic]:
             if definition.is_global:
                 continue
             reach = reachable_use_cases(resolved, ctx.use_case)
-            if not (raised_in.get(name, set()) & reach):
+            if not any(site.use_case.name in reach for site in sites.get(name, [])):
                 diags.append(
                     Diagnostic(
                         "E007",
@@ -266,7 +257,7 @@ def check_exception_rules(resolved: ResolvedModel) -> list[Diagnostic]:
         for block in uc.all_blocks():
             if block.kind is not BlockKind.EXCEPTIONAL:
                 continue
-            raises = [s for s in block.steps() if s.kind is StepKind.RAISE]
+            raises = [s.payload for s in block.steps() if isinstance(s.payload, ExceptionRef)]
             if len(raises) != 1:
                 diags.append(
                     Diagnostic(
@@ -277,8 +268,8 @@ def check_exception_rules(resolved: ResolvedModel) -> list[Diagnostic]:
                     )
                 )
             if block.outcome.kind is OutcomeKind.CONTINUE:
-                for step in raises:
-                    name = step.payload.qualified_name  # type: ignore[union-attr]
+                for raised in raises:
+                    name = raised.qualified_name
                     if name in resolved.exception_by_qualified_name and name not in handled:
                         diags.append(
                             Diagnostic(
@@ -289,7 +280,7 @@ def check_exception_rules(resolved: ResolvedModel) -> list[Diagnostic]:
                         )
 
     for exc in resolved.model.exceptions:
-        if exc.qualified_name not in raised_in:
+        if exc.qualified_name not in sites:
             diags.append(
                 Diagnostic("W002", f"exception '{exc.qualified_name}' is declared but never raised", exc.span)
             )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, REPO_ROOT, chain_source, diamond_chain_source, nested_blocks_source, report_script
 from strategies import model_source
 from ucm.cli import main
-from ucm.model import MAX_BLOCK_DEPTH
+from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS
 from ucm.parser import parse
 
 SMARTSTORE = str(CORPUS / "smartstore.ucm")
@@ -307,6 +307,90 @@ def test_block_nested_past_the_limit_is_e000_for_every_command(tmp_path, capsys)
         captured = capsys.readouterr()
         shown = captured.out + captured.err  # check --format json reports on stdout
         assert "E000" in shown and "block nested deeper than 64 levels" in shown, argv
+
+
+def one_use_case(steps: str, extensions: str = "", actors: str = "Human::User") -> str:
+    """A model whose one use case `A` has the given main steps, extension
+    blocks and primary actors, and declares `HardwareException::Fault`."""
+    return f"""model M
+modes {{ default normal Normal }}
+exceptions {{ exception HardwareException::Fault }}
+usecase A {{
+  scope: "s"
+  level: user-goal
+  intention: "i"
+  multiplicity: "m"
+  primary: {actors}
+  main {{
+{steps}
+    outcome success
+  }}
+  extensions {{
+{extensions}
+  }}
+}}
+"""
+
+
+RANGE_END = 10**7
+# Block `1-10000000a` hangs off steps 1, 2 and 10000000; step 10000000 is E002.
+RANGE_ANCHOR = one_use_case(
+    f'    1. User -> System : "a"\n    2. System -> User : "b"\n    {RANGE_END}. System -> Lamp : "c"',
+    f'    block 1-{RANGE_END}a exceptional when "g" {{\n'
+    f"      1-{RANGE_END}a1. raise HardwareException::Fault\n      outcome failure\n    }}",
+    actors="Human::User, Device::Lamp",
+)
+
+
+def test_range_anchor_costs_its_parent_sequence_not_its_range(tmp_path, capsys):
+    path = tmp_path / "range.ucm"
+    path.write_text(RANGE_ANCHOR, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "error[E002]" in capsys.readouterr().err
+    assert main(["table", "exceptions", str(path)]) == 0
+    assert "| HardwareException::Fault | A |  | g | User, Lamp | A |" in capsys.readouterr().out
+    for argv in _every_command(str(path), "A"):
+        assert main(argv) in (0, 1), argv
+        assert "E000" not in "".join(capsys.readouterr()), argv
+
+
+LONG = "1" * 5000
+OVER_LONG_NUMBERS = {
+    "step label": one_use_case(f'    1. User -> System : "a"\n    {LONG}. System -> User : "b"'),
+    "block label": one_use_case('    1. User -> System : "a"', f"    block {LONG}a alternative {{ outcome failure }}"),
+    "multiplicity": one_use_case('    1. User -> System : "a"', actors=f"Human::User[1..{LONG}]"),
+    "integer timeout": one_use_case(f'    1. internal timeout {"1" * 400} s "x"'),
+    "decimal timeout": one_use_case(f'    1. internal timeout {"1" * 400}.5 s "x"'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_LONG_NUMBERS))
+def test_number_over_the_digit_bound_is_e000_for_every_command(name, tmp_path, capsys):
+    path = tmp_path / "long.ucm"
+    path.write_text(OVER_LONG_NUMBERS[name], encoding="utf-8")
+    for argv in _every_command(str(path), "A"):
+        assert main(argv) == 1, argv
+        shown = "".join(capsys.readouterr())  # check --format json reports on stdout
+        assert "E000" in shown and f"number with more than {MAX_DIGITS} digits" in shown, argv
+
+
+def test_numbers_at_the_digit_bound_pass_every_command(tmp_path, capsys):
+    big = "9" * MAX_DIGITS
+    path = tmp_path / "big.ucm"
+    path.write_text(
+        one_use_case(
+            f'    1. internal timeout {big} s "x"\n    2. internal timeout {big}.{big} ms "y"\n'
+            f'    {big}. User -> System : "a"',
+            f'    block {big}a alternative {{ outcome failure }}',
+            actors=f"Human::User[{big}..{big}]",
+        ),
+        encoding="utf-8",
+    )
+    for argv in _every_command(str(path), "A"):
+        assert main(argv) in (0, 1), argv
+        assert "E000" not in "".join(capsys.readouterr()), argv
 
 
 def _first_use_case(text: str) -> str:

@@ -19,7 +19,7 @@ from ucm.export import (
     import_json,
     render_table,
 )
-from ucm.model import MAX_BLOCK_DEPTH
+from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS
 from ucm.parser import parse
 from ucm.resolver import resolve
 
@@ -210,6 +210,49 @@ def test_document_too_deep_for_the_decoder_is_e000():
     model, diags = import_json("[" * 100_000 + "]" * 100_000)
     assert model is None
     assert [(d.code, d.message) for d in diags] == [("E000", "document nests too deeply to decode")]
+
+
+TIMEOUT_MODEL = MINIMAL + ' usecase A { main { 1. internal timeout 5 s "x" outcome success } }'
+
+
+def timeout_document(amount: str, unit: str = "s", label: str = "1") -> str:
+    """The export of TIMEOUT_MODEL with its step's timeout and label
+    replaced; `amount` is JSON text."""
+    text = export_json(resolved_of(TIMEOUT_MODEL))
+    for old, new in (('"amount": 5.0', f'"amount": {amount}'), ('"unit": "s"', f'"unit": "{unit}"'),
+                     ('"label": "1"', f'"label": "{label}"')):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize("amount", ["0", "-5", "0.0", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_timeout_amount_that_is_not_positive_and_finite_is_e000(amount):
+    model, diags = import_json(timeout_document(amount))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", "timeout amount is not positive and finite")]
+
+
+@pytest.mark.parametrize("unit", ["weeks", "", "S"])
+def test_timeout_unit_the_parser_would_reject_is_e000(unit):
+    model, diags = import_json(timeout_document("5", unit))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", f"unknown timeout unit {unit!r}")]
+
+
+def test_label_over_the_digit_bound_is_e000():
+    assert import_json(timeout_document("5", label="9" * MAX_DIGITS))[1] == []
+    model, diags = import_json(timeout_document("5", label="1" * (MAX_DIGITS + 1)))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [
+        ("E000", f"label in step has a number with more than {MAX_DIGITS} digits")
+    ]
+
+
+def test_integer_too_long_to_decode_is_e000():
+    model, diags = import_json(timeout_document("1" * 5000))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", "document holds an integer too long to decode")]
 
 
 # -- XMI -------------------------------------------------------------------------
