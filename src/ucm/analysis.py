@@ -312,7 +312,7 @@ def _exception_row(
         exc.qualified_name,
         exc.is_global,
         GLOBAL_SOURCE if exc.is_global else sites[0].use_case.name,
-        list(resolved.handlers_by_exception.get(exc.qualified_name, [])),
+        list(resolved.handlers_by_exception.get(exc.qualified_name, ())),
         list(situations),
         list(actors),
         paths,
@@ -406,18 +406,11 @@ def handler_summary(resolved: ResolvedModel) -> list[HandlerSummaryRow]:
     for uc in resolved.model.use_cases:
         if not uc.is_handler:
             continue
-        dependents: list[str] = []
-        handled: list[str] = []
-        for ctx in uc.contexts:
-            if ctx.use_case not in dependents:
-                dependents.append(ctx.use_case)
-            if ctx.exception.qualified_name not in handled:
-                handled.append(ctx.exception.qualified_name)
-        actors = []
-        for ref in uc.all_actors():
-            marked = ref.name if ref.name in base_actor_names else f"{ref.name}*"
-            if marked not in actors:
-                actors.append(marked)
+        dependents = list(dict.fromkeys(ctx.use_case for ctx in uc.contexts))
+        handled = list(dict.fromkeys(ctx.exception.qualified_name for ctx in uc.contexts))
+        actors = list(
+            dict.fromkeys(ref.name if ref.name in base_actor_names else f"{ref.name}*" for ref in uc.all_actors())
+        )
         total = sum(paths_by_exception.get(name, 0) for name in handled)
         rows.append(HandlerSummaryRow(uc.name, dependents, handled, actors, total))
     return rows

@@ -44,6 +44,7 @@ from .model import (
     TIME_UNITS,
     Timeout,
     UseCase,
+    bound_out_of_range,
     too_many_digits,
 )
 from .resolver import ResolvedModel
@@ -287,6 +288,14 @@ def _label_from(text, where: str) -> StepLabel:
     return label
 
 
+def _step_number(text: str, key: str) -> StepLabel:
+    """A repeat bound: a plain step number, as in the parser's `repeat 2-4`."""
+    label = _label_from(text, "step")
+    if label.anchor_hi is not None or label.suffix:
+        raise _SchemaError(f"{key} {text!r} is not a plain step number")
+    return label
+
+
 def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
     """Rebuild a model from export_json output; spans come back zero-length.
     Schema violations and unknown format versions yield an E000 diagnostic
@@ -354,6 +363,9 @@ def _actor_from_json(doc) -> ActorRef:
         upper = _need(mult_doc, "upper", None, "multiplicity")
         if upper is not None and (isinstance(upper, bool) or not isinstance(upper, int)):
             raise _SchemaError("multiplicity upper bound is neither an integer nor null")
+        for which, bound in (("lower", lower), ("upper", upper)):
+            if bound is not None and bound_out_of_range(bound):
+                raise _SchemaError(f"multiplicity {which} bound is negative or has more than {MAX_DIGITS} digits")
         multiplicity = Multiplicity(lower, upper)
     return ActorRef(category, _need(doc, "name", str, "actor"), multiplicity, ZERO_SPAN)
 
@@ -403,11 +415,12 @@ def _step_from_json(doc) -> Step:
         goto_text = _opt_str(doc, "goto", "step")
         from_text = _opt_str(doc, "repeatFrom", "step")
         to_text = _opt_str(doc, "repeatTo", "step")
-        payload = ControlFlow(
-            _label_from(goto_text, "step") if goto_text is not None else None,
-            _label_from(from_text, "step") if from_text is not None else None,
-            _label_from(to_text, "step") if to_text is not None else None,
-        )
+        if goto_text is not None and from_text is None and to_text is None:
+            payload = ControlFlow(_label_from(goto_text, "step"), None, None)
+        elif goto_text is None and from_text is not None and to_text is not None:
+            payload = ControlFlow(None, _step_number(from_text, "repeatFrom"), _step_number(to_text, "repeatTo"))
+        else:
+            raise _SchemaError("control-flow step must set either goto or both repeatFrom and repeatTo")
     else:
         exc = _need(doc, "exception", dict, "step")
         payload = ExceptionRef(
@@ -709,11 +722,11 @@ def export_dot(resolved: ResolvedModel) -> str:
         style = ", style=dashed" if uc.is_handler else ""
         lines.append(f"  {_dot_quote(uc.name)} [shape=ellipse{style}];")
 
-    seen_actors: list[str] = []
+    seen_actors: set[str] = set()
     for uc in model.use_cases:
         for ref in uc.all_actors():
             if ref.qualified_name not in seen_actors:
-                seen_actors.append(ref.qualified_name)
+                seen_actors.add(ref.qualified_name)
                 lines.append(f"  {_dot_quote(ref.qualified_name)} [shape=box];")
 
     for uc in model.use_cases:

@@ -1,9 +1,11 @@
 """Tokenizer for `.ucm` sources.
 
 Keywords are context-sensitive: the lexer emits plain IDENT tokens and the
-parser matches keyword values, so clause names remain usable as model
-identifiers. Labels (``2``, ``2-6a1``) are digit-led and lexed greedily,
-which keeps them distinct from identifiers. `//` comments run to end of line.
+parser matches keywords by token text, so clause names remain usable as
+model identifiers. Labels (``2``, ``2-6a1``) are digit-led and lexed greedily,
+which keeps them distinct from identifiers. Digits are ASCII ``0-9`` only: any
+other Unicode digit is an unrecognized character. `//` comments run to end
+of line.
 
 Each token is one anchored regex match whose prefix skips the whitespace and
 comments before it. Tokens carry offsets, not spans: `(kind, text, start,
@@ -69,8 +71,8 @@ _SKIP_RE = re.compile(_SKIP)
 _TOKEN_RE = re.compile(
     _SKIP
     + r"""(?:
-      (?P<NUMBER>\d+\.\d+)
-    | (?P<LABEL>\d+(?:-\d+)?(?:[a-z]\d*)*)
+      (?P<NUMBER>[0-9]+\.[0-9]+)
+    | (?P<LABEL>[0-9]+(?:-[0-9]+)?(?:[a-z][0-9]*)*)
     | (?P<IDENT>"""
     + IDENT_RE.pattern
     + r""")

@@ -88,7 +88,7 @@ class InterruptRelation(str, Enum):
 # and timeout amounts. Such a number, and a label's successor, converts to and
 # from `int`, `str` and `float` without hitting a limit of Python's.
 MAX_DIGITS = 100
-_LONG_NUMBER_RE = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
+_LONG_NUMBER_RE = re.compile(r"[0-9]{%d}" % (MAX_DIGITS + 1))
 
 
 def too_many_digits(text: str) -> bool:
@@ -96,8 +96,16 @@ def too_many_digits(text: str) -> bool:
     return len(text) > MAX_DIGITS and _LONG_NUMBER_RE.search(text) is not None
 
 
-_LABEL_RE = re.compile(r"^(\d+)(?:-(\d+))?((?:[a-z]\d*)*)$")
-_SUFFIX_RE = re.compile(r"([a-z])(\d*)")
+def bound_out_of_range(n: int) -> bool:
+    """Whether `n` cannot be a multiplicity bound: negative, or of more than
+    `MAX_DIGITS` digits. The parser's digit strings obey this by construction
+    (`too_many_digits`); `import_json` checks decoded ints with it. It compares
+    ints, since `str()` of a huge int hits Python's limit on int-to-str digits."""
+    return n < 0 or n >= 10**MAX_DIGITS
+
+
+_LABEL_RE = re.compile(r"([0-9]+)(?:-([0-9]+))?((?:[a-z][0-9]*)*)")
+_SUFFIX_RE = re.compile(r"([a-z])([0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,7 @@ class StepLabel:
 
     @classmethod
     def parse(cls, text: str) -> StepLabel | None:
-        m = _LABEL_RE.match(text)
+        m = _LABEL_RE.fullmatch(text)
         if not m:
             return None
         lo = int(m.group(1))

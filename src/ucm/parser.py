@@ -5,11 +5,20 @@ and no tree. The grammar is deliberately lenient in two places so that later
 phases can produce better diagnostics than a bare syntax error: use-case
 clauses may be absent (missing ones become E001) and actor references accept
 any or no category keyword (checked as E005).
+
+A keyword test compares token text alone (`current.text == word`, or
+membership in a keyword table). Only an IDENT token can have
+identifier-shaped text: strings keep their quotes, labels and numbers start
+with an ASCII digit, punctuation is symbols and EOF is empty. Lookahead reads
+`tokens[pos + 1]` only when the current token is an IDENT, which is never the
+last token, and nothing but the final check of `parse_model` stands on EOF,
+so `advance` needs no bounds test.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable, Collection, TypeVar
 
 from .diagnostics import Diagnostic
 from .lexer import LexError, Token, TokenKind, normalize, string_value, tokenize
@@ -61,6 +70,7 @@ _MODE_KINDS = {k.value: k for k in ModeKind}
 _LEVELS = {lv.value: lv for lv in Level}
 _OUTCOMES = {o.value: o for o in OutcomeKind}
 _RELATIONS = {r.value: r for r in InterruptRelation}
+_BLOCK_KINDS = {k.value: k for k in BlockKind}
 
 # Use-case clauses in their mandatory order; value is the rank used to
 # reject out-of-order or repeated clauses.
@@ -78,27 +88,26 @@ _CLAUSE_ORDER = {
 }
 
 
+_T = TypeVar("_T")
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], file: str):
         self.tokens = tokens
         self.file = file
         self.pos = 0
         self.current = tokens[0]
+        # StepLabel is frozen, so steps share one instance per label text.
+        self.labels: dict[str, StepLabel] = {}
 
     # -- token plumbing -------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
-
     def advance(self) -> Token:
+        """Consume the current token, which is never EOF (see the module docstring)."""
         tok = self.current
-        if tok.kind is not TokenKind.EOF:  # the last token is EOF
-            self.pos += 1
-            self.current = self.tokens[self.pos]
+        self.pos += 1
+        self.current = self.tokens[self.pos]
         return tok
-
-    def at_keyword(self, *words: str) -> bool:
-        return self.current.kind is TokenKind.IDENT and self.current.text in words
 
     def error(self, expected: list[str]) -> ParseError:
         tok = self.current
@@ -107,29 +116,50 @@ class _Parser:
         return ParseError(f"expected {wanted}, got {found!r}", self.span_of(tok), expected)
 
     def expect(self, kind: TokenKind) -> Token:
-        if self.current.kind is not kind:
+        tok = self.current
+        if tok.kind is not kind:
             raise self.error([kind.value])
-        return self.advance()
+        self.pos += 1  # advance() inlined here and in expect_ident: the most frequent calls
+        self.current = self.tokens[self.pos]
+        return tok
 
     def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
+        if self.current.text != word:
             raise self.error([f"'{word}'"])
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        if self.current.kind is not TokenKind.IDENT:
+        tok = self.current
+        if tok.kind is not TokenKind.IDENT:
             raise self.error([what])
-        return self.advance()
+        self.pos += 1
+        self.current = self.tokens[self.pos]
+        return tok
+
+    def accept(self, text: str) -> bool:
+        """Consume the current token if its text is `text`."""
+        if self.current.text != text:
+            return False
+        self.advance()
+        return True
 
     def expect_string(self) -> str:
         return string_value(self.expect(TokenKind.STRING))
+
+    def expect_word(self, table: Collection[str]) -> str:
+        """Consume a keyword from `table`, or fail listing all of them."""
+        word = self.current.text
+        if word not in table:
+            raise self.error([f"'{w}'" for w in table])
+        self.advance()
+        return word
 
     def span_of(self, tok: Token) -> SourceSpan:
         return SourceSpan(self.file, tok.start, tok.end)
 
     def span_from(self, start: Token) -> SourceSpan:
-        end = self.tokens[self.pos - 1].end if self.pos > 0 else start.end
-        return SourceSpan(self.file, start.start, max(start.end, end))
+        """The span from `start`, already consumed, to the last consumed token."""
+        return SourceSpan(self.file, start.start, self.tokens[self.pos - 1].end)
 
     def check_digits(self, tok: Token) -> None:
         if too_many_digits(tok.text):
@@ -139,10 +169,13 @@ class _Parser:
         tok = self.current
         if tok.kind is not TokenKind.LABEL:
             raise self.error(["step label"])
-        self.check_digits(tok)
-        label = StepLabel.parse(tok.text)
+        label = self.labels.get(tok.text)
         if label is None:
-            raise ParseError(f"malformed step label {tok.text!r}", self.span_of(tok))
+            self.check_digits(tok)
+            label = StepLabel.parse(tok.text)
+            if label is None:
+                raise ParseError(f"malformed step label {tok.text!r}", self.span_of(tok))
+            self.labels[tok.text] = label
         self.advance()
         return label, tok
 
@@ -153,12 +186,23 @@ class _Parser:
         name = self.expect_ident("model name").text
         modes = self.parse_modes()
         exceptions = self.parse_exceptions()
-        services = self.parse_services() if self.at_keyword("services") else []
+        services = self.parse_services() if self.current.text == "services" else []
         use_cases = []
-        while self.at_keyword("usecase", "handler"):
+        while self.current.text in ("usecase", "handler"):
             use_cases.append(self.parse_use_case())
-        self.expect(TokenKind.EOF)
+        if self.current.kind is not TokenKind.EOF:
+            raise self.error([TokenKind.EOF.value])
         return Model(name, modes, exceptions, services, use_cases, self.span_from(start), self.file)
+
+    def parse_list(self, parse_item: Callable[[], _T]) -> list[_T]:
+        """One or more items separated by commas."""
+        items = [parse_item()]
+        while self.accept(","):
+            items.append(parse_item())
+        return items
+
+    def parse_names(self, what: str) -> list[str]:
+        return self.parse_list(lambda: self.expect_ident(what).text)
 
     def parse_modes(self) -> list[ModeDecl]:
         self.expect_keyword("modes")
@@ -166,21 +210,10 @@ class _Parser:
         modes = []
         while self.current.kind is not TokenKind.RBRACE:
             start = self.current
-            is_default = False
-            if self.at_keyword("default"):
-                is_default = True
-                self.advance()
-            if not self.at_keyword(*_MODE_KINDS):
-                raise self.error([f"'{k}'" for k in _MODE_KINDS])
-            kind = _MODE_KINDS[self.advance().text]
+            is_default = self.accept("default")
+            kind = _MODE_KINDS[self.expect_word(_MODE_KINDS)]
             name = self.expect_ident("mode name").text
-            offered = []
-            if self.at_keyword("offers"):
-                self.advance()
-                offered.append(self.expect_ident("service name").text)
-                while self.current.kind is TokenKind.COMMA:
-                    self.advance()
-                    offered.append(self.expect_ident("service name").text)
+            offered = self.parse_names("service name") if self.accept("offers") else []
             modes.append(ModeDecl(name, kind, is_default, offered, self.span_from(start)))
         self.expect(TokenKind.RBRACE)
         return modes
@@ -189,22 +222,16 @@ class _Parser:
         self.expect_keyword("exceptions")
         self.expect(TokenKind.LBRACE)
         out = []
-        while self.at_keyword("exception"):
+        while self.current.text == "exception":
             start = self.advance()
             category, name, _ = self.parse_exception_name()
-            is_global = False
-            if self.at_keyword("global"):
-                is_global = True
-                self.advance()
-            out.append(ExceptionDef(category, name, is_global, self.span_from(start)))
+            out.append(ExceptionDef(category, name, self.accept("global"), self.span_from(start)))
         self.expect(TokenKind.RBRACE)
         return out
 
     def parse_exception_name(self):
-        if not self.at_keyword(*EXCEPTION_KEYWORDS):
-            raise self.error([f"'{k}'" for k in EXCEPTION_KEYWORDS])
-        start = self.advance()
-        category = EXCEPTION_KEYWORDS[start.text]
+        start = self.current
+        category = EXCEPTION_KEYWORDS[self.expect_word(EXCEPTION_KEYWORDS)]
         self.expect(TokenKind.COLONCOLON)
         name = self.expect_ident("exception name").text
         return category, name, self.span_from(start)
@@ -213,27 +240,21 @@ class _Parser:
         self.expect_keyword("services")
         self.expect(TokenKind.LBRACE)
         out = []
-        while self.at_keyword("service"):
+        while self.current.text == "service":
             start = self.advance()
             name = self.expect_ident("service name").text
             self.expect_keyword("provides")
-            goals = [self.expect_ident("use case name").text]
-            while self.current.kind is TokenKind.COMMA:
-                self.advance()
-                goals.append(self.expect_ident("use case name").text)
-            out.append(ServiceDecl(name, goals, self.span_from(start)))
+            out.append(ServiceDecl(name, self.parse_names("use case name"), self.span_from(start)))
         self.expect(TokenKind.RBRACE)
         return out
 
     def parse_use_case(self) -> UseCase:
         start = self.advance()  # usecase | handler
-        is_handler = start.text == "handler"
         name_tok = self.expect_ident("use case name")
         self.expect(TokenKind.LBRACE)
-
         uc = UseCase(
             name=name_tok.text,
-            is_handler=is_handler,
+            is_handler=start.text == "handler",
             scope=None,
             level=None,
             intention=None,
@@ -250,9 +271,9 @@ class _Parser:
             name_span=self.span_of(name_tok),
         )
         self.parse_clauses(uc)
-        if self.at_keyword("main"):
+        if self.current.text == "main":
             uc.main = self.parse_scenario()
-        if self.at_keyword("extensions"):
+        if self.current.text == "extensions":
             uc.extensions = self.parse_extensions()
         self.expect(TokenKind.RBRACE)
         uc.span = self.span_from(start)
@@ -260,67 +281,43 @@ class _Parser:
 
     def parse_clauses(self, uc: UseCase) -> None:
         last_rank = -1
-        while self.current.kind is TokenKind.IDENT and self.current.text in _CLAUSE_ORDER:
-            word = self.current.text
+        while (word := self.current.text) in _CLAUSE_ORDER:
             rank = _CLAUSE_ORDER[word]
             if rank <= last_rank:
-                raise ParseError(
-                    f"clause '{word}' repeated or out of order", self.span_of(self.current)
-                )
+                raise ParseError(f"clause '{word}' repeated or out of order", self.span_of(self.current))
             last_rank = rank
             self.advance()
             self.expect(TokenKind.COLON)
-            if word == "scope":
-                uc.scope = self.expect_string()
-            elif word == "level":
-                if not self.at_keyword(*_LEVELS):
-                    raise self.error([f"'{lv}'" for lv in _LEVELS])
-                uc.level = _LEVELS[self.advance().text]
-            elif word == "intention":
-                uc.intention = self.expect_string()
+            if word == "level":
+                uc.level = _LEVELS[self.expect_word(_LEVELS)]
+            elif word in ("primary", "secondary", "facilitator"):
+                getattr(uc, f"{word}_actors").extend(self.parse_list(self.parse_actor_ref))
+            elif word == "contexts":
+                uc.contexts.extend(self.parse_list(self.parse_context_entry))
             elif word == "multiplicity":
                 uc.multiplicity_text = self.expect_string()
-            elif word in ("primary", "secondary", "facilitator"):
-                refs = [self.parse_actor_ref()]
-                while self.current.kind is TokenKind.COMMA:
-                    self.advance()
-                    refs.append(self.parse_actor_ref())
-                getattr(uc, f"{word}_actors").extend(refs)
-            elif word == "precondition":
-                uc.precondition = self.expect_string()
-            elif word == "postcondition":
-                uc.postcondition = self.expect_string()
-            elif word == "contexts":
-                uc.contexts.append(self.parse_context_entry())
-                while self.current.kind is TokenKind.COMMA:
-                    self.advance()
-                    uc.contexts.append(self.parse_context_entry())
+            else:  # scope, intention, precondition, postcondition: named as on UseCase
+                setattr(uc, word, self.expect_string())
 
     def parse_actor_ref(self) -> ActorRef:
         start = self.expect_ident("actor reference")
         category: str | None = None
         name = start.text
-        if self.current.kind is TokenKind.COLONCOLON:
-            self.advance()
+        if self.accept("::"):
             category = start.text
             name = self.expect_ident("actor name").text
         multiplicity = None
-        if self.current.kind is TokenKind.LBRACKET:
-            self.advance()
+        if self.accept("["):
             lower = self.parse_int("lower bound")
             self.expect(TokenKind.DOTDOT)
-            if self.current.kind is TokenKind.STAR:
-                self.advance()
-                upper: int | None = None
-            else:
-                upper = self.parse_int("upper bound")
+            upper = None if self.accept("*") else self.parse_int("upper bound")
             self.expect(TokenKind.RBRACKET)
             multiplicity = Multiplicity(lower, upper)
         return ActorRef(category, name, multiplicity, self.span_from(start))
 
     def parse_int(self, what: str) -> int:
         tok = self.current
-        if tok.kind is not TokenKind.LABEL or not tok.text.isdigit():
+        if tok.kind is not TokenKind.LABEL or not (tok.text.isascii() and tok.text.isdigit()):
             raise self.error([what])
         self.check_digits(tok)
         self.advance()
@@ -330,9 +327,7 @@ class _Parser:
         start = self.expect_ident("use case name")
         self.expect_keyword("on")
         category, name, exc_span = self.parse_exception_name()
-        if not self.at_keyword(*_RELATIONS):
-            raise self.error([f"'{r}'" for r in _RELATIONS])
-        relation = _RELATIONS[self.advance().text]
+        relation = _RELATIONS[self.expect_word(_RELATIONS)]
         return HandlerContext(
             use_case=start.text,
             use_case_span=self.span_of(start),
@@ -341,12 +336,13 @@ class _Parser:
             span=self.span_from(start),
         )
 
-    def at_mode_switch(self) -> bool:
-        return self.at_keyword("mode") and self.peek().kind is TokenKind.IDENT and self.peek().text == "switch"
-
-    def parse_mode_switch(self) -> ModeSwitch:
-        start = self.expect_keyword("mode")
-        self.expect_keyword("switch")
+    def parse_mode_switch(self) -> ModeSwitch | None:
+        """`mode switch: Name`, or None when the next tokens are not one."""
+        start = self.current
+        if start.text != "mode" or self.tokens[self.pos + 1].text != "switch":
+            return None
+        self.pos += 2  # past `mode switch`
+        self.current = self.tokens[self.pos]
         self.expect(TokenKind.COLON)
         name_tok = self.expect_ident("mode name")
         return ModeSwitch(name_tok.text, self.span_from(start))
@@ -354,67 +350,46 @@ class _Parser:
     def parse_scenario(self) -> Scenario:
         start = self.expect_keyword("main")
         self.expect(TokenKind.LBRACE)
-        entry = self.parse_mode_switch() if self.at_mode_switch() else None
+        entry = self.parse_mode_switch()
         steps = []
         while self.current.kind is TokenKind.LABEL:
             steps.append(self.parse_step())
-        exit_switch = self.parse_mode_switch() if self.at_mode_switch() else None
+        exit_switch = self.parse_mode_switch()
         outcome = self.parse_outcome()
         self.expect(TokenKind.RBRACE)
         return Scenario(entry, steps, exit_switch, outcome, self.span_from(start))
 
     def parse_outcome(self) -> Outcome:
         start = self.expect_keyword("outcome")
-        if not self.at_keyword(*_OUTCOMES):
-            raise self.error([f"'{o}'" for o in _OUTCOMES])
-        kind = _OUTCOMES[self.advance().text]
-        target = None
-        if kind is OutcomeKind.CONTINUE:
-            target, _ = self.parse_label()
+        kind = _OUTCOMES[self.expect_word(_OUTCOMES)]
+        target = self.parse_label()[0] if kind is OutcomeKind.CONTINUE else None
         return Outcome(kind, target, self.span_from(start))
 
     def parse_step(self) -> Step:
         label, label_tok = self.parse_label()
         self.expect(TokenKind.DOT)
         cur = self.current
-
-        if cur.kind is TokenKind.IDENT and self.peek().kind is TokenKind.ARROW:
-            source = self.advance().text
-            self.expect(TokenKind.ARROW)
+        word = cur.text
+        if cur.kind is TokenKind.IDENT and self.tokens[self.pos + 1].kind is TokenKind.ARROW:
+            self.pos += 2  # past the source endpoint and `->`
+            self.current = self.tokens[self.pos]
             target = self.expect_ident("interaction endpoint").text
             self.expect(TokenKind.COLON)
-            message = self.expect_string()
-            payload: object = Interaction(source, target, message)
-        elif self.at_keyword("invoke"):
+            payload: object = Interaction(word, target, self.expect_string())
+        elif word == "invoke":
             self.advance()
             payload = Invocation(self.expect_ident("use case name").text)
-        elif self.at_keyword("condition"):
+        elif word == "condition":
             self.advance()
             payload = Condition(self.expect_string())
-        elif self.at_keyword("internal"):
+        elif word == "internal":
             self.advance()
-            timeout = None
-            if self.at_keyword("timeout"):
-                self.advance()
-                amount_tok = self.current  # its digit bound keeps the amount finite
-                if amount_tok.kind is TokenKind.NUMBER:
-                    self.check_digits(amount_tok)
-                    amount = float(amount_tok.text)
-                    self.advance()
-                else:
-                    amount = float(self.parse_int("timeout amount"))
-                if amount <= 0:
-                    raise ParseError("timeout amount must be positive", self.span_of(amount_tok))
-                if not self.at_keyword(*TIME_UNITS):
-                    raise self.error([f"'{u}'" for u in TIME_UNITS])
-                unit = self.advance().text
-                timeout = Timeout(amount, unit)
+            timeout = self.parse_timeout() if self.accept("timeout") else None
             payload = Internal(self.expect_string(), timeout)
-        elif self.at_keyword("goto"):
+        elif word == "goto":
             self.advance()
-            target, _ = self.parse_label()
-            payload = ControlFlow(goto=target, repeat_from=None, repeat_to=None)
-        elif self.at_keyword("repeat"):
+            payload = ControlFlow(goto=self.parse_label()[0], repeat_from=None, repeat_to=None)
+        elif word == "repeat":
             self.advance()
             rng, rng_tok = self.parse_label()
             if rng.anchor_hi is None or rng.suffix:
@@ -426,7 +401,7 @@ class _Parser:
                 repeat_from=StepLabel(rng.anchor_lo),
                 repeat_to=StepLabel(rng.anchor_hi),
             )
-        elif self.at_keyword("raise"):
+        elif word == "raise":
             self.advance()
             category, name, exc_span = self.parse_exception_name()
             payload = ExceptionRef(category, name, exc_span)
@@ -436,38 +411,44 @@ class _Parser:
             )
         return Step(label, payload, self.span_from(label_tok))
 
+    def parse_timeout(self) -> Timeout:
+        amount_tok = self.current  # its digit bound keeps the amount finite
+        if amount_tok.kind is TokenKind.NUMBER:
+            self.check_digits(amount_tok)
+            amount = float(self.advance().text)
+        else:
+            amount = float(self.parse_int("timeout amount"))
+        if amount <= 0:
+            raise ParseError("timeout amount must be positive", self.span_of(amount_tok))
+        return Timeout(amount, self.expect_word(TIME_UNITS))
+
     def parse_extensions(self) -> list[ExtensionBlock]:
         self.expect_keyword("extensions")
         self.expect(TokenKind.LBRACE)
         blocks = []
-        while self.at_keyword("block"):
+        while self.current.text == "block":
             blocks.append(self.parse_block())
         self.expect(TokenKind.RBRACE)
         return blocks
 
     def parse_block(self, depth: int = 1) -> ExtensionBlock:
-        start = self.expect_keyword("block")
+        start = self.advance()  # block
         if depth > MAX_BLOCK_DEPTH:
             raise ParseError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels", self.span_of(start))
-        label, _ = self.parse_label()
-        if not self.at_keyword("alternative", "exceptional"):
-            raise self.error(["'alternative'", "'exceptional'"])
-        kind = BlockKind.ALTERNATIVE if self.advance().text == "alternative" else BlockKind.EXCEPTIONAL
-        guard = ""
-        if self.at_keyword("when"):
-            self.advance()
-            guard = self.expect_string()
+        label = self.parse_label()[0]
+        kind = _BLOCK_KINDS[self.expect_word(_BLOCK_KINDS)]
+        guard = self.expect_string() if self.accept("when") else ""
         self.expect(TokenKind.LBRACE)
-        entry = self.parse_mode_switch() if self.at_mode_switch() else None
+        entry = self.parse_mode_switch()
         body: list[Step | ExtensionBlock] = []
         while True:
             if self.current.kind is TokenKind.LABEL:
                 body.append(self.parse_step())
-            elif self.at_keyword("block"):
+            elif self.current.text == "block":
                 body.append(self.parse_block(depth + 1))
             else:
                 break
-        exit_switch = self.parse_mode_switch() if self.at_mode_switch() else None
+        exit_switch = self.parse_mode_switch()
         outcome = self.parse_outcome()
         self.expect(TokenKind.RBRACE)
         return ExtensionBlock(label, kind, guard, body, entry, exit_switch, outcome, self.span_from(start))

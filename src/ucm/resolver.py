@@ -60,7 +60,7 @@ class ResolvedModel:
 
     `sites_by_exception` maps a qualified exception name to its raise sites
     in document order, and `handlers_by_exception` to the distinct handlers
-    whose contexts name it, in document order.
+    whose contexts name it, in document order (as dict keys).
     """
 
     model: Model
@@ -70,7 +70,7 @@ class ResolvedModel:
     service_by_name: dict[str, ServiceDecl] = field(default_factory=dict)
     bindings: dict[int, object] = field(default_factory=dict)
     sites_by_exception: dict[str, list[RaiseSite]] = field(default_factory=dict)
-    handlers_by_exception: dict[str, list[str]] = field(default_factory=dict)
+    handlers_by_exception: dict[str, dict[str, None]] = field(default_factory=dict)
     _raise_sites: list[RaiseSite] = field(default_factory=list)
     _invocations: dict[int, list[tuple[Step, UseCase]]] = field(default_factory=dict)
 
@@ -312,9 +312,7 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
             resolved.bindings[id(ctx)] = target
         bind_exception(ctx.exception)
         if uc.is_handler:
-            handlers = resolved.handlers_by_exception.setdefault(ctx.exception.qualified_name, [])
-            if uc.name not in handlers:
-                handlers.append(uc.name)
+            resolved.handlers_by_exception.setdefault(ctx.exception.qualified_name, {})[uc.name] = None
 
     main_steps: list[Step] = []
     if uc.main:

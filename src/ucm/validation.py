@@ -181,6 +181,7 @@ def check_interaction_endpoints(resolved: ResolvedModel) -> list[Diagnostic]:
         if uc.level not in (Level.SUMMARY, Level.USER_GOAL):
             continue
         declared = [ref.name for ref in uc.all_actors()]
+        known = set(declared)
         for step in uc.all_steps():
             if not isinstance(step.payload, Interaction):
                 continue
@@ -196,7 +197,7 @@ def check_interaction_endpoints(resolved: ResolvedModel) -> list[Diagnostic]:
                 )
             else:
                 other = ends[0] if ends[1] == "System" else ends[1]
-                if other not in declared:
+                if other not in known:
                     listing = ", ".join(declared) if declared else "none"
                     diags.append(
                         Diagnostic(

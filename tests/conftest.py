@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -143,3 +144,41 @@ def nested_blocks_source(depth: int) -> str:
             )
         anchor = f"{label}1"
     return head + "".join(opening) + "".join(reversed(closing)) + "  }\n}\n"
+
+
+def wide_use_case_source(n: int) -> str:
+    """One user-goal use case with `n` primary actors A0..A(n-1) and `n`
+    interactions, one with each actor. It checks clean."""
+    actors = ", ".join(f"Human::A{i}" for i in range(n))
+    steps = "".join(f'    {i + 1}. A{i} -> System : "asks"\n' for i in range(n))
+    return (
+        "model Wide\nmodes { default normal Normal }\nexceptions { }\n"
+        f'usecase U {{\n  scope: "s"\n  level: user-goal\n  intention: "i"\n  multiplicity: "m"\n'
+        f"  primary: {actors}\n  main {{\n{steps}    outcome success\n  }}\n}}\n"
+    )
+
+
+def many_actors_source(n: int) -> str:
+    """`n` use cases U0..U(n-1), each with an actor of its own."""
+    parts = ["model Many\nmodes { default normal Normal }\nexceptions { }\n"]
+    for i in range(n):
+        parts.append(
+            f'usecase U{i} {{\n  primary: Human::A{i}\n  main {{\n    1. A{i} -> System : "asks"\n'
+            "    outcome success\n  }\n}\n"
+        )
+    return "".join(parts)
+
+
+def growth(run, small, large) -> float:
+    """How many times longer `run(large)` takes than `run(small)`, each the
+    best of 3 runs, so that one slow run on a busy machine does not count."""
+
+    def best(arg) -> float:
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            run(arg)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    return best(large) / best(small)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nested_blocks_source
+from conftest import growth, many_actors_source, nested_blocks_source, wide_use_case_source
 from strategies import model_source
 from ucm.export import (
     SummaryTable,
@@ -22,6 +22,7 @@ from ucm.export import (
 from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS
 from ucm.parser import parse
 from ucm.resolver import resolve
+from ucm.validation import validate
 
 MINIMAL = "model M modes { default normal Normal } exceptions { }"
 
@@ -255,6 +256,75 @@ def test_integer_too_long_to_decode_is_e000():
     assert [(d.code, d.message) for d in diags] == [("E000", "document holds an integer too long to decode")]
 
 
+CONTROL_MODEL = MINIMAL + " usecase A { primary: Human::U [1..3] main { 1. goto 1 2. repeat 1-2 outcome success } }"
+
+
+def edited_document(edit) -> str:
+    """The export of CONTROL_MODEL after `edit(use_case_doc)`."""
+    doc = json.loads(export_json(resolved_of(CONTROL_MODEL)))
+    edit(doc["usecases"][0])
+    return json.dumps(doc)
+
+
+def test_unedited_control_document_imports():
+    assert import_json(edited_document(lambda uc: None))[1] == []
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [("lower", -5), ("upper", -1), ("lower", 10**MAX_DIGITS), ("upper", 10**200)],
+    ids=["negative-lower", "negative-upper", "long-lower", "long-upper"],
+)
+def test_multiplicity_bound_the_parser_would_reject_is_e000(key, value):
+    def edit(uc):
+        uc["primary"][0]["multiplicity"][key] = value
+
+    model, diags = import_json(edited_document(edit))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [
+        ("E000", f"multiplicity {key} bound is negative or has more than {MAX_DIGITS} digits")
+    ]
+
+
+def test_multiplicity_bound_at_the_digit_limit_imports():
+    def edit(uc):
+        uc["primary"][0]["multiplicity"].update(lower=0, upper=10**MAX_DIGITS - 1)
+
+    assert import_json(edited_document(edit))[1] == []
+
+
+@pytest.mark.parametrize(
+    ("step", "fields"),
+    [
+        (0, {"repeatFrom": "1", "repeatTo": "2"}),  # goto and repeat both
+        (0, {"goto": None}),  # neither
+        (1, {"repeatTo": None}),  # half a repeat
+        (1, {"goto": "1", "repeatFrom": None}),  # goto and half a repeat
+    ],
+    ids=["goto-and-repeat", "neither", "half-repeat", "goto-and-half-repeat"],
+)
+def test_control_flow_step_must_be_a_goto_or_a_repeat(step, fields):
+    model, diags = import_json(edited_document(lambda uc: uc["main"]["steps"][step].update(fields)))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [
+        ("E000", "control-flow step must set either goto or both repeatFrom and repeatTo")
+    ]
+
+
+@pytest.mark.parametrize(("key", "label"), [("repeatTo", "2a1"), ("repeatFrom", "1-2"), ("repeatTo", "2a")])
+def test_repeat_bound_must_be_a_plain_step_number(key, label):
+    model, diags = import_json(edited_document(lambda uc: uc["main"]["steps"][1].update({key: label})))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", f"{key} {label!r} is not a plain step number")]
+
+
+@pytest.mark.parametrize("label", ["\u0661", "1\n", "\uff15a1"], ids=["arabic-indic", "newline", "fullwidth"])
+def test_label_the_parser_would_reject_is_e000(label):
+    model, diags = import_json(edited_document(lambda uc: uc["main"]["steps"][0].update(label=label)))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", f"malformed label {label!r} in step")]
+
+
 # -- XMI -------------------------------------------------------------------------
 
 
@@ -344,6 +414,20 @@ def test_dot_connects_actors_and_invocations(smartstore_resolved):
     assert '"Human::Customer" -> "Shopping" [arrowhead=none];' in text
     assert '"Shopping" -> "EnterStore" [label="<<include>>"];' in text
     assert export_dot(smartstore_resolved) == text
+
+
+def test_wide_use_case_validates_and_exports_in_linear_time():
+    resolved = {n: resolved_of(wide_use_case_source(n)) for n in (500, 4000)}
+    assert validate(resolved[4000]) == []
+    # 8x the actors and interactions: about 8x the time; a list scan gives 64x.
+    assert growth(lambda n: validate(resolved[n]), 500, 4000) < 20
+    assert growth(lambda n: export_dot(resolved[n]), 500, 4000) < 20
+
+
+def test_many_actors_export_in_linear_time():
+    resolved = {n: resolved_of(many_actors_source(n)) for n in (500, 4000)}
+    assert export_dot(resolved[4000]).count("[shape=box];") == 4000
+    assert growth(lambda n: export_dot(resolved[n]), 500, 4000) < 20
 
 
 # -- generated-model properties ---------------------------------------------------

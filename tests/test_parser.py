@@ -22,6 +22,7 @@ from ucm.model import (
     StepLabel,
     UseCase,
 )
+from ucm.lexer import normalize, tokenize
 from ucm.parser import parse
 from ucm.spans import SourceSpan
 
@@ -290,3 +291,46 @@ def test_label_successors():
     assert StepLabel.parse("2a").first_in_block() == StepLabel.parse("2a1")
     assert StepLabel.parse("2-6a").anchor_label() == StepLabel.parse("2-6")
     assert StepLabel.parse("2a1b").anchor_label() == StepLabel.parse("2a1")
+
+
+@pytest.mark.parametrize(
+    ("steps", "actors", "digit"),
+    [
+        ('    \u0661. P -> System : "asks"', "Human::P", "\u0661"),
+        ('    1. P -> System : "asks"', "Human::P [\u0661..\u0663]", "\u0661"),
+        ('    1. internal timeout \uff15.\uff15 s "waits"', "Human::P", "\uff15"),
+    ],
+    ids=["step-label", "multiplicity", "timeout"],
+)
+def test_only_ascii_digits_are_digits(steps, actors, digit):
+    model, diags = parse(uc_source(steps).replace("primary: Human::P", f"primary: {actors}"))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", f"unrecognized character {digit!r}")]
+    assert StepLabel.parse(digit) is None
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def parse_error_sweep() -> str:
+    """Parse the all-productions fixture once with each token deleted and once
+    with each token doubled; one line per edit: the edit, the token index and
+    text, then `ok` or the E000's code, span offsets, message and suggestions."""
+    source = normalize((FIXTURES / "all-productions.ucm").read_text(encoding="utf-8"))
+    lines = []
+    for index, tok in enumerate(tokenize(source, "all-productions.ucm")[:-1]):
+        for edit, replacement in (("delete", ""), ("double", tok.text + " " + tok.text)):
+            model, diags = parse(source[: tok.start] + replacement + source[tok.end :], "all-productions.ucm")
+            if model is not None:
+                outcome = "ok"
+            else:
+                (d,) = diags
+                outcome = f"{d.code} {d.span.start} {d.span.end} {d.message} {d.suggestions}"
+            lines.append(f"{edit} {index} {tok.text!r}: {outcome}\n")
+    return "".join(lines)
+
+
+def test_parse_errors_match_golden_sweep():
+    model, diags = parse((FIXTURES / "all-productions.ucm").read_text(encoding="utf-8"))
+    assert diags == [] and model is not None
+    assert parse_error_sweep() == (GOLDEN / "parse-errors.txt").read_text(encoding="utf-8")
