@@ -2,17 +2,19 @@
 
 Builds the directed graph of `invoke` steps between non-handler use cases
 and derives the exception, handler, mode-switch and mode-service summaries
-from a resolved model. Path totals are counted in one pass over a
-topological order, without listing paths. Only the paths the exception table
+from a resolved model. One depth-first search at construction gives the
+graph's topological order and, on a cyclic graph, the witness cycle that
+aborts path-based summaries with E015. Path totals are counted in one pass
+over that order, without listing paths. Only the paths the exception table
 prints are listed: every node that lies on one gets a single list of its path
 texts to the raise site, shared by all its callers, so the work is bounded by
-the printed text. Cyclic invocation structures abort path-based summaries
-with E015, and an exception table of more than `MAX_PATH_NODES` path nodes
+the printed text. An exception table of more than `MAX_PATH_NODES` path nodes
 aborts with E016 before that many are listed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
@@ -24,7 +26,7 @@ from .model import (
     Model,
     UseCase,
 )
-from .resolver import RaiseSite, ResolvedModel, reachable_use_cases
+from .resolver import RaiseSite, ResolvedModel, closure, reachable_use_cases
 from .spans import SourceSpan, ZERO_SPAN
 
 GLOBAL_SOURCE = "(global)"
@@ -50,8 +52,11 @@ class InvocationGraph:
 
     Construction derives what the analyses read: each node's distinct callees
     in name order, each with its number of parallel edges, its distinct
-    callers, the roots, and a topological order (Kahn's algorithm), which is
-    shorter than the distinct nodes when the graph has a cycle."""
+    callers and the roots. One depth-first search, from the nodes in order
+    and over each node's distinct callees in the order of their first edge,
+    gives `order`, its reverse post-order, and `cycle`, the nodes around its
+    first back edge with the first node repeated at the end, or None. On an
+    acyclic graph `order` is topological."""
 
     nodes: list[str]
     edges: list[Edge]
@@ -59,9 +64,10 @@ class InvocationGraph:
     callers: dict[str, list[str]] = field(init=False, repr=False)
     roots: list[str] = field(init=False, repr=False)
     order: list[str] = field(init=False, repr=False)
+    cycle: list[str] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        out: dict[str, dict[str, int]] = {n: {} for n in self.nodes}
+        out: dict[str, dict[str, int]] = {n: {} for n in self.nodes}  # callees in first-edge order
         self.callers = {n: [] for n in self.nodes}
         for edge in self.edges:
             callees = out[edge.caller]
@@ -70,13 +76,29 @@ class InvocationGraph:
             callees[edge.callee] = callees.get(edge.callee, 0) + 1
         self.callees = {n: sorted(callees.items()) for n, callees in out.items()}
         self.roots = [n for n, callers in self.callers.items() if not callers]
-        indegree = {n: len(callers) for n, callers in self.callers.items()}
-        self.order = list(self.roots)
-        for node in self.order:  # grows while it is walked
-            for callee, _ in self.callees[node]:
-                indegree[callee] -= 1
-                if not indegree[callee]:
-                    self.order.append(callee)
+        self.cycle = None
+        depth: dict[str, int] = {}  # a node's place on the stack while on it, then -1
+        self.order = []
+        for start in out:
+            if start in depth:
+                continue
+            depth[start] = 0
+            stack = [(start, iter(out[start]))]
+            while stack:
+                node, callees = stack[-1]
+                for callee in callees:
+                    at = depth.get(callee)
+                    if at is None:
+                        depth[callee] = len(stack)
+                        stack.append((callee, iter(out[callee])))
+                        break
+                    if at >= 0 and self.cycle is None:
+                        self.cycle = [n for n, _ in stack[at:]] + [callee]
+                else:
+                    stack.pop()
+                    depth[node] = -1
+                    self.order.append(node)
+        self.order.reverse()
 
 
 class PathRecord(str):
@@ -119,48 +141,11 @@ def build_invocation_graph(resolved: ResolvedModel) -> InvocationGraph:
     return InvocationGraph(nodes, edges)
 
 
-def _find_cycle(graph: InvocationGraph) -> list[str]:
-    """One witness cycle, from a depth-first search that follows the edges
-    in the order they were declared."""
-    adj: dict[str, list[str]] = {n: [] for n in graph.nodes}
-    for edge in graph.edges:
-        adj[edge.caller].append(edge.callee)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in graph.nodes}
-    parent: dict[str, str] = {}
-
-    for start in graph.nodes:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GREY
-        while stack:
-            node, i = stack[-1]
-            if i < len(adj[node]):
-                stack[-1] = (node, i + 1)
-                nxt = adj[node][i]
-                if color[nxt] == GREY:
-                    cycle = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.append(nxt)
-                    cycle.reverse()
-                    return cycle
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    parent[nxt] = node
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-    raise AssertionError("a short topological order implies a cycle")
-
-
 def ensure_acyclic(graph: InvocationGraph) -> None:
-    if len(graph.order) < len(graph.callees):
-        cycle = _find_cycle(graph)
+    """Raise InvocationCycleError (E015) naming the graph's witness cycle, at
+    the first edge from its first node to its second."""
+    cycle = graph.cycle
+    if cycle is not None:
         witness = " -> ".join(cycle)
         span = ZERO_SPAN
         for edge in graph.edges:
@@ -172,7 +157,7 @@ def ensure_acyclic(graph: InvocationGraph) -> None:
         )
 
 
-def _path_totals(graph: InvocationGraph, starts: list[str]) -> tuple[dict[str, int], dict[str, int]]:
+def _path_totals(graph: InvocationGraph, starts: Iterable[str]) -> tuple[dict[str, int], dict[str, int]]:
     """For every node, the number of paths from the `starts` to it and the
     number of nodes on those paths, as `_paths_between` lists them: a start
     is one path of one node, and each of k parallel edges u -> v adds u's
@@ -198,7 +183,7 @@ def path_counts(graph: InvocationGraph) -> dict[str, int]:
     return _path_totals(graph, graph.roots)[0]
 
 
-def _paths_between(graph: InvocationGraph, starts: list[str], target: str) -> list[PathRecord]:
+def _paths_between(graph: InvocationGraph, starts: set[str], target: str) -> list[PathRecord]:
     """All paths from the `starts` to `target` in an acyclic graph, in
     lexicographic order; a path over k parallel edges is listed k times.
 
@@ -207,15 +192,8 @@ def _paths_between(graph: InvocationGraph, starts: list[str], target: str) -> li
     post-order from its callees' lists taken in name order, so the lists come
     out sorted with no sort and no recursion. A callee's list is dropped once
     its last live caller has read it."""
-    reaches = {target}
-    pending = [target]
-    while pending:
-        for caller in graph.callers[pending.pop()]:
-            if caller not in reaches:
-                reaches.add(caller)
-                pending.append(caller)
-
-    roots = sorted(n for n in starts if n in reaches)
+    reaches = closure([target], graph.callers.__getitem__)
+    roots = sorted(n for n in reaches if n in starts)
     readers = dict.fromkeys(roots, 1)  # live callers of each live node, plus 1 for a root's output
     live = set(roots)  # no start reaches another: they are the roots, or one view
     order: list[str] = []  # live nodes, callees before callers
@@ -272,7 +250,7 @@ def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
     if target not in graph.nodes:
         raise ValueError(f"unknown use case '{target}'")
     ensure_acyclic(graph)
-    return _paths_between(graph, graph.roots, target)
+    return _paths_between(graph, set(graph.roots), target)
 
 
 # -- exception summary ------------------------------------------------------
@@ -290,24 +268,34 @@ class ExceptionSummaryRow:
 
 
 def _exception_row(
-    resolved: ResolvedModel, exc: ExceptionDef, sites: list[RaiseSite], paths: list[PathRecord]
+    resolved: ResolvedModel,
+    exc: ExceptionDef,
+    sites: list[RaiseSite],
+    paths: list[PathRecord],
+    block_actors: dict[int, dict[str, None]],
 ) -> ExceptionSummaryRow:
     """The row of a global exception's raise sites, or of one site of
     another exception: the distinct guards of their raising blocks as the
     situations, and as the participating actors the distinct non-System
     endpoints of the interactions inside those blocks and in the steps the
-    blocks are anchored to, each in order of first appearance."""
+    blocks are anchored to, each in order of first appearance. A block's
+    actors are collected once into `block_actors`, keyed by its id."""
     situations: dict[str, None] = {}
     actors: dict[str, None] = {}
     for site in sites:
-        if site.block is None:
+        block = site.block
+        if block is None:
             continue
-        if site.block.guard:
-            situations[site.block.guard] = None
-        for step in site.block.steps() + site.anchored_steps:
-            if isinstance(step.payload, Interaction):
-                actors.update(dict.fromkeys((step.payload.source, step.payload.target)))
-    actors.pop("System", None)
+        if block.guard:
+            situations[block.guard] = None
+        if id(block) not in block_actors:
+            found: dict[str, None] = {}
+            for step in block.steps() + site.anchored_steps:  # the sites of one block share these
+                if isinstance(step.payload, Interaction):
+                    found.update(dict.fromkeys((step.payload.source, step.payload.target)))
+            found.pop("System", None)
+            block_actors[id(block)] = found
+        actors.update(block_actors[id(block)])
     return ExceptionSummaryRow(
         exc.qualified_name,
         exc.is_global,
@@ -338,16 +326,17 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
             raise ValueError(f"unknown use case '{view}'")
         reach = reachable_use_cases(resolved, view)
 
-    starts = graph.roots if view is None else [view]
+    starts = set(graph.roots) if view is None else {view}
     _, sizes = _path_totals(graph, starts)
     printed = 0  # path nodes of the rows so far
     listed: dict[str, list[PathRecord]] = {}  # paths per source use case, shared by its rows
+    block_actors: dict[int, dict[str, None]] = {}
     rows = []
     for exc in resolved.model.exceptions:
         exc_sites = resolved.sites_by_exception.get(exc.qualified_name, [])
         if exc.is_global:
             if exc_sites:
-                rows.append(_exception_row(resolved, exc, exc_sites, []))
+                rows.append(_exception_row(resolved, exc, exc_sites, [], block_actors))
             continue
         for site in exc_sites:
             source = site.use_case.name
@@ -366,7 +355,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
                 if source not in listed:
                     listed[source] = _paths_between(graph, starts, source)
                 paths = listed[source]
-            rows.append(_exception_row(resolved, exc, [site], paths))
+            rows.append(_exception_row(resolved, exc, [site], paths, block_actors))
     return rows
 
 

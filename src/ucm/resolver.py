@@ -8,6 +8,7 @@ resolvable references are bound regardless.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, sort_diagnostics
@@ -326,20 +327,25 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         walk_block(block, main_sequence)
 
 
-def reachable_use_cases(resolved: ResolvedModel, root: str) -> set[str]:
-    """Transitive closure over invocation edges, root included; empty set
-    when the root is unknown. Terminates on cyclic graphs."""
-    if root not in resolved.use_case_by_name:
-        return set()
-    seen: set[str] = set()
-    stack = [root]
-    while stack:
-        name = stack.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        uc = resolved.use_case_by_name[name]
-        for _, target in resolved.invocations_of(uc):
-            if target.name not in seen:
-                stack.append(target.name)
+def closure(starts: Iterable[str], neighbours: Callable[[str], Iterable[str]]) -> set[str]:
+    """Every name reachable from `starts` by repeatedly following
+    `neighbours`, the starts included. Each name is expanded once, so the
+    walk is linear in the edges it follows and terminates on cycles."""
+    seen = set(starts)
+    pending = list(seen)
+    while pending:
+        for name in neighbours(pending.pop()):
+            if name not in seen:
+                seen.add(name)
+                pending.append(name)
     return seen
+
+
+def reachable_use_cases(resolved: ResolvedModel, root: str) -> set[str]:
+    """The use cases `root` invokes, directly or transitively, root included;
+    empty set when the root is unknown. A name stands for the use case it
+    resolves to (`use_case_by_name`). Terminates on cyclic graphs."""
+    by_name = resolved.use_case_by_name
+    if root not in by_name:
+        return set()
+    return closure([root], lambda name: (target.name for _, target in resolved.invocations_of(by_name[name])))

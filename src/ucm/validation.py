@@ -17,12 +17,13 @@ from .model import (
     ExtensionBlock,
     Interaction,
     Level,
+    ModeDecl,
     OutcomeKind,
     Scenario,
     StepLabel,
     UseCase,
 )
-from .resolver import ResolvedModel, reachable_use_cases
+from .resolver import ResolvedModel, closure
 
 _CLAUSE_NAMES = (
     ("scope", "scope"),
@@ -225,6 +226,11 @@ def check_exception_rules(resolved: ResolvedModel) -> list[Diagnostic]:
     diags = []
     sites = resolved.sites_by_exception
     handled = resolved.handlers_by_exception
+    callers: dict[str, list[str]] = {}  # among the use cases names resolve to, as reachable_use_cases walks
+    for uc in resolved.use_case_by_name.values():
+        for _, target in resolved.invocations_of(uc):
+            callers.setdefault(target.name, []).append(uc.name)
+    reaching: dict[str, set[str]] = {}  # exception -> the use cases that reach one of its raise sites
 
     for site in resolved.raise_sites():
         name = site.exception.qualified_name
@@ -243,8 +249,10 @@ def check_exception_rules(resolved: ResolvedModel) -> list[Diagnostic]:
                 continue  # resolution already reported
             if definition.is_global:
                 continue
-            reach = reachable_use_cases(resolved, ctx.use_case)
-            if not any(site.use_case.name in reach for site in sites.get(name, [])):
+            if name not in reaching:
+                raisers = (site.use_case.name for site in sites.get(name, []))
+                reaching[name] = closure(raisers, lambda n: callers.get(n, ()))
+            if ctx.use_case not in reaching[name]:
                 diags.append(
                     Diagnostic(
                         "E007",
@@ -307,19 +315,11 @@ def check_outcomes(resolved: ResolvedModel) -> list[Diagnostic]:
 
 
 def check_mode_rules(resolved: ResolvedModel) -> list[Diagnostic]:
-    """W003 for declared non-default modes that no mode switch targets.
-    Switch-position legality is grammatical and undeclared switch targets
-    are E013 at resolution."""
-    targeted: set[str] = set()
-    for uc in resolved.model.use_cases:
-        scenarios: list[Scenario | ExtensionBlock] = []
-        if uc.main:
-            scenarios.append(uc.main)
-        scenarios.extend(uc.all_blocks())
-        for seq in scenarios:
-            for switch in (seq.entry_switch, seq.exit_switch):
-                if switch is not None:
-                    targeted.add(switch.mode)
+    """W003 for declared non-default modes that no mode switch targets. The
+    targets are read from the resolver's bindings, where only mode switches
+    bind to a mode. Switch-position legality is grammatical and undeclared
+    switch targets are E013 at resolution."""
+    targeted = {target.name for target in resolved.bindings.values() if isinstance(target, ModeDecl)}
     diags = []
     for mode in resolved.model.modes:
         if not mode.is_default and mode.name not in targeted:

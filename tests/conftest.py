@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib.util
 import time
 from pathlib import Path
@@ -169,16 +170,64 @@ def many_actors_source(n: int) -> str:
     return "".join(parts)
 
 
+_RECOVER = '  main {\n    1. internal "recover"\n    outcome success\n  }\n}\n'
+_HEAD_X = "modes { default normal Normal }\nexceptions { exception SoftwareException::X }\n"
+
+
+def hub_source(n: int) -> str:
+    """Use case Hub invokes `n` leaves L0..L(n-1), the last leaf raises
+    SoftwareException::X, and `n` handlers H0..H(n-1) each have the context
+    `Hub on SoftwareException::X`."""
+    invokes = "".join(f"    {i + 1}. invoke L{i}\n" for i in range(n))
+    parts = [f"model Hub\n{_HEAD_X}usecase Hub {{\n  main {{\n{invokes}    outcome success\n  }}\n}}\n"]
+    for i in range(n):
+        step = "raise SoftwareException::X" if i == n - 1 else 'internal "leaf"'
+        parts.append(f"usecase L{i} {{\n  main {{\n    1. {step}\n    outcome success\n  }}\n}}\n")
+    for i in range(n):
+        parts.append(f"handler H{i} {{\n  contexts: Hub on SoftwareException::X interrupt-fail\n{_RECOVER}")
+    return "".join(parts)
+
+
+def wide_handler_source(n: int) -> str:
+    """`n` use cases U0..U(n-1), each raising SoftwareException::X, and one
+    handler H with a context on each of them."""
+    parts = [f"model WideHandler\n{_HEAD_X}"]
+    for i in range(n):
+        parts.append(f"usecase U{i} {{\n  main {{\n    1. raise SoftwareException::X\n    outcome success\n  }}\n}}\n")
+    contexts = ", ".join(f"U{i} on SoftwareException::X interrupt-fail" for i in range(n))
+    parts.append(f"handler H {{\n  contexts: {contexts}\n{_RECOVER}")
+    return "".join(parts)
+
+
+def wide_block_source(n: int) -> str:
+    """One use case U whose alternative block 1a raises SoftwareException::X
+    `n` times; handler H handles it."""
+    raises = "".join(f"        1a{i + 1}. raise SoftwareException::X\n" for i in range(n))
+    return (
+        f"model WideBlock\n{_HEAD_X}"
+        'usecase U {\n  main {\n    1. P -> System : "go"\n    outcome success\n  }\n'
+        f"  extensions {{\n    block 1a alternative {{\n{raises}        outcome failure\n    }}\n  }}\n}}\n"
+        f"handler H {{\n  contexts: U on SoftwareException::X interrupt-fail\n{_RECOVER}"
+    )
+
+
 def growth(run, small, large) -> float:
     """How many times longer `run(large)` takes than `run(small)`, each the
-    best of 3 runs, so that one slow run on a busy machine does not count."""
+    best of 3 runs, so that one slow run on a busy machine does not count.
+    Like `timeit`, each run is timed with the garbage collector off: a full
+    collection walks every object of the test process, so how many of them
+    a large run meets depends on the tests before it, not on the code."""
 
     def best(arg) -> float:
         times = []
         for _ in range(3):
-            started = time.perf_counter()
-            run(arg)
-            times.append(time.perf_counter() - started)
+            gc.disable()
+            try:
+                started = time.perf_counter()
+                run(arg)
+                times.append(time.perf_counter() - started)
+            finally:
+                gc.enable()
         return min(times)
 
     return best(large) / best(small)

@@ -1,9 +1,11 @@
 """Brute-force reference implementations used only as test oracles.
 
 Kept deliberately independent of the production code: plain edge
-lists, frontier expansion instead of recursive DFS, newline counting instead
-of a line index, a two-pass `finditer` lexer instead of one match per token,
-no shared helpers.
+lists, frontier expansion instead of recursive DFS, a coloured search over
+every parallel edge instead of one over distinct callees, a forward walk per
+handler context instead of one walk over callers per exception, newline
+counting instead of a line index, a two-pass `finditer` lexer instead of one
+match per token, no shared helpers.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import re
 
 from ucm.lexer import LexError, TokenKind
+from ucm.resolver import ResolvedModel
 from ucm.spans import SourceSpan
 
 
@@ -35,6 +38,75 @@ def brute_force_paths(
                     grown.append(path + (b,))
         frontier = grown
     return sorted(found)
+
+
+def declared_order_cycle(nodes: list[str], edges: list[tuple[str, str]]) -> list[str] | None:
+    """The witness cycle of a depth-first search with white, grey and black
+    colours that starts from the nodes in order and follows every edge, each
+    parallel copy too, in the order it is listed: the grey node that the
+    first edge back into the stack reaches, the nodes down the stack to that
+    edge's caller, and the grey node again. None when the graph is acyclic.
+    """
+    adj: dict[str, list[str]] = {n: [] for n in nodes}
+    for caller, callee in edges:
+        adj[caller].append(callee)
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in nodes}
+    parent: dict[str, str] = {}
+    for start in nodes:
+        if color[start] != WHITE:
+            continue
+        stack: list[tuple[str, int]] = [(start, 0)]
+        color[start] = GREY
+        while stack:
+            node, i = stack[-1]
+            if i < len(adj[node]):
+                stack[-1] = (node, i + 1)
+                nxt = adj[node][i]
+                if color[nxt] == GREY:
+                    cycle = [nxt]
+                    cur = node
+                    while cur != nxt:
+                        cycle.append(cur)
+                        cur = parent[cur]
+                    cycle.append(nxt)
+                    cycle.reverse()
+                    return cycle
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    parent[nxt] = node
+                    stack.append((nxt, 0))
+            else:
+                color[node] = BLACK
+                stack.pop()
+    return None
+
+
+def unreached_handler_contexts(resolved: ResolvedModel) -> list[tuple[str, SourceSpan]]:
+    """(message, span) of every E007 in document order: a handler context on
+    a defined, non-global exception and a defined use case from which no
+    raise site of that exception can be reached. One forward walk over
+    invocations per context, then a scan of every raise site."""
+    found = []
+    for uc in resolved.model.use_cases:
+        if not uc.is_handler:
+            continue
+        for ctx in uc.contexts:
+            name = ctx.exception.qualified_name
+            definition = resolved.exception_by_qualified_name.get(name)
+            if definition is None or definition.is_global or ctx.use_case not in resolved.use_case_by_name:
+                continue
+            reach: set[str] = set()
+            frontier = [ctx.use_case]
+            while frontier:
+                current = frontier.pop()
+                if current not in reach:
+                    reach.add(current)
+                    frontier += [t.name for _, t in resolved.invocations_of(resolved.use_case_by_name[current])]
+            if not any(site.use_case.name in reach for site in resolved.sites_by_exception.get(name, [])):
+                message = f"exception '{name}' does not occur in '{ctx.use_case}' or in any use case it invokes"
+                found.append((message, ctx.span))
+    return found
 
 
 def position_at(source: str, offset: int) -> tuple[int, int]:

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_source, diamond_chain_source, pipeline
-from oracles import brute_force_paths
+from conftest import (
+    chain_source,
+    diamond_chain_source,
+    growth,
+    pipeline,
+    wide_block_source,
+    wide_handler_source,
+)
+from oracles import brute_force_paths, declared_order_cycle
 from strategies import model_source
 from ucm import analysis
 from ucm.analysis import (
@@ -17,6 +24,7 @@ from ucm.analysis import (
     InvocationCycleError,
     InvocationGraph,
     build_invocation_graph,
+    ensure_acyclic,
     enumerate_paths,
     exception_summary,
     exception_table,
@@ -28,6 +36,7 @@ from ucm.analysis import (
 )
 from ucm.parser import parse
 from ucm.resolver import resolve
+from ucm.spans import SourceSpan
 
 THREE_SENSOR_PATHS = [
     ("UseSmartStore", "Shopping", "AddToCart", "IdentifyItem"),
@@ -193,6 +202,44 @@ def test_parallel_edges_and_shuffled_names_match_oracle(data):
         assert [p.use_cases for p in enumerate_paths(graph, target)] == expected
         assert counts[target] == len(expected)
         assert sizes[target] == sum(map(len, expected))
+
+
+def assert_cycle_matches_oracle(graph: InvocationGraph) -> None:
+    """E015 names the witness of a coloured depth-first search over every
+    edge in declared order, at the first edge from its first node to its
+    second; without a cycle, `order` lists each node once, callers first."""
+    cycle = declared_order_cycle(graph.nodes, [(e.caller, e.callee) for e in graph.edges])
+    if cycle is None:
+        ensure_acyclic(graph)
+        position = {node: i for i, node in enumerate(graph.order)}
+        assert len(graph.order) == len(position) and position.keys() == set(graph.nodes)
+        assert all(position[e.caller] < position[e.callee] for e in graph.edges)
+        return
+    with pytest.raises(InvocationCycleError) as raised:
+        ensure_acyclic(graph)
+    diag = raised.value.diagnostic
+    assert diag.message == "invocation cycle detected: " + " -> ".join(cycle)
+    assert diag.span == next(e.span for e in graph.edges if (e.caller, e.callee) == tuple(cycle[:2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cycle_witness_and_order_match_oracle_on_random_graphs(data):
+    # Any edge may appear, repeated, backwards or as a self-loop, and a node
+    # may be listed twice, as a repeated use-case name is.
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    names = data.draw(st.permutations([f"N{i}" for i in range(n)]))
+    nodes = names + data.draw(st.lists(st.sampled_from(names), max_size=2))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=16))
+    edges = [Edge(a, b, str(i), SourceSpan("g.ucm", i, i + 1)) for i, (a, b) in enumerate(pairs)]
+    assert_cycle_matches_oracle(InvocationGraph(nodes, edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=model_source())
+def test_cycle_witness_matches_oracle_on_generated_models(source):
+    resolved, _ = pipeline(source)
+    assert_cycle_matches_oracle(build_invocation_graph(resolved))
 
 
 def diamond_chain(d: int) -> InvocationGraph:
@@ -610,3 +657,21 @@ def test_summary_table_adapters_have_consistent_shape(smartstore_resolved):
     handler = handler_table(handler_summary(smartstore_resolved))
     sensor_row = [r for r in handler.rows if r[0] == "ServiceSensor"]
     assert sensor_row and sensor_row[0][-1] == "9"
+
+
+# -- linear time on wide shapes ------------------------------------------------
+
+
+def test_wide_handler_exception_summary_in_linear_time():
+    resolved = {n: pipeline(wide_handler_source(n))[0] for n in (500, 4000)}
+    assert len(exception_summary(resolved[4000])) == 4000
+    # 8x the raise sites: about 8x the time; scanning every root per site gives 64x.
+    assert growth(lambda n: exception_summary(resolved[n]), 500, 4000) < 20
+
+
+def test_wide_block_exception_summary_in_linear_time():
+    resolved = {n: pipeline(wide_block_source(n))[0] for n in (500, 4000)}
+    rows = exception_summary(resolved[4000])
+    assert len(rows) == 4000 and rows[-1].participating_actors == ["P"]
+    # 8x the raise steps in one block: about 8x the time; reading the block once per site gives 64x.
+    assert growth(lambda n: exception_summary(resolved[n]), 500, 4000) < 20

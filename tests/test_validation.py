@@ -8,8 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import CORPUS, pipeline
+from conftest import CORPUS, growth, hub_source, pipeline, wide_handler_source
+from oracles import unreached_handler_contexts
+from strategies import model_source
 from ucm.analysis import InvocationCycleError, build_invocation_graph, enumerate_paths
 from ucm.export import export_json, import_json
 from ucm.parser import parse
@@ -551,3 +554,47 @@ def test_empty_model_validates_clean():
     resolved, diags = pipeline(BASE_HEADER)
     assert diags == []
     assert validate(resolved) == []
+
+
+# -- E007 reach --------------------------------------------------------------------
+
+
+def test_e007_follows_invocations_around_a_cycle():
+    # A and B invoke each other, only B raises X, and D invokes A; validation
+    # runs before E015. Only C reaches no raise of X.
+    header = BASE_HEADER.replace("exceptions { }", "exceptions { exception HardwareException::X }")
+    more = ", ".join(f"{name} on HardwareException::X interrupt-continue" for name in "CD")
+    src = (
+        header
+        + uc("A", "    1. invoke B\n    outcome success")
+        + uc("B", "    1. invoke A\n    2. raise HardwareException::X\n    outcome success")
+        + uc("C", '    1. internal "idle"\n    outcome success')
+        + uc("D", "    1. invoke A\n    outcome success")
+        + _HANDLER_FOR_X.replace("continue\n", f"continue, {more}\n", 1)
+    )
+    resolved, diags = pipeline(src)
+    assert [(d.code, d.message) for d in diags] == [
+        ("E007", "exception 'HardwareException::X' does not occur in 'C' or in any use case it invokes")
+    ]
+    assert [(d.message, d.span) for d in diags] == unreached_handler_contexts(resolved)
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=model_source())
+def test_e007_matches_a_reach_walk_per_context_on_generated_models(source):
+    resolved, diags = pipeline(source)
+    assert [(d.message, d.span) for d in diags if d.code == "E007"] == unreached_handler_contexts(resolved)
+
+
+def test_hub_validates_in_linear_time():
+    runs = {n: pipeline(hub_source(n)) for n in (250, 2000)}
+    assert {d.code for d in runs[2000][1]} == {"E001"}
+    # 8x the leaves and handler contexts: about 8x the time; a reach walk per context gives 64x.
+    assert growth(lambda n: validate(runs[n][0]), 250, 2000) < 20
+
+
+def test_wide_handler_validates_in_linear_time():
+    runs = {n: pipeline(wide_handler_source(n)) for n in (500, 4000)}
+    assert {d.code for d in runs[4000][1]} == {"E001"}
+    # 8x the raise sites and contexts: about 8x the time; scanning every site per context gives 64x.
+    assert growth(lambda n: validate(runs[n][0]), 500, 4000) < 20
