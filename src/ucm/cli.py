@@ -8,14 +8,13 @@ piped. Exit codes: 0 success, 1 model errors (or warnings under --strict),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import analysis
 from .diagnostics import Diagnostic, Severity, has_errors, render_diagnostics, sort_diagnostics
-from .export import export_dot, export_json, export_xmi, render_table
+from .export import dump_json, export_dot, export_json, export_xmi, render_table
 from .lexer import normalize
 from .model import Model
 from .parser import parse
@@ -101,7 +100,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         diags = sort_diagnostics(diags + resolve_diags + validate(resolved))
     if args.format == "json":
         index = LineIndex(normalize(source)) if diags else None
-        sys.stdout.write(json.dumps([d.to_dict(index) for d in diags], indent=2) + "\n")
+        sys.stdout.write(dump_json([d.to_dict(index) for d in diags]) + "\n")
     else:
         _print_diagnostics(diags, source)
     if has_errors(diags):

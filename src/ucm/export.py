@@ -1,14 +1,16 @@
 """Serializers: summary tables (Markdown/CSV), canonical JSON interchange,
 XMI, and DOT. All exporters are pure and byte-deterministic for equal models.
+Each format has its own small writer: JSON comes out as `json.dumps(doc,
+indent=2)` writes it and XMI as ElementTree writes it after `ET.indent`, byte
+for byte, without either generic serializer.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import sys
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .diagnostics import Diagnostic
 from .lexer import IDENT_RE
@@ -45,6 +47,7 @@ from .model import (
     Timeout,
     UseCase,
     bound_out_of_range,
+    non_string_char,
     too_many_digits,
 )
 from .resolver import ResolvedModel
@@ -146,7 +149,29 @@ def export_json(resolved: ResolvedModel | Model) -> str:
         "services": [{"name": s.name, "provides": list(s.goals)} for s in model.services],
         "usecases": [_usecase_to_json(uc) for uc in model.use_cases],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return dump_json(doc) + "\n"
+
+
+def dump_json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)` for a value built of dicts with str keys,
+    lists, strs, ints, floats, bools and None. Any `indent` sends `json.dumps`
+    down a pure-Python path; this writer quotes strings with the same C
+    function and leaves only numbers to `json.dumps`."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        inner = indent + "  "
+        items = [encode_basestring_ascii(k) + ": " + dump_json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, list):
+        inner = indent + "  "
+        items = [dump_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    return json.dumps(value)  # a number
 
 
 def _actor_to_json(ref: ActorRef) -> dict:
@@ -260,6 +285,8 @@ def _need(doc, key: str, types, where: str):
             raise _SchemaError(f"key '{key}' in {where} is not an integer")
     elif types is not None and not isinstance(value, types):
         raise _SchemaError(f"key '{key}' in {where} has unexpected type {type(value).__name__}")
+    if types is str and (found := non_string_char(value)):
+        raise _SchemaError(f"key '{key}' in {where}: {found[1]}")
     return value
 
 
@@ -267,7 +294,7 @@ def _opt_str(doc, key: str, where: str) -> str | None:
     value = _need(doc, key, None, where)
     if value is not None and not isinstance(value, str):
         raise _SchemaError(f"key '{key}' in {where} is neither a string nor null")
-    return value
+    return value if value is None else _need(doc, key, str, where)  # checks the string's characters
 
 
 def _enum_from(enum_cls, text: str, where: str):
@@ -385,7 +412,7 @@ def _switch_from_json(doc, key: str, where: str) -> ModeSwitch | None:
 
 
 def _step_from_json(doc) -> Step:
-    label = _label_from(_need(doc, "label", str, "step"), "step")
+    label = _label_from(_need(doc, "label", None, "step"), "step")
     kind = _enum_from(StepKind, _need(doc, "kind", str, "step"), "step")
     if kind is StepKind.INTERACTION:
         payload: object = Interaction(
@@ -444,7 +471,7 @@ def _block_from_json(doc, depth: int = 1) -> ExtensionBlock:
         else:
             raise _SchemaError(f"unknown body node kind {node!r}")
     return ExtensionBlock(
-        _label_from(_need(doc, "label", str, "block"), "block"),
+        _label_from(_need(doc, "label", None, "block"), "block"),
         _enum_from(BlockKind, _need(doc, "kind", str, "block"), "block"),
         _need(doc, "guard", str, "block"),
         body,
@@ -510,6 +537,11 @@ def _usecase_from_json(doc) -> UseCase:
 # -- XMI -----------------------------------------------------------------------
 
 
+# An XMI element: its tag and attribute names with their namespace prefixes
+# written in, its attributes in document order, and its children.
+_Element = tuple[str, dict[str, str], list]
+
+
 def export_xmi(resolved: ResolvedModel) -> str:
     """Flat element-per-class XMI 2.0 document with xmi:id cross-references.
 
@@ -518,26 +550,20 @@ def export_xmi(resolved: ResolvedModel) -> str:
     cross-references use idrefs. Output is deterministic.
     """
     model = resolved.model
-    ET.register_namespace("xmi", XMI_NS)
-    ET.register_namespace("ucm", MODEL_NS)
-    root = ET.Element(f"{{{XMI_NS}}}XMI", {f"{{{XMI_NS}}}version": "2.0"})
-    model_el = ET.SubElement(root, f"{{{MODEL_NS}}}Model", {f"{{{XMI_NS}}}id": "model_1", "name": model.name})
+    elements: list[_Element] = []
+    model_el = ("ucm:Model", {"xmi:id": "model_1", "name": model.name}, elements)
+    root = ("xmi:XMI", {"xmlns:ucm": MODEL_NS, "xmlns:xmi": XMI_NS, "xmi:version": "2.0"}, [model_el])
 
+    uc_ids = {uc.name: f"usecase_{i}" for i, uc in enumerate(model.use_cases, 1)}
+    svc_ids = {svc.name: f"service_{i}" for i, svc in enumerate(model.services, 1)}
     mode_ids: dict[str, str] = {}
     exc_ids: dict[str, str] = {}
-    svc_ids: dict[str, str] = {}
-    uc_ids: dict[str, str] = {}
     actor_ids: dict[tuple[str, str], str] = {}
-
-    for i, uc in enumerate(model.use_cases, 1):
-        uc_ids[uc.name] = f"usecase_{i}"
-    for i, svc in enumerate(model.services, 1):
-        svc_ids[svc.name] = f"service_{i}"
 
     for i, mode in enumerate(model.modes, 1):
         mode_ids[mode.name] = f"mode_{i}"
         attrs = {
-            f"{{{XMI_NS}}}id": mode_ids[mode.name],
+            "xmi:id": mode_ids[mode.name],
             "name": mode.name,
             "kind": mode.kind.value,
             "default": "true" if mode.is_default else "false",
@@ -545,44 +571,41 @@ def export_xmi(resolved: ResolvedModel) -> str:
         offers = [svc_ids[s] for s in mode.offered_services if s in svc_ids]
         if offers:
             attrs["offers"] = " ".join(offers)
-        ET.SubElement(model_el, f"{{{MODEL_NS}}}Mode", attrs)
+        elements.append(("ucm:Mode", attrs, []))
 
     for i, exc in enumerate(model.exceptions, 1):
         exc_ids[exc.qualified_name] = f"exception_{i}"
-        ET.SubElement(
-            model_el,
-            f"{{{MODEL_NS}}}Exception",
-            {
-                f"{{{XMI_NS}}}id": exc_ids[exc.qualified_name],
-                "category": exc.category.value,
-                "name": exc.name,
-                "global": "true" if exc.is_global else "false",
-            },
-        )
+        attrs = {
+            "xmi:id": exc_ids[exc.qualified_name],
+            "category": exc.category.value,
+            "name": exc.name,
+            "global": "true" if exc.is_global else "false",
+        }
+        elements.append(("ucm:Exception", attrs, []))
 
     for svc in model.services:
-        attrs = {f"{{{XMI_NS}}}id": svc_ids[svc.name], "name": svc.name}
+        attrs = {"xmi:id": svc_ids[svc.name], "name": svc.name}
         provides = [uc_ids[g] for g in svc.goals if g in uc_ids]
         if provides:
             attrs["provides"] = " ".join(provides)
-        ET.SubElement(model_el, f"{{{MODEL_NS}}}Service", attrs)
+        elements.append(("ucm:Service", attrs, []))
 
     for uc in model.use_cases:
         for ref in uc.all_actors():
             key = (ref.category or "", ref.name)
             if key not in actor_ids:
                 actor_ids[key] = f"actor_{len(actor_ids) + 1}"
-                attrs = {f"{{{XMI_NS}}}id": actor_ids[key], "name": ref.name}
+                attrs = {"xmi:id": actor_ids[key], "name": ref.name}
                 if ref.category:
                     attrs["category"] = ref.category
-                ET.SubElement(model_el, f"{{{MODEL_NS}}}Actor", attrs)
+                elements.append(("ucm:Actor", attrs, []))
 
     step_counter = [0]
 
-    def emit_step(parent: ET.Element, step: Step) -> None:
+    def step_element(step: Step) -> _Element:
         step_counter[0] += 1
         attrs = {
-            f"{{{XMI_NS}}}id": f"step_{step_counter[0]}",
+            "xmi:id": f"step_{step_counter[0]}",
             "label": step.label.text,
             "kind": step.kind.value,
         }
@@ -611,14 +634,14 @@ def export_xmi(resolved: ResolvedModel) -> str:
             if payload.qualified_name in exc_ids:
                 attrs["raises"] = exc_ids[payload.qualified_name]
             attrs["exceptionName"] = payload.qualified_name
-        ET.SubElement(parent, f"{{{MODEL_NS}}}Step", attrs)
+        return ("ucm:Step", attrs, [])
 
     block_counter = [0]
 
-    def emit_block(parent: ET.Element, block: ExtensionBlock) -> None:
+    def block_element(block: ExtensionBlock) -> _Element:
         block_counter[0] += 1
         attrs = {
-            f"{{{XMI_NS}}}id": f"block_{block_counter[0]}",
+            "xmi:id": f"block_{block_counter[0]}",
             "label": block.label.text,
             "kind": block.kind.value,
         }
@@ -626,12 +649,8 @@ def export_xmi(resolved: ResolvedModel) -> str:
             attrs["guard"] = block.guard
         _switch_attrs(attrs, block.entry_switch, block.exit_switch)
         _outcome_attrs(attrs, block.outcome)
-        block_el = ET.SubElement(parent, f"{{{MODEL_NS}}}ExtensionBlock", attrs)
-        for item in block.body:
-            if isinstance(item, Step):
-                emit_step(block_el, item)
-            else:
-                emit_block(block_el, item)
+        body = [step_element(item) if isinstance(item, Step) else block_element(item) for item in block.body]
+        return ("ucm:ExtensionBlock", attrs, body)
 
     def _switch_attrs(attrs: dict, entry: ModeSwitch | None, exit_switch: ModeSwitch | None) -> None:
         if entry is not None and entry.mode in mode_ids:
@@ -646,7 +665,7 @@ def export_xmi(resolved: ResolvedModel) -> str:
 
     for uc in model.use_cases:
         tag = "Handler" if uc.is_handler else "UseCase"
-        attrs = {f"{{{XMI_NS}}}id": uc_ids[uc.name], "name": uc.name}
+        attrs = {"xmi:id": uc_ids[uc.name], "name": uc.name}
         if uc.level is not None:
             attrs["level"] = uc.level.value
         for field_name, value in (
@@ -658,8 +677,7 @@ def export_xmi(resolved: ResolvedModel) -> str:
         ):
             if value is not None:
                 attrs[field_name] = value
-        uc_el = ET.SubElement(model_el, f"{{{MODEL_NS}}}{tag}", attrs)
-
+        children: list[_Element] = []
         for role, refs in (
             ("primary", uc.primary_actors),
             ("secondary", uc.secondary_actors),
@@ -670,7 +688,7 @@ def export_xmi(resolved: ResolvedModel) -> str:
                 if ref.multiplicity is not None:
                     ref_attrs["lower"] = str(ref.multiplicity.lower)
                     ref_attrs["upper"] = "*" if ref.multiplicity.upper is None else str(ref.multiplicity.upper)
-                ET.SubElement(uc_el, f"{{{MODEL_NS}}}ActorRef", ref_attrs)
+                children.append(("ucm:ActorRef", ref_attrs, []))
 
         for ctx in uc.contexts:
             ctx_attrs = {"relation": ctx.relation.value}
@@ -680,23 +698,49 @@ def export_xmi(resolved: ResolvedModel) -> str:
             if ctx.exception.qualified_name in exc_ids:
                 ctx_attrs["exception"] = exc_ids[ctx.exception.qualified_name]
             ctx_attrs["exceptionName"] = ctx.exception.qualified_name
-            ET.SubElement(uc_el, f"{{{MODEL_NS}}}Context", ctx_attrs)
+            children.append(("ucm:Context", ctx_attrs, []))
 
         if uc.main is not None:
             main_attrs: dict = {}
             _switch_attrs(main_attrs, uc.main.entry_switch, uc.main.exit_switch)
             _outcome_attrs(main_attrs, uc.main.outcome)
-            main_el = ET.SubElement(uc_el, f"{{{MODEL_NS}}}MainScenario", main_attrs)
-            for step in uc.main.steps:
-                emit_step(main_el, step)
-        for block in uc.extensions:
-            emit_block(uc_el, block)
+            children.append(("ucm:MainScenario", main_attrs, [step_element(step) for step in uc.main.steps]))
+        children.extend(block_element(block) for block in uc.extensions)
+        elements.append((f"ucm:{tag}", attrs, children))
 
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    out = io.StringIO()
-    tree.write(out, encoding="unicode", xml_declaration=True)
-    return out.getvalue() + "\n"
+    lines = ["<?xml version='1.0' encoding='utf-8'?>"]
+    _write_element(root, "", lines)
+    return "\n".join(lines) + "\n"
+
+
+def _write_element(element: _Element, indent: str, lines: list[str]) -> None:
+    """Append one line per tag, as ElementTree writes the element after
+    `ET.indent(tree, space="  ")`: attribute values escaped by its rule,
+    children two spaces in, an element without children closed by ` />`."""
+    tag, attrs, children = element
+    values = "".join(attrs.values())
+    if _escape_attrib(values) != values:  # one test per element: values rarely need escaping
+        attrs = {name: _escape_attrib(value) for name, value in attrs.items()}
+    head = indent + "<" + tag + "".join([f' {name}="{value}"' for name, value in attrs.items()])
+    if not children:
+        lines.append(head + " />")
+        return
+    lines.append(head + ">")
+    for child in children:
+        _write_element(child, indent + "  ", lines)
+    lines.append(indent + "</" + tag + ">")
+
+
+# ElementTree's escapes in an attribute value, `&` first.
+_ATTRIB_ESCAPES = (
+    ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;")
+)
+
+
+def _escape_attrib(text: str) -> str:
+    for char, reference in _ATTRIB_ESCAPES:
+        text = text.replace(char, reference)
+    return text
 
 
 def _format_amount(amount: float) -> str:

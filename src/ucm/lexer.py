@@ -4,8 +4,9 @@ Keywords are context-sensitive: the lexer emits plain IDENT tokens and the
 parser matches keywords by token text, so clause names remain usable as
 model identifiers. Labels (``2``, ``2-6a1``) are digit-led and lexed greedily,
 which keeps them distinct from identifiers. Digits are ASCII ``0-9`` only: any
-other Unicode digit is an unrecognized character. `//` comments run to end
-of line.
+other Unicode digit is an unrecognized character. A string holds TAB and
+any character from U+0020 up except U+FFFE and U+FFFF. `//` comments run to
+end of line.
 
 Each token is one anchored regex match whose prefix skips the whitespace and
 comments before it. Tokens carry offsets, not spans: `(kind, text, start,
@@ -18,6 +19,7 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
+from .model import NON_STRING_CHARS, non_string_char
 from .spans import SourceSpan
 
 
@@ -66,8 +68,16 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
 _SKIP = r"(?:[ \t\n]+(?![ \t\n])|//[^\n]*(?![^\n]))*"
 _SKIP_RE = re.compile(_SKIP)
 
+# A string holds no character in NON_STRING_CHARS, raw or escaped, and is
+# unrolled to match one way. Where no token matches at a quote that
+# _LOOSE_STRING_RE matches, the string holds such a character, and the lex
+# error names it at its own offset.
+_STRING_CHAR = rf'[^"\\{NON_STRING_CHARS}]'
+_STRING = rf'"{_STRING_CHAR}*(?:\\[^{NON_STRING_CHARS}]{_STRING_CHAR}*)*"'
+_LOOSE_STRING_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"')
+
 # One group per token kind, named after its TokenKind member; _KINDS maps
-# each group's index to its kind. Strings are unrolled to match one way too.
+# each group's index to its kind.
 _TOKEN_RE = re.compile(
     _SKIP
     + r"""(?:
@@ -76,7 +86,9 @@ _TOKEN_RE = re.compile(
     | (?P<IDENT>"""
     + IDENT_RE.pattern
     + r""")
-    | (?P<STRING>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+    | (?P<STRING>"""
+    + _STRING
+    + r""")
     | (?P<ARROW>->)
     | (?P<COLONCOLON>::)
     | (?P<DOTDOT>\.\.)
@@ -117,6 +129,10 @@ def tokenize(source: str, file: str) -> list[Token]:
         append(new(Token, (_KINDS[group], m[group], m.start(group), pos)))
     pos = _SKIP_RE.match(source, pos).end()
     if pos < len(source):
+        loose = _LOOSE_STRING_RE.match(source, pos)
+        if loose and (found := non_string_char(loose[0])):
+            offset, message = found
+            raise LexError(message, SourceSpan(file, pos + offset, pos + offset + 1))
         raise LexError(f"unrecognized character {source[pos]!r}", SourceSpan(file, pos, pos + 1))
     append(Token(TokenKind.EOF, "", pos, pos))
     return tokens

@@ -104,6 +104,23 @@ def bound_out_of_range(n: int) -> bool:
     return n < 0 or n >= 10**MAX_DIGITS
 
 
+# Characters no string in a model may hold: U+FFFE, U+FFFF and the C0
+# controls but TAB. XML 1.0 cannot carry them, not even as character
+# references, except LF and CR, which a one-line `.ucm` string cannot hold.
+NON_STRING_CHARS = r"\x00-\x08\n-\x1f\ufffe\uffff"
+_NON_STRING_CHAR_RE = re.compile(f"[{NON_STRING_CHARS}]")
+
+
+def non_string_char(text: str) -> tuple[int, str] | None:
+    """The offset of the first character in `text` that a string may not
+    hold, with a message naming it; None if `text` may be a string."""
+    found = _NON_STRING_CHAR_RE.search(text)
+    if found is None:
+        return None
+    kind = "control character" if found[0] < " " else "noncharacter"
+    return found.start(), f"string holds {kind} U+{ord(found[0]):04X}"
+
+
 _LABEL_RE = re.compile(r"([0-9]+)(?:-([0-9]+))?((?:[a-z][0-9]*)*)")
 _SUFFIX_RE = re.compile(r"([a-z])([0-9]*)")
 

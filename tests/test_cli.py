@@ -95,6 +95,17 @@ def test_check_json_format_emits_machine_readable_diagnostics(broken_file, capsy
     assert all(d["severity"] == "error" for d in payload)
 
 
+def test_control_character_in_a_string_is_e000_not_ill_formed_xmi(tmp_path, capsys):
+    text = Path(FIREALARM).read_text(encoding="utf-8")
+    at = text.index('"') + 1
+    path = tmp_path / "firealarm.ucm"
+    path.write_text(text[:at] + "\x01" + text[at:], encoding="utf-8")
+    assert main(["export", "xmi", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "E000" in captured.err and "string holds control character U+0001" in captured.err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["check", "missing.ucm"]) == 2
     assert "missing.ucm" in capsys.readouterr().err

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import growth, many_actors_source, nested_blocks_source, wide_use_case_source
+from conftest import CORPUS, REPO_ROOT, growth, many_actors_source, nested_blocks_source, wide_use_case_source
+from oracles import elementtree_xmi
 from strategies import model_source
+from ucm.cli import main
 from ucm.export import (
     SummaryTable,
+    dump_json,
     export_dot,
     export_json,
     export_xmi,
@@ -106,6 +109,38 @@ def test_table_rendering_is_deterministic(smartstore_resolved):
 
 
 # -- JSON ------------------------------------------------------------------------
+
+# Strings that exercise every escape: non-ASCII, astral, control, quote and
+# backslash characters.
+JSON_TEXT = st.text(st.characters() | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600"]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**300), 10**300) | st.floats() | JSON_TEXT,
+    lambda children: st.lists(children) | st.dictionaries(JSON_TEXT, children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_dump_json_equals_indented_json_dumps(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+GOLDEN = REPO_ROOT / "tests" / "golden"
+GOLDEN_MODELS = {
+    "smartstore": CORPUS / "smartstore.ucm",
+    "firealarm": CORPUS / "firealarm.ucm",
+    "all-productions": REPO_ROOT / "tests" / "fixtures" / "all-productions.ucm",
+}
+
+
+@pytest.mark.parametrize("target", ["json", "xmi", "dot"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_export_matches_golden_file(name, target, capsys):
+    assert main(["export", target, str(GOLDEN_MODELS[name])]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.{target}").read_bytes()
 
 
 def test_minimal_model_exports_expected_shape():
@@ -325,6 +360,25 @@ def test_label_the_parser_would_reject_is_e000(label):
     assert [(d.code, d.message) for d in diags] == [("E000", f"malformed label {label!r} in step")]
 
 
+@pytest.mark.parametrize(
+    ("key", "text", "name"),
+    [
+        ("scope", "a\x01b", "control character U+0001"),
+        ("intention", "a\nb", "control character U+000A"),
+        ("multiplicity", "\uffff", "noncharacter U+FFFF"),
+        ("name", "A\x00", "control character U+0000"),
+    ],
+)
+def test_string_the_parser_would_reject_is_e000(key, text, name):
+    model, diags = import_json(edited_document(lambda uc: uc.update({key: text})))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", f"key '{key}' in usecase: string holds {name}")]
+
+
+def test_string_holding_a_tab_imports():
+    assert import_json(edited_document(lambda uc: uc.update(scope="a\tb")))[1] == []
+
+
 # -- XMI -------------------------------------------------------------------------
 
 
@@ -453,11 +507,51 @@ def test_generated_models_round_trip_through_json(source):
     assert export_json(back) == once
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(source=model_source())
 def test_generated_models_export_xmi_and_dot(source):
     model, diags = parse(source, "gen.ucm")
     assert diags == [], source
     resolved, _ = resolve(model)
-    ET.fromstring(export_xmi(resolved))
+    text = export_xmi(resolved)
+    assert text == elementtree_xmi(resolved)
+    ET.fromstring(text)
     assert export_dot(resolved).startswith("digraph")
+
+
+# Keys whose values import_json takes as free text.
+FREE_TEXT_KEYS = {
+    "scope", "intention", "multiplicity", "precondition", "postcondition", "guard", "message", "text", "description"
+}
+XML_SPECIAL_TEXT = st.text(alphabet=["&", "<", ">", '"', "\t", "'", "a", " ", "\u00e9"], min_size=1, max_size=8)
+
+
+@st.composite
+def xml_special_documents(draw) -> str:
+    """The export_json document of a generated model with every free-text
+    string replaced by one holding characters XML attributes escape."""
+    model, diags = parse(draw(model_source()), "gen.ucm")
+    assert diags == []
+    doc = json.loads(export_json(model))
+
+    def rewrite(node) -> None:
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, value in items:
+            if key in FREE_TEXT_KEYS and isinstance(value, str):
+                node[key] = draw(XML_SPECIAL_TEXT)
+            else:
+                rewrite(value)
+
+    rewrite(doc)
+    return json.dumps(doc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(document=xml_special_documents())
+def test_xmi_escapes_attributes_as_elementtree_does(document):
+    model, diags = import_json(document)
+    assert diags == []
+    resolved, _ = resolve(model)
+    text = export_xmi(resolved)
+    assert text == elementtree_xmi(resolved)
+    ET.fromstring(text)

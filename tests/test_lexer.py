@@ -101,22 +101,25 @@ def lex_outcome(lex, text: str):
         return err.message, err.span
 
 
-COMMENT_BODIES = st.text(alphabet=' "/\\ax$\t', max_size=12)
+COMMENT_BODIES = st.text(alphabet=' "/\\ax$\t\x01', max_size=12)
+# Characters no string may hold: inside a string each is an E000 of its own.
+CONTROLS = ["\x00", "\x01", "\x1f", "\ufffe", "\uffff"]
 
 
 @st.composite
 def mutated_source(draw) -> str:
     """A generated model with stray characters, comments holding quotes,
-    slashes and space runs, unterminated strings and a trailing comment with
-    no newline inserted at random offsets."""
+    slashes and space runs, unterminated strings, strings holding characters
+    no string may hold, and a trailing comment with no newline inserted at
+    random offsets."""
     text = draw(model_source())
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         at = draw(st.integers(min_value=0, max_value=len(text)))
         insert = draw(
             st.one_of(
-                st.sampled_from(["$", "@", "~", "#", "-", "/", '"', "\\", "\t", "\u00e9", "0", "."]),
+                st.sampled_from(["$", "@", "~", "#", "-", "/", '"', "\\", "\t", "\u00e9", "0", ".", *CONTROLS]),
                 COMMENT_BODIES.map(lambda body: f"//{body}\n"),
-                st.text(alphabet='ab \\"', max_size=6).map(lambda body: f'"{body}'),
+                st.text(alphabet=["a", "b", " ", "\\", '"', *CONTROLS], max_size=6).map(lambda body: f'"{body}'),
             )
         )
         text = text[:at] + insert + text[at:]
@@ -125,8 +128,18 @@ def mutated_source(draw) -> str:
     return text
 
 
+@st.composite
+def control_source(draw) -> str:
+    """A generated model with a character no string may hold, raw or
+    escaped, put just after one of its quotes: into a string if the quote
+    opens one, else between tokens."""
+    text = draw(model_source())
+    at = draw(st.sampled_from([i + 1 for i, char in enumerate(text) if char == '"'] or [0]))
+    return text[:at] + draw(st.sampled_from(["", "\\"])) + draw(st.sampled_from(CONTROLS)) + text[at:]
+
+
 @settings(max_examples=100, deadline=None)
-@given(text=st.one_of(model_source(), commented_source(), mutated_source()))
+@given(text=st.one_of(model_source(), commented_source(), mutated_source(), control_source()))
 def test_tokenize_equals_the_reference_lexer(text):
     assert lex_outcome(tokenize, text) == lex_outcome(reference_tokenize, text)
 

@@ -308,6 +308,37 @@ def test_only_ascii_digits_are_digits(steps, actors, digit):
     assert [(d.code, d.message) for d in diags] == [("E000", f"unrecognized character {digit!r}")]
     assert StepLabel.parse(digit) is None
 
+
+@pytest.mark.parametrize(
+    ("message", "at", "name"),
+    [
+        ("as\x01ks", 2, "control character U+0001"),
+        ("asks\x00", 4, "control character U+0000"),
+        ("\x1f", 0, "control character U+001F"),
+        ("as\\\x01ks", 3, "control character U+0001"),  # escaped
+        ("a\ufffe", 1, "noncharacter U+FFFE"),
+        ("a\\\uffff", 2, "noncharacter U+FFFF"),  # escaped
+    ],
+    ids=["soh", "nul", "unit-separator", "escaped-soh", "fffe", "escaped-ffff"],
+)
+def test_string_holding_a_character_xml_cannot_carry_is_e000(message, at, name):
+    # XML 1.0 cannot carry these even as character references, so the XMI
+    # export of such a model would not be well-formed.
+    source = uc_source(f'    1. P -> System : "{message}"')
+    bad = source.index(message) + at
+    model, diags = parse(source)
+    assert model is None
+    assert [(d.code, d.span.start, d.span.end, d.message) for d in diags] == [
+        ("E000", bad, bad + 1, f"string holds {name}")
+    ]
+
+
+def test_string_may_hold_tab_delete_c1_and_astral_characters():
+    text = "a\tb\\\tc\x7f\x85\U0001f600\\\u00e9"
+    model, diags = parse(uc_source(f'    1. P -> System : "{text}" // comment \x01 text'))
+    assert diags == []
+    assert model.use_cases[0].main.steps[0].payload.message == "a\tb\tc\x7f\x85\U0001f600\u00e9"
+
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
