@@ -125,6 +125,9 @@ def _load_resolved(path: str) -> tuple[str, ResolvedModel, list[Diagnostic]] | i
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.usecase is not None and args.kind != "exceptions":
+        print("ucm: --usecase applies only to 'table exceptions'", file=sys.stderr)
+        return USAGE_ERROR
     outcome = _load_resolved(args.file)
     if isinstance(outcome, int):
         return outcome

@@ -46,6 +46,7 @@ from .model import (
     TIME_UNITS,
     Timeout,
     UseCase,
+    amount_out_of_range,
     bound_out_of_range,
     non_string_char,
     too_many_digits,
@@ -273,60 +274,65 @@ class _SchemaError(Exception):
     pass
 
 
-def _need(doc, key: str, types, where: str):
+# Kinds of `_need` leaf that no Python type names, and the JSON type of
+# every kind that is not an Enum class or a tuple of words.
+_IDENT = "identifier"
+_IDENTS = "list of identifiers"
+_JSON_TYPES = {
+    bool: bool, int: int, float: (int, float), dict: dict, list: list, str: str, _IDENT: str, _IDENTS: list,
+    StepLabel: str,
+}
+
+
+def _need(doc, key: str, kind, where: str, optional: bool = False):
+    """The value of `key` in the JSON object `doc`, held to the rule `.ucm`
+    text obeys at the same place; with `optional`, null reads as None. Kinds:
+    `bool`; `int`, and `float` for any number, neither taking a bool; `dict`;
+    `list`; `str`, which holds no `non_string_char`; `_IDENT`, a str the lexer
+    reads as one IDENT token (`IDENT_RE`); `_IDENTS`, a list of those;
+    `StepLabel`, text `StepLabel.parse` reads, no `too_many_digits`; an `Enum`
+    class, by value; a tuple of words, such as `TIME_UNITS`."""
     if not isinstance(doc, dict) or key not in doc:
         raise _SchemaError(f"missing key '{key}' in {where}")
     value = doc[key]
-    if types is bool:
-        if not isinstance(value, bool):
-            raise _SchemaError(f"key '{key}' in {where} is not a boolean")
-    elif types is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _SchemaError(f"key '{key}' in {where} is not an integer")
-    elif types is not None and not isinstance(value, types):
-        raise _SchemaError(f"key '{key}' in {where} has unexpected type {type(value).__name__}")
-    if types is str and (found := non_string_char(value)):
-        raise _SchemaError(f"key '{key}' in {where}: {found[1]}")
+    if value is None and optional:
+        return None
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise _SchemaError(f"unknown {where} {key} {value!r}")
+        return value
+    if kind not in _JSON_TYPES:
+        try:
+            return kind(value)
+        except ValueError:
+            raise _SchemaError(f"unknown {where} {key} {value!r}") from None
+    what = f"key '{key}' in {where}"
+    if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind is not bool):
+        raise _SchemaError(f"{what} has unexpected type {type(value).__name__}")
+    if kind is StepLabel:
+        if too_many_digits(value):
+            raise _SchemaError(f"{key} in {where} has a number with more than {MAX_DIGITS} digits")
+        label = StepLabel.parse(value)
+        if label is None:
+            raise _SchemaError(f"malformed {key} {value!r} in {where}")
+        return label
+    if kind is _IDENTS:
+        for name in value:
+            if not (isinstance(name, str) and IDENT_RE.fullmatch(name)):
+                raise _SchemaError(f"{what} holds {name!r}, which is not an identifier")
+    elif kind is str or kind is _IDENT:
+        if found := non_string_char(value):
+            raise _SchemaError(f"{what}: {found[1]}")
+        if kind is _IDENT and not IDENT_RE.fullmatch(value):
+            raise _SchemaError(f"{what} is not an identifier: {value!r}")
     return value
-
-
-def _opt_str(doc, key: str, where: str) -> str | None:
-    value = _need(doc, key, None, where)
-    if value is not None and not isinstance(value, str):
-        raise _SchemaError(f"key '{key}' in {where} is neither a string nor null")
-    return value if value is None else _need(doc, key, str, where)  # checks the string's characters
-
-
-def _enum_from(enum_cls, text: str, where: str):
-    try:
-        return enum_cls(text)
-    except ValueError:
-        raise _SchemaError(f"unknown {enum_cls.__name__} value {text!r} in {where}")
-
-
-def _label_from(text, where: str) -> StepLabel:
-    if not isinstance(text, str):
-        raise _SchemaError(f"label in {where} is not a string")
-    if too_many_digits(text):
-        raise _SchemaError(f"label in {where} has a number with more than {MAX_DIGITS} digits")
-    label = StepLabel.parse(text)
-    if label is None:
-        raise _SchemaError(f"malformed label {text!r} in {where}")
-    return label
-
-
-def _step_number(text: str, key: str) -> StepLabel:
-    """A repeat bound: a plain step number, as in the parser's `repeat 2-4`."""
-    label = _label_from(text, "step")
-    if label.anchor_hi is not None or label.suffix:
-        raise _SchemaError(f"{key} {text!r} is not a plain step number")
-    return label
 
 
 def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
     """Rebuild a model from export_json output; spans come back zero-length.
-    Schema violations and unknown format versions yield an E000 diagnostic
-    and no model."""
+    It accepts exactly the models `.ucm` text can write: a schema violation,
+    a value the parser would reject or an unknown format version yields an
+    E000 diagnostic and no model."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as err:
@@ -350,182 +356,169 @@ def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
 def _model_from_json(doc: dict) -> Model:
     modes = [
         ModeDecl(
-            _need(m, "name", str, "mode"),
-            _enum_from(ModeKind, _need(m, "kind", str, "mode"), "mode"),
+            _need(m, "name", _IDENT, "mode"),
+            _need(m, "kind", ModeKind, "mode"),
             _need(m, "default", bool, "mode"),
-            [str(s) for s in _need(m, "offers", list, "mode")],
+            _need(m, "offers", _IDENTS, "mode"),
             ZERO_SPAN,
         )
         for m in _need(doc, "modes", list, "document")
     ]
     exceptions = [
         ExceptionDef(
-            _enum_from(ExceptionCategory, _need(e, "category", str, "exception"), "exception"),
-            _need(e, "name", str, "exception"),
+            _need(e, "category", ExceptionCategory, "exception"),
+            _need(e, "name", _IDENT, "exception"),
             _need(e, "global", bool, "exception"),
             ZERO_SPAN,
         )
         for e in _need(doc, "exceptions", list, "document")
     ]
-    services = [
-        ServiceDecl(
-            _need(s, "name", str, "service"),
-            [str(g) for g in _need(s, "provides", list, "service")],
-            ZERO_SPAN,
-        )
-        for s in _need(doc, "services", list, "document")
-    ]
+    services = []
+    for s in _need(doc, "services", list, "document"):
+        name = _need(s, "name", _IDENT, "service")
+        goals = _need(s, "provides", _IDENTS, "service")
+        if not goals:  # `provides` takes one name or more
+            raise _SchemaError("key 'provides' in service is an empty list")
+        services.append(ServiceDecl(name, goals, ZERO_SPAN))
     use_cases = [_usecase_from_json(u) for u in _need(doc, "usecases", list, "document")]
     return Model(
-        _need(doc, "name", str, "document"), modes, exceptions, services, use_cases, ZERO_SPAN, "<json>"
+        _need(doc, "name", _IDENT, "document"), modes, exceptions, services, use_cases, ZERO_SPAN, "<json>"
     )
 
 
 def _actor_from_json(doc) -> ActorRef:
-    category = _opt_str(doc, "category", "actor")
-    mult_doc = _need(doc, "multiplicity", None, "actor")
+    category = _need(doc, "category", _IDENT, "actor", optional=True)
+    mult_doc = _need(doc, "multiplicity", dict, "actor", optional=True)
     multiplicity = None
     if mult_doc is not None:
         lower = _need(mult_doc, "lower", int, "multiplicity")
-        upper = _need(mult_doc, "upper", None, "multiplicity")
-        if upper is not None and (isinstance(upper, bool) or not isinstance(upper, int)):
-            raise _SchemaError("multiplicity upper bound is neither an integer nor null")
+        upper = _need(mult_doc, "upper", int, "multiplicity", optional=True)
         for which, bound in (("lower", lower), ("upper", upper)):
             if bound is not None and bound_out_of_range(bound):
                 raise _SchemaError(f"multiplicity {which} bound is negative or has more than {MAX_DIGITS} digits")
         multiplicity = Multiplicity(lower, upper)
-    return ActorRef(category, _need(doc, "name", str, "actor"), multiplicity, ZERO_SPAN)
+    return ActorRef(category, _need(doc, "name", _IDENT, "actor"), multiplicity, ZERO_SPAN)
 
 
 def _outcome_from_json(doc) -> Outcome:
-    kind = _enum_from(OutcomeKind, _need(doc, "kind", str, "outcome"), "outcome")
-    target_text = _opt_str(doc, "continueTarget", "outcome")
-    target = _label_from(target_text, "outcome") if target_text is not None else None
-    if kind is OutcomeKind.CONTINUE and target is None:
-        raise _SchemaError("continue outcome lacks its continueTarget")
+    kind = _need(doc, "kind", OutcomeKind, "outcome")
+    target = _need(doc, "continueTarget", StepLabel, "outcome", optional=True)
+    if (kind is OutcomeKind.CONTINUE) != (target is not None):  # text names a target after `continue` only
+        raise _SchemaError(f"{kind.value} outcome {'lacks its' if target is None else 'has a'} continueTarget")
     return Outcome(kind, target, ZERO_SPAN)
 
 
-def _switch_from_json(doc, key: str, where: str) -> ModeSwitch | None:
-    name = _opt_str(doc, key, where)
-    return ModeSwitch(name, ZERO_SPAN) if name is not None else None
+def _switches_from_json(doc, where: str, items: list) -> tuple[ModeSwitch | None, ModeSwitch | None]:
+    """The entry and exit mode switches of a scenario or block whose steps
+    or body are `items`. Text reads a lone switch before the outcome of an
+    empty body as the entry, so an exit switch alone cannot be written there."""
+    entry = _need(doc, "entryModeSwitch", _IDENT, where, optional=True)
+    exit_name = _need(doc, "exitModeSwitch", _IDENT, where, optional=True)
+    if entry is None and exit_name is not None and not items:
+        raise _SchemaError(f"{where} without steps has an exitModeSwitch but no entryModeSwitch")
+    return tuple(None if name is None else ModeSwitch(name, ZERO_SPAN) for name in (entry, exit_name))
+
+
+def _exception_ref_from_json(doc, where: str) -> ExceptionRef:
+    exc = _need(doc, "exception", dict, where)
+    where += " exception"
+    category = _need(exc, "category", ExceptionCategory, where)
+    return ExceptionRef(category, _need(exc, "name", _IDENT, where), ZERO_SPAN)
 
 
 def _step_from_json(doc) -> Step:
-    label = _label_from(_need(doc, "label", None, "step"), "step")
-    kind = _enum_from(StepKind, _need(doc, "kind", str, "step"), "step")
+    label = _need(doc, "label", StepLabel, "step")
+    kind = _need(doc, "kind", StepKind, "step")
     if kind is StepKind.INTERACTION:
         payload: object = Interaction(
-            _need(doc, "source", str, "step"),
-            _need(doc, "target", str, "step"),
+            _need(doc, "source", _IDENT, "step"),
+            _need(doc, "target", _IDENT, "step"),
             _need(doc, "message", str, "step"),
         )
     elif kind is StepKind.INVOCATION:
-        payload = Invocation(_need(doc, "target", str, "step"))
+        payload = Invocation(_need(doc, "target", _IDENT, "step"))
     elif kind is StepKind.CONDITION:
         payload = Condition(_need(doc, "text", str, "step"))
     elif kind is StepKind.INTERNAL:
-        timeout_doc = _need(doc, "timeout", None, "step")
+        timeout_doc = _need(doc, "timeout", dict, "step", optional=True)
         timeout = None
         if timeout_doc is not None:
-            amount = _need(timeout_doc, "amount", None, "timeout")
-            if isinstance(amount, bool) or not isinstance(amount, (int, float)):
-                raise _SchemaError("timeout amount is not a number")
+            amount = _need(timeout_doc, "amount", float, "timeout")
             if not 0 < amount <= sys.float_info.max:  # NaN fails too; ints compare exactly
                 raise _SchemaError("timeout amount is not positive and finite")
-            unit = _need(timeout_doc, "unit", str, "timeout")
-            if unit not in TIME_UNITS:
-                raise _SchemaError(f"unknown timeout unit {unit!r}")
-            timeout = Timeout(float(amount), unit)
+            if amount_out_of_range(float(amount)):
+                raise _SchemaError(f"timeout amount {amount!r} needs more than {MAX_DIGITS} digits a side")
+            timeout = Timeout(float(amount), _need(timeout_doc, "unit", TIME_UNITS, "timeout"))
         payload = Internal(_need(doc, "description", str, "step"), timeout)
     elif kind is StepKind.CONTROL_FLOW:
-        goto_text = _opt_str(doc, "goto", "step")
-        from_text = _opt_str(doc, "repeatFrom", "step")
-        to_text = _opt_str(doc, "repeatTo", "step")
-        if goto_text is not None and from_text is None and to_text is None:
-            payload = ControlFlow(_label_from(goto_text, "step"), None, None)
-        elif goto_text is None and from_text is not None and to_text is not None:
-            payload = ControlFlow(None, _step_number(from_text, "repeatFrom"), _step_number(to_text, "repeatTo"))
+        goto = _need(doc, "goto", StepLabel, "step", optional=True)
+        lo = _need(doc, "repeatFrom", StepLabel, "step", optional=True)
+        hi = _need(doc, "repeatTo", StepLabel, "step", optional=True)
+        if goto is not None and lo is None and hi is None:
+            payload = ControlFlow(goto, None, None)
+        elif goto is None and lo is not None and hi is not None:
+            for key, bound in (("repeatFrom", lo), ("repeatTo", hi)):  # as the parser's `repeat 2-4`
+                if bound.anchor_hi is not None or bound.suffix:
+                    raise _SchemaError(f"{key} {bound.text!r} is not a plain step number")
+            payload = ControlFlow(None, lo, hi)
         else:
             raise _SchemaError("control-flow step must set either goto or both repeatFrom and repeatTo")
     else:
-        exc = _need(doc, "exception", dict, "step")
-        payload = ExceptionRef(
-            _enum_from(ExceptionCategory, _need(exc, "category", str, "step exception"), "step"),
-            _need(exc, "name", str, "step exception"),
-            ZERO_SPAN,
-        )
+        payload = _exception_ref_from_json(doc, "step")
     return Step(label, payload, ZERO_SPAN)
 
 
 def _block_from_json(doc, depth: int = 1) -> ExtensionBlock:
     if depth > MAX_BLOCK_DEPTH:
         raise _SchemaError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels")
-    body: list[Step | ExtensionBlock] = []
-    for item in _need(doc, "body", list, "block"):
-        node = _need(item, "node", str, "block body item")
-        if node == "step":
-            body.append(_step_from_json(item))
-        elif node == "block":
-            body.append(_block_from_json(item, depth + 1))
-        else:
-            raise _SchemaError(f"unknown body node kind {node!r}")
+    body: list[Step | ExtensionBlock] = [
+        _step_from_json(item)
+        if _need(item, "node", ("step", "block"), "block body item") == "step"
+        else _block_from_json(item, depth + 1)
+        for item in _need(doc, "body", list, "block")
+    ]
     return ExtensionBlock(
-        _label_from(_need(doc, "label", None, "block"), "block"),
-        _enum_from(BlockKind, _need(doc, "kind", str, "block"), "block"),
+        _need(doc, "label", StepLabel, "block"),
+        _need(doc, "kind", BlockKind, "block"),
         _need(doc, "guard", str, "block"),
         body,
-        _switch_from_json(doc, "entryModeSwitch", "block"),
-        _switch_from_json(doc, "exitModeSwitch", "block"),
+        *_switches_from_json(doc, "block", body),
         _outcome_from_json(_need(doc, "outcome", dict, "block")),
         ZERO_SPAN,
     )
 
 
 def _scenario_from_json(doc) -> Scenario:
-    return Scenario(
-        _switch_from_json(doc, "entryModeSwitch", "scenario"),
-        [_step_from_json(s) for s in _need(doc, "steps", list, "scenario")],
-        _switch_from_json(doc, "exitModeSwitch", "scenario"),
-        _outcome_from_json(_need(doc, "outcome", dict, "scenario")),
-        ZERO_SPAN,
-    )
+    steps = [_step_from_json(s) for s in _need(doc, "steps", list, "scenario")]
+    entry, exit_switch = _switches_from_json(doc, "scenario", steps)
+    outcome = _outcome_from_json(_need(doc, "outcome", dict, "scenario"))
+    return Scenario(entry, steps, exit_switch, outcome, ZERO_SPAN)
 
 
 def _usecase_from_json(doc) -> UseCase:
-    level_text = _opt_str(doc, "level", "usecase")
-    contexts = []
-    for c in _need(doc, "contexts", list, "usecase"):
-        exc = _need(c, "exception", dict, "context")
-        contexts.append(
-            HandlerContext(
-                _need(c, "usecase", str, "context"),
-                ZERO_SPAN,
-                ExceptionRef(
-                    _enum_from(ExceptionCategory, _need(exc, "category", str, "context"), "context"),
-                    _need(exc, "name", str, "context"),
-                    ZERO_SPAN,
-                ),
-                _enum_from(InterruptRelation, _need(c, "relation", str, "context"), "context"),
-                ZERO_SPAN,
-            )
+    contexts = [
+        HandlerContext(
+            _need(c, "usecase", _IDENT, "context"),
+            ZERO_SPAN,
+            _exception_ref_from_json(c, "context"),
+            _need(c, "relation", InterruptRelation, "context"),
+            ZERO_SPAN,
         )
-    main_doc = _need(doc, "main", None, "usecase")
-    name = _need(doc, "name", str, "usecase")
-    if not IDENT_RE.fullmatch(name):  # path texts join names with " -> " and split them back
-        raise _SchemaError(f"use case name {name!r} is not an identifier")
+        for c in _need(doc, "contexts", list, "usecase")
+    ]
+    main_doc = _need(doc, "main", dict, "usecase", optional=True)
     return UseCase(
-        name=name,
+        name=_need(doc, "name", _IDENT, "usecase"),
         is_handler=_need(doc, "handler", bool, "usecase"),
-        scope=_opt_str(doc, "scope", "usecase"),
-        level=_enum_from(Level, level_text, "usecase") if level_text is not None else None,
-        intention=_opt_str(doc, "intention", "usecase"),
-        multiplicity_text=_opt_str(doc, "multiplicity", "usecase"),
+        scope=_need(doc, "scope", str, "usecase", optional=True),
+        level=_need(doc, "level", Level, "usecase", optional=True),
+        intention=_need(doc, "intention", str, "usecase", optional=True),
+        multiplicity_text=_need(doc, "multiplicity", str, "usecase", optional=True),
         primary_actors=[_actor_from_json(a) for a in _need(doc, "primary", list, "usecase")],
         secondary_actors=[_actor_from_json(a) for a in _need(doc, "secondary", list, "usecase")],
         facilitator_actors=[_actor_from_json(a) for a in _need(doc, "facilitator", list, "usecase")],
-        precondition=_opt_str(doc, "precondition", "usecase"),
-        postcondition=_opt_str(doc, "postcondition", "usecase"),
+        precondition=_need(doc, "precondition", str, "usecase", optional=True),
+        postcondition=_need(doc, "postcondition", str, "usecase", optional=True),
         contexts=contexts,
         main=_scenario_from_json(main_doc) if main_doc is not None else None,
         extensions=[_block_from_json(b) for b in _need(doc, "extensions", list, "usecase")],
@@ -554,29 +547,34 @@ def export_xmi(resolved: ResolvedModel) -> str:
     model_el = ("ucm:Model", {"xmi:id": "model_1", "name": model.name}, elements)
     root = ("xmi:XMI", {"xmlns:ucm": MODEL_NS, "xmlns:xmi": XMI_NS, "xmi:version": "2.0"}, [model_el])
 
-    uc_ids = {uc.name: f"usecase_{i}" for i, uc in enumerate(model.use_cases, 1)}
-    svc_ids = {svc.name: f"service_{i}" for i, svc in enumerate(model.services, 1)}
-    mode_ids: dict[str, str] = {}
-    exc_ids: dict[str, str] = {}
+    # Each definition's xmi:id by its position, keyed by id() of the node. A
+    # reference names the node the resolver bound it to: the first definition
+    # of a duplicated name, as every other command reads it.
+    ids: dict[int, str] = {}
+    for prefix, nodes in (
+        ("mode", model.modes), ("exception", model.exceptions), ("service", model.services), ("usecase", model.use_cases)
+    ):
+        ids.update((id(node), f"{prefix}_{i}") for i, node in enumerate(nodes, 1))
     actor_ids: dict[tuple[str, str], str] = {}
 
-    for i, mode in enumerate(model.modes, 1):
-        mode_ids[mode.name] = f"mode_{i}"
+    def set_refs(attrs: dict, name: str, *nodes: object | None) -> None:
+        """Set `name` to the xmi:ids of `nodes`, skipping None (unbound)."""
+        if refs := [ids[id(node)] for node in nodes if node is not None]:
+            attrs[name] = " ".join(refs)
+
+    for mode in model.modes:
         attrs = {
-            "xmi:id": mode_ids[mode.name],
+            "xmi:id": ids[id(mode)],
             "name": mode.name,
             "kind": mode.kind.value,
             "default": "true" if mode.is_default else "false",
         }
-        offers = [svc_ids[s] for s in mode.offered_services if s in svc_ids]
-        if offers:
-            attrs["offers"] = " ".join(offers)
+        set_refs(attrs, "offers", *map(resolved.service_by_name.get, mode.offered_services))
         elements.append(("ucm:Mode", attrs, []))
 
-    for i, exc in enumerate(model.exceptions, 1):
-        exc_ids[exc.qualified_name] = f"exception_{i}"
+    for exc in model.exceptions:
         attrs = {
-            "xmi:id": exc_ids[exc.qualified_name],
+            "xmi:id": ids[id(exc)],
             "category": exc.category.value,
             "name": exc.name,
             "global": "true" if exc.is_global else "false",
@@ -584,10 +582,8 @@ def export_xmi(resolved: ResolvedModel) -> str:
         elements.append(("ucm:Exception", attrs, []))
 
     for svc in model.services:
-        attrs = {"xmi:id": svc_ids[svc.name], "name": svc.name}
-        provides = [uc_ids[g] for g in svc.goals if g in uc_ids]
-        if provides:
-            attrs["provides"] = " ".join(provides)
+        attrs = {"xmi:id": ids[id(svc)], "name": svc.name}
+        set_refs(attrs, "provides", *map(resolved.use_case_by_name.get, svc.goals))
         elements.append(("ucm:Service", attrs, []))
 
     for uc in model.use_cases:
@@ -613,8 +609,7 @@ def export_xmi(resolved: ResolvedModel) -> str:
         if isinstance(payload, Interaction):
             attrs.update(source=payload.source, target=payload.target, message=payload.message)
         elif isinstance(payload, Invocation):
-            if payload.target in uc_ids:
-                attrs["invokes"] = uc_ids[payload.target]
+            set_refs(attrs, "invokes", resolved.binding_for(step))
             attrs["targetName"] = payload.target
         elif isinstance(payload, Condition):
             attrs["text"] = payload.text
@@ -631,8 +626,7 @@ def export_xmi(resolved: ResolvedModel) -> str:
             if payload.repeat_to is not None:
                 attrs["repeatTo"] = payload.repeat_to.text
         elif isinstance(payload, ExceptionRef):
-            if payload.qualified_name in exc_ids:
-                attrs["raises"] = exc_ids[payload.qualified_name]
+            set_refs(attrs, "raises", resolved.binding_for(payload))
             attrs["exceptionName"] = payload.qualified_name
         return ("ucm:Step", attrs, [])
 
@@ -647,25 +641,21 @@ def export_xmi(resolved: ResolvedModel) -> str:
         }
         if block.guard:
             attrs["guard"] = block.guard
-        _switch_attrs(attrs, block.entry_switch, block.exit_switch)
-        _outcome_attrs(attrs, block.outcome)
+        _boundary_attrs(attrs, block)
         body = [step_element(item) if isinstance(item, Step) else block_element(item) for item in block.body]
         return ("ucm:ExtensionBlock", attrs, body)
 
-    def _switch_attrs(attrs: dict, entry: ModeSwitch | None, exit_switch: ModeSwitch | None) -> None:
-        if entry is not None and entry.mode in mode_ids:
-            attrs["entryMode"] = mode_ids[entry.mode]
-        if exit_switch is not None and exit_switch.mode in mode_ids:
-            attrs["exitMode"] = mode_ids[exit_switch.mode]
-
-    def _outcome_attrs(attrs: dict, outcome: Outcome) -> None:
-        attrs["outcome"] = outcome.kind.value
-        if outcome.continue_target is not None:
-            attrs["continueTarget"] = outcome.continue_target.text
+    def _boundary_attrs(attrs: dict, owner: Scenario | ExtensionBlock) -> dict:
+        set_refs(attrs, "entryMode", resolved.binding_for(owner.entry_switch))
+        set_refs(attrs, "exitMode", resolved.binding_for(owner.exit_switch))
+        attrs["outcome"] = owner.outcome.kind.value
+        if owner.outcome.continue_target is not None:
+            attrs["continueTarget"] = owner.outcome.continue_target.text
+        return attrs
 
     for uc in model.use_cases:
         tag = "Handler" if uc.is_handler else "UseCase"
-        attrs = {"xmi:id": uc_ids[uc.name], "name": uc.name}
+        attrs = {"xmi:id": ids[id(uc)], "name": uc.name}
         if uc.level is not None:
             attrs["level"] = uc.level.value
         for field_name, value in (
@@ -692,18 +682,14 @@ def export_xmi(resolved: ResolvedModel) -> str:
 
         for ctx in uc.contexts:
             ctx_attrs = {"relation": ctx.relation.value}
-            if ctx.use_case in uc_ids:
-                ctx_attrs["contextUseCase"] = uc_ids[ctx.use_case]
+            set_refs(ctx_attrs, "contextUseCase", resolved.binding_for(ctx))
             ctx_attrs["contextName"] = ctx.use_case
-            if ctx.exception.qualified_name in exc_ids:
-                ctx_attrs["exception"] = exc_ids[ctx.exception.qualified_name]
+            set_refs(ctx_attrs, "exception", resolved.binding_for(ctx.exception))
             ctx_attrs["exceptionName"] = ctx.exception.qualified_name
             children.append(("ucm:Context", ctx_attrs, []))
 
         if uc.main is not None:
-            main_attrs: dict = {}
-            _switch_attrs(main_attrs, uc.main.entry_switch, uc.main.exit_switch)
-            _outcome_attrs(main_attrs, uc.main.outcome)
+            main_attrs = _boundary_attrs({}, uc.main)
             children.append(("ucm:MainScenario", main_attrs, [step_element(step) for step in uc.main.steps]))
         children.extend(block_element(block) for block in uc.extensions)
         elements.append((f"ucm:{tag}", attrs, children))

@@ -104,6 +104,14 @@ def bound_out_of_range(n: int) -> bool:
     return n < 0 or n >= 10**MAX_DIGITS
 
 
+def amount_out_of_range(amount: float) -> bool:
+    """Whether no timeout amount of the grammar, a positive number of at most
+    `MAX_DIGITS` digits a side of its point, reads as `amount`; the nearest
+    such number is the one to try. The parser's amounts obey this by
+    construction; `import_json` checks decoded numbers with it."""
+    return not 0 < amount <= float("9" * MAX_DIGITS) or float(f"{amount:.{MAX_DIGITS}f}") != amount
+
+
 # Characters no string in a model may hold: U+FFFE, U+FFFF and the C0
 # controls but TAB. XML 1.0 cannot carry them, not even as character
 # references, except LF and CR, which a one-line `.ucm` string cannot hold.

@@ -6,7 +6,8 @@ every parallel edge instead of one over distinct callees, a forward walk per
 handler context instead of one walk over callers per exception, newline
 counting instead of a line index, a two-pass `finditer` lexer instead of one
 match per token, an ElementTree serialized by the standard library instead
-of the XMI exporter's own writer, no shared helpers.
+of the XMI exporter's own writer, a `.ucm` printer written from the README
+grammar and the corpus, no shared helpers.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import xml.etree.ElementTree as ET
 
 from ucm.lexer import LexError, TokenKind
 from ucm.model import (
+    CATEGORY_KEYWORD,
+    MAX_DIGITS,
+    ActorRef,
     Condition,
     ControlFlow,
     ExceptionRef,
@@ -24,9 +28,12 @@ from ucm.model import (
     Interaction,
     Internal,
     Invocation,
+    Model,
     ModeSwitch,
     Outcome,
+    Scenario,
     Step,
+    UseCase,
 )
 from ucm.resolver import ResolvedModel
 from ucm.spans import SourceSpan
@@ -214,46 +221,57 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
     root = ET.Element(f"{{{_XMI_NS}}}XMI", {f"{{{_XMI_NS}}}version": "2.0"})
     model_el = ET.SubElement(root, f"{{{_MODEL_NS}}}Model", {f"{{{_XMI_NS}}}id": "model_1", "name": model.name})
 
-    mode_ids: dict[str, str] = {}
-    exc_ids: dict[str, str] = {}
-    svc_ids: dict[str, str] = {}
-    uc_ids: dict[str, str] = {}
+    # Every definition is numbered by its position among its kind. A
+    # reference takes the number of the definition the resolver bound it to,
+    # an `offers` or `provides` name that of the first definition so named.
+    mode_ids = [f"mode_{i}" for i in range(1, len(model.modes) + 1)]
+    exc_ids = [f"exception_{i}" for i in range(1, len(model.exceptions) + 1)]
+    svc_ids = [f"service_{i}" for i in range(1, len(model.services) + 1)]
+    uc_ids = [f"usecase_{i}" for i in range(1, len(model.use_cases) + 1)]
     actor_ids: dict[tuple[str, str], str] = {}
 
-    for i, uc in enumerate(model.use_cases, 1):
-        uc_ids[uc.name] = f"usecase_{i}"
-    for i, svc in enumerate(model.services, 1):
-        svc_ids[svc.name] = f"service_{i}"
+    def bound_id(definitions: list, ids: list[str], bound: object) -> str | None:
+        for definition, xmi_id in zip(definitions, ids):
+            if definition is bound:
+                return xmi_id
+        return None
 
-    for i, mode in enumerate(model.modes, 1):
-        mode_ids[mode.name] = f"mode_{i}"
+    def first_refs(definitions: list, ids: list[str], names: list[str]) -> list[str]:
+        found = []
+        for name in names:
+            for definition, xmi_id in zip(definitions, ids):
+                if definition.name == name:
+                    found.append(xmi_id)
+                    break
+        return found
+
+    for mode, mode_id in zip(model.modes, mode_ids):
         attrs = {
-            f"{{{_XMI_NS}}}id": mode_ids[mode.name],
+            f"{{{_XMI_NS}}}id": mode_id,
             "name": mode.name,
             "kind": mode.kind.value,
             "default": "true" if mode.is_default else "false",
         }
-        offers = [svc_ids[s] for s in mode.offered_services if s in svc_ids]
+        offers = first_refs(model.services, svc_ids, mode.offered_services)
         if offers:
             attrs["offers"] = " ".join(offers)
         ET.SubElement(model_el, f"{{{_MODEL_NS}}}Mode", attrs)
 
-    for i, exc in enumerate(model.exceptions, 1):
-        exc_ids[exc.qualified_name] = f"exception_{i}"
+    for exc, exc_id in zip(model.exceptions, exc_ids):
         ET.SubElement(
             model_el,
             f"{{{_MODEL_NS}}}Exception",
             {
-                f"{{{_XMI_NS}}}id": exc_ids[exc.qualified_name],
+                f"{{{_XMI_NS}}}id": exc_id,
                 "category": exc.category.value,
                 "name": exc.name,
                 "global": "true" if exc.is_global else "false",
             },
         )
 
-    for svc in model.services:
-        attrs = {f"{{{_XMI_NS}}}id": svc_ids[svc.name], "name": svc.name}
-        provides = [uc_ids[g] for g in svc.goals if g in uc_ids]
+    for svc, svc_id in zip(model.services, svc_ids):
+        attrs = {f"{{{_XMI_NS}}}id": svc_id, "name": svc.name}
+        provides = first_refs(model.use_cases, uc_ids, svc.goals)
         if provides:
             attrs["provides"] = " ".join(provides)
         ET.SubElement(model_el, f"{{{_MODEL_NS}}}Service", attrs)
@@ -281,8 +299,8 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
         if isinstance(payload, Interaction):
             attrs.update(source=payload.source, target=payload.target, message=payload.message)
         elif isinstance(payload, Invocation):
-            if payload.target in uc_ids:
-                attrs["invokes"] = uc_ids[payload.target]
+            if (invoked := bound_id(model.use_cases, uc_ids, resolved.binding_for(step))) is not None:
+                attrs["invokes"] = invoked
             attrs["targetName"] = payload.target
         elif isinstance(payload, Condition):
             attrs["text"] = payload.text
@@ -300,8 +318,8 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
             if payload.repeat_to is not None:
                 attrs["repeatTo"] = payload.repeat_to.text
         elif isinstance(payload, ExceptionRef):
-            if payload.qualified_name in exc_ids:
-                attrs["raises"] = exc_ids[payload.qualified_name]
+            if (raised := bound_id(model.exceptions, exc_ids, resolved.binding_for(payload))) is not None:
+                attrs["raises"] = raised
             attrs["exceptionName"] = payload.qualified_name
         ET.SubElement(parent, f"{{{_MODEL_NS}}}Step", attrs)
 
@@ -326,19 +344,18 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
                 emit_block(block_el, item)
 
     def _switch_attrs(attrs: dict, entry: ModeSwitch | None, exit_switch: ModeSwitch | None) -> None:
-        if entry is not None and entry.mode in mode_ids:
-            attrs["entryMode"] = mode_ids[entry.mode]
-        if exit_switch is not None and exit_switch.mode in mode_ids:
-            attrs["exitMode"] = mode_ids[exit_switch.mode]
+        for name, switch in (("entryMode", entry), ("exitMode", exit_switch)):
+            if switch is not None and (mode_id := bound_id(model.modes, mode_ids, resolved.binding_for(switch))):
+                attrs[name] = mode_id
 
     def _outcome_attrs(attrs: dict, outcome: Outcome) -> None:
         attrs["outcome"] = outcome.kind.value
         if outcome.continue_target is not None:
             attrs["continueTarget"] = outcome.continue_target.text
 
-    for uc in model.use_cases:
+    for uc, uc_id in zip(model.use_cases, uc_ids):
         tag = "Handler" if uc.is_handler else "UseCase"
-        attrs = {f"{{{_XMI_NS}}}id": uc_ids[uc.name], "name": uc.name}
+        attrs = {f"{{{_XMI_NS}}}id": uc_id, "name": uc.name}
         if uc.level is not None:
             attrs["level"] = uc.level.value
         for field_name, value in (
@@ -366,11 +383,11 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
 
         for ctx in uc.contexts:
             ctx_attrs = {"relation": ctx.relation.value}
-            if ctx.use_case in uc_ids:
-                ctx_attrs["contextUseCase"] = uc_ids[ctx.use_case]
+            if (context_id := bound_id(model.use_cases, uc_ids, resolved.binding_for(ctx))) is not None:
+                ctx_attrs["contextUseCase"] = context_id
             ctx_attrs["contextName"] = ctx.use_case
-            if ctx.exception.qualified_name in exc_ids:
-                ctx_attrs["exception"] = exc_ids[ctx.exception.qualified_name]
+            if (exc_id := bound_id(model.exceptions, exc_ids, resolved.binding_for(ctx.exception))) is not None:
+                ctx_attrs["exception"] = exc_id
             ctx_attrs["exceptionName"] = ctx.exception.qualified_name
             ET.SubElement(uc_el, f"{{{_MODEL_NS}}}Context", ctx_attrs)
 
@@ -389,3 +406,116 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
     out = io.StringIO()
     tree.write(out, encoding="unicode", xml_declaration=True)
     return out.getvalue() + "\n"
+
+
+def print_model(model: Model) -> str:
+    """`.ucm` text that parses back to `model`, spans aside: the grammar of
+    the README, clauses in their mandatory order, strings quoted with `\\`
+    before every `"` and `\\`. A timeout amount is written as the decimal of
+    at most `MAX_DIGITS` digits a side nearest it, or as that many nines when
+    it is what they read as. Only a model `.ucm` text can write comes back
+    equal, compared through `export_json`."""
+    lines = [f"model {model.name}", "modes {"]
+    for mode in model.modes:
+        offers = f" offers {', '.join(mode.offered_services)}" if mode.offered_services else ""
+        lines.append(f"  {'default ' if mode.is_default else ''}{mode.kind.value} {mode.name}{offers}")
+    lines += ["}", "exceptions {"]
+    for exc in model.exceptions:
+        lines.append(f"  exception {CATEGORY_KEYWORD[exc.category]}::{exc.name}{' global' if exc.is_global else ''}")
+    lines += ["}", "services {"]
+    for svc in model.services:
+        lines.append(f"  service {svc.name} provides {', '.join(svc.goals)}")
+    lines.append("}")
+    for uc in model.use_cases:
+        lines += _print_use_case(uc)
+    return "\n".join(lines) + "\n"
+
+
+def _quote(text: str | None) -> str | None:
+    return None if text is None else '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _print_actor(ref: ActorRef) -> str:
+    text = ref.name if ref.category is None else f"{ref.category}::{ref.name}"
+    if ref.multiplicity is not None:
+        upper = "*" if ref.multiplicity.upper is None else ref.multiplicity.upper
+        text += f" [{ref.multiplicity.lower}..{upper}]"
+    return text
+
+
+def _print_use_case(uc: UseCase) -> list[str]:
+    contexts = [
+        f"{ctx.use_case} on {CATEGORY_KEYWORD[ctx.exception.category]}::{ctx.exception.name} {ctx.relation.value}"
+        for ctx in uc.contexts
+    ]
+    clauses = [
+        ("scope", _quote(uc.scope)),
+        ("level", None if uc.level is None else uc.level.value),
+        ("intention", _quote(uc.intention)),
+        ("multiplicity", _quote(uc.multiplicity_text)),
+        ("primary", ", ".join(map(_print_actor, uc.primary_actors)) or None),
+        ("secondary", ", ".join(map(_print_actor, uc.secondary_actors)) or None),
+        ("facilitator", ", ".join(map(_print_actor, uc.facilitator_actors)) or None),
+        ("precondition", _quote(uc.precondition)),
+        ("postcondition", _quote(uc.postcondition)),
+        ("contexts", ", ".join(contexts) or None),
+    ]
+    lines = [f"{'handler' if uc.is_handler else 'usecase'} {uc.name} {{"]
+    lines += [f"  {clause}: {text}" for clause, text in clauses if text is not None]
+    if uc.main is not None:
+        lines += _print_body("  main {", uc.main, uc.main.steps, "  ")
+    if uc.extensions:
+        lines.append("  extensions {")
+        for block in uc.extensions:
+            lines += _print_block(block, "    ")
+        lines.append("  }")
+    lines.append("}")
+    return lines
+
+
+def _print_block(block: ExtensionBlock, indent: str) -> list[str]:
+    guard = f" when {_quote(block.guard)}" if block.guard else ""
+    head = f"{indent}block {block.label.text} {block.kind.value}{guard} {{"
+    return _print_body(head, block, block.body, indent)
+
+
+def _print_body(head: str, owner: Scenario | ExtensionBlock, items: list, indent: str) -> list[str]:
+    lines = [head]
+    inner = indent + "  "
+    if owner.entry_switch is not None:
+        lines.append(f"{inner}mode switch: {owner.entry_switch.mode}")
+    for item in items:
+        lines += [inner + _print_step(item)] if isinstance(item, Step) else _print_block(item, inner)
+    if owner.exit_switch is not None:
+        lines.append(f"{inner}mode switch: {owner.exit_switch.mode}")
+    target = owner.outcome.continue_target
+    lines.append(f"{inner}outcome {owner.outcome.kind.value}{'' if target is None else ' ' + target.text}")
+    lines.append(indent + "}")
+    return lines
+
+
+def _print_amount(amount: float) -> str:
+    text = f"{amount:.{MAX_DIGITS}f}".rstrip("0").rstrip(".")
+    return "9" * MAX_DIGITS if len(text.split(".")[0]) > MAX_DIGITS else text
+
+
+def _print_step(step: Step) -> str:
+    payload = step.payload
+    if isinstance(payload, Interaction):
+        text = f"{payload.source} -> {payload.target} : {_quote(payload.message)}"
+    elif isinstance(payload, Invocation):
+        text = f"invoke {payload.target}"
+    elif isinstance(payload, Condition):
+        text = f"condition {_quote(payload.text)}"
+    elif isinstance(payload, Internal):
+        timeout = payload.timeout
+        limit = "" if timeout is None else f"timeout {_print_amount(timeout.amount)} {timeout.unit} "
+        text = f"internal {limit}{_quote(payload.description)}"
+    elif isinstance(payload, ControlFlow):
+        if payload.goto is not None:
+            text = f"goto {payload.goto.text}"
+        else:
+            text = f"repeat {payload.repeat_from.text}-{payload.repeat_to.text}"
+    else:
+        text = f"raise {CATEGORY_KEYWORD[payload.category]}::{payload.name}"
+    return f"{step.label.text}. {text}"

@@ -142,6 +142,12 @@ def test_table_unknown_usecase_is_usage_error(capsys):
     assert "Nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["handlers", "modes", "services"])
+def test_usecase_with_another_table_is_usage_error(kind, capsys):
+    assert main(["table", kind, FIREALARM, "--usecase", "Foo"]) == 2
+    assert capsys.readouterr() == ("", "ucm: --usecase applies only to 'table exceptions'\n")
+
+
 def test_table_csv_format(capsys):
     assert main(["table", "modes", SMARTSTORE, "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO_ROOT, growth, many_actors_source, nested_blocks_source, wide_use_case_source
-from oracles import elementtree_xmi
+from oracles import elementtree_xmi, print_model
 from strategies import model_source
 from ucm.cli import main
 from ucm.export import (
@@ -23,7 +24,7 @@ from ucm.export import (
     render_table,
 )
 from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS
-from ucm.parser import parse
+from ucm.parser import parse, parse_file
 from ucm.resolver import resolve
 from ucm.validation import validate
 
@@ -379,6 +380,122 @@ def test_string_holding_a_tab_imports():
     assert import_json(edited_document(lambda uc: uc.update(scope="a\tb")))[1] == []
 
 
+def first(node, match):
+    """The first dict in an export_json document, depth first, that `match` accepts."""
+    if isinstance(node, dict) and match(node):
+        return node
+    for child in node.values() if isinstance(node, dict) else node if isinstance(node, list) else ():
+        if (found := first(child, match)) is not None:
+            return found
+    return None
+
+
+# Where the smart-store export holds each kind of name: the container of the
+# name and its key there.
+NAME_SITES = {
+    "model": lambda d: (d, "name"),
+    "mode": lambda d: (d["modes"][0], "name"),
+    "mode-offers": lambda d: (first(d, lambda n: n.get("offers"))["offers"], 0),
+    "exception": lambda d: (d["exceptions"][0], "name"),
+    "service": lambda d: (d["services"][0], "name"),
+    "service-provides": lambda d: (d["services"][0]["provides"], 0),
+    "actor-category": lambda d: (first(d, lambda n: n.get("category") == "Human"), "category"),
+    "actor": lambda d: (first(d, lambda n: n.get("category") == "Human"), "name"),
+    "interaction-source": lambda d: (first(d, lambda n: n.get("kind") == "interaction"), "source"),
+    "interaction-target": lambda d: (first(d, lambda n: n.get("kind") == "interaction"), "target"),
+    "invoke-target": lambda d: (first(d, lambda n: n.get("kind") == "invocation"), "target"),
+    "context-usecase": lambda d: (first(d, lambda n: "relation" in n), "usecase"),
+    "context-exception": lambda d: (first(d, lambda n: "relation" in n)["exception"], "name"),
+    "raise-exception": lambda d: (first(d, lambda n: n.get("kind") == "exception-raise")["exception"], "name"),
+    "entry-switch": lambda d: (first(d, lambda n: n.get("entryModeSwitch")), "entryModeSwitch"),
+    "exit-switch": lambda d: (first(d, lambda n: n.get("exitModeSwitch")), "exitModeSwitch"),
+}
+
+
+@functools.cache
+def smartstore_export() -> str:
+    # Not a fixture: hypothesis writes the repr of every argument of a failing
+    # test, and the resolved store's would be about 1 MB.
+    model, diags = parse_file(CORPUS / "smartstore.ucm")
+    assert diags == []
+    return export_json(model)
+
+
+def smartstore_document(edit) -> str:
+    doc = json.loads(smartstore_export())
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", ["Fire Hazard", "a -> b", "Hu man", ""])
+@pytest.mark.parametrize("site", sorted(NAME_SITES))
+def test_name_that_is_not_an_identifier_is_e000(site, name):
+    def edit(doc):
+        container, key = NAME_SITES[site](doc)
+        container[key] = name
+
+    model, diags = import_json(smartstore_document(edit))
+    assert model is None
+    assert [d.code for d in diags] == ["E000"]
+    assert repr(name) in diags[0].message
+
+
+@pytest.mark.parametrize(
+    ("key", "names"), [("offers", [None, 7]), ("offers", ["\x01"]), ("provides", [{"a": 1}]), ("provides", [])]
+)
+def test_name_list_of_other_values_is_e000(key, names):
+    def edit(doc):
+        first(doc, lambda n: n.get(key))[key] = names
+
+    model, diags = import_json(smartstore_document(edit))
+    assert model is None
+    assert [d.code for d in diags] == ["E000"]
+
+
+def test_continue_target_on_another_outcome_is_e000():
+    def edit(doc):
+        first(doc, lambda n: n.get("kind") == "success" and "continueTarget" in n)["continueTarget"] = "9"
+
+    model, diags = import_json(smartstore_document(edit))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", "success outcome has a continueTarget")]
+
+
+@pytest.mark.parametrize("amount", ["1e300", "1e-300", "1.0000000000000002e100", "1.2345678901234567e-99"])
+def test_timeout_amount_no_decimal_of_the_digit_bound_writes_is_e000(amount):
+    model, diags = import_json(timeout_document(amount))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [
+        ("E000", f"timeout amount {float(amount)!r} needs more than {MAX_DIGITS} digits a side")
+    ]
+
+
+@pytest.mark.parametrize(
+    ("text", "amount"),
+    [("9" * MAX_DIGITS, "1e100"), ("0." + "0" * (MAX_DIGITS - 1) + "1", "1e-100"), ("0.5", "0.5"), ("7", "7")],
+)
+def test_timeout_amount_at_the_digit_bound_parses_and_imports(text, amount):
+    model, diags = parse(TIMEOUT_MODEL.replace("timeout 5 s", f"timeout {text} s"))
+    assert diags == []
+    assert model.use_cases[0].main.steps[0].payload.timeout.amount == float(amount)
+    assert import_json(export_json(model))[1] == []
+    assert import_json(timeout_document(amount))[1] == []
+
+
+@pytest.mark.parametrize("where", ["main", "block"])
+def test_exit_switch_alone_on_an_empty_body_is_e000(where):
+    # Text reads a lone switch before the outcome of an empty body as the entry.
+    source = MINIMAL + " usecase A { main { outcome success } extensions { block 1a alternative { outcome failure } } }"
+    doc = json.loads(export_json(resolved_of(source)))
+    node = doc["usecases"][0]["main"] if where == "main" else doc["usecases"][0]["extensions"][0]
+    node["exitModeSwitch"] = "Normal"
+    model, diags = import_json(json.dumps(doc))
+    assert model is None
+    assert [d.code for d in diags] == ["E000"]
+    node["entryModeSwitch"] = "Normal"
+    assert import_json(json.dumps(doc))[1] == []
+
+
 # -- XMI -------------------------------------------------------------------------
 
 
@@ -417,6 +534,48 @@ def test_xmi_is_well_formed_and_deterministic(smartstore_resolved, firealarm_res
         second = export_xmi(resolved)
         assert first == second
         ET.fromstring(first)  # well-formedness
+
+
+DUPLICATES = MINIMAL.replace("default normal Normal }", "default normal Normal offers S degraded Low normal Normal }")
+DUPLICATES = DUPLICATES.replace(
+    "exceptions { }",
+    """exceptions {
+  exception HardwareException::X exception SoftwareException::X exception HardwareException::X
+}
+services { service S provides B service S provides A }
+usecase A { main { mode switch: Normal 1. invoke B 2. raise HardwareException::X mode switch: Normal outcome success } }
+usecase B { main { 1. condition "first" outcome success } }
+usecase B { main { 1. condition "second" outcome success } }
+handler H { contexts: B on HardwareException::X interrupt-fail main { outcome success } }""",
+)
+
+
+def test_xmi_numbers_duplicate_definitions_apart_and_refers_to_the_first():
+    resolved = resolved_of(DUPLICATES)
+    text = export_xmi(resolved)
+    assert text == elementtree_xmi(resolved)
+    root = ET.fromstring(text)
+    xmi_id = "{http://www.omg.org/XMI}id"
+    ids = [el.get(xmi_id) for el in root.iter() if el.get(xmi_id)]
+    assert len(ids) == len(set(ids))
+    assert {"service_2", "usecase_2", "usecase_3", "mode_3", "exception_3"} <= set(ids)
+    refs = [
+        (name, value)
+        for el in root.iter()
+        for name, value in el.attrib.items()
+        if name in ("offers", "provides", "invokes", "raises", "entryMode", "exitMode", "contextUseCase", "exception")
+    ]
+    assert refs == [
+        ("offers", "service_1"),
+        ("provides", "usecase_2"),
+        ("provides", "usecase_1"),
+        ("entryMode", "mode_1"),
+        ("exitMode", "mode_1"),
+        ("invokes", "usecase_2"),
+        ("raises", "exception_1"),
+        ("contextUseCase", "usecase_2"),
+        ("exception", "exception_1"),
+    ]
 
 
 def test_xmi_steps_reference_invoked_usecases(smartstore_resolved):
@@ -517,6 +676,59 @@ def test_generated_models_export_xmi_and_dot(source):
     assert text == elementtree_xmi(resolved)
     ET.fromstring(text)
     assert export_dot(resolved).startswith("digraph")
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=model_source())
+def test_printed_model_parses_back_to_the_same_export(source):
+    model, diags = parse(source, "gen.ucm")
+    assert diags == [], source
+    printed = print_model(model)
+    back, back_diags = parse(printed, "printed.ucm")
+    assert back_diags == [], printed
+    assert export_json(back) == export_json(model)
+
+
+# Values a mutation writes over one leaf of an export_json document: names,
+# strings, labels, numbers and enum values at and past each rule's edge.
+LEAF_VALUES = [
+    None, True, 0, -1, 7, 2.5, 1e300, 1e-300, 1e100, 1e-100, 10**MAX_DIGITS, float("nan"), {}, {"a": 1},
+    [], [None, 7], [{"a": 1}], ["A"], ["A B"],
+    "Fire Hazard", "a -> b", "Hu man", "", "X", "Hu-man", "model", "_a1", "A::B", "a-", "\u00e9",
+    'say "hi"', "back\\slash", "a\tb", "a\nb", "\x01", "\uffff", " ",
+    "1", "2a", "2a1", "1-3", "007", "1" * (MAX_DIGITS + 1), "2aa", "2a1b", "1-2a", "\u0661",
+    "normal", "degraded", "hardware", "user-goal", "interaction", "invocation", "condition", "internal",
+    "control-flow", "exception-raise", "exceptional", "success", "continue", "interrupt-fail", "ms", "min",
+    "step", "block",
+]
+
+
+def leaf_paths(node, path: tuple = ()):
+    """The path to every value in an export_json document but objects."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if not isinstance(value, dict):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from leaf_paths(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_import_accepts_only_what_text_can_write(data):
+    doc = json.loads(smartstore_export())
+    *path, last = data.draw(st.sampled_from(list(leaf_paths(doc))))
+    node = doc
+    for key in path:
+        node = node[key]
+    node[last] = data.draw(st.sampled_from(LEAF_VALUES) | st.text(max_size=4) | st.integers() | st.floats())
+    model, diags = import_json(json.dumps(doc))
+    if diags:
+        assert model is None and [d.code for d in diags] == ["E000"]
+        return
+    printed = print_model(model)
+    back, back_diags = parse(printed, "printed.ucm")
+    assert back_diags == [], (diags, printed)
+    assert export_json(back) == export_json(model)
 
 
 # Keys whose values import_json takes as free text.
