@@ -137,7 +137,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return MODEL_ERRORS
     try:
         if args.kind == "exceptions":
-            table = analysis.exception_table(analysis.exception_summary(resolved, args.usecase or None))
+            table = analysis.exception_table(analysis.exception_summary(resolved, args.usecase))
         elif args.kind == "handlers":
             table = analysis.handler_table(analysis.handler_summary(resolved))
         elif args.kind == "modes":

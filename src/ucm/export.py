@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .diagnostics import Diagnostic
 from .lexer import IDENT_RE
@@ -38,6 +40,7 @@ from .model import (
     Multiplicity,
     Outcome,
     OutcomeKind,
+    STEP_KINDS,
     Scenario,
     ServiceDecl,
     Step,
@@ -116,41 +119,11 @@ def _render_csv(table: SummaryTable) -> str:
 
 
 # -- canonical JSON -----------------------------------------------------------
-#
-# Document layout (formatVersion 1), keys always in this order:
-#   formatVersion, name, modes, exceptions, services, usecases
-#   mode:      name, kind, default, offers
-#   exception: category, name, global
-#   service:   name, provides
-#   usecase:   name, handler, scope, level, intention, multiplicity,
-#              primary, secondary, facilitator, precondition, postcondition,
-#              contexts, main, extensions
-#   actor:     category, name, multiplicity{lower, upper}
-#   context:   usecase, exception{category, name}, relation
-#   scenario:  entryModeSwitch, steps, exitModeSwitch, outcome
-#   step:      node="step", label, kind, then payload keys
-#   block:     node="block", label, kind, guard, entryModeSwitch, body,
-#              exitModeSwitch, outcome
-#   outcome:   kind, continueTarget
 
 
 def export_json(resolved: ResolvedModel | Model) -> str:
     model = resolved.model if isinstance(resolved, ResolvedModel) else resolved
-    doc = {
-        "formatVersion": FORMAT_VERSION,
-        "name": model.name,
-        "modes": [
-            {"name": m.name, "kind": m.kind.value, "default": m.is_default, "offers": list(m.offered_services)}
-            for m in model.modes
-        ],
-        "exceptions": [
-            {"category": e.category.value, "name": e.name, "global": e.is_global}
-            for e in model.exceptions
-        ],
-        "services": [{"name": s.name, "provides": list(s.goals)} for s in model.services],
-        "usecases": [_usecase_to_json(uc) for uc in model.use_cases],
-    }
-    return dump_json(doc) + "\n"
+    return dump_json({"formatVersion": FORMAT_VERSION, **_to_json(model)}) + "\n"
 
 
 def dump_json(value, indent: str = "\n") -> str:
@@ -173,101 +146,6 @@ def dump_json(value, indent: str = "\n") -> str:
     if value is True or value is False:
         return "true" if value else "false"
     return json.dumps(value)  # a number
-
-
-def _actor_to_json(ref: ActorRef) -> dict:
-    return {
-        "category": ref.category,
-        "name": ref.name,
-        "multiplicity": None
-        if ref.multiplicity is None
-        else {"lower": ref.multiplicity.lower, "upper": ref.multiplicity.upper},
-    }
-
-
-def _outcome_to_json(outcome: Outcome) -> dict:
-    return {
-        "kind": outcome.kind.value,
-        "continueTarget": outcome.continue_target.text if outcome.continue_target else None,
-    }
-
-
-def _step_to_json(step: Step) -> dict:
-    doc: dict = {"node": "step", "label": step.label.text, "kind": step.kind.value}
-    payload = step.payload
-    if isinstance(payload, Interaction):
-        doc.update(source=payload.source, target=payload.target, message=payload.message)
-    elif isinstance(payload, Invocation):
-        doc.update(target=payload.target)
-    elif isinstance(payload, Condition):
-        doc.update(text=payload.text)
-    elif isinstance(payload, Internal):
-        doc.update(
-            description=payload.description,
-            timeout=None
-            if payload.timeout is None
-            else {"amount": payload.timeout.amount, "unit": payload.timeout.unit},
-        )
-    elif isinstance(payload, ControlFlow):
-        doc.update(
-            goto=payload.goto.text if payload.goto else None,
-            repeatFrom=payload.repeat_from.text if payload.repeat_from else None,
-            repeatTo=payload.repeat_to.text if payload.repeat_to else None,
-        )
-    elif isinstance(payload, ExceptionRef):
-        doc.update(exception={"category": payload.category.value, "name": payload.name})
-    return doc
-
-
-def _block_to_json(block: ExtensionBlock) -> dict:
-    return {
-        "node": "block",
-        "label": block.label.text,
-        "kind": block.kind.value,
-        "guard": block.guard,
-        "entryModeSwitch": block.entry_switch.mode if block.entry_switch else None,
-        "body": [
-            _step_to_json(item) if isinstance(item, Step) else _block_to_json(item)
-            for item in block.body
-        ],
-        "exitModeSwitch": block.exit_switch.mode if block.exit_switch else None,
-        "outcome": _outcome_to_json(block.outcome),
-    }
-
-
-def _scenario_to_json(scenario: Scenario) -> dict:
-    return {
-        "entryModeSwitch": scenario.entry_switch.mode if scenario.entry_switch else None,
-        "steps": [_step_to_json(s) for s in scenario.steps],
-        "exitModeSwitch": scenario.exit_switch.mode if scenario.exit_switch else None,
-        "outcome": _outcome_to_json(scenario.outcome),
-    }
-
-
-def _usecase_to_json(uc: UseCase) -> dict:
-    return {
-        "name": uc.name,
-        "handler": uc.is_handler,
-        "scope": uc.scope,
-        "level": uc.level.value if uc.level else None,
-        "intention": uc.intention,
-        "multiplicity": uc.multiplicity_text,
-        "primary": [_actor_to_json(a) for a in uc.primary_actors],
-        "secondary": [_actor_to_json(a) for a in uc.secondary_actors],
-        "facilitator": [_actor_to_json(a) for a in uc.facilitator_actors],
-        "precondition": uc.precondition,
-        "postcondition": uc.postcondition,
-        "contexts": [
-            {
-                "usecase": ctx.use_case,
-                "exception": {"category": ctx.exception.category.value, "name": ctx.exception.name},
-                "relation": ctx.relation.value,
-            }
-            for ctx in uc.contexts
-        ],
-        "main": _scenario_to_json(uc.main) if uc.main else None,
-        "extensions": [_block_to_json(b) for b in uc.extensions],
-    }
 
 
 class _SchemaError(Exception):
@@ -328,6 +206,132 @@ def _need(doc, key: str, kind, where: str, optional: bool = False):
     return value
 
 
+# Kinds of layout value that are no `_need` leaf: a mode switch, written as
+# its mode's name, and a step's payload, written as the step's `kind` word
+# followed by the payload's own keys, or a raise step's under `exception`.
+_SWITCH = "mode switch"
+_PAYLOAD = "step payload"
+
+# The JSON document, formatVersion 1: `formatVersion`, then the keys of the
+# Model. Each node class lists its keys in written order, each as (key,
+# attribute, kind[, optional]), where optional reads null as None.
+# A kind is a `_need` leaf kind, `_SWITCH`, `_PAYLOAD`, a class of this table
+# (an object), or a list of one class; a block body, [Step, ExtensionBlock],
+# tells its items apart by their `node` word.
+_LAYOUT: dict[type, tuple[tuple, ...]] = {
+    Model: (
+        ("name", "name", _IDENT), ("modes", "modes", [ModeDecl]), ("exceptions", "exceptions", [ExceptionDef]),
+        ("services", "services", [ServiceDecl]), ("usecases", "use_cases", [UseCase]),
+    ),
+    ModeDecl: (
+        ("name", "name", _IDENT), ("kind", "kind", ModeKind), ("default", "is_default", bool),
+        ("offers", "offered_services", _IDENTS),
+    ),
+    ExceptionDef: (
+        ("category", "category", ExceptionCategory), ("name", "name", _IDENT), ("global", "is_global", bool),
+    ),
+    ServiceDecl: (("name", "name", _IDENT), ("provides", "goals", _IDENTS)),
+    UseCase: (
+        ("name", "name", _IDENT), ("handler", "is_handler", bool), ("scope", "scope", str, True),
+        ("level", "level", Level, True), ("intention", "intention", str, True),
+        ("multiplicity", "multiplicity_text", str, True), ("primary", "primary_actors", [ActorRef]),
+        ("secondary", "secondary_actors", [ActorRef]), ("facilitator", "facilitator_actors", [ActorRef]),
+        ("precondition", "precondition", str, True), ("postcondition", "postcondition", str, True),
+        ("contexts", "contexts", [HandlerContext]), ("main", "main", Scenario, True),
+        ("extensions", "extensions", [ExtensionBlock]),
+    ),
+    ActorRef: (
+        ("category", "category", _IDENT, True), ("name", "name", _IDENT),
+        ("multiplicity", "multiplicity", Multiplicity, True),
+    ),
+    Multiplicity: (("lower", "lower", int), ("upper", "upper", int, True)),
+    HandlerContext: (
+        ("usecase", "use_case", _IDENT), ("exception", "exception", ExceptionRef),
+        ("relation", "relation", InterruptRelation),
+    ),
+    ExceptionRef: (("category", "category", ExceptionCategory), ("name", "name", _IDENT)),
+    Scenario: (
+        ("entryModeSwitch", "entry_switch", _SWITCH, True), ("steps", "steps", [Step]),
+        ("exitModeSwitch", "exit_switch", _SWITCH, True), ("outcome", "outcome", Outcome),
+    ),
+    Step: (("label", "label", StepLabel), ("kind", "payload", _PAYLOAD)),
+    ExtensionBlock: (
+        ("label", "label", StepLabel), ("kind", "kind", BlockKind), ("guard", "guard", str),
+        ("entryModeSwitch", "entry_switch", _SWITCH, True), ("body", "body", [Step, ExtensionBlock]),
+        ("exitModeSwitch", "exit_switch", _SWITCH, True), ("outcome", "outcome", Outcome),
+    ),
+    Outcome: (("kind", "kind", OutcomeKind), ("continueTarget", "continue_target", StepLabel, True)),
+    Interaction: (("source", "source", _IDENT), ("target", "target", _IDENT), ("message", "message", str)),
+    Invocation: (("target", "target", _IDENT),),
+    Condition: (("text", "text", str),),
+    Internal: (("description", "description", str), ("timeout", "timeout", Timeout, True)),
+    Timeout: (("amount", "amount", float), ("unit", "unit", TIME_UNITS)),
+    ControlFlow: (
+        ("goto", "goto", StepLabel, True), ("repeatFrom", "repeat_from", StepLabel, True),
+        ("repeatTo", "repeat_to", StepLabel, True),
+    ),
+}
+
+# What an E000 message calls an object of each class. An exception
+# reference is named by its place (`context exception`), and a payload's
+# keys are its step's.
+_WHERE = {
+    Model: "document", ModeDecl: "mode", ExceptionDef: "exception", ServiceDecl: "service", UseCase: "usecase",
+    ActorRef: "actor", Multiplicity: "multiplicity", HandlerContext: "context", Scenario: "scenario",
+    Step: "step", ExtensionBlock: "block", Outcome: "outcome", Timeout: "timeout",
+}
+
+# The `node` word that opens an object of each class a block body holds.
+_NODE_WORDS = {Step: "step", ExtensionBlock: "block"}
+_NODE_CLASSES = {word: cls for cls, word in _NODE_WORDS.items()}
+_PAYLOAD_CLASSES = {kind: cls for cls, kind in STEP_KINDS.items()}
+
+# The fields the document does not hold: every span comes back zero-length,
+# and a model's file is "<json>".
+_SYNTHETIC = {cls: {f.name: ZERO_SPAN for f in fields(cls) if f.type == "SourceSpan"} for cls in _LAYOUT}
+_SYNTHETIC[Model]["source_file"] = "<json>"
+
+
+def _writer(attr: str, kind):
+    """The function from a node to the JSON value of its `attr`, a `kind`."""
+    if kind is _PAYLOAD:
+        return attrgetter("kind.value")
+    get = attrgetter(attr)
+    if isinstance(kind, list):
+        return lambda node: [_to_json(item) for item in get(node)]
+    if kind in _LAYOUT:
+        convert = _to_json
+    elif kind is _SWITCH:
+        convert = attrgetter("mode")
+    elif kind is StepLabel:
+        convert = attrgetter("text")
+    elif isinstance(kind, type) and issubclass(kind, Enum):
+        convert = attrgetter("value")
+    else:
+        return get
+    return lambda node: None if (value := get(node)) is None else convert(value)
+
+
+def _writers(cls: type) -> list:
+    """The (key, writer) pairs of `cls` in `_LAYOUT` order; an object of a
+    block body's class opens with its `node` word."""
+    node = [("node", lambda _: _NODE_WORDS[cls])] if cls in _NODE_WORDS else []
+    return node + [(key, _writer(attr, kind)) for key, attr, kind, *_ in _LAYOUT[cls]]
+
+
+def _to_json(node) -> dict:
+    """`node` as its JSON object, keys in `_LAYOUT` order, a step's payload
+    keys after its `kind`."""
+    doc = {key: write(node) for key, write in _WRITERS[type(node)]}
+    if type(node) is Step:
+        payload = _to_json(node.payload)
+        doc.update({"exception": payload} if type(node.payload) is ExceptionRef else payload)
+    return doc
+
+
+_WRITERS = {cls: _writers(cls) for cls in _LAYOUT}
+
+
 def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
     """Rebuild a model from export_json output; spans come back zero-length.
     It accepts exactly the models `.ucm` text can write: a schema violation,
@@ -347,184 +351,82 @@ def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
         version = _need(doc, "formatVersion", int, "document")
         if version != FORMAT_VERSION:
             raise _SchemaError(f"unsupported formatVersion {version}, expected {FORMAT_VERSION}")
-        model = _model_from_json(doc)
+        model = _from_json(doc, Model, "document", 0)
     except _SchemaError as err:
         return None, [Diagnostic("E000", str(err), ZERO_SPAN)]
     return model, []
 
 
-def _model_from_json(doc: dict) -> Model:
-    modes = [
-        ModeDecl(
-            _need(m, "name", _IDENT, "mode"),
-            _need(m, "kind", ModeKind, "mode"),
-            _need(m, "default", bool, "mode"),
-            _need(m, "offers", _IDENTS, "mode"),
-            ZERO_SPAN,
-        )
-        for m in _need(doc, "modes", list, "document")
-    ]
-    exceptions = [
-        ExceptionDef(
-            _need(e, "category", ExceptionCategory, "exception"),
-            _need(e, "name", _IDENT, "exception"),
-            _need(e, "global", bool, "exception"),
-            ZERO_SPAN,
-        )
-        for e in _need(doc, "exceptions", list, "document")
-    ]
-    services = []
-    for s in _need(doc, "services", list, "document"):
-        name = _need(s, "name", _IDENT, "service")
-        goals = _need(s, "provides", _IDENTS, "service")
-        if not goals:  # `provides` takes one name or more
+def _from_json(doc, cls: type, where: str, depth: int):
+    """The `cls` node that the JSON object `doc` lays out, `where` naming it
+    in messages and `depth` counting the blocks around it. Each value is held
+    to its rule by `_need` and each node to its cross-field rules by `_check`."""
+    if cls is ExtensionBlock:
+        depth += 1
+        if depth > MAX_BLOCK_DEPTH:
+            raise _SchemaError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels")
+    values = dict(_SYNTHETIC[cls])
+    for key, attr, kind, *optional in _LAYOUT[cls]:
+        if kind is _PAYLOAD:
+            kind = _PAYLOAD_CLASSES[_need(doc, key, StepKind, where)]
+            if kind is not ExceptionRef:
+                values[attr] = _from_json(doc, kind, where, depth)
+                continue
+            key = "exception"  # a raise step's payload is an object of its own
+        if isinstance(kind, list):
+            items = values[attr] = []
+            for item in _need(doc, key, list, where):
+                item_cls = kind[0]
+                if len(kind) > 1:  # a block body
+                    item_cls = _NODE_CLASSES[_need(item, "node", tuple(_NODE_CLASSES), f"{where} {key} item")]
+                items.append(_from_json(item, item_cls, _WHERE[item_cls], depth))
+        elif kind in _LAYOUT:
+            value = _need(doc, key, dict, where, *optional)
+            values[attr] = None if value is None else _from_json(value, kind, _WHERE.get(kind, f"{where} {key}"), depth)
+        elif kind is _SWITCH:
+            name = _need(doc, key, _IDENT, where, *optional)
+            values[attr] = None if name is None else ModeSwitch(name, ZERO_SPAN)
+        else:
+            values[attr] = _need(doc, key, kind, where, *optional)
+    node = cls(**values)
+    _check(node, where)
+    return node
+
+
+def _check(node, where: str) -> None:
+    """Hold `node` to the rules of `.ucm` text that span several of its
+    fields, and keep a timeout's amount as the float text reads."""
+    if isinstance(node, ServiceDecl):
+        if not node.goals:  # `provides` takes one name or more
             raise _SchemaError("key 'provides' in service is an empty list")
-        services.append(ServiceDecl(name, goals, ZERO_SPAN))
-    use_cases = [_usecase_from_json(u) for u in _need(doc, "usecases", list, "document")]
-    return Model(
-        _need(doc, "name", _IDENT, "document"), modes, exceptions, services, use_cases, ZERO_SPAN, "<json>"
-    )
-
-
-def _actor_from_json(doc) -> ActorRef:
-    category = _need(doc, "category", _IDENT, "actor", optional=True)
-    mult_doc = _need(doc, "multiplicity", dict, "actor", optional=True)
-    multiplicity = None
-    if mult_doc is not None:
-        lower = _need(mult_doc, "lower", int, "multiplicity")
-        upper = _need(mult_doc, "upper", int, "multiplicity", optional=True)
-        for which, bound in (("lower", lower), ("upper", upper)):
+    elif isinstance(node, Multiplicity):
+        for which, bound in (("lower", node.lower), ("upper", node.upper)):
             if bound is not None and bound_out_of_range(bound):
                 raise _SchemaError(f"multiplicity {which} bound is negative or has more than {MAX_DIGITS} digits")
-        multiplicity = Multiplicity(lower, upper)
-    return ActorRef(category, _need(doc, "name", _IDENT, "actor"), multiplicity, ZERO_SPAN)
-
-
-def _outcome_from_json(doc) -> Outcome:
-    kind = _need(doc, "kind", OutcomeKind, "outcome")
-    target = _need(doc, "continueTarget", StepLabel, "outcome", optional=True)
-    if (kind is OutcomeKind.CONTINUE) != (target is not None):  # text names a target after `continue` only
-        raise _SchemaError(f"{kind.value} outcome {'lacks its' if target is None else 'has a'} continueTarget")
-    return Outcome(kind, target, ZERO_SPAN)
-
-
-def _switches_from_json(doc, where: str, items: list) -> tuple[ModeSwitch | None, ModeSwitch | None]:
-    """The entry and exit mode switches of a scenario or block whose steps
-    or body are `items`. Text reads a lone switch before the outcome of an
-    empty body as the entry, so an exit switch alone cannot be written there."""
-    entry = _need(doc, "entryModeSwitch", _IDENT, where, optional=True)
-    exit_name = _need(doc, "exitModeSwitch", _IDENT, where, optional=True)
-    if entry is None and exit_name is not None and not items:
-        raise _SchemaError(f"{where} without steps has an exitModeSwitch but no entryModeSwitch")
-    return tuple(None if name is None else ModeSwitch(name, ZERO_SPAN) for name in (entry, exit_name))
-
-
-def _exception_ref_from_json(doc, where: str) -> ExceptionRef:
-    exc = _need(doc, "exception", dict, where)
-    where += " exception"
-    category = _need(exc, "category", ExceptionCategory, where)
-    return ExceptionRef(category, _need(exc, "name", _IDENT, where), ZERO_SPAN)
-
-
-def _step_from_json(doc) -> Step:
-    label = _need(doc, "label", StepLabel, "step")
-    kind = _need(doc, "kind", StepKind, "step")
-    if kind is StepKind.INTERACTION:
-        payload: object = Interaction(
-            _need(doc, "source", _IDENT, "step"),
-            _need(doc, "target", _IDENT, "step"),
-            _need(doc, "message", str, "step"),
-        )
-    elif kind is StepKind.INVOCATION:
-        payload = Invocation(_need(doc, "target", _IDENT, "step"))
-    elif kind is StepKind.CONDITION:
-        payload = Condition(_need(doc, "text", str, "step"))
-    elif kind is StepKind.INTERNAL:
-        timeout_doc = _need(doc, "timeout", dict, "step", optional=True)
-        timeout = None
-        if timeout_doc is not None:
-            amount = _need(timeout_doc, "amount", float, "timeout")
-            if not 0 < amount <= sys.float_info.max:  # NaN fails too; ints compare exactly
-                raise _SchemaError("timeout amount is not positive and finite")
-            if amount_out_of_range(float(amount)):
-                raise _SchemaError(f"timeout amount {amount!r} needs more than {MAX_DIGITS} digits a side")
-            timeout = Timeout(float(amount), _need(timeout_doc, "unit", TIME_UNITS, "timeout"))
-        payload = Internal(_need(doc, "description", str, "step"), timeout)
-    elif kind is StepKind.CONTROL_FLOW:
-        goto = _need(doc, "goto", StepLabel, "step", optional=True)
-        lo = _need(doc, "repeatFrom", StepLabel, "step", optional=True)
-        hi = _need(doc, "repeatTo", StepLabel, "step", optional=True)
-        if goto is not None and lo is None and hi is None:
-            payload = ControlFlow(goto, None, None)
-        elif goto is None and lo is not None and hi is not None:
+    elif isinstance(node, Outcome):
+        target = node.continue_target
+        if (node.kind is OutcomeKind.CONTINUE) != (target is not None):  # text names it after `continue` only
+            raise _SchemaError(f"{node.kind.value} outcome {'lacks its' if target is None else 'has a'} continueTarget")
+    elif isinstance(node, (Scenario, ExtensionBlock)):
+        # Text reads a lone switch before the outcome of an empty body as the entry.
+        items = node.steps if isinstance(node, Scenario) else node.body
+        if node.entry_switch is None and node.exit_switch is not None and not items:
+            raise _SchemaError(f"{where} without steps has an exitModeSwitch but no entryModeSwitch")
+    elif isinstance(node, Timeout):
+        amount = node.amount
+        if not 0 < amount <= sys.float_info.max:  # NaN fails too; ints compare exactly
+            raise _SchemaError("timeout amount is not positive and finite")
+        node.amount = float(amount)
+        if amount_out_of_range(node.amount):
+            raise _SchemaError(f"timeout amount {amount!r} needs more than {MAX_DIGITS} digits a side")
+    elif isinstance(node, ControlFlow):
+        lo, hi = node.repeat_from, node.repeat_to
+        if node.goto is None and lo is not None and hi is not None:
             for key, bound in (("repeatFrom", lo), ("repeatTo", hi)):  # as the parser's `repeat 2-4`
                 if bound.anchor_hi is not None or bound.suffix:
                     raise _SchemaError(f"{key} {bound.text!r} is not a plain step number")
-            payload = ControlFlow(None, lo, hi)
-        else:
+        elif node.goto is None or lo is not None or hi is not None:
             raise _SchemaError("control-flow step must set either goto or both repeatFrom and repeatTo")
-    else:
-        payload = _exception_ref_from_json(doc, "step")
-    return Step(label, payload, ZERO_SPAN)
-
-
-def _block_from_json(doc, depth: int = 1) -> ExtensionBlock:
-    if depth > MAX_BLOCK_DEPTH:
-        raise _SchemaError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels")
-    body: list[Step | ExtensionBlock] = [
-        _step_from_json(item)
-        if _need(item, "node", ("step", "block"), "block body item") == "step"
-        else _block_from_json(item, depth + 1)
-        for item in _need(doc, "body", list, "block")
-    ]
-    return ExtensionBlock(
-        _need(doc, "label", StepLabel, "block"),
-        _need(doc, "kind", BlockKind, "block"),
-        _need(doc, "guard", str, "block"),
-        body,
-        *_switches_from_json(doc, "block", body),
-        _outcome_from_json(_need(doc, "outcome", dict, "block")),
-        ZERO_SPAN,
-    )
-
-
-def _scenario_from_json(doc) -> Scenario:
-    steps = [_step_from_json(s) for s in _need(doc, "steps", list, "scenario")]
-    entry, exit_switch = _switches_from_json(doc, "scenario", steps)
-    outcome = _outcome_from_json(_need(doc, "outcome", dict, "scenario"))
-    return Scenario(entry, steps, exit_switch, outcome, ZERO_SPAN)
-
-
-def _usecase_from_json(doc) -> UseCase:
-    contexts = [
-        HandlerContext(
-            _need(c, "usecase", _IDENT, "context"),
-            ZERO_SPAN,
-            _exception_ref_from_json(c, "context"),
-            _need(c, "relation", InterruptRelation, "context"),
-            ZERO_SPAN,
-        )
-        for c in _need(doc, "contexts", list, "usecase")
-    ]
-    main_doc = _need(doc, "main", dict, "usecase", optional=True)
-    return UseCase(
-        name=_need(doc, "name", _IDENT, "usecase"),
-        is_handler=_need(doc, "handler", bool, "usecase"),
-        scope=_need(doc, "scope", str, "usecase", optional=True),
-        level=_need(doc, "level", Level, "usecase", optional=True),
-        intention=_need(doc, "intention", str, "usecase", optional=True),
-        multiplicity_text=_need(doc, "multiplicity", str, "usecase", optional=True),
-        primary_actors=[_actor_from_json(a) for a in _need(doc, "primary", list, "usecase")],
-        secondary_actors=[_actor_from_json(a) for a in _need(doc, "secondary", list, "usecase")],
-        facilitator_actors=[_actor_from_json(a) for a in _need(doc, "facilitator", list, "usecase")],
-        precondition=_need(doc, "precondition", str, "usecase", optional=True),
-        postcondition=_need(doc, "postcondition", str, "usecase", optional=True),
-        contexts=contexts,
-        main=_scenario_from_json(main_doc) if main_doc is not None else None,
-        extensions=[_block_from_json(b) for b in _need(doc, "extensions", list, "usecase")],
-        span=ZERO_SPAN,
-        name_span=ZERO_SPAN,
-    )
 
 
 # -- XMI -----------------------------------------------------------------------

@@ -112,10 +112,10 @@ def amount_out_of_range(amount: float) -> bool:
     return not 0 < amount <= float("9" * MAX_DIGITS) or float(f"{amount:.{MAX_DIGITS}f}") != amount
 
 
-# Characters no string in a model may hold: U+FFFE, U+FFFF and the C0
-# controls but TAB. XML 1.0 cannot carry them, not even as character
-# references, except LF and CR, which a one-line `.ucm` string cannot hold.
-NON_STRING_CHARS = r"\x00-\x08\n-\x1f\ufffe\uffff"
+# Characters no string in a model may hold: the C0 controls but TAB, the
+# surrogates, U+FFFE and U+FFFF. XML 1.0 cannot carry them, not even as
+# character references, except LF and CR, which one-line strings cannot hold.
+NON_STRING_CHARS = r"\x00-\x08\n-\x1f\ud800-\udfff\ufffe\uffff"
 _NON_STRING_CHAR_RE = re.compile(f"[{NON_STRING_CHARS}]")
 
 
@@ -125,7 +125,7 @@ def non_string_char(text: str) -> tuple[int, str] | None:
     found = _NON_STRING_CHAR_RE.search(text)
     if found is None:
         return None
-    kind = "control character" if found[0] < " " else "noncharacter"
+    kind = "control character" if found[0] < " " else "surrogate" if found[0] < "\ufffe" else "noncharacter"
     return found.start(), f"string holds {kind} U+{ord(found[0]):04X}"
 
 
@@ -317,7 +317,7 @@ class ControlFlow:
 StepPayload = Interaction | Invocation | Condition | Internal | ControlFlow | ExceptionRef
 
 # A step's kind is the type of its payload.
-_STEP_KINDS: dict[type, StepKind] = {
+STEP_KINDS: dict[type, StepKind] = {
     Interaction: StepKind.INTERACTION,
     Invocation: StepKind.INVOCATION,
     Condition: StepKind.CONDITION,
@@ -335,7 +335,7 @@ class Step:
 
     @property
     def kind(self) -> StepKind:
-        return _STEP_KINDS[type(self.payload)]
+        return STEP_KINDS[type(self.payload)]
 
 
 @dataclass

@@ -183,6 +183,8 @@ def check_interaction_endpoints(resolved: ResolvedModel) -> list[Diagnostic]:
             continue
         declared = [ref.name for ref in uc.all_actors()]
         known = set(declared)
+        # Each diagnostic names at most 8 actors, so its length does not grow with the use case.
+        listing = ", ".join(declared[:8]) + (f" and {len(declared) - 8} more" if len(declared) > 8 else "") or "none"
         for step in uc.all_steps():
             if not isinstance(step.payload, Interaction):
                 continue
@@ -199,7 +201,6 @@ def check_interaction_endpoints(resolved: ResolvedModel) -> list[Diagnostic]:
             else:
                 other = ends[0] if ends[1] == "System" else ends[1]
                 if other not in known:
-                    listing = ", ".join(declared) if declared else "none"
                     diags.append(
                         Diagnostic(
                             "E010",

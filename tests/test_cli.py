@@ -142,6 +142,11 @@ def test_table_unknown_usecase_is_usage_error(capsys):
     assert "Nope" in capsys.readouterr().err
 
 
+def test_table_empty_usecase_name_is_usage_error(capsys):
+    assert main(["table", "exceptions", SMARTSTORE, "--usecase", ""]) == 2
+    assert capsys.readouterr() == ("", "ucm: unknown use case ''\n")
+
+
 @pytest.mark.parametrize("kind", ["handlers", "modes", "services"])
 def test_usecase_with_another_table_is_usage_error(kind, capsys):
     assert main(["table", kind, FIREALARM, "--usecase", "Foo"]) == 2

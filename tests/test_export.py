@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -15,6 +16,7 @@ from oracles import elementtree_xmi, print_model
 from strategies import model_source
 from ucm.cli import main
 from ucm.export import (
+    _LAYOUT,
     SummaryTable,
     dump_json,
     export_dot,
@@ -23,7 +25,7 @@ from ucm.export import (
     import_json,
     render_table,
 )
-from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS
+from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS, STEP_KINDS, Model, Step
 from ucm.parser import parse, parse_file
 from ucm.resolver import resolve
 from ucm.validation import validate
@@ -376,6 +378,15 @@ def test_string_the_parser_would_reject_is_e000(key, text, name):
     assert [(d.code, d.message) for d in diags] == [("E000", f"key '{key}' in usecase: string holds {name}")]
 
 
+def test_lone_surrogate_in_a_string_is_e000(firealarm_resolved):
+    # No UTF-8 text holds one, so the XMI export could not be encoded.
+    doc = json.loads(export_json(firealarm_resolved))
+    doc["usecases"][0]["scope"] = "a\ud800b"
+    model, diags = import_json(json.dumps(doc))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", "key 'scope' in usecase: string holds surrogate U+D800")]
+
+
 def test_string_holding_a_tab_imports():
     assert import_json(edited_document(lambda uc: uc.update(scope="a\tb")))[1] == []
 
@@ -494,6 +505,35 @@ def test_exit_switch_alone_on_an_empty_body_is_e000(where):
     assert [d.code for d in diags] == ["E000"]
     node["entryModeSwitch"] = "Normal"
     assert import_json(json.dumps(doc))[1] == []
+
+
+def test_layout_writes_every_field_of_each_class_under_its_own_key():
+    for cls, layout in _LAYOUT.items():
+        synthetic = [f.name for f in dataclasses.fields(cls) if f.type == "SourceSpan"]
+        synthetic += ["source_file"] if cls is Model else []
+        attrs = [attr for _, attr, *_ in layout]
+        assert sorted(attrs + synthetic) == sorted(f.name for f in dataclasses.fields(cls)), cls
+        keys = [key for key, *_ in layout]
+        assert len(set(keys)) == len(keys), cls
+    step_keys = {"node", *(key for key, *_ in _LAYOUT[Step])}
+    for payload in STEP_KINDS:
+        assert step_keys.isdisjoint(key for key, *_ in _LAYOUT[payload]), payload
+
+
+@pytest.mark.parametrize(
+    ("where", "message"),
+    [("usecase", "missing key 'name' in usecase"), ("block", "missing key 'label' in block")],
+)
+def test_document_with_several_faults_reports_the_first_in_layout_order(where, message):
+    def edit(doc):
+        if where == "usecase":
+            doc["usecases"][0] = {}
+        else:
+            next(uc for uc in doc["usecases"] if uc["extensions"])["extensions"][0] = {}
+
+    model, diags = import_json(smartstore_document(edit))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", message)]
 
 
 # -- XMI -------------------------------------------------------------------------

@@ -318,8 +318,10 @@ def test_only_ascii_digits_are_digits(steps, actors, digit):
         ("as\\\x01ks", 3, "control character U+0001"),  # escaped
         ("a\ufffe", 1, "noncharacter U+FFFE"),
         ("a\\\uffff", 2, "noncharacter U+FFFF"),  # escaped
+        ("a\ud800b", 1, "surrogate U+D800"),
+        ("a\\\udfff", 2, "surrogate U+DFFF"),  # escaped
     ],
-    ids=["soh", "nul", "unit-separator", "escaped-soh", "fffe", "escaped-ffff"],
+    ids=["soh", "nul", "unit-separator", "escaped-soh", "fffe", "escaped-ffff", "surrogate", "escaped-surrogate"],
 )
 def test_string_holding_a_character_xml_cannot_carry_is_e000(message, at, name):
     # XML 1.0 cannot carry these even as character references, so the XMI

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings
 
-from conftest import CORPUS, growth, hub_source, pipeline, wide_handler_source
+from conftest import CORPUS, growth, hub_source, pipeline, wide_handler_source, wide_use_case_source
 from oracles import unreached_handler_contexts
 from strategies import model_source
 from ucm.analysis import InvocationCycleError, build_invocation_graph, enumerate_paths
@@ -598,3 +598,15 @@ def test_wide_handler_validates_in_linear_time():
     assert {d.code for d in runs[4000][1]} == {"E001"}
     # 8x the raise sites and contexts: about 8x the time; scanning every site per context gives 64x.
     assert growth(lambda n: validate(runs[n][0]), 500, 4000) < 20
+
+
+def test_undeclared_actors_are_reported_in_linear_time():
+    # Every interaction names an undeclared actor B<i> instead of A<i>.
+    runs = {n: pipeline(wide_use_case_source(n).replace(". A", ". B")) for n in (250, 2000)}
+    diags = runs[2000][1]
+    assert len(diags) == 2000 and {d.code for d in diags} == {"E010"}
+    assert diags[0].message == (
+        "actor 'B0' is not declared in 'U' (declared actors: A0, A1, A2, A3, A4, A5, A6, A7 and 1992 more)"
+    )
+    # 8x the actors and interactions: about 8x the time; listing every actor in each diagnostic gives 64x.
+    assert growth(lambda n: validate(runs[n][0]), 250, 2000) < 20
