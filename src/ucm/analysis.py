@@ -24,6 +24,7 @@ from .model import (
     ExtensionBlock,
     Interaction,
     Model,
+    Scenario,
     UseCase,
 )
 from .resolver import RaiseSite, ResolvedModel, closure, reachable_use_cases
@@ -438,31 +439,25 @@ def mode_switch_table(resolved: ResolvedModel) -> list[ModeSwitchRow]:
         if switch is not None:
             entered.setdefault(site.exception.qualified_name, set()).add(switch.mode)
 
-    def emit(uc: UseCase, location: str, current: str, to_mode: str) -> str:
-        if to_mode != current:
-            rows.append(ModeSwitchRow(uc.name, location, current, to_mode))
-        return to_mode
-
-    def walk_block(uc: UseCase, block: ExtensionBlock, inherited: str) -> None:
-        current = inherited
-        if block.entry_switch is not None:
-            current = emit(uc, f"block {block.label.text}-begin", current, block.entry_switch.mode)
-        for nested in block.nested_blocks():
-            walk_block(uc, nested, current)
-        if block.exit_switch is not None:
-            emit(uc, f"block {block.label.text}-end", current, block.exit_switch.mode)
-
     for uc in resolved.model.use_cases:
-        entry = _handler_entry_mode(uc, entered, default) if uc.is_handler else default
-        current = entry
         if uc.main is not None:
-            if uc.main.entry_switch is not None:
-                current = emit(uc, "main-begin", current, uc.main.entry_switch.mode)
-            for block in uc.extensions:
-                walk_block(uc, block, current)
-            if uc.main.exit_switch is not None:
-                emit(uc, "main-end", current, uc.main.exit_switch.mode)
+            mode = _handler_entry_mode(uc, entered, default) if uc.is_handler else default
+            _switch_rows(rows, uc, "main", uc.main, uc.extensions, mode)
     return rows
+
+
+def _switch_rows(
+    rows: list[ModeSwitchRow], uc: UseCase, name: str, owner: Scenario | ExtensionBlock, blocks: list, mode: str
+) -> None:
+    """Append the rows of `owner`, entered in `mode` and called `name` in
+    its locations: its begin row, the rows of its `blocks`, then its end row."""
+    if owner.entry_switch is not None and owner.entry_switch.mode != mode:
+        rows.append(ModeSwitchRow(uc.name, f"{name}-begin", mode, owner.entry_switch.mode))
+        mode = owner.entry_switch.mode
+    for block in blocks:
+        _switch_rows(rows, uc, f"block {block.label.text}", block, block.nested_blocks(), mode)
+    if owner.exit_switch is not None and owner.exit_switch.mode != mode:
+        rows.append(ModeSwitchRow(uc.name, f"{name}-end", mode, owner.exit_switch.mode))
 
 
 @dataclass

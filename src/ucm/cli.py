@@ -49,6 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once: each parser holds reference cycles
+
+
 def _print_diagnostics(diags: list[Diagnostic], source: str) -> None:
     use_color = sys.stderr.isatty() and not os.environ.get("NO_COLOR")
     for diag, text in zip(diags, render_diagnostics(diags, source)):
@@ -172,9 +175,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exit_err:
         return exit_err.code if isinstance(exit_err.code, int) else USAGE_ERROR
     if args.command == "check":

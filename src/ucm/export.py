@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import count
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -330,6 +331,11 @@ def _to_json(node) -> dict:
 
 
 _WRITERS = {cls: _writers(cls) for cls in _LAYOUT}
+# The keys of each class's JSON object. A payload other than a raise step's
+# is read from its step's object, so its set holds the step's keys too.
+_KEYS = {cls: {key for key, _ in writers} for cls, writers in _WRITERS.items()}
+_KEYS[Model].add("formatVersion")
+_KEYS.update((cls, _KEYS[Step] | _KEYS[cls]) for cls in STEP_KINDS if cls is not ExceptionRef)
 
 
 def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
@@ -366,13 +372,16 @@ def _from_json(doc, cls: type, where: str, depth: int):
         if depth > MAX_BLOCK_DEPTH:
             raise _SchemaError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels")
     values = dict(_SYNTHETIC[cls])
+    named = _KEYS[cls]
     for key, attr, kind, *optional in _LAYOUT[cls]:
         if kind is _PAYLOAD:
             kind = _PAYLOAD_CLASSES[_need(doc, key, StepKind, where)]
             if kind is not ExceptionRef:
                 values[attr] = _from_json(doc, kind, where, depth)
+                named = _KEYS[kind]
                 continue
             key = "exception"  # a raise step's payload is an object of its own
+            named = named | {key}
         if isinstance(kind, list):
             items = values[attr] = []
             for item in _need(doc, key, list, where):
@@ -390,6 +399,10 @@ def _from_json(doc, cls: type, where: str, depth: int):
             values[attr] = _need(doc, key, kind, where, *optional)
     node = cls(**values)
     _check(node, where)
+    if cls in _NODE_WORDS:  # read ahead only in a block body, where it picks the class
+        _need(doc, "node", (_NODE_WORDS[cls],), where)
+    if doc.keys() - named:  # only now, so that a fault in a named key comes first
+        raise _SchemaError(f"unknown key {next(key for key in doc if key not in named)!r} in {where}")
     return node
 
 
@@ -498,12 +511,11 @@ def export_xmi(resolved: ResolvedModel) -> str:
                     attrs["category"] = ref.category
                 elements.append(("ucm:Actor", attrs, []))
 
-    step_counter = [0]
+    step_ids, block_ids = count(1), count(1)
 
     def step_element(step: Step) -> _Element:
-        step_counter[0] += 1
         attrs = {
-            "xmi:id": f"step_{step_counter[0]}",
+            "xmi:id": f"step_{next(step_ids)}",
             "label": step.label.text,
             "kind": step.kind.value,
         }
@@ -531,21 +543,6 @@ def export_xmi(resolved: ResolvedModel) -> str:
             set_refs(attrs, "raises", resolved.binding_for(payload))
             attrs["exceptionName"] = payload.qualified_name
         return ("ucm:Step", attrs, [])
-
-    block_counter = [0]
-
-    def block_element(block: ExtensionBlock) -> _Element:
-        block_counter[0] += 1
-        attrs = {
-            "xmi:id": f"block_{block_counter[0]}",
-            "label": block.label.text,
-            "kind": block.kind.value,
-        }
-        if block.guard:
-            attrs["guard"] = block.guard
-        _boundary_attrs(attrs, block)
-        body = [step_element(item) if isinstance(item, Step) else block_element(item) for item in block.body]
-        return ("ucm:ExtensionBlock", attrs, body)
 
     def _boundary_attrs(attrs: dict, owner: Scenario | ExtensionBlock) -> dict:
         set_refs(attrs, "entryMode", resolved.binding_for(owner.entry_switch))
@@ -593,7 +590,18 @@ def export_xmi(resolved: ResolvedModel) -> str:
         if uc.main is not None:
             main_attrs = _boundary_attrs({}, uc.main)
             children.append(("ucm:MainScenario", main_attrs, [step_element(step) for step in uc.main.steps]))
-        children.extend(block_element(block) for block in uc.extensions)
+        # Each body item with the children its element joins; ids follow document order.
+        pending = [(children, block) for block in reversed(uc.extensions)]
+        while pending:
+            items, item = pending.pop()
+            if isinstance(item, Step):
+                items.append(step_element(item))
+                continue
+            block_attrs = {"xmi:id": f"block_{next(block_ids)}", "label": item.label.text, "kind": item.kind.value}
+            if item.guard:
+                block_attrs["guard"] = item.guard
+            items.append(("ucm:ExtensionBlock", _boundary_attrs(block_attrs, item), []))
+            pending.extend((items[-1][2], nested) for nested in reversed(item.body))
         elements.append((f"ucm:{tag}", attrs, children))
 
     lines = ["<?xml version='1.0' encoding='utf-8'?>"]

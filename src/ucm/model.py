@@ -346,8 +346,9 @@ class Outcome:
 
 
 # Deepest block nesting the parser and `import_json` accept (a block in a
-# use case's extensions is at depth 1). Walkers over blocks recurse once per
-# level, so the bound keeps every command inside Python's recursion limit.
+# use case's extensions is at depth 1). `parse_block`, `_from_json`, `_to_json`,
+# `dump_json`, `_write_element` and `_switch_rows` recurse once per level, so
+# the bound keeps every command inside Python's recursion limit.
 MAX_BLOCK_DEPTH = 64
 
 
@@ -412,13 +413,10 @@ class UseCase:
     def all_blocks(self) -> list[ExtensionBlock]:
         """Extension blocks in document order, nested ones included."""
         out: list[ExtensionBlock] = []
-
-        def walk(blocks: list[ExtensionBlock]) -> None:
-            for b in blocks:
-                out.append(b)
-                walk(b.nested_blocks())
-
-        walk(self.extensions)
+        pending = self.extensions[::-1]
+        while pending:
+            out.append(pending.pop())
+            pending.extend(reversed(out[-1].nested_blocks()))
         return out
 
     def all_steps(self) -> list[Step]:

@@ -292,17 +292,6 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
             return [first]
         return numbered[bisect_left(numbers, anchor.anchor_lo) : bisect_right(numbers, anchor.anchor_hi)]
 
-    def walk_block(block: ExtensionBlock, parent: _Sequence) -> None:
-        anchored = bind_anchor(block, parent)
-        bind_mode(block.entry_switch)
-        bind_mode(block.exit_switch)
-        steps = block.steps()
-        bind_steps(steps, block, anchored)
-        bind_outcome(block)
-        sequence = _index_sequence(steps)
-        for nested in block.nested_blocks():
-            walk_block(nested, sequence)
-
     for ctx in uc.contexts:
         target = resolved.use_case_by_name.get(ctx.use_case)
         if target is None:
@@ -315,16 +304,23 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         if uc.is_handler:
             resolved.handlers_by_exception.setdefault(ctx.exception.qualified_name, {})[uc.name] = None
 
-    main_steps: list[Step] = []
     if uc.main:
         bind_mode(uc.main.entry_switch)
         bind_mode(uc.main.exit_switch)
-        main_steps = uc.main.steps
-        bind_steps(main_steps, None, [])
+        bind_steps(uc.main.steps, None, [])
         bind_outcome(uc.main)
-    main_sequence = _index_sequence(main_steps)
-    for block in uc.extensions:
-        walk_block(block, main_sequence)
+    main_sequence = _index_sequence(uc.main.steps if uc.main else [])
+    pending = [(block, main_sequence) for block in reversed(uc.extensions)]
+    while pending:
+        block, parent = pending.pop()
+        anchored = bind_anchor(block, parent)
+        bind_mode(block.entry_switch)
+        bind_mode(block.exit_switch)
+        steps = block.steps()
+        bind_steps(steps, block, anchored)
+        bind_outcome(block)
+        sequence = _index_sequence(steps)
+        pending.extend((nested, sequence) for nested in reversed(block.nested_blocks()))
 
 
 def closure(starts: Iterable[str], neighbours: Callable[[str], Iterable[str]]) -> set[str]:

@@ -131,6 +131,51 @@ def unreached_handler_contexts(resolved: ResolvedModel) -> list[tuple[str, Sourc
     return found
 
 
+def reference_mode_switch_table(resolved: ResolvedModel) -> list[tuple[str, str, str, str]]:
+    """(use case, location, from mode, to mode) of every mode-switch row, by
+    recursive nested functions over the block tree: a block's begin row, the
+    rows of its nested blocks, then its end row, with the mode of its begin
+    switch in effect inside it."""
+    default_mode = resolved.model.default_mode()
+    default = default_mode.name if default_mode else ""
+    rows: list[tuple[str, str, str, str]] = []
+    entered: dict[str, set[str]] = {}
+    for site in resolved.raise_sites():
+        switch = site.block and (site.block.entry_switch or site.block.exit_switch)
+        if switch is not None:
+            entered.setdefault(site.exception.qualified_name, set()).add(switch.mode)
+
+    def emit(uc: UseCase, location: str, current: str, to_mode: str) -> str:
+        if to_mode != current:
+            rows.append((uc.name, location, current, to_mode))
+        return to_mode
+
+    def walk_block(uc: UseCase, block: ExtensionBlock, inherited: str) -> None:
+        current = inherited
+        if block.entry_switch is not None:
+            current = emit(uc, f"block {block.label.text}-begin", current, block.entry_switch.mode)
+        for nested in block.nested_blocks():
+            walk_block(uc, nested, current)
+        if block.exit_switch is not None:
+            emit(uc, f"block {block.label.text}-end", current, block.exit_switch.mode)
+
+    for uc in resolved.model.use_cases:
+        current = default
+        if uc.is_handler:
+            candidates: set[str] = set()
+            for ctx in uc.contexts:
+                candidates |= entered.get(ctx.exception.qualified_name, set())
+            current = candidates.pop() if len(candidates) == 1 else default
+        if uc.main is not None:
+            if uc.main.entry_switch is not None:
+                current = emit(uc, "main-begin", current, uc.main.entry_switch.mode)
+            for block in uc.extensions:
+                walk_block(uc, block, current)
+            if uc.main.exit_switch is not None:
+                emit(uc, "main-end", current, uc.main.exit_switch.mode)
+    return rows
+
+
 def position_at(source: str, offset: int) -> tuple[int, int]:
     """(line, column), both 1-based, for an offset into LF-normalized text,
     counted from scratch. Offsets at or past the end of the text land one

@@ -79,26 +79,36 @@ def use_case_source(draw, name: str, is_handler: bool, uc_names: list[str], exce
     if draw(st.booleans()):
         anchor = draw(st.integers(min_value=1, max_value=n_steps))
         lines.append("  extensions {")
-        lines.extend(draw(block_lines(str(anchor), 2, uc_names, exceptions, "    ")))
+        lines.extend(draw(block_lines(str(anchor), 2, uc_names, exceptions, modes, "    ")))
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines)
 
 
 @st.composite
-def block_lines(draw, anchor: str, levels: int, uc_names: list[str], exceptions: list[str], indent: str) -> list[str]:
-    """A block hanging off step `anchor`; up to `levels` more blocks nest
-    inside it, each hanging off one of the steps of the block around it."""
-    label = f"{anchor}a"
+def block_lines(
+    draw, anchor: str, levels: int, uc_names: list[str], exceptions: list[str], modes: list[str], indent: str,
+    letter: str = "a",
+) -> list[str]:
+    """A block hanging off step `anchor`, with or without an entry and an
+    exit mode switch. Up to `levels` more levels of blocks nest inside it:
+    one or two sibling blocks may follow each of its steps, hanging off that
+    step, so a nested block can sit between steps or next to another."""
+    label = f"{anchor}{letter}"
     kind = draw(st.sampled_from(("alternative", "exceptional")))
     guard = f' when "{draw(WORDS)}"' if draw(st.booleans()) else ""
     lines = [f"{indent}block {label} {kind}{guard} {{"]
+    if modes and draw(st.booleans()):
+        lines.append(f"{indent}  mode switch: {draw(st.sampled_from(modes))}")
     n_block = draw(st.integers(min_value=0, max_value=2))
     for i in range(1, n_block + 1):
         lines.append(f"{indent}  " + draw(step_line(i, uc_names, exceptions, prefix=label)))
-    if levels and n_block and draw(st.booleans()):
-        inner = f"{label}{draw(st.integers(min_value=1, max_value=n_block))}"
-        lines.extend(draw(block_lines(inner, levels - 1, uc_names, exceptions, indent + "  ")))
+        siblings = draw(st.integers(min_value=0, max_value=2)) if levels else 0
+        for sibling in "ab"[:siblings]:
+            nested = block_lines(f"{label}{i}", levels - 1, uc_names, exceptions, modes, indent + "  ", sibling)
+            lines.extend(draw(nested))
+    if modes and draw(st.booleans()):
+        lines.append(f"{indent}  mode switch: {draw(st.sampled_from(modes))}")
     outcome = draw(st.sampled_from(("success", "failure", "abandoned", "continue 1")))
     lines.append(f"{indent}  outcome {outcome}")
     lines.append(f"{indent}}}")

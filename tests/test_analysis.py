@@ -15,7 +15,7 @@ from conftest import (
     wide_block_source,
     wide_handler_source,
 )
-from oracles import brute_force_paths, declared_order_cycle
+from oracles import brute_force_paths, declared_order_cycle, reference_mode_switch_table
 from strategies import model_source
 from ucm import analysis
 from ucm.analysis import (
@@ -606,6 +606,22 @@ def test_from_and_to_modes_always_differ(smartstore_resolved, firealarm_resolved
 def test_model_without_switches_has_empty_table():
     resolved = model_with(plain_uc("A"))
     assert mode_switch_table(resolved) == []
+
+
+def switch_rows(resolved) -> list[tuple[str, str, str, str]]:
+    return [(r.use_case, r.location, r.from_mode, r.to_mode) for r in mode_switch_table(resolved)]
+
+
+def test_mode_switch_table_matches_the_recursive_oracle_on_the_corpora(smartstore_resolved, firealarm_resolved):
+    for resolved in (smartstore_resolved, firealarm_resolved):
+        assert switch_rows(resolved) == reference_mode_switch_table(resolved)
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=model_source())
+def test_mode_switch_table_matches_the_recursive_oracle_on_generated_models(source):
+    resolved, _ = pipeline(source)
+    assert switch_rows(resolved) == reference_mode_switch_table(resolved)
 
 
 def test_firealarm_reconnect_rows(firealarm_resolved):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import contextlib
+import gc
 import io
 import json
 import time
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO_ROOT, chain_source, diamond_chain_source, nested_blocks_source, report_script
 from strategies import model_source
+from test_diagnostics import CYCLIC, MULTI_DEFECT
 from ucm.cli import main
 from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS
 from ucm.parser import parse
@@ -319,6 +322,57 @@ def test_blocks_nested_to_the_limit_pass_every_command(tmp_path, capsys):
         assert main(argv) in (0, 1), argv
         captured = capsys.readouterr()
         assert "E000" not in captured.err + captured.out, argv
+
+
+CYCLE_FREE_INPUTS = {
+    "smartstore.ucm": Path(SMARTSTORE).read_text(encoding="utf-8"),
+    "firealarm.ucm": Path(FIREALARM).read_text(encoding="utf-8"),
+    "all-productions.ucm": (REPO_ROOT / "tests" / "fixtures" / "all-productions.ucm").read_text(encoding="utf-8"),
+    "multi-defect.ucm": MULTI_DEFECT,
+    "cycle.ucm": CYCLIC,
+    "deep.ucm": nested_blocks_source(MAX_BLOCK_DEPTH),
+    "too-deep.ucm": nested_blocks_source(MAX_BLOCK_DEPTH + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_FREE_INPUTS))
+def test_every_command_leaves_no_reference_cycles(name, tmp_path, capsys):
+    """With the cyclic collector off, reference counting alone frees all a
+    command builds: `gc.collect()` afterwards finds nothing. Usage errors are
+    left out, because argparse leaves cycles of its own on those."""
+    path = tmp_path / name
+    path.write_text(CYCLE_FREE_INPUTS[name], encoding="utf-8")
+    commands = _every_command(str(path), _first_use_case(CYCLE_FREE_INPUTS[name]))
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands:
+            assert main(argv) in (0, 1), argv
+            capsys.readouterr()
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+
+
+def self_referring_nested_functions(source: str) -> list[str]:
+    """Each function defined inside another that names itself. Its closure
+    cell then holds the function, so every call leaves a reference cycle."""
+    found = []
+    for outer in ast.walk(ast.parse(source)):
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                        found.append(f"{outer.name}.{inner.name}:{inner.lineno}")
+    return found
+
+
+def test_no_nested_function_refers_to_itself():
+    """The static partner of the reference-cycle test: it also covers
+    paths no input of that test reaches."""
+    assert self_referring_nested_functions("def f():\n    def g(n):\n        return g(n - 1)\n") == ["f.g:2"]
+    for path in sorted((REPO_ROOT / "src" / "ucm").glob("*.py")):
+        assert self_referring_nested_functions(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def test_block_nested_past_the_limit_is_e000_for_every_command(tmp_path, capsys):

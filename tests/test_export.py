@@ -5,16 +5,19 @@ import dataclasses
 import functools
 import io
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO_ROOT, growth, many_actors_source, nested_blocks_source, wide_use_case_source
 from oracles import elementtree_xmi, print_model
 from strategies import model_source
+from ucm import analysis
 from ucm.cli import main
+from ucm.diagnostics import has_errors
 from ucm.export import (
     _LAYOUT,
     SummaryTable,
@@ -536,6 +539,57 @@ def test_document_with_several_faults_reports_the_first_in_layout_order(where, m
     assert [(d.code, d.message) for d in diags] == [("E000", message)]
 
 
+def first_step(doc: dict, kind: str) -> dict:
+    return first(doc, lambda n: n.get("node") == "step" and n["kind"] == kind)
+
+
+# Edits of the smart-store export that `export_json` never writes, each with
+# the diagnostic import_json gives.
+UNWRITTEN_EDITS = {
+    "usecase-key": (lambda d: d["usecases"][0].update(extra=1), "unknown key 'extra' in usecase"),
+    "document-key": (lambda d: d.update(extra=None), "unknown key 'extra' in document"),
+    "scenario-step-node-block": (
+        lambda d: d["usecases"][0]["main"]["steps"][0].update(node="block"), "unknown step node 'block'"
+    ),
+    "scenario-step-node-deleted": (
+        lambda d: d["usecases"][0]["main"]["steps"][0].pop("node"), "missing key 'node' in step"
+    ),
+    "extensions-node-deleted": (
+        lambda d: first(d, lambda n: n.get("node") == "block").pop("node"), "missing key 'node' in block"
+    ),
+    "other-payload-key": (lambda d: first_step(d, "condition").update(source="P"), "unknown key 'source' in step"),
+    "exception-on-other-step": (
+        lambda d: first_step(d, "condition").update(exception={"category": "hardware", "name": "X"}),
+        "unknown key 'exception' in step",
+    ),
+    "raise-step-key": (lambda d: first_step(d, "exception-raise").update(text="t"), "unknown key 'text' in step"),
+    "raise-payload-key": (
+        lambda d: first_step(d, "exception-raise")["exception"].update(global_=True),
+        "unknown key 'global_' in step exception",
+    ),
+    "outcome-key": (
+        lambda d: d["usecases"][0]["main"]["outcome"].update(continue_target="1"),
+        "unknown key 'continue_target' in outcome",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITTEN_EDITS))
+def test_document_export_json_never_writes_is_e000(case):
+    edit, message = UNWRITTEN_EDITS[case]
+    model, diags = import_json(smartstore_document(edit))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", message)]
+
+
+def test_unknown_key_is_reported_after_a_fault_in_a_named_key():
+    def edit(doc):
+        doc["usecases"][0].update(extra=1, scope=7)
+
+    model, diags = import_json(smartstore_document(edit))
+    assert [(d.code, d.message) for d in diags] == [("E000", "key 'scope' in usecase has unexpected type int")]
+
+
 # -- XMI -------------------------------------------------------------------------
 
 
@@ -729,6 +783,57 @@ def test_printed_model_parses_back_to_the_same_export(source):
     assert export_json(back) == export_json(model)
 
 
+@st.composite
+def mutated_model_sources(draw) -> str:
+    """A generated model, or one of its two mutants: one occurrence of a
+    name renamed to a name nothing declares, or one line written twice."""
+    source = draw(model_source())
+    mutant = draw(st.sampled_from(["none", "rename", "duplicate"]))
+    if mutant == "rename":
+        names = list(re.finditer(r"\b(?:Flow|Mode|Exc)\d\b|\b(?:Svc|P|Q|Dev)\b", source))
+        found = draw(st.sampled_from(names))
+        return source[: found.start()] + "Unknown" + source[found.end() :]
+    if mutant == "duplicate":
+        lines = source.splitlines(keepends=True)
+        at = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        return "".join(lines[: at + 1] + lines[at:])
+    return source
+
+
+def facts(model) -> list:
+    """What every command reports on `model`: the resolve and validate
+    diagnostics (code and message; sorted, as an imported model's spans
+    cannot order them) and, when resolution finds no error, the four tables
+    or the analysis error that blocks each."""
+    resolved, resolve_diags = resolve(model)
+    found = [sorted((d.code, d.message) for d in diags) for diags in (resolve_diags, validate(resolved))]
+    if has_errors(resolve_diags):
+        return found
+    for table in (
+        lambda: analysis.exception_table(analysis.exception_summary(resolved)),
+        lambda: analysis.handler_table(analysis.handler_summary(resolved)),
+        lambda: analysis.mode_switch_summary_table(analysis.mode_switch_table(resolved)),
+        lambda: analysis.mode_service_summary_table(analysis.mode_service_table(resolved.model)),
+    ):
+        try:
+            found.append(render_table(table()))
+        except analysis.AnalysisError as err:
+            found.append((err.diagnostic.code, err.diagnostic.message))
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=mutated_model_sources())
+def test_parsed_and_imported_models_report_the_same(source):
+    """However a model is built, parsed from text or rebuilt by
+    import_json(export_json(...)), every command reports the same on it."""
+    model, diags = parse(source, "gen.ucm")
+    assume(model is not None)
+    rebuilt, import_diags = import_json(export_json(model))
+    assert import_diags == []
+    assert facts(rebuilt) == facts(model)
+
+
 # Values a mutation writes over one leaf of an export_json document: names,
 # strings, labels, numbers and enum values at and past each rule's edge.
 LEAF_VALUES = [
@@ -743,6 +848,10 @@ LEAF_VALUES = [
 ]
 
 
+# Every key the document may hold somewhere, and some it never holds.
+KEY_NAMES = {"node", "formatVersion", "exception", "extra", *(key for layout in _LAYOUT.values() for key, *_ in layout)}
+
+
 def leaf_paths(node, path: tuple = ()):
     """The path to every value in an export_json document but objects."""
     for key, value in node.items() if isinstance(node, dict) else enumerate(node):
@@ -752,16 +861,38 @@ def leaf_paths(node, path: tuple = ()):
             yield from leaf_paths(value, path + (key,))
 
 
+def object_paths(node, path: tuple = ()):
+    """The path to every object in an export_json document, itself included."""
+    if isinstance(node, dict):
+        yield path
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from object_paths(value, path + (key,))
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_import_accepts_only_what_text_can_write(data):
+    """One leaf of the smart-store export overwritten, or one key inserted
+    into one of its objects: import_json gives E000, or a model that prints
+    as text and parses back to the same export. export_json writes every
+    key an object may hold, so an inserted key is always E000."""
     doc = json.loads(smartstore_export())
-    *path, last = data.draw(st.sampled_from(list(leaf_paths(doc))))
+    insert = data.draw(st.booleans())
+    if insert:
+        path, last = data.draw(st.sampled_from(list(object_paths(doc)))), None
+    else:
+        *path, last = data.draw(st.sampled_from(list(leaf_paths(doc))))
     node = doc
     for key in path:
         node = node[key]
+    if insert:
+        last = data.draw((st.sampled_from(sorted(KEY_NAMES)) | st.text(max_size=4)).filter(lambda k: k not in node))
     node[last] = data.draw(st.sampled_from(LEAF_VALUES) | st.text(max_size=4) | st.integers() | st.floats())
     model, diags = import_json(json.dumps(doc))
+    if insert:
+        assert model is None and [d.code for d in diags] == ["E000"], last
+        return
     if diags:
         assert model is None and [d.code for d in diags] == ["E000"]
         return
