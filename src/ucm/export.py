@@ -84,18 +84,29 @@ def render_table(table: SummaryTable, format: str = "md") -> str:
     raise ValueError(f"unknown table format {format!r}")
 
 
+def _join_rows(rows, start: str, sep: str, end: str) -> str:
+    """Each list of cells as `start + sep.join(cells) + end`, all in one
+    join: no row is built as a line of its own."""
+    parts = []
+    for cells in rows:
+        parts.append(start)
+        for cell in cells:
+            parts += (cell, sep)
+        if cells:
+            parts.pop()
+        parts.append(end)
+    return "".join(parts)
+
+
 def _md_cell(text: str) -> str:
-    return text.replace("|", "\\|").replace("\n", " ")
+    # `in` only scans; `replace` counts the matches first, even when there are none.
+    text = text.replace("|", "\\|") if "|" in text else text
+    return text.replace("\n", " ") if "\n" in text else text
 
 
 def _render_markdown(table: SummaryTable) -> str:
-    lines = [
-        "| " + " | ".join(_md_cell(c) for c in table.columns) + " |",
-        "| " + " | ".join("---" for _ in table.columns) + " |",
-    ]
-    for row in table.rows:
-        lines.append("| " + " | ".join(_md_cell(c) for c in row) + " |")
-    return "\n".join(lines) + "\n"
+    rows = (table.columns, ["---"] * len(table.columns), *table.rows)
+    return _join_rows((list(map(_md_cell, row)) for row in rows), "| ", " | ", " |\n")
 
 
 def _csv_field(text: str) -> str:
@@ -111,12 +122,11 @@ def _render_csv(table: SummaryTable) -> str:
     QUOTE_MINIMAL: a field is quoted if and only if it holds a comma, a
     double quote, CR or LF, inner double quotes are doubled, and a row that
     is one empty field is ``""``. Str operations scan the large path cells
-    in C, where the stdlib writer inspects every character."""
-    lines = []
-    for row in (table.columns, *table.rows):
-        line = ",".join(map(_csv_field, row))
-        lines.append('""' if not line and len(row) == 1 else line)
-    return "\r\n".join(lines) + "\r\n"
+    in C, where the stdlib writer inspects every character; one list of
+    parts, joined once, holds the whole table."""
+    rows = (table.columns, *table.rows)
+    cells = (['""'] if len(row) == 1 and row[0] == "" else list(map(_csv_field, row)) for row in rows)
+    return _join_rows(cells, "", ",", "\r\n")
 
 
 # -- canonical JSON -----------------------------------------------------------

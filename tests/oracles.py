@@ -7,7 +7,8 @@ handler context instead of one walk over callers per exception, newline
 counting instead of a line index, a two-pass `finditer` lexer instead of one
 match per token, an ElementTree serialized by the standard library instead
 of the XMI exporter's own writer, a `.ucm` printer written from the README
-grammar and the corpus, no shared helpers.
+grammar and the corpus, summary tables rendered line by line, no shared
+helpers.
 """
 
 from __future__ import annotations
@@ -250,6 +251,30 @@ def reference_tokenize(source: str, file: str) -> list[tuple[TokenKind, str, int
             kind = _REFERENCE_KINDS[m.group() if group == "punct" else group]
             tokens.append((kind, m.group(), m.start(), m.end()))
     return tokens + [(TokenKind.EOF, "", pos, pos)]
+
+
+def reference_render_table(table, format: str) -> str:
+    """`render_table` as each row rendered into a line of its own, the lines
+    joined and the last row end appended: Markdown with `|` escaped and LF
+    turned into a space in every cell, or CSV as the stdlib writer writes it
+    with CRLF row ends and QUOTE_MINIMAL."""
+    if format == "md":
+        rows = [[c.replace("|", "\\|").replace("\n", " ") for c in row] for row in (table.columns, *table.rows)]
+        lines = ["| " + " | ".join(row) + " |" for row in rows]
+        lines.insert(1, "| " + " | ".join("---" for _ in table.columns) + " |")
+        return "\n".join(lines) + "\n"
+    lines = []
+    for row in (table.columns, *table.rows):
+        fields = []
+        for cell in row:
+            if '"' in cell:
+                cell = '"' + cell.replace('"', '""') + '"'
+            elif "," in cell or "\n" in cell or "\r" in cell:
+                cell = '"' + cell + '"'
+            fields.append(cell)
+        line = ",".join(fields)
+        lines.append('""' if not line and len(row) == 1 else line)
+    return "\r\n".join(lines) + "\r\n"
 
 
 _XMI_NS = "http://www.omg.org/XMI"

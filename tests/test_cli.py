@@ -266,10 +266,12 @@ GOLDEN_TABLES = {
     "firealarm-exceptions.md": ["table", "exceptions", FIREALARM],
     "firealarm-handlers.md": ["table", "handlers", FIREALARM],
     "firealarm-modes.md": ["table", "modes", FIREALARM],
+    "smartstore-services.md": ["table", "services", SMARTSTORE],
+    "firealarm-services.md": ["table", "services", FIREALARM],
     **{
         f"{name}-{kind}.csv": ["table", kind, path, "--format", "csv"]
         for name, path in (("smartstore", SMARTSTORE), ("firealarm", FIREALARM))
-        for kind in ("exceptions", "handlers", "modes")
+        for kind in ("exceptions", "handlers", "modes", "services")
     },
 }
 
@@ -303,6 +305,19 @@ def _every_command(path: str, first_use_case: str) -> list[list[str]]:
 
 
 GENERATE = report_script().generate
+
+
+@pytest.mark.parametrize("model", ["smartstore", "firealarm"])
+def test_generated_reports_match_the_golden_files(model, tmp_path, capsys):
+    assert GENERATE(CORPUS / f"{model}.ucm", tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    kinds = {"exceptions": "exceptions", "handlers": "handlers", "mode-switches": "modes", "mode-services": "services"}
+    expected = {f"{kind}.{fmt}": f"{model}-{golden}.{fmt}" for kind, golden in kinds.items() for fmt in ("md", "csv")}
+    expected.update({f"model.{target}": f"{model}.{target}" for target in ("json", "xmi", "dot")})
+    written = tmp_path / model
+    assert sorted(p.name for p in written.iterdir()) == sorted(expected)
+    for name, golden in expected.items():
+        assert (written / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
 
 
 def _run_every_command(path: str, first_use_case: str) -> None:

@@ -6,14 +6,23 @@ import functools
 import io
 import json
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, REPO_ROOT, growth, many_actors_source, nested_blocks_source, wide_use_case_source
-from oracles import elementtree_xmi, print_model
+from conftest import (
+    CORPUS,
+    REPO_ROOT,
+    diamond_chain_source,
+    growth,
+    many_actors_source,
+    nested_blocks_source,
+    wide_use_case_source,
+)
+from oracles import elementtree_xmi, print_model, reference_render_table
 from strategies import model_source
 from ucm import analysis
 from ucm.cli import main
@@ -69,25 +78,49 @@ def test_csv_quotes_embedded_quotes_and_newlines():
 
 
 CSV_CELLS = st.text(alphabet=[",", '"', "\r", "\n", " ", "\t", "a", "é", "→"], max_size=6)
+TABLE_CELLS = st.text(alphabet=["|", "\n", "\r", ",", '"', "\\", " ", "é", "→"], max_size=6)
 
 
 @st.composite
-def csv_tables(draw):
-    width = draw(st.integers(min_value=1, max_value=4))
-    row = st.lists(CSV_CELLS, min_size=width, max_size=width)
+def summary_tables(draw, cells):
+    width = draw(st.integers(min_value=0, max_value=4))
+    row = st.lists(cells, min_size=width, max_size=width)
     return SummaryTable(draw(row), draw(st.lists(row, max_size=5)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=csv_tables())
+@given(table=summary_tables(CSV_CELLS))
+@example(table=SummaryTable([], [[], []]))
 def test_csv_matches_the_stdlib_writer(table):
     # One-column tables with empty cells exercise the lone empty field,
-    # which the stdlib writer quotes.
+    # which the stdlib writer quotes; a zero-column row is a bare CRLF.
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(table.columns)
     writer.writerows(table.rows)
     assert render_table(table, "csv") == buffer.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=summary_tables(TABLE_CELLS), format=st.sampled_from(["md", "csv"]))
+def test_render_table_matches_the_line_by_line_reference(table, format):
+    assert render_table(table, format) == reference_render_table(table, format)
+
+
+@pytest.mark.parametrize("format", ["md", "csv"])
+def test_rendering_a_large_exception_table_copies_its_path_cell_once(format):
+    # The table's own path cell is one copy and the result another; any
+    # intermediate line or joined-lines string adds a whole output length.
+    summary = analysis.exception_summary(resolved_of(diamond_chain_source(14)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = render_table(analysis.exception_table(summary), format)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) > 2_000_000
+    assert peak - base <= 2.5 * len(out)
 
 
 def test_csv_writes_a_lone_empty_field_quoted():
