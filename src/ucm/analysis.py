@@ -8,13 +8,14 @@ aborts path-based summaries with E015. Path totals are counted in one pass
 over that order, without listing paths. Only the paths the exception table
 prints are listed: every node that lies on one gets a single list of its path
 texts to the raise site, shared by all its callers, so the work is bounded by
-the printed text. An exception table of more than `MAX_PATH_NODES` path nodes
-aborts with E016 before that many are listed.
+the printed text. Rows keep the texts, which the table joins; a `PathRecord`
+is made only when a row's path is read. More than `MAX_PATH_NODES` path
+nodes in an exception table abort it with E016 before that many are listed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
@@ -103,15 +104,41 @@ class InvocationGraph:
 
 
 class PathRecord(str):
-    """A simple path through the invocation graph, held as its printed text:
-    use-case names joined by `` -> ``. Use-case names are identifiers, so
-    the text and `use_cases` determine each other."""
+    """A simple path through the invocation graph as its printed text, use-case
+    names joined by `` -> ``, made when a `PathList` item is read. Names are
+    identifiers, so the text and `use_cases` determine each other."""
 
     __slots__ = ()
 
     @property
     def use_cases(self) -> tuple[str, ...]:
         return tuple(self.split(" -> "))
+
+
+class PathList(Sequence):
+    """The paths of an exception row: a read-only sequence over their texts
+    that yields a `PathRecord` for each item read, and compares and prints
+    like the list of those records. `texts` is what the table joins."""
+
+    def __init__(self, texts: list[str]):
+        self.texts = texts
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, index: int | slice) -> PathRecord | list[PathRecord]:
+        if isinstance(index, slice):
+            return [PathRecord(text) for text in self.texts[index]]
+        return PathRecord(self.texts[index])
+
+    def __iter__(self) -> Iterator[PathRecord]:
+        return map(PathRecord, self.texts)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and not isinstance(other, str) and self.texts == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class AnalysisError(Exception):
@@ -184,9 +211,9 @@ def path_counts(graph: InvocationGraph) -> dict[str, int]:
     return _path_totals(graph, graph.roots)[0]
 
 
-def _paths_between(graph: InvocationGraph, starts: set[str], target: str) -> list[PathRecord]:
-    """All paths from the `starts` to `target` in an acyclic graph, in
-    lexicographic order; a path over k parallel edges is listed k times.
+def _paths_between(graph: InvocationGraph, starts: set[str], target: str) -> list[str]:
+    """Texts of all paths from the `starts` to `target` in an acyclic graph,
+    in lexicographic order; a path over k parallel edges is listed k times.
 
     Only live nodes take part: those that reach `target` and are reachable
     from a start. Each gets one list of its path texts to `target`, built in
@@ -233,15 +260,10 @@ def _paths_between(graph: InvocationGraph, starts: set[str], target: str) -> lis
                 del suffixes[callee]
         suffixes[node] = texts
 
-    records: list[PathRecord] = []
+    paths: list[str] = []
     for root in roots:
-        texts, record = suffixes.pop(root), None
-        for i, text in enumerate(texts):  # each text is freed as soon as it is wrapped
-            if text != record:  # repeated paths are adjacent and share one record
-                record = PathRecord(text)
-            texts[i] = record
-        records += texts
-    return records
+        paths += suffixes.pop(root)
+    return paths
 
 
 def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
@@ -251,7 +273,7 @@ def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
     if target not in graph.nodes:
         raise ValueError(f"unknown use case '{target}'")
     ensure_acyclic(graph)
-    return _paths_between(graph, set(graph.roots), target)
+    return list(map(PathRecord, _paths_between(graph, set(graph.roots), target)))
 
 
 # -- exception summary ------------------------------------------------------
@@ -265,14 +287,14 @@ class ExceptionSummaryRow:
     handlers: list[str]
     situations: list[str]
     participating_actors: list[str]
-    paths: list[PathRecord]
+    paths: PathList
 
 
 def _exception_row(
     resolved: ResolvedModel,
     exc: ExceptionDef,
     sites: list[RaiseSite],
-    paths: list[PathRecord],
+    paths: PathList,
     block_actors: dict[int, dict[str, None]],
 ) -> ExceptionSummaryRow:
     """The row of a global exception's raise sites, or of one site of
@@ -330,20 +352,20 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
     starts = set(graph.roots) if view is None else {view}
     _, sizes = _path_totals(graph, starts)
     printed = 0  # path nodes of the rows so far
-    listed: dict[str, list[PathRecord]] = {}  # paths per source use case, shared by its rows
+    listed: dict[str, PathList] = {}  # paths per source use case, shared by its rows
     block_actors: dict[int, dict[str, None]] = {}
     rows = []
     for exc in resolved.model.exceptions:
         exc_sites = resolved.sites_by_exception.get(exc.qualified_name, [])
         if exc.is_global:
             if exc_sites:
-                rows.append(_exception_row(resolved, exc, exc_sites, [], block_actors))
+                rows.append(_exception_row(resolved, exc, exc_sites, PathList([]), block_actors))
             continue
         for site in exc_sites:
             source = site.use_case.name
             if reach is not None and source not in reach:
                 continue
-            paths: list[PathRecord] = []
+            paths = PathList([])
             if not site.use_case.is_handler and source in graph.callees:
                 printed += sizes[source]
                 if printed > MAX_PATH_NODES:
@@ -354,7 +376,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
                         site.step.span,
                     ))
                 if source not in listed:
-                    listed[source] = _paths_between(graph, starts, source)
+                    listed[source] = PathList(_paths_between(graph, starts, source))
                 paths = listed[source]
             rows.append(_exception_row(resolved, exc, [site], paths, block_actors))
     return rows
@@ -487,7 +509,7 @@ def exception_table(rows: list[ExceptionSummaryRow]) -> SummaryTable:
                 ", ".join(row.handlers),
                 "; ".join(row.situations),
                 ", ".join(row.participating_actors),
-                "; ".join(row.paths),
+                "; ".join(row.paths.texts),
             ]
         )
     return SummaryTable(columns, cells)

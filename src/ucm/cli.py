@@ -2,7 +2,7 @@
 
 Diagnostics go to stderr, requested artifacts to stdout, so output can be
 piped. Exit codes: 0 success, 1 model errors (or warnings under --strict),
-2 usage or I/O problems.
+2 usage or I/O problems, an output stream closed early included.
 """
 
 from __future__ import annotations
@@ -179,11 +179,19 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exit_err:
         return exit_err.code if isinstance(exit_err.code, int) else USAGE_ERROR
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "table":
-        return _cmd_table(args)
-    return _cmd_export(args)
+    command = {"check": _cmd_check, "table": _cmd_table}.get(args.command, _cmd_export)
+    try:
+        code = command(args)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        # The reader has gone: what is still buffered goes to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in (sys.stdout, sys.stderr):
+            os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return USAGE_ERROR
+    return code
 
 
 if __name__ == "__main__":

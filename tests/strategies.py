@@ -147,3 +147,28 @@ def model_source(draw) -> str:
         is_handler = bool(exceptions) and i == n_ucs - 1 and n_ucs > 1 and draw(st.booleans())
         lines.append(draw(use_case_source(name, is_handler, uc_names, exceptions, mode_names)))
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def invocation_model_source(draw) -> str:
+    """A model of up to 7 use cases that invoke one another along a random
+    acyclic graph and raise exceptions at random. A use case invokes only
+    those after it in a shuffled order, so name order is not invocation
+    order, and it may invoke one use case several times: parallel edges."""
+    names = draw(st.permutations([f"U{i}" for i in range(draw(st.integers(min_value=1, max_value=7)))]))
+    lines = [
+        "model Invocations",
+        "modes { default normal Normal }",
+        "exceptions {",
+        "  exception SoftwareException::Fault",
+        "  exception NetworkException::Down global",
+        "}",
+    ]
+    raises = st.sampled_from(("raise SoftwareException::Fault", "raise NetworkException::Down"))
+    for i, name in enumerate(names):
+        later = names[i + 1 :]
+        steps = [f"invoke {callee}" for callee in draw(st.lists(st.sampled_from(later), max_size=4))] if later else []
+        steps += draw(st.lists(raises, max_size=2)) or ['internal "x"']
+        body = "".join(f"    {n}. {step}\n" for n, step in enumerate(steps, 1))
+        lines.append(f"usecase {name} {{\n  main {{\n{body}    outcome success\n  }}\n}}")
+    return "\n".join(lines) + "\n"

@@ -16,13 +16,15 @@ from conftest import (
     wide_handler_source,
 )
 from oracles import brute_force_paths, declared_order_cycle, reference_mode_switch_table
-from strategies import model_source
+from strategies import invocation_model_source, model_source
 from ucm import analysis
 from ucm.analysis import (
     Edge,
     GLOBAL_SOURCE,
     InvocationCycleError,
     InvocationGraph,
+    PathList,
+    PathRecord,
     build_invocation_graph,
     ensure_acyclic,
     enumerate_paths,
@@ -34,6 +36,7 @@ from ucm.analysis import (
     mode_switch_table,
     path_counts,
 )
+from ucm.cli import main
 from ucm.parser import parse
 from ucm.resolver import resolve
 from ucm.spans import SourceSpan
@@ -305,6 +308,63 @@ def test_paths_are_listed_once_per_source_use_case(smartstore_resolved, monkeypa
     for row in rows:
         if not row.is_global:
             assert by_source.setdefault(row.source_use_case, row.paths) is row.paths
+
+
+def assert_behaves_like(paths: PathList, expected: list[PathRecord]) -> None:
+    """`paths` reads, compares and prints as the list `expected` does."""
+    n = len(expected)
+    assert len(paths) == n and bool(paths) is bool(expected)
+    assert list(paths) == expected and all(type(p) is PathRecord for p in paths)
+    assert [paths[i] for i in range(-n, n)] == [expected[i] for i in range(-n, n)]
+    for outside in (n, -n - 1):
+        with pytest.raises(IndexError):
+            paths[outside]
+    for part in (slice(None), slice(1, None), slice(None, -1), slice(1, -1, 2), slice(None, None, -1)):
+        assert paths[part] == expected[part] and all(type(p) is PathRecord for p in paths[part])
+    assert all(p in paths for p in expected) and "Nowhere" not in paths
+    assert paths == expected and not paths != expected
+    assert paths != expected + ["Nowhere"]
+    if n:
+        assert paths != expected[:-1] and paths != expected[:-1] + ["Nowhere"]
+    twin = PathList([str(p) for p in expected])
+    assert paths == twin and not paths != twin and twin == paths
+    assert repr(paths) == repr(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=invocation_model_source())
+def test_row_paths_behave_like_the_enumerated_list_on_generated_models(source):
+    resolved, _ = pipeline(source)
+    graph = build_invocation_graph(resolved)
+    for row in exception_summary(resolved):
+        if row.is_global:
+            assert_behaves_like(row.paths, [])
+        else:
+            assert_behaves_like(row.paths, enumerate_paths(graph, row.source_use_case))
+
+
+def test_the_exception_table_builds_no_path_record(monkeypatch, tmp_path, capsys):
+    """The table joins the listed path texts, so neither the library nor
+    the CLI makes a record per path."""
+    made = []
+
+    class Counted(PathRecord):
+        __slots__ = ()
+
+        def __new__(cls, text):
+            made.append(text)
+            return super().__new__(cls, text)
+
+    monkeypatch.setattr(analysis, "PathRecord", Counted)
+    source = diamond_chain_source(10)
+    resolved, _ = pipeline(source)
+    table = exception_table(exception_summary(resolved))
+    assert table.rows[0][-1].count("J0 -> ") == 2**10
+    path = tmp_path / "diamonds.ucm"
+    path.write_text(source, encoding="utf-8")
+    assert main(["table", "exceptions", str(path)]) == 0
+    assert capsys.readouterr().out.count("J0 -> ") == 2**10
+    assert made == []
 
 
 def test_global_exceptions_collapse_to_one_pathless_row(smartstore_resolved):

@@ -5,6 +5,9 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -520,3 +523,37 @@ def test_cli_never_crashes_on_mutated_corpus(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("mutated") / "smartstore.ucm"
     path.write_bytes(data)
     _run_every_command(str(path), _first_use_case(data.decode("utf-8", "replace")))
+
+
+def run_into_closed_pipe(stream: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run `ucm argv` in a fresh interpreter whose `stream`, "stdout" or
+    "stderr", is a pipe with its read end already closed, so every write to
+    it fails; the other stream is captured. Output is buffered, as by
+    default, so a short output fails only when flushed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
+    code = "import sys; from ucm.cli import main; sys.exit(main())"
+    try:
+        return subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=60, **streams)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "stream, argv",
+    [
+        ("stdout", ["table", "exceptions", SMARTSTORE]),  # fits the buffer: fails when flushed
+        ("stdout", ["export", "json", SMARTSTORE]),  # overflows the buffer: fails in the write
+        ("stdout", ["check", "--format", "json", "multi-defect.ucm"]),
+        ("stderr", ["check", "multi-defect.ucm"]),
+    ],
+)
+def test_an_output_stream_closed_early_exits_2_and_prints_nothing(stream, argv, tmp_path):
+    defective = tmp_path / "multi-defect.ucm"
+    defective.write_text(MULTI_DEFECT, encoding="utf-8")
+    done = run_into_closed_pipe(stream, [str(defective) if a == defective.name else a for a in argv])
+    assert done.returncode == 2
+    assert (done.stderr if stream == "stdout" else done.stdout) == b""
