@@ -56,8 +56,10 @@ def _print_diagnostics(diags: list[Diagnostic], source: str) -> None:
     use_color = sys.stderr.isatty() and not os.environ.get("NO_COLOR")
     for diag, text in zip(diags, render_diagnostics(diags, source)):
         if use_color:
+            # The severity follows `file:line:column: `; the file name may hold the same word.
             color = "\x1b[31m" if diag.severity is Severity.ERROR else "\x1b[33m"
-            text = text.replace(f"{diag.severity.value}[", f"{color}{diag.severity.value}\x1b[0m[", 1)
+            word, cut = diag.severity.value, len(diag.span.file)
+            text = text[:cut] + text[cut:].replace(f"{word}[", f"{color}{word}\x1b[0m[", 1)
         print(text, file=sys.stderr)
 
 

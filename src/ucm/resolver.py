@@ -1,8 +1,9 @@
 """Name resolution: symbol tables and reference bindings over a parsed model.
 
-Resolution never aborts; every unresolvable reference or duplicate
-definition becomes one diagnostic (E003, E004, E012, E013, E014) and all
-resolvable references are bound regardless.
+Two rules do the work: `_define` enters each definition under its name and
+reports a later one of the same name (E014), and `_bind` binds each reference
+to the node it names or reports it (E003, E004, E012, E013). Resolution never
+aborts, and all resolvable references are bound regardless of the others.
 """
 
 from __future__ import annotations
@@ -10,26 +11,23 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .diagnostics import Diagnostic, sort_diagnostics
 from .model import (
     ActorRef,
+    ControlFlow,
     ExceptionDef,
     ExceptionRef,
     ExtensionBlock,
     Invocation,
     Model,
     ModeDecl,
-    ModeSwitch,
-    ControlFlow,
-    Outcome,
     Scenario,
     ServiceDecl,
     Step,
-    StepLabel,
     UseCase,
 )
-from .spans import SourceSpan
 
 
 @dataclass
@@ -53,11 +51,13 @@ class ResolvedModel:
     the raise sites, handlers and invocation adjacency the resolver met on
     its walk.
 
-    Bindings are keyed by ``id()`` of the node that carries the reference: an
-    invocation or control-flow step, an exception reference, a mode switch,
-    a continue outcome, a block (its anchor) or a handler context (its use
-    case). Immutable by convention after resolve(); safe to share across
-    readers.
+    `_define` fills the four name tables, first definition wins. `_bind`
+    fills `bindings`, keyed by ``id()`` of the node that carries the
+    reference: an invocation or goto/repeat step, an exception reference, a
+    mode switch, a continue outcome or a handler context (its use case); a
+    block binds to its anchor step. Mode `offers` and service `provides`
+    entries get no binding. Immutable by convention after resolve(); safe to
+    share across readers.
 
     `sites_by_exception` maps a qualified exception name to its raise sites
     in document order, and `handlers_by_exception` to the distinct handlers
@@ -100,14 +100,34 @@ def resolve(ast: Model) -> tuple[ResolvedModel, list[Diagnostic]]:
     return resolved, sort_diagnostics(diags)
 
 
+def _define(table: dict, name: str, node, what: str, diags: list[Diagnostic], span: str = "span") -> bool:
+    """Enter `node` under `name` unless an earlier node holds it, which makes
+    `node` a duplicate (E014); True when `node` came first."""
+    first = table.setdefault(name, node)
+    if first is not node:
+        related = [(getattr(first, span), "first definition")]
+        diags.append(Diagnostic("E014", f"duplicate {what} '{name}'", getattr(node, span), related=related))
+    return first is node
+
+
+def _bind(
+    resolved: ResolvedModel, diags: list[Diagnostic], node, table: dict, name: str, code: str, message: str, span
+) -> object | None:
+    """Bind `node` to `table[name]` and return it, or append one `code`
+    diagnostic at `span`, `message` formatted with the name, and return None."""
+    target = table.get(name)
+    if target is None:
+        diags.append(Diagnostic(code, message.format(name), span))
+    else:
+        resolved.bindings[id(node)] = target
+    return target
+
+
 def _collect_definitions(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:
     ast = resolved.model
     default_seen: ModeDecl | None = None
     for mode in ast.modes:
-        if mode.name in resolved.mode_by_name:
-            diags.append(_duplicate("mode", mode.name, mode.span, resolved.mode_by_name[mode.name].span))
-        else:
-            resolved.mode_by_name[mode.name] = mode
+        _define(resolved.mode_by_name, mode.name, mode, "mode", diags)
         if mode.is_default:
             if default_seen is not None:
                 diags.append(
@@ -123,23 +143,14 @@ def _collect_definitions(resolved: ResolvedModel, diags: list[Diagnostic]) -> No
 
     plain_names: dict[str, ExceptionDef] = {}
     for exc in ast.exceptions:
-        if exc.name in plain_names:
-            diags.append(_duplicate("exception", exc.name, exc.span, plain_names[exc.name].span))
-            continue
-        plain_names[exc.name] = exc
-        resolved.exception_by_qualified_name[exc.qualified_name] = exc
+        if _define(plain_names, exc.name, exc, "exception", diags):
+            resolved.exception_by_qualified_name[exc.qualified_name] = exc
 
     for svc in ast.services:
-        if svc.name in resolved.service_by_name:
-            diags.append(_duplicate("service", svc.name, svc.span, resolved.service_by_name[svc.name].span))
-        else:
-            resolved.service_by_name[svc.name] = svc
+        _define(resolved.service_by_name, svc.name, svc, "service", diags)
 
     for uc in ast.use_cases:
-        if uc.name in resolved.use_case_by_name:
-            diags.append(_duplicate("use case", uc.name, uc.name_span, resolved.use_case_by_name[uc.name].name_span))
-        else:
-            resolved.use_case_by_name[uc.name] = uc
+        _define(resolved.use_case_by_name, uc.name, uc, "use case", diags, "name_span")
 
 
 def _collect_actors(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:
@@ -150,10 +161,8 @@ def _collect_actors(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:
         for ref in uc.all_actors():
             if ref.category is None:
                 continue
-            prior = first_category.get(ref.name)
-            if prior is None:
-                first_category[ref.name] = ref
-            elif prior.category != ref.category:
+            prior = first_category.setdefault(ref.name, ref)
+            if prior.category != ref.category:
                 diags.append(
                     Diagnostic(
                         "E014",
@@ -162,15 +171,6 @@ def _collect_actors(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:
                         related=[(prior.span, f"first declared as {prior.qualified_name}")],
                     )
                 )
-
-
-def _duplicate(what: str, name: str, span: SourceSpan, first: SourceSpan) -> Diagnostic:
-    return Diagnostic(
-        "E014",
-        f"duplicate {what} '{name}'",
-        span,
-        related=[(first, "first definition")],
-    )
 
 
 # A parent sequence as block anchors read it: the first step per label text,
@@ -190,49 +190,29 @@ def _index_sequence(steps: list[Step]) -> _Sequence:
 
 
 def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]) -> None:
-    label_index = {step.label.text: step for step in reversed(uc.all_steps())}
+    labels = {step.label.text: step for step in reversed(uc.all_steps())}  # first step per label text
     invocations = resolved._invocations[id(uc)] = []
+    use_cases = resolved.use_case_by_name
+    bind = partial(_bind, resolved, diags)
 
     def bind_exception(ref: ExceptionRef) -> None:
-        target = resolved.exception_by_qualified_name.get(ref.qualified_name)
-        if target is None:
-            diags.append(
-                Diagnostic(
-                    "E004",
-                    f"exception '{ref.qualified_name}' is not defined in the header",
-                    ref.span,
-                )
-            )
-        else:
-            resolved.bindings[id(ref)] = target
+        exceptions = resolved.exception_by_qualified_name
+        bind(ref, exceptions, ref.qualified_name, "E004", "exception '{}' is not defined in the header", ref.span)
 
-    def bind_mode(switch: ModeSwitch | None) -> None:
-        if switch is None:
-            return
-        target = resolved.mode_by_name.get(switch.mode)
-        if target is None:
-            diags.append(Diagnostic("E013", f"mode '{switch.mode}' is not declared", switch.span))
-        else:
-            resolved.bindings[id(switch)] = target
-
-    def bind_step_ref(node: Step | Outcome, label: StepLabel, what: str) -> None:
-        target = label_index.get(label.text)
-        if target is None:
-            diags.append(Diagnostic("E012", f"{what} names no existing step: '{label.text}'", node.span))
-        else:
-            resolved.bindings[id(node)] = target
-
-    def bind_steps(steps: list[Step], block: ExtensionBlock | None, anchored: list[Step]) -> None:
+    def bind_sequence(owner: Scenario | ExtensionBlock, steps: list[Step], anchored: list[Step]) -> None:
+        """Bind the mode switches of a scenario or block, then its steps, then
+        its continue target."""
+        for switch in (owner.entry_switch, owner.exit_switch):
+            if switch is not None:
+                bind(switch, resolved.mode_by_name, switch.mode, "E013", "mode '{}' is not declared", switch.span)
+        block = owner if isinstance(owner, ExtensionBlock) else None
         for step in steps:
             payload = step.payload
             if isinstance(payload, Invocation):
-                target = resolved.use_case_by_name.get(payload.target)
-                if target is None:
-                    diags.append(
-                        Diagnostic("E003", f"invoked use case '{payload.target}' is not defined", step.span)
-                    )
-                else:
-                    resolved.bindings[id(step)] = target
+                target = bind(
+                    step, use_cases, payload.target, "E003", "invoked use case '{}' is not defined", step.span
+                )
+                if target is not None:
                     invocations.append((step, target))
             elif isinstance(payload, ExceptionRef):
                 bind_exception(payload)
@@ -240,24 +220,18 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                 resolved._raise_sites.append(site)
                 resolved.sites_by_exception.setdefault(payload.qualified_name, []).append(site)
             elif isinstance(payload, ControlFlow):
-                if payload.goto is not None:
-                    bind_step_ref(step, payload.goto, "goto target")
-                if payload.repeat_from is not None:
-                    bind_step_ref(step, payload.repeat_from, "repeat range start")
-                if payload.repeat_to is not None and payload.repeat_to != payload.repeat_from:
-                    if payload.repeat_to.text not in label_index:
-                        diags.append(
-                            Diagnostic(
-                                "E012",
-                                f"repeat range end names no existing step: '{payload.repeat_to.text}'",
-                                step.span,
-                            )
-                        )
-
-    def bind_outcome(scenario_or_block: Scenario | ExtensionBlock) -> None:
-        outcome = scenario_or_block.outcome
-        if outcome.continue_target is not None:
-            bind_step_ref(outcome, outcome.continue_target, "continue target")
+                goto, start, end = payload.goto, payload.repeat_from, payload.repeat_to
+                if goto is not None:
+                    bind(step, labels, goto.text, "E012", "goto target names no existing step: '{}'", step.span)
+                if start is not None:
+                    bind(step, labels, start.text, "E012", "repeat range start names no existing step: '{}'", step.span)
+                # The step's binding holds the range start; the end is only checked.
+                if end is not None and end != start and end.text not in labels:
+                    message = f"repeat range end names no existing step: '{end.text}'"
+                    diags.append(Diagnostic("E012", message, step.span))
+        outcome, target = owner.outcome, owner.outcome.continue_target
+        if target is not None:
+            bind(outcome, labels, target.text, "E012", "continue target names no existing step: '{}'", outcome.span)
 
     def bind_anchor(block: ExtensionBlock, parent: _Sequence) -> list[Step]:
         """Bind the block to its anchor step in the parent sequence and return
@@ -293,32 +267,20 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         return numbered[bisect_left(numbers, anchor.anchor_lo) : bisect_right(numbers, anchor.anchor_hi)]
 
     for ctx in uc.contexts:
-        target = resolved.use_case_by_name.get(ctx.use_case)
-        if target is None:
-            diags.append(
-                Diagnostic("E003", f"context use case '{ctx.use_case}' is not defined", ctx.use_case_span)
-            )
-        else:
-            resolved.bindings[id(ctx)] = target
+        bind(ctx, use_cases, ctx.use_case, "E003", "context use case '{}' is not defined", ctx.use_case_span)
         bind_exception(ctx.exception)
         if uc.is_handler:
             resolved.handlers_by_exception.setdefault(ctx.exception.qualified_name, {})[uc.name] = None
 
     if uc.main:
-        bind_mode(uc.main.entry_switch)
-        bind_mode(uc.main.exit_switch)
-        bind_steps(uc.main.steps, None, [])
-        bind_outcome(uc.main)
+        bind_sequence(uc.main, uc.main.steps, [])
     main_sequence = _index_sequence(uc.main.steps if uc.main else [])
     pending = [(block, main_sequence) for block in reversed(uc.extensions)]
     while pending:
         block, parent = pending.pop()
         anchored = bind_anchor(block, parent)
-        bind_mode(block.entry_switch)
-        bind_mode(block.exit_switch)
         steps = block.steps()
-        bind_steps(steps, block, anchored)
-        bind_outcome(block)
+        bind_sequence(block, steps, anchored)
         sequence = _index_sequence(steps)
         pending.extend((nested, sequence) for nested in reversed(block.nested_blocks()))
 

@@ -154,7 +154,8 @@ def invocation_model_source(draw) -> str:
     """A model of up to 7 use cases that invoke one another along a random
     acyclic graph and raise exceptions at random. A use case invokes only
     those after it in a shuffled order, so name order is not invocation
-    order, and it may invoke one use case several times: parallel edges."""
+    order, and it may invoke one use case several times: parallel edges.
+    A handler of SoftwareException::Fault in a drawn use case may follow."""
     names = draw(st.permutations([f"U{i}" for i in range(draw(st.integers(min_value=1, max_value=7)))]))
     lines = [
         "model Invocations",
@@ -171,4 +172,8 @@ def invocation_model_source(draw) -> str:
         steps += draw(st.lists(raises, max_size=2)) or ['internal "x"']
         body = "".join(f"    {n}. {step}\n" for n, step in enumerate(steps, 1))
         lines.append(f"usecase {name} {{\n  main {{\n{body}    outcome success\n  }}\n}}")
+    if draw(st.booleans()):
+        context = f"{draw(st.sampled_from(names))} on SoftwareException::Fault interrupt-fail"
+        body = '  main {\n    1. internal "y"\n    outcome success\n  }\n'
+        lines.append(f"handler H {{\n  contexts: {context}\n{body}}}")
     return "\n".join(lines) + "\n"

@@ -526,7 +526,7 @@ def test_handler_totals_match_global_view(smartstore_resolved, firealarm_resolve
 
 
 @settings(max_examples=40, deadline=None)
-@given(model_source())
+@given(st.one_of(model_source(), invocation_model_source()))
 def test_handler_totals_match_global_view_on_generated_models(source):
     resolved, _ = pipeline(source)
     assert_handler_totals_match_global_view(resolved)

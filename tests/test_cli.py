@@ -58,6 +58,31 @@ usecase A {
 """
 
 
+class _Terminal(io.StringIO):
+    def isatty(self) -> bool:
+        return True
+
+
+def test_colour_marks_the_severity_not_the_file_name(tmp_path, monkeypatch):
+    """On a terminal the severity after `file:line:column: ` is coloured,
+    also when the file name holds the same word."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    Path("error[1].ucm").write_text(BROKEN, encoding="utf-8")
+    Path("warning[1].ucm").write_text(WARN_ONLY, encoding="utf-8")
+    monkeypatch.setattr(sys, "stderr", _Terminal())
+    assert main(["check", "error[1].ucm"]) == 1
+    assert main(["check", "warning[1].ucm"]) == 0
+    headers = [line for line in sys.stderr.getvalue().splitlines() if not line.startswith(" ")]
+    assert headers == [
+        "error[1].ucm:11:5: \x1b[31merror\x1b[0m[E003]: invoked use case 'Nowhere' is not defined",
+        "error[1].ucm:12:5: \x1b[31merror\x1b[0m[E011]: main success scenario of 'A' ends in 'failure',"
+        " expected success",
+        "warning[1].ucm:3:14: \x1b[33mwarning\x1b[0m[W002]: exception 'HardwareException::X' is declared"
+        " but never raised",
+    ]
+
+
 @pytest.fixture
 def broken_file(tmp_path):
     path = tmp_path / "broken.ucm"

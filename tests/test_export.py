@@ -23,7 +23,7 @@ from conftest import (
     wide_use_case_source,
 )
 from oracles import elementtree_xmi, print_model, reference_render_table
-from strategies import model_source
+from strategies import invocation_model_source, model_source
 from ucm import analysis
 from ucm.cli import main
 from ucm.diagnostics import has_errors
@@ -820,10 +820,10 @@ def test_printed_model_parses_back_to_the_same_export(source):
 def mutated_model_sources(draw) -> str:
     """A generated model, or one of its two mutants: one occurrence of a
     name renamed to a name nothing declares, or one line written twice."""
-    source = draw(model_source())
+    source = draw(st.one_of(model_source(), invocation_model_source()))
     mutant = draw(st.sampled_from(["none", "rename", "duplicate"]))
     if mutant == "rename":
-        names = list(re.finditer(r"\b(?:Flow|Mode|Exc)\d\b|\b(?:Svc|P|Q|Dev)\b", source))
+        names = list(re.finditer(r"\b(?:Flow|Mode|Exc|U)\d\b|\b(?:Svc|P|Q|Dev|Normal|Fault)\b", source))
         found = draw(st.sampled_from(names))
         return source[: found.start()] + "Unknown" + source[found.end() :]
     if mutant == "duplicate":

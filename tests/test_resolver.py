@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from conftest import REPO_ROOT
+from ucm.export import export_json, import_json
 from ucm.model import StepKind
-from ucm.parser import parse
+from ucm.parser import parse, parse_file
 from ucm.resolver import reachable_use_cases, resolve
 from ucm.spans import LineIndex
 
@@ -221,3 +223,17 @@ def test_resolve_is_pure(smartstore):
         assert site1 == site2 and target1 is target2
     assert [s.step for s in first.raise_sites()] == [s.step for s in second.raise_sites()]
     assert first.use_case_by_name.keys() == second.use_case_by_name.keys()
+
+
+def test_imported_fault_fixture_keeps_the_resolver_emission_order():
+    """Every span of an imported model is the same, so its sorted diagnostics
+    keep the order the resolver emits them in within each code."""
+    model, _ = parse_file(REPO_ROOT / "tests" / "fixtures" / "resolver-faults.ucm")
+    resolved, _ = resolve(model)
+    imported, import_diags = import_json(export_json(resolved))
+    assert import_diags == []
+    reresolved, diags = resolve(imported)
+    produced = "".join(f"{d.code} {d.message}\n" for d in diags)
+    golden = REPO_ROOT / "tests" / "golden" / "resolver-faults-imported.txt"
+    assert produced == golden.read_text(encoding="utf-8")
+    assert len(reresolved.bindings) == len(resolved.bindings)
