@@ -126,7 +126,9 @@ def _render(diag: Diagnostic, index: LineIndex) -> str:
     if excerpt:
         width = max(1, min(diag.span.end, line_end) - start)
         lines.append(f"  {excerpt}")
-        lines.append("  " + " " * (column - 1) + "^" * width)
+        # Tabs stay tabs, so the carets share the excerpt's tab stops.
+        pad = "".join(c if c == "\t" else " " for c in excerpt[: column - 1])
+        lines.append(f"  {pad}{'^' * width}")
     for suggestion in diag.suggestions:
         lines.append(f"  suggestion: {suggestion}")
     for span, note in diag.related:

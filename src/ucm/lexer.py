@@ -1,12 +1,13 @@
 """Tokenizer for `.ucm` sources.
 
-Keywords are context-sensitive: the lexer emits plain IDENT tokens and the
-parser matches keywords by token text, so clause names remain usable as
-model identifiers. Labels (``2``, ``2-6a1``) are digit-led and lexed greedily,
-which keeps them distinct from identifiers. Digits are ASCII ``0-9`` only: any
-other Unicode digit is an unrecognized character. A string holds TAB and
-any character from U+0020 up except U+FFFE and U+FFFF. `//` comments run to
-end of line.
+Token kinds: IDENT, LABEL, NUMBER and STRING carry a value; SYMBOL is one of
+`-> :: .. : , . { } [ ] *`; EOF ends the list. Keywords are IDENT tokens,
+and the parser tests keywords and symbols alike by their text, so clause
+names remain usable as model identifiers. Labels (``2``, ``2-6a1``) are
+digit-led and lexed greedily, which keeps them distinct from identifiers.
+Digits are ASCII ``0-9`` only: any other Unicode digit is an unrecognized
+character. A string holds TAB and any character from U+0020 up except U+FFFE
+and U+FFFF. `//` comments run to end of line.
 
 Each token is one anchored regex match whose prefix skips the whitespace and
 comments before it. Tokens carry offsets, not spans: `(kind, text, start,
@@ -28,17 +29,7 @@ class TokenKind(Enum):
     LABEL = "label"
     NUMBER = "number"
     STRING = "string"
-    ARROW = "'->'"
-    COLONCOLON = "'::'"
-    COLON = "':'"
-    COMMA = "','"
-    DOT = "'.'"
-    DOTDOT = "'..'"
-    LBRACE = "'{'"
-    RBRACE = "'}'"
-    LBRACKET = "'['"
-    RBRACKET = "']'"
-    STAR = "'*'"
+    SYMBOL = "symbol"
     EOF = "end of file"
 
 
@@ -89,17 +80,7 @@ _TOKEN_RE = re.compile(
     | (?P<STRING>"""
     + _STRING
     + r""")
-    | (?P<ARROW>->)
-    | (?P<COLONCOLON>::)
-    | (?P<DOTDOT>\.\.)
-    | (?P<COLON>:)
-    | (?P<COMMA>,)
-    | (?P<DOT>\.)
-    | (?P<LBRACE>\{)
-    | (?P<RBRACE>\})
-    | (?P<LBRACKET>\[)
-    | (?P<RBRACKET>\])
-    | (?P<STAR>\*)
+    | (?P<SYMBOL>->|::|\.\.|[:,.{}\[\]*])
     )""",
     re.VERBOSE,
 )

@@ -6,13 +6,14 @@ phases can produce better diagnostics than a bare syntax error: use-case
 clauses may be absent (missing ones become E001) and actor references accept
 any or no category keyword (checked as E005).
 
-A keyword test compares token text alone (`current.text == word`, or
-membership in a keyword table). Only an IDENT token can have
-identifier-shaped text: strings keep their quotes, labels and numbers start
-with an ASCII digit, punctuation is symbols and EOF is empty. Lookahead reads
-`tokens[pos + 1]` only when the current token is an IDENT, which is never the
-last token, and nothing but the final check of `parse_model` stands on EOF,
-so `advance` needs no bounds test.
+Every fixed token, keyword or symbol, is tested by its text alone
+(`expect(text)`, `current.text == word`, or membership in a keyword table).
+Only an IDENT token can have identifier-shaped text and only a SYMBOL token
+symbol-shaped text: strings keep their quotes, labels and numbers start with
+an ASCII digit and EOF is empty. Lookahead reads `tokens[pos + 1]` only when
+the current token is an IDENT, which is never the last token, and nothing
+but the final check of `parse_model` stands on EOF, so `advance` needs no
+bounds test.
 """
 
 from __future__ import annotations
@@ -115,18 +116,14 @@ class _Parser:
         wanted = " or ".join(expected)
         return ParseError(f"expected {wanted}, got {found!r}", self.span_of(tok), expected)
 
-    def expect(self, kind: TokenKind) -> Token:
+    def expect(self, text: str) -> Token:
+        """Consume the current token, a keyword or symbol spelled `text`."""
         tok = self.current
-        if tok.kind is not kind:
-            raise self.error([kind.value])
+        if tok.text != text:
+            raise self.error([f"'{text}'"])
         self.pos += 1  # advance() inlined here and in expect_ident: the most frequent calls
         self.current = self.tokens[self.pos]
         return tok
-
-    def expect_keyword(self, word: str) -> Token:
-        if self.current.text != word:
-            raise self.error([f"'{word}'"])
-        return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.current
@@ -144,7 +141,9 @@ class _Parser:
         return True
 
     def expect_string(self) -> str:
-        return string_value(self.expect(TokenKind.STRING))
+        if self.current.kind is not TokenKind.STRING:
+            raise self.error([TokenKind.STRING.value])
+        return string_value(self.advance())
 
     def expect_word(self, table: Collection[str]) -> str:
         """Consume a keyword from `table`, or fail listing all of them."""
@@ -182,7 +181,7 @@ class _Parser:
     # -- grammar --------------------------------------------------------
 
     def parse_model(self) -> Model:
-        start = self.expect_keyword("model")
+        start = self.expect("model")
         name = self.expect_ident("model name").text
         modes = self.parse_modes()
         exceptions = self.parse_exceptions()
@@ -205,53 +204,53 @@ class _Parser:
         return self.parse_list(lambda: self.expect_ident(what).text)
 
     def parse_modes(self) -> list[ModeDecl]:
-        self.expect_keyword("modes")
-        self.expect(TokenKind.LBRACE)
+        self.expect("modes")
+        self.expect("{")
         modes = []
-        while self.current.kind is not TokenKind.RBRACE:
+        while self.current.text != "}":
             start = self.current
             is_default = self.accept("default")
             kind = _MODE_KINDS[self.expect_word(_MODE_KINDS)]
             name = self.expect_ident("mode name").text
             offered = self.parse_names("service name") if self.accept("offers") else []
             modes.append(ModeDecl(name, kind, is_default, offered, self.span_from(start)))
-        self.expect(TokenKind.RBRACE)
+        self.expect("}")
         return modes
 
     def parse_exceptions(self) -> list[ExceptionDef]:
-        self.expect_keyword("exceptions")
-        self.expect(TokenKind.LBRACE)
+        self.expect("exceptions")
+        self.expect("{")
         out = []
         while self.current.text == "exception":
             start = self.advance()
             category, name, _ = self.parse_exception_name()
             out.append(ExceptionDef(category, name, self.accept("global"), self.span_from(start)))
-        self.expect(TokenKind.RBRACE)
+        self.expect("}")
         return out
 
     def parse_exception_name(self):
         start = self.current
         category = EXCEPTION_KEYWORDS[self.expect_word(EXCEPTION_KEYWORDS)]
-        self.expect(TokenKind.COLONCOLON)
+        self.expect("::")
         name = self.expect_ident("exception name").text
         return category, name, self.span_from(start)
 
     def parse_services(self) -> list[ServiceDecl]:
-        self.expect_keyword("services")
-        self.expect(TokenKind.LBRACE)
+        self.expect("services")
+        self.expect("{")
         out = []
         while self.current.text == "service":
             start = self.advance()
             name = self.expect_ident("service name").text
-            self.expect_keyword("provides")
+            self.expect("provides")
             out.append(ServiceDecl(name, self.parse_names("use case name"), self.span_from(start)))
-        self.expect(TokenKind.RBRACE)
+        self.expect("}")
         return out
 
     def parse_use_case(self) -> UseCase:
         start = self.advance()  # usecase | handler
         name_tok = self.expect_ident("use case name")
-        self.expect(TokenKind.LBRACE)
+        self.expect("{")
         uc = UseCase(
             name=name_tok.text,
             is_handler=start.text == "handler",
@@ -275,7 +274,7 @@ class _Parser:
             uc.main = self.parse_scenario()
         if self.current.text == "extensions":
             uc.extensions = self.parse_extensions()
-        self.expect(TokenKind.RBRACE)
+        self.expect("}")
         uc.span = self.span_from(start)
         return uc
 
@@ -287,7 +286,7 @@ class _Parser:
                 raise ParseError(f"clause '{word}' repeated or out of order", self.span_of(self.current))
             last_rank = rank
             self.advance()
-            self.expect(TokenKind.COLON)
+            self.expect(":")
             if word == "level":
                 uc.level = _LEVELS[self.expect_word(_LEVELS)]
             elif word in ("primary", "secondary", "facilitator"):
@@ -309,9 +308,9 @@ class _Parser:
         multiplicity = None
         if self.accept("["):
             lower = self.parse_int("lower bound")
-            self.expect(TokenKind.DOTDOT)
+            self.expect("..")
             upper = None if self.accept("*") else self.parse_int("upper bound")
-            self.expect(TokenKind.RBRACKET)
+            self.expect("]")
             multiplicity = Multiplicity(lower, upper)
         return ActorRef(category, name, multiplicity, self.span_from(start))
 
@@ -325,7 +324,7 @@ class _Parser:
 
     def parse_context_entry(self) -> HandlerContext:
         start = self.expect_ident("use case name")
-        self.expect_keyword("on")
+        self.expect("on")
         category, name, exc_span = self.parse_exception_name()
         relation = _RELATIONS[self.expect_word(_RELATIONS)]
         return HandlerContext(
@@ -343,38 +342,38 @@ class _Parser:
             return None
         self.pos += 2  # past `mode switch`
         self.current = self.tokens[self.pos]
-        self.expect(TokenKind.COLON)
+        self.expect(":")
         name_tok = self.expect_ident("mode name")
         return ModeSwitch(name_tok.text, self.span_from(start))
 
     def parse_scenario(self) -> Scenario:
-        start = self.expect_keyword("main")
-        self.expect(TokenKind.LBRACE)
+        start = self.expect("main")
+        self.expect("{")
         entry = self.parse_mode_switch()
         steps = []
         while self.current.kind is TokenKind.LABEL:
             steps.append(self.parse_step())
         exit_switch = self.parse_mode_switch()
         outcome = self.parse_outcome()
-        self.expect(TokenKind.RBRACE)
+        self.expect("}")
         return Scenario(entry, steps, exit_switch, outcome, self.span_from(start))
 
     def parse_outcome(self) -> Outcome:
-        start = self.expect_keyword("outcome")
+        start = self.expect("outcome")
         kind = _OUTCOMES[self.expect_word(_OUTCOMES)]
         target = self.parse_label()[0] if kind is OutcomeKind.CONTINUE else None
         return Outcome(kind, target, self.span_from(start))
 
     def parse_step(self) -> Step:
         label, label_tok = self.parse_label()
-        self.expect(TokenKind.DOT)
+        self.expect(".")
         cur = self.current
         word = cur.text
-        if cur.kind is TokenKind.IDENT and self.tokens[self.pos + 1].kind is TokenKind.ARROW:
+        if cur.kind is TokenKind.IDENT and self.tokens[self.pos + 1].text == "->":
             self.pos += 2  # past the source endpoint and `->`
             self.current = self.tokens[self.pos]
             target = self.expect_ident("interaction endpoint").text
-            self.expect(TokenKind.COLON)
+            self.expect(":")
             payload: object = Interaction(word, target, self.expect_string())
         elif word == "invoke":
             self.advance()
@@ -423,12 +422,12 @@ class _Parser:
         return Timeout(amount, self.expect_word(TIME_UNITS))
 
     def parse_extensions(self) -> list[ExtensionBlock]:
-        self.expect_keyword("extensions")
-        self.expect(TokenKind.LBRACE)
+        self.expect("extensions")
+        self.expect("{")
         blocks = []
         while self.current.text == "block":
             blocks.append(self.parse_block())
-        self.expect(TokenKind.RBRACE)
+        self.expect("}")
         return blocks
 
     def parse_block(self, depth: int = 1) -> ExtensionBlock:
@@ -438,7 +437,7 @@ class _Parser:
         label = self.parse_label()[0]
         kind = _BLOCK_KINDS[self.expect_word(_BLOCK_KINDS)]
         guard = self.expect_string() if self.accept("when") else ""
-        self.expect(TokenKind.LBRACE)
+        self.expect("{")
         entry = self.parse_mode_switch()
         body: list[Step | ExtensionBlock] = []
         while True:
@@ -450,7 +449,7 @@ class _Parser:
                 break
         exit_switch = self.parse_mode_switch()
         outcome = self.parse_outcome()
-        self.expect(TokenKind.RBRACE)
+        self.expect("}")
         return ExtensionBlock(label, kind, guard, body, entry, exit_switch, outcome, self.span_from(start))
 
 

@@ -208,17 +208,10 @@ _REFERENCE_KINDS = {
     "label": TokenKind.LABEL,
     "ident": TokenKind.IDENT,
     "string": TokenKind.STRING,
-    "arrow": TokenKind.ARROW,
-    "coloncolon": TokenKind.COLONCOLON,
-    "dotdot": TokenKind.DOTDOT,
-    ":": TokenKind.COLON,
-    ",": TokenKind.COMMA,
-    ".": TokenKind.DOT,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "*": TokenKind.STAR,
+    "arrow": TokenKind.SYMBOL,
+    "coloncolon": TokenKind.SYMBOL,
+    "dotdot": TokenKind.SYMBOL,
+    "punct": TokenKind.SYMBOL,
 }
 
 
@@ -248,7 +241,7 @@ def reference_tokenize(source: str, file: str) -> list[tuple[TokenKind, str, int
     for m in matches:
         group = m.lastgroup
         if group not in ("ws", "comment"):
-            kind = _REFERENCE_KINDS[m.group() if group == "punct" else group]
+            kind = _REFERENCE_KINDS[group]
             tokens.append((kind, m.group(), m.start(), m.end()))
     return tokens + [(TokenKind.EOF, "", pos, pos)]
 

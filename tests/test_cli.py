@@ -190,6 +190,14 @@ def test_table_csv_format(capsys):
     assert out.splitlines()[0] == "Use Case,Location,From Mode,To Mode"
 
 
+def test_without_a_default_mode_the_mode_table_starts_in_the_first_declared_mode(tmp_path, capsys):
+    source = WARN_ONLY.replace("default normal Normal", "normal A restricted B").replace("usecase A", "usecase U")
+    path = tmp_path / "m.ucm"
+    path.write_text(source.replace("  main {", "  main {\n    mode switch: B"), encoding="utf-8")
+    assert main(["table", "modes", str(path)]) == 0
+    assert "| U | main-begin | A | B |" in capsys.readouterr().out
+
+
 def test_table_services(capsys):
     assert main(["table", "services", FIREALARM]) == 0
     out = capsys.readouterr().out
@@ -257,6 +265,12 @@ def test_export_writes_output_file(tmp_path, capsys):
     assert main(["export", "xmi", SMARTSTORE, "-o", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text(encoding="utf-8").startswith("<?xml")
+
+
+def test_export_to_a_missing_directory_cannot_write(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["export", "json", SMARTSTORE, "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"ucm: cannot write '{out}': No such file or directory\n")
 
 
 def test_export_dot(capsys):

@@ -52,6 +52,15 @@ def test_render_zero_length_span_at_end_of_file():
     assert "^" in text
 
 
+def test_render_carets_keep_the_tabs_of_the_excerpt():
+    source = "modes {\n\t bogus\n"
+    diag = Diagnostic("E000", "expected '}'", span(start=10, end=15))
+    header, excerpt, carets = render_diagnostic(diag, source).split("\n")
+    assert header.startswith("store.ucm:2:3:")  # a tab counts as one column
+    assert excerpt == "  \t bogus"
+    assert carets == "  \t ^^^^^"
+
+
 def test_render_related_notes():
     related = [(span(start=0, end=1), "first definition")]
     diag = Diagnostic("E014", "duplicate", span(start=5, end=6), related=related)

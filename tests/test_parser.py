@@ -219,6 +219,9 @@ def test_crlf_and_comments_normalize():
         (MINIMAL + " usecase A { level: user-goal scope: \"s\" main { outcome success } }", "out of order"),
         (MINIMAL + " usecase A { main { 1. internal timeout 5 weeks \"x\" outcome success } }", "'ms'"),
         (MINIMAL + " usecase A { main { 1. repeat 3 outcome success } }", "label range"),
+        (MINIMAL + ' usecase A { main { 2ab. internal "x" outcome success } }', "malformed step label '2ab'"),
+        (MINIMAL + ' usecase A { main { 1. internal timeout 0 s "x" outcome success } }', "must be positive"),
+        (MINIMAL + ' usecase A { main { 1. internal timeout 0.0 ms "x" outcome success } }', "must be positive"),
     ],
 )
 def test_syntax_errors_are_all_or_nothing(source, fragment):
@@ -281,6 +284,7 @@ def test_labels_round_trip_text():
     assert StepLabel.parse("a1") is None
     assert StepLabel.parse("2a1b") is not None  # block label: trailing pair open
     assert StepLabel.parse("") is None
+    assert StepLabel.parse("2ab") is None  # only the last letter may stand without a number
 
 
 def test_label_successors():
