@@ -37,6 +37,7 @@ CODES: dict[str, str] = {
     "E014": "duplicate definition",
     "E015": "invocation cycle prevents path analysis",
     "E016": "invocation paths are too many to list",
+    "E017": "offered service or provided use case is not defined",
     "W001": "raised exception is not handled by any handler",
     "W002": "declared exception is never raised",
     "W003": "declared mode is never the target of a mode switch",

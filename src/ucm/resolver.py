@@ -2,8 +2,10 @@
 
 Two rules do the work: `_define` enters each definition under its name and
 reports a later one of the same name (E014), and `_bind` binds each reference
-to the node it names or reports it (E003, E004, E012, E013). Resolution never
-aborts, and all resolvable references are bound regardless of the others.
+to the node it names or reports it (E003, E004, E012, E013). The names a mode
+offers and a service provides get no binding; each must name a definition
+(E017). Resolution never aborts, and all resolvable references are bound
+regardless of the others.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ class ResolvedModel:
     reference: an invocation or goto/repeat step, an exception reference, a
     mode switch, a continue outcome or a handler context (its use case); a
     block binds to its anchor step. Mode `offers` and service `provides`
-    entries get no binding. Immutable by convention after resolve(); safe to
-    share across readers.
+    entries get no binding; an undefined one is E017. Immutable by
+    convention after resolve(); safe to share across readers.
 
     `sites_by_exception` maps a qualified exception name to its raise sites
     in document order, and `handlers_by_exception` to the distinct handlers
@@ -151,6 +153,17 @@ def _collect_definitions(resolved: ResolvedModel, diags: list[Diagnostic]) -> No
 
     for uc in ast.use_cases:
         _define(resolved.use_case_by_name, uc.name, uc, "use case", diags, "name_span")
+
+    for mode in ast.modes:
+        for name in mode.offered_services:
+            if name not in resolved.service_by_name:
+                message = f"service '{name}' offered by mode '{mode.name}' is not defined"
+                diags.append(Diagnostic("E017", message, mode.span))
+    for svc in ast.services:
+        for name in svc.goals:
+            if name not in resolved.use_case_by_name:
+                message = f"use case '{name}' provided by service '{svc.name}' is not defined"
+                diags.append(Diagnostic("E017", message, svc.span))
 
 
 def _collect_actors(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:

@@ -120,11 +120,17 @@ def model_source(draw) -> str:
     n_modes = draw(st.integers(min_value=1, max_value=3))
     mode_names = [f"Mode{i}" for i in range(n_modes)]
     default = draw(st.integers(min_value=0, max_value=n_modes - 1))
+    services = ["Svc"] if draw(st.booleans()) else []
+    # Now and then one `offers` or `provides` entry names nothing declared (E017).
+    unknown = draw(st.sampled_from((None, None, None, None, "offers", "provides")))
     lines = ["model Generated", "modes {"]
     for i, name in enumerate(mode_names):
         kind = draw(st.sampled_from(MODE_KINDS))
         prefix = "default " if i == default else ""
-        lines.append(f"  {prefix}{kind} {name}")
+        offers = [svc for svc in services if draw(st.booleans())]
+        if unknown == "offers" and i == 0:
+            offers.append("Ghost")
+        lines.append(f"  {prefix}{kind} {name}" + (f" offers {', '.join(offers)}" if offers else ""))
     lines.append("}")
 
     n_exc = draw(st.integers(min_value=0, max_value=3))
@@ -139,9 +145,9 @@ def model_source(draw) -> str:
 
     n_ucs = draw(st.integers(min_value=1, max_value=3))
     uc_names = [f"Flow{i}" for i in range(n_ucs)]
-    if draw(st.booleans()):
+    if services or unknown == "provides":
         lines.append("services {")
-        lines.append(f"  service Svc provides {uc_names[0]}")
+        lines.append(f"  service Svc provides {uc_names[0]}" + (", Gone" if unknown == "provides" else ""))
         lines.append("}")
     for i, name in enumerate(uc_names):
         is_handler = bool(exceptions) and i == n_ucs - 1 and n_ucs > 1 and draw(st.booleans())

@@ -191,19 +191,24 @@ _MULTI_DEFECT_FILES = {
     "m.ucm": MULTI_DEFECT,
     "m-eof.ucm": "\r\n".join(MULTI_DEFECT.split("\r\n")[:-2] + ["  "]),
 }
-RESOLVER_FAULTS = REPO_ROOT / "tests" / "fixtures" / "resolver-faults.ucm"
+FIXTURES = REPO_ROOT / "tests" / "fixtures"
 
 
 @pytest.mark.parametrize(
     ("file", "golden"),
-    [("m.ucm", "multi-defect"), ("m-eof.ucm", "multi-defect-eof"), ("resolver-faults.ucm", "resolver-faults")],
+    [
+        ("m.ucm", "multi-defect"),
+        ("m-eof.ucm", "multi-defect-eof"),
+        ("resolver-faults.ucm", "resolver-faults"),
+        ("validation-faults.ucm", "validation-faults"),
+    ],
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_check_output_matches_golden_file(file, golden, fmt, tmp_path, monkeypatch, capsys):
-    """`ucm check` on the BOM+CRLF model, written as bytes, and on the fixture
-    holding every resolver message: stderr (text) or stdout (json) equals the
-    file captured from the command."""
-    text = _MULTI_DEFECT_FILES[file].encode("utf-8") if file in _MULTI_DEFECT_FILES else RESOLVER_FAULTS.read_bytes()
+    """`ucm check` on the BOM+CRLF model, written as bytes, and on the
+    fixtures holding every resolver and every validator message: stderr
+    (text) or stdout (json) equals the file captured from the command."""
+    text = _MULTI_DEFECT_FILES[file].encode("utf-8") if file in _MULTI_DEFECT_FILES else (FIXTURES / file).read_bytes()
     (tmp_path / file).write_bytes(text)
     monkeypatch.chdir(tmp_path)
     assert main(["check", "--format", fmt, file]) == 1

@@ -110,6 +110,26 @@ usecase B {
     assert e014[0].related
 
 
+def test_undefined_offered_service_and_provided_use_case_are_e017():
+    """Each `offers` entry must name a service and each `provides` entry a
+    use case; a miss is E017 at the mode or service, naming the entry."""
+    header = """model M
+modes { default normal Normal offers Svc, Ghost }
+exceptions { }
+services {
+  service Svc provides A, Nope
+}
+"""
+    src = build(("A", '    1. internal "x"'), header=header)
+    _, diags = resolved_of(src)
+    index = LineIndex(src)
+    assert [(d.code, d.message, index.position(d.span.start)) for d in diags] == [
+        ("E017", "service 'Ghost' offered by mode 'Normal' is not defined", (2, 9)),
+        ("E017", "use case 'Nope' provided by service 'Svc' is not defined", (5, 3)),
+    ]
+    assert resolved_of(src.replace(", Ghost", "").replace(", Nope", ""))[1] == []
+
+
 def test_unresolved_continue_and_goto_are_e012():
     src = build(("A", "    1. goto 7"))
     _, diags = resolved_of(src)

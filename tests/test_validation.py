@@ -5,17 +5,19 @@ defect-injected fixture that must produce the code at a known line.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import CORPUS, growth, hub_source, pipeline, wide_handler_source, wide_use_case_source
+from conftest import CORPUS, REPO_ROOT, growth, hub_source, pipeline, wide_handler_source, wide_use_case_source
 from oracles import unreached_handler_contexts
 from strategies import model_source
 from ucm.analysis import InvocationCycleError, build_invocation_graph, enumerate_paths
 from ucm.export import export_json, import_json
-from ucm.parser import parse
+from ucm.model import UseCase
+from ucm.parser import parse, parse_file
 from ucm.resolver import resolve
 from ucm.spans import LineIndex
 from ucm.validation import validate
@@ -548,6 +550,41 @@ def test_validate_output_is_sorted():
     _, diags = pipeline(src)
     keys = [d.sort_key() for d in diags]
     assert keys == sorted(keys)
+
+
+def test_validate_walks_each_use_case_once(smartstore_resolved, monkeypatch):
+    """One validate reads each use case's actors and blocks once, and its
+    steps only through its main scenario and blocks."""
+    calls: Counter[str] = Counter()
+
+    def counted(name: str):
+        method = getattr(UseCase, name)
+
+        def wrapper(uc: UseCase):
+            calls[name] += 1
+            return method(uc)
+
+        return wrapper
+
+    for name in ("all_actors", "all_blocks", "all_steps"):
+        monkeypatch.setattr(UseCase, name, counted(name))
+    assert validate(smartstore_resolved) == []
+    n = len(smartstore_resolved.model.use_cases)
+    assert n == 30
+    assert calls["all_actors"] <= n and calls["all_blocks"] <= n and calls["all_steps"] <= n, calls
+
+
+def test_imported_fault_fixture_keeps_the_validator_emission_order():
+    """Every span of an imported model is the same, so its sorted diagnostics
+    keep the order the validator emits them in within each code."""
+    model, _ = parse_file(REPO_ROOT / "tests" / "fixtures" / "validation-faults.ucm")
+    resolved, resolve_diags = resolve(model)
+    assert resolve_diags == []
+    imported, import_diags = import_json(export_json(resolved))
+    assert import_diags == []
+    produced = "".join(f"{d.code} {d.message}\n" for d in validate(resolve(imported)[0]))
+    golden = REPO_ROOT / "tests" / "golden" / "validation-faults-imported.txt"
+    assert produced == golden.read_text(encoding="utf-8")
 
 
 def test_empty_model_validates_clean():
