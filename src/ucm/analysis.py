@@ -6,17 +6,21 @@ from a resolved model. One depth-first search at construction gives the
 graph's topological order and, on a cyclic graph, the witness cycle that
 aborts path-based summaries with E015. Path totals are counted in one pass
 over that order, without listing paths. Only the paths the exception table
-prints are listed: every node that lies on one gets a single list of its path
-texts to the raise site, shared by all its callers, so the work is bounded by
-the printed text. Rows keep the texts, which the table joins; a `PathRecord`
-is made only when a row's path is read. More than `MAX_PATH_NODES` path
-nodes in an exception table abort it with E016 before that many are listed.
+prints are listed: every node that lies on one gets its paths to the raise
+site once, as a head and a list of texts shared by all its callers. A node
+with one callee on those paths shares that callee's list under a longer
+head, and a start joins its callees' lists straight into the printed cell,
+so the work is bounded by the printed text. A row keeps that one text, which
+the table prints as it is; it is split into paths, and a `PathRecord` made,
+only when a row's path is read. More than `MAX_PATH_NODES` path nodes in an
+exception table abort it with E016 before any is listed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .diagnostics import Diagnostic
 from .export import SummaryTable
@@ -116,15 +120,22 @@ class PathRecord(str):
 
 
 class PathList(Sequence):
-    """The paths of an exception row: a read-only sequence over their texts
+    """The paths of an exception row as one `text`, the path texts joined by
+    ``; ``, which is the table's Paths cell as printed. A read-only sequence
     that yields a `PathRecord` for each item read, and compares and prints
-    like the list of those records. `texts` is what the table joins."""
+    like the list of those records. Names are identifiers, so no path holds
+    ``; ``: the length counts separators, and `texts` splits the text once,
+    when an item is first read."""
 
-    def __init__(self, texts: list[str]):
-        self.texts = texts
+    def __init__(self, text: str):
+        self.text = text
+
+    @cached_property
+    def texts(self) -> list[str]:
+        return self.text.split("; ") if self.text else []
 
     def __len__(self) -> int:
-        return len(self.texts)
+        return self.text.count("; ") + 1 if self.text else 0
 
     def __getitem__(self, index: int | slice) -> PathRecord | list[PathRecord]:
         if isinstance(index, slice):
@@ -211,18 +222,27 @@ def path_counts(graph: InvocationGraph) -> dict[str, int]:
     return _path_totals(graph, graph.roots)[0]
 
 
-def _paths_between(graph: InvocationGraph, starts: set[str], target: str) -> list[str]:
-    """Texts of all paths from the `starts` to `target` in an acyclic graph,
-    in lexicographic order; a path over k parallel edges is listed k times.
+def _paths_between(graph: InvocationGraph, starts: set[str], target: str) -> str:
+    """The printed text of all paths from the `starts` to `target` in an
+    acyclic graph: each path's node names joined by `` -> ``, the paths
+    joined by ``; `` in lexicographic order; a path over k parallel edges is
+    listed k times, the copies next to each other.
 
     Only live nodes take part: those that reach `target` and are reachable
-    from a start. Each gets one list of its path texts to `target`, built in
-    post-order from its callees' lists taken in name order, so the lists come
-    out sorted with no sort and no recursion. A callee's list is dropped once
-    its last live caller has read it."""
+    from a start. Each gets its paths to `target` as a pair: a head and a
+    list of texts, each path being the head followed by one text. The pairs
+    are built in post-order from the callees' pairs taken in name order, so
+    the texts come out sorted with no sort and no recursion. A node with one
+    live callee (over k parallel edges, each text k times) shares that
+    callee's texts and only puts itself in front of the head; a node with
+    more builds a new list. A start builds no per-path string: for each live
+    callee it joins the texts with its own head in the separator. A callee's
+    pair is dropped once its last live caller has read it."""
+    if target in starts:  # no start reaches another, so no other path leads here
+        return target
     reaches = closure([target], graph.callers.__getitem__)
     roots = sorted(n for n in reaches if n in starts)
-    readers = dict.fromkeys(roots, 1)  # live callers of each live node, plus 1 for a root's output
+    readers: dict[str, int] = {}  # live callers of each live node
     live = set(roots)  # no start reaches another: they are the roots, or one view
     order: list[str] = []  # live nodes, callees before callers
     for root in roots:
@@ -240,30 +260,26 @@ def _paths_between(graph: InvocationGraph, starts: set[str], target: str) -> lis
                 stack.pop()
                 order.append(node)
 
-    suffixes: dict[str, list[str]] = {}
+    pairs: dict[str, tuple[str, list[str]]] = {target: (target, [""])}
+    pieces: list[str] = []  # one per live callee of a start, in root and name order
     for node in order:
         if node == target:
-            suffixes[node] = [target]
             continue
-        prefix = node + " -> "
-        texts: list[str] = []
+        edges = []  # the node's paths through each live callee, as (head, texts)
         for callee, k in graph.callees[node]:
-            if callee not in reaches:
-                continue
-            if k == 1:
-                texts += [prefix + s for s in suffixes[callee]]
-            else:
-                for s in suffixes[callee]:
-                    texts += [prefix + s] * k
-            readers[callee] -= 1
-            if not readers[callee]:
-                del suffixes[callee]
-        suffixes[node] = texts
-
-    paths: list[str] = []
-    for root in roots:
-        paths += suffixes.pop(root)
-    return paths
+            if callee in reaches:
+                head, texts = pairs[callee]
+                edges.append((f"{node} -> {head}", texts if k == 1 else [t for t in texts for _ in range(k)]))
+                readers[callee] -= 1
+                if not readers[callee]:
+                    del pairs[callee]
+        if node in starts:
+            pieces += [head + ("; " + head).join(texts) for head, texts in edges]
+        elif len(edges) == 1:
+            pairs[node] = edges[0]
+        else:
+            pairs[node] = ("", [head + text for head, texts in edges for text in texts])
+    return "; ".join(pieces)
 
 
 def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
@@ -273,7 +289,7 @@ def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
     if target not in graph.nodes:
         raise ValueError(f"unknown use case '{target}'")
     ensure_acyclic(graph)
-    return list(map(PathRecord, _paths_between(graph, set(graph.roots), target)))
+    return list(PathList(_paths_between(graph, set(graph.roots), target)))
 
 
 # -- exception summary ------------------------------------------------------
@@ -359,13 +375,13 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
         exc_sites = resolved.sites_by_exception.get(exc.qualified_name, [])
         if exc.is_global:
             if exc_sites:
-                rows.append(_exception_row(resolved, exc, exc_sites, PathList([]), block_actors))
+                rows.append(_exception_row(resolved, exc, exc_sites, PathList(""), block_actors))
             continue
         for site in exc_sites:
             source = site.use_case.name
             if reach is not None and source not in reach:
                 continue
-            paths = PathList([])
+            paths = PathList("")
             if not site.use_case.is_handler and source in graph.callees:
                 printed += sizes[source]
                 if printed > MAX_PATH_NODES:
@@ -509,7 +525,7 @@ def exception_table(rows: list[ExceptionSummaryRow]) -> SummaryTable:
                 ", ".join(row.handlers),
                 "; ".join(row.situations),
                 ", ".join(row.participating_actors),
-                "; ".join(row.paths.texts),
+                row.paths.text,
             ]
         )
     return SummaryTable(columns, cells)

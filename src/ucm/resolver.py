@@ -17,6 +17,7 @@ from functools import partial
 
 from .diagnostics import Diagnostic, sort_diagnostics
 from .model import (
+    ACTOR_CATEGORIES,
     ActorRef,
     ControlFlow,
     ExceptionDef,
@@ -168,11 +169,12 @@ def _collect_definitions(resolved: ResolvedModel, diags: list[Diagnostic]) -> No
 
 def _collect_actors(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:
     """Actors are global entities identified by (category, name); reusing a
-    name under a different category is a duplicate definition."""
+    name under a different category is a duplicate definition. Only a known
+    category declares: a missing or unknown one is the validator's E005."""
     first_category: dict[str, ActorRef] = {}
     for uc in resolved.model.use_cases:
         for ref in uc.all_actors():
-            if ref.category is None:
+            if ref.category not in ACTOR_CATEGORIES:
                 continue
             prior = first_category.setdefault(ref.name, ref)
             if prior.category != ref.category:

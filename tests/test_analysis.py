@@ -326,7 +326,7 @@ def assert_behaves_like(paths: PathList, expected: list[PathRecord]) -> None:
     assert paths != expected + ["Nowhere"]
     if n:
         assert paths != expected[:-1] and paths != expected[:-1] + ["Nowhere"]
-    twin = PathList([str(p) for p in expected])
+    twin = PathList("; ".join(expected))
     assert paths == twin and not paths != twin and twin == paths
     assert repr(paths) == repr(expected)
 
@@ -343,9 +343,31 @@ def test_row_paths_behave_like_the_enumerated_list_on_generated_models(source):
             assert_behaves_like(row.paths, enumerate_paths(graph, row.source_use_case))
 
 
+@settings(max_examples=100, deadline=None)
+@given(source=invocation_model_source())
+def test_view_paths_match_the_oracle_on_generated_models(source):
+    """In the view of a use case, a row lists the oracle's paths in the
+    graph of the use cases the view reaches, whose only root is the view."""
+    resolved, _ = pipeline(source)
+    graph = build_invocation_graph(resolved)
+    for view in graph.nodes:
+        reach, stack = {view}, [view]
+        while stack:
+            caller = stack.pop()
+            for edge in graph.edges:
+                if edge.caller == caller and edge.callee not in reach:
+                    reach.add(edge.callee)
+                    stack.append(edge.callee)
+        nodes = [n for n in graph.nodes if n in reach]
+        edges = [(e.caller, e.callee) for e in graph.edges if e.caller in reach]
+        for row in exception_summary(resolved, view):
+            expected = [] if row.is_global else brute_force_paths(nodes, edges, row.source_use_case)
+            assert_behaves_like(row.paths, [PathRecord(" -> ".join(p)) for p in expected])
+
+
 def test_the_exception_table_builds_no_path_record(monkeypatch, tmp_path, capsys):
-    """The table joins the listed path texts, so neither the library nor
-    the CLI makes a record per path."""
+    """The table prints the listed path text as it is, so neither the
+    library nor the CLI makes a record per path."""
     made = []
 
     class Counted(PathRecord):

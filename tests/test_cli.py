@@ -211,6 +211,24 @@ def test_table_on_model_with_resolution_errors_exits_one(broken_file, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("categories", [("Human", "Humna"), ("Humna", "Human")])
+def test_a_misspelled_actor_category_is_e005_alone(categories, tmp_path, capsys):
+    """An unknown category declares nothing, so it is no redeclaration
+    (E014) of the actor, and the resolver lets the tables run."""
+    usecases = "".join(
+        f'usecase {name} {{\n  scope: "s"\n  level: user-goal\n  intention: "i"\n  multiplicity: "m"\n'
+        f'  primary: {category}::Owner\n  main {{\n    1. Owner -> System : "asks"\n    outcome success\n  }}\n}}\n'
+        for name, category in zip("AB", categories)
+    )
+    path = tmp_path / "typo.ucm"
+    path.write_text("model M\nmodes { default normal Normal }\nexceptions { }\n" + usecases, encoding="utf-8")
+    assert main(["check", "--format", "json", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(d["code"], d["message"]) for d in payload] == [("E005", "actor 'Owner' uses unknown category 'Humna'")]
+    assert main(["table", "handlers", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_table_on_cyclic_model_reports_e015(tmp_path, capsys):
     src = BROKEN.replace("invoke Nowhere", "invoke B").replace("outcome failure", "outcome success")
     src += """usecase B {
@@ -300,6 +318,7 @@ def test_stdout_is_reproducible(capsys):
 
 
 GOLDEN = REPO_ROOT / "tests" / "golden"
+INVOCATION_PATHS = str(REPO_ROOT / "tests" / "fixtures" / "invocation-paths.ucm")
 GOLDEN_TABLES = {
     "smartstore-exceptions.md": ["table", "exceptions", SMARTSTORE],
     "smartstore-exceptions-IdentifyItem.md": ["table", "exceptions", SMARTSTORE, "--usecase", "IdentifyItem"],
@@ -310,6 +329,9 @@ GOLDEN_TABLES = {
     "firealarm-modes.md": ["table", "modes", FIREALARM],
     "smartstore-services.md": ["table", "services", SMARTSTORE],
     "firealarm-services.md": ["table", "services", FIREALARM],
+    "invocation-paths-exceptions.md": ["table", "exceptions", INVOCATION_PATHS],
+    "invocation-paths-exceptions.csv": ["table", "exceptions", INVOCATION_PATHS, "--format", "csv"],
+    "invocation-paths-exceptions-Home.md": ["table", "exceptions", INVOCATION_PATHS, "--usecase", "Home"],
     **{
         f"{name}-{kind}.csv": ["table", kind, path, "--format", "csv"]
         for name, path in (("smartstore", SMARTSTORE), ("firealarm", FIREALARM))
