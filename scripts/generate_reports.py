@@ -16,25 +16,16 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from ucm.analysis import (  # noqa: E402
-    AnalysisError,
-    exception_summary,
-    exception_table,
-    handler_summary,
-    handler_table,
-    mode_service_summary_table,
-    mode_service_table,
-    mode_switch_summary_table,
-    mode_switch_table,
-)
-from ucm.cli import read_source  # noqa: E402
+from ucm.analysis import TABLES, AnalysisError  # noqa: E402
+from ucm.cli import load  # noqa: E402
 from ucm.diagnostics import has_errors  # noqa: E402
 from ucm.export import export_dot, export_json, export_xmi, render_table  # noqa: E402
 from ucm.lexer import normalize  # noqa: E402
-from ucm.parser import parse  # noqa: E402
-from ucm.resolver import resolve  # noqa: E402
 from ucm.spans import LineIndex  # noqa: E402
 from ucm.validation import validate  # noqa: E402
+
+#: The file name of each table kind's report.
+REPORTS = {"exceptions": "exceptions", "handlers": "handlers", "modes": "mode-switches", "services": "mode-services"}
 
 
 def write(path: Path, text: str) -> None:
@@ -47,21 +38,15 @@ def write(path: Path, text: str) -> None:
 def generate(corpus_file: Path, out_dir: Path) -> int:
     """Write every artifact of one model; print each problem as
     `file:LINE: CODE message` and write nothing when any is an error."""
-    source = read_source(corpus_file)
-    if source is None:
+    loaded = load(corpus_file)
+    if loaded is None:
         return 1
-    model, problems = parse(source, corpus_file)
-    if model is not None:
-        resolved, resolve_diags = resolve(model)
-        problems = resolve_diags + validate(resolved)
+    source, resolved, problems = loaded
+    if resolved is not None:
+        problems += validate(resolved)
         if not has_errors(problems):
             try:
-                tables = {
-                    "exceptions": exception_table(exception_summary(resolved)),
-                    "handlers": handler_table(handler_summary(resolved)),
-                    "mode-switches": mode_switch_summary_table(mode_switch_table(resolved)),
-                    "mode-services": mode_service_summary_table(mode_service_table(model)),
-                }
+                tables = {name: TABLES[kind](resolved, None) for kind, name in REPORTS.items()}
             except AnalysisError as err:
                 problems.append(err.diagnostic)
     if problems:

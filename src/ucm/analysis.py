@@ -6,19 +6,21 @@ from a resolved model. One depth-first search at construction gives the
 graph's topological order and, on a cyclic graph, the witness cycle that
 aborts path-based summaries with E015. Path totals are counted in one pass
 over that order, without listing paths. Only the paths the exception table
-prints are listed: every node that lies on one gets its paths to the raise
-site once, as a head and a list of texts shared by all its callers. A node
-with one callee on those paths shares that callee's list under a longer
-head, and a start joins its callees' lists straight into the printed cell,
-so the work is bounded by the printed text. A row keeps that one text, which
-the table prints as it is; it is split into paths, and a `PathRecord` made,
-only when a row's path is read. More than `MAX_PATH_NODES` path nodes in an
-exception table abort it with E016 before any is listed.
+prints are listed: a walk back from the raise site finds the nodes on them,
+and each gets its paths to the site once, as a head and a list of texts
+shared by all its callers. A node with one callee on those paths shares that
+callee's list under a longer head, and a start joins its callees' lists
+straight into the printed cell, so the work is bounded by the printed text.
+A row keeps that one text, which the table prints as it is; it is split into
+paths, and a `PathRecord` made, only when a row's path is read. More than
+`MAX_PATH_NODES` path nodes in an exception table abort it with E016 before
+any is listed. `TABLES` maps each `ucm table` kind to its builder, for the
+CLI and the report script alike.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,7 +34,7 @@ from .model import (
     Scenario,
     UseCase,
 )
-from .resolver import RaiseSite, ResolvedModel, closure, reachable_use_cases
+from .resolver import RaiseSite, ResolvedModel, reachable_use_cases
 from .spans import SourceSpan, ZERO_SPAN
 
 GLOBAL_SOURCE = "(global)"
@@ -57,30 +59,31 @@ class InvocationGraph:
     invocations of the same target are distinct edges.
 
     Construction derives what the analyses read: each node's distinct callees
-    in name order, each with its number of parallel edges, its distinct
-    callers and the roots. One depth-first search, from the nodes in order
-    and over each node's distinct callees in the order of their first edge,
-    gives `order`, its reverse post-order, and `cycle`, the nodes around its
-    first back edge with the first node repeated at the end, or None. On an
-    acyclic graph `order` is topological."""
+    in name order and its distinct callers in node order, each with its number
+    of parallel edges, and the roots. One depth-first search, from the nodes
+    in order and over each node's distinct callees in the order of their first
+    edge, gives `order`, its reverse post-order, and `cycle`, the nodes around
+    its first back edge with the first node repeated at the end, or None. On
+    an acyclic graph `order` is topological."""
 
     nodes: list[str]
     edges: list[Edge]
     callees: dict[str, list[tuple[str, int]]] = field(init=False, repr=False)
-    callers: dict[str, list[str]] = field(init=False, repr=False)
+    callers: dict[str, list[tuple[str, int]]] = field(init=False, repr=False)
     roots: list[str] = field(init=False, repr=False)
     order: list[str] = field(init=False, repr=False)
     cycle: list[str] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         out: dict[str, dict[str, int]] = {n: {} for n in self.nodes}  # callees in first-edge order
-        self.callers = {n: [] for n in self.nodes}
         for edge in self.edges:
             callees = out[edge.caller]
-            if edge.callee not in callees:
-                self.callers[edge.callee].append(edge.caller)
             callees[edge.callee] = callees.get(edge.callee, 0) + 1
         self.callees = {n: sorted(callees.items()) for n, callees in out.items()}
+        self.callers = {n: [] for n in self.nodes}
+        for node, callees in out.items():
+            for callee, k in callees.items():
+                self.callers[callee].append((node, k))
         self.roots = [n for n, callers in self.callers.items() if not callers]
         self.cycle = None
         depth: dict[str, int] = {}  # a node's place on the stack while on it, then -1
@@ -228,34 +231,44 @@ def _paths_between(graph: InvocationGraph, starts: set[str], target: str) -> str
     joined by ``; `` in lexicographic order; a path over k parallel edges is
     listed k times, the copies next to each other.
 
-    Only live nodes take part: those that reach `target` and are reachable
-    from a start. Each gets its paths to `target` as a pair: a head and a
-    list of texts, each path being the head followed by one text. The pairs
-    are built in post-order from the callees' pairs taken in name order, so
-    the texts come out sorted with no sort and no recursion. A node with one
-    live callee (over k parallel edges, each text k times) shares that
-    callee's texts and only puts itself in front of the head; a node with
-    more builds a new list. A start builds no per-path string: for each live
-    callee it joins the texts with its own head in the separator. A callee's
-    pair is dropped once its last live caller has read it."""
+    A walk back from `target` over the callers finds the nodes that reach it,
+    each with its callees that do, in name order; no other callee is read.
+    Only live nodes take part: those that also are reachable from a start.
+    Each gets its paths to `target` as a pair: a head and a list of texts,
+    each path being the head followed by one text. The pairs are built in
+    post-order from the callees' pairs taken in name order, so the texts come
+    out sorted with no sort of texts and no recursion. A node with one live
+    callee (over k parallel edges, each text k times) shares that callee's
+    texts and only puts itself in front of the head; a node with more builds a
+    new list. A start builds no per-path string: for each live callee it joins
+    the texts with its own head in the separator. A callee's pair is dropped
+    once its last live caller has read it."""
     if target in starts:  # no start reaches another, so no other path leads here
         return target
-    reaches = closure([target], graph.callers.__getitem__)
+    reaches: dict[str, list[tuple[str, int]]] = {target: []}  # each node that reaches target: its callees that do
+    pending = [target]
+    while pending:
+        node = pending.pop()
+        for caller, k in graph.callers[node]:
+            if caller not in reaches:
+                pending.append(caller)
+            reaches.setdefault(caller, []).append((node, k))
+    for callees in reaches.values():
+        callees.sort()
     roots = sorted(n for n in reaches if n in starts)
     readers: dict[str, int] = {}  # live callers of each live node
     live = set(roots)  # no start reaches another: they are the roots, or one view
     order: list[str] = []  # live nodes, callees before callers
     for root in roots:
-        stack = [(root, iter(graph.callees[root]))]
+        stack = [(root, iter(reaches[root]))]
         while stack:
             node, callees = stack[-1]
             for callee, _ in callees:
-                if callee in reaches:
-                    readers[callee] = readers.get(callee, 0) + 1
-                    if callee not in live:
-                        live.add(callee)
-                        stack.append((callee, iter(graph.callees[callee])))
-                        break
+                readers[callee] = readers.get(callee, 0) + 1
+                if callee not in live:
+                    live.add(callee)
+                    stack.append((callee, iter(reaches[callee])))
+                    break
             else:
                 stack.pop()
                 order.append(node)
@@ -266,13 +279,12 @@ def _paths_between(graph: InvocationGraph, starts: set[str], target: str) -> str
         if node == target:
             continue
         edges = []  # the node's paths through each live callee, as (head, texts)
-        for callee, k in graph.callees[node]:
-            if callee in reaches:
-                head, texts = pairs[callee]
-                edges.append((f"{node} -> {head}", texts if k == 1 else [t for t in texts for _ in range(k)]))
-                readers[callee] -= 1
-                if not readers[callee]:
-                    del pairs[callee]
+        for callee, k in reaches[node]:
+            head, texts = pairs[callee]
+            edges.append((f"{node} -> {head}", texts if k == 1 else [t for t in texts for _ in range(k)]))
+            readers[callee] -= 1
+            if not readers[callee]:
+                del pairs[callee]
         if node in starts:
             pieces += [head + ("; " + head).join(texts) for head, texts in edges]
         elif len(edges) == 1:
@@ -556,3 +568,13 @@ def mode_service_summary_table(rows: list[ModeServiceRow]) -> SummaryTable:
     columns = ["Mode", "Type", "Available Services"]
     cells = [[r.mode, r.kind, ", ".join(r.services)] for r in rows]
     return SummaryTable(columns, cells)
+
+
+#: Each `ucm table` kind and its builder from a resolved model and a view, a
+#: use-case name or None; only the exception table reads the view.
+TABLES: dict[str, Callable[[ResolvedModel, str | None], SummaryTable]] = {
+    "exceptions": lambda resolved, view: exception_table(exception_summary(resolved, view)),
+    "handlers": lambda resolved, view: handler_table(handler_summary(resolved)),
+    "modes": lambda resolved, view: mode_switch_summary_table(mode_switch_table(resolved)),
+    "services": lambda resolved, view: mode_service_summary_table(mode_service_table(resolved.model)),
+}

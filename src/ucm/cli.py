@@ -1,8 +1,11 @@
 """Command-line driver: check, table, and export subcommands.
 
-Diagnostics go to stderr, requested artifacts to stdout, so output can be
-piped. Exit codes: 0 success, 1 model errors (or warnings under --strict),
-2 usage or I/O problems, an output stream closed early included.
+Every command starts from `load`, which reads, parses and resolves a model,
+and scripts/generate_reports.py calls it too; the table kinds and their
+builders are `analysis.TABLES`. Diagnostics go to stderr, requested artifacts
+to stdout, so output can be piped. Exit codes: 0 success, 1 model errors (or
+warnings under --strict), 2 usage or I/O problems, an output stream closed
+early included.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from . import analysis
 from .diagnostics import Diagnostic, Severity, has_errors, render_diagnostics, sort_diagnostics
 from .export import dump_json, export_dot, export_json, export_xmi, render_table
 from .lexer import normalize
-from .model import Model
 from .parser import parse
 from .resolver import ResolvedModel, resolve
 from .spans import LineIndex
@@ -35,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=("text", "json"), default="text")
 
     table = sub.add_parser("table", help="generate a summary table")
-    table.add_argument("kind", choices=("exceptions", "handlers", "modes", "services"))
+    table.add_argument("kind", choices=analysis.TABLES)
     table.add_argument("file", help="input .ucm file")
     view = table.add_mutually_exclusive_group()
     view.add_argument("--view", choices=("global",), default="global")
@@ -63,23 +65,24 @@ def _print_diagnostics(diags: list[Diagnostic], source: str) -> None:
         print(text, file=sys.stderr)
 
 
-def read_source(path: str | Path) -> str | None:
+def load(path: str | Path) -> tuple[str, ResolvedModel | None, list[Diagnostic]] | None:
+    """Read, parse and resolve the model at `path`. Returns the source, the
+    resolved model (None when parsing failed) and the parse or resolve
+    diagnostics; None, with the reason printed, when the file cannot be read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        source = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         reason = err.strerror or err
     except UnicodeDecodeError as err:
         reason = f"not valid UTF-8 at byte {err.start}"
+    else:
+        model, diags = parse(source, path)
+        if model is None:
+            return source, None, diags
+        resolved, diags = resolve(model)
+        return source, resolved, diags
     print(f"ucm: cannot read '{path}': {reason}", file=sys.stderr)
     return None
-
-
-def _load(path: str) -> tuple[str, Model | None, list[Diagnostic]] | None:
-    source = read_source(path)
-    if source is None:
-        return None
-    model, diags = parse(source, path)
-    return source, model, diags
 
 
 def _write_artifact(text: str, output: str | None) -> bool:
@@ -96,13 +99,12 @@ def _write_artifact(text: str, output: str | None) -> bool:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    loaded = _load(args.file)
+    loaded = load(args.file)
     if loaded is None:
         return USAGE_ERROR
-    source, model, diags = loaded
-    if model is not None:
-        resolved, resolve_diags = resolve(model)
-        diags = sort_diagnostics(diags + resolve_diags + validate(resolved))
+    source, resolved, diags = loaded
+    if resolved is not None:
+        diags = sort_diagnostics(diags + validate(resolved))
     if args.format == "json":
         index = LineIndex(normalize(source)) if diags else None
         sys.stdout.write(dump_json([d.to_dict(index) for d in diags]) + "\n")
@@ -115,40 +117,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return OK
 
 
-def _load_resolved(path: str) -> tuple[str, ResolvedModel, list[Diagnostic]] | int:
-    """Read, parse and resolve a model, or print why not and return the exit
-    code."""
-    loaded = _load(path)
-    if loaded is None:
-        return USAGE_ERROR
-    source, model, parse_diags = loaded
-    if model is None:
-        _print_diagnostics(parse_diags, source)
-        return MODEL_ERRORS
-    resolved, resolve_diags = resolve(model)
-    return source, resolved, resolve_diags
-
-
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.usecase is not None and args.kind != "exceptions":
         print("ucm: --usecase applies only to 'table exceptions'", file=sys.stderr)
         return USAGE_ERROR
-    outcome = _load_resolved(args.file)
-    if isinstance(outcome, int):
-        return outcome
-    source, resolved, resolve_diags = outcome
-    if has_errors(resolve_diags):
-        _print_diagnostics(resolve_diags, source)
+    loaded = load(args.file)
+    if loaded is None:
+        return USAGE_ERROR
+    source, resolved, diags = loaded
+    if resolved is None or has_errors(diags):
+        _print_diagnostics(diags, source)
         return MODEL_ERRORS
     try:
-        if args.kind == "exceptions":
-            table = analysis.exception_table(analysis.exception_summary(resolved, args.usecase))
-        elif args.kind == "handlers":
-            table = analysis.handler_table(analysis.handler_summary(resolved))
-        elif args.kind == "modes":
-            table = analysis.mode_switch_summary_table(analysis.mode_switch_table(resolved))
-        else:
-            table = analysis.mode_service_summary_table(analysis.mode_service_table(resolved.model))
+        table = analysis.TABLES[args.kind](resolved, args.usecase)
     except ValueError as err:
         print(f"ucm: {err}", file=sys.stderr)
         return USAGE_ERROR
@@ -162,11 +143,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     # Exporters are total over any resolved model, so unlike `table` this
     # only requires a successful parse; resolution diagnostics still print.
-    outcome = _load_resolved(args.file)
-    if isinstance(outcome, int):
-        return outcome
-    source, resolved, resolve_diags = outcome
-    _print_diagnostics(resolve_diags, source)
+    loaded = load(args.file)
+    if loaded is None:
+        return USAGE_ERROR
+    source, resolved, diags = loaded
+    _print_diagnostics(diags, source)
+    if resolved is None:
+        return MODEL_ERRORS
     if args.target == "json":
         text = export_json(resolved)
     elif args.target == "xmi":

@@ -73,8 +73,9 @@ _OUTCOMES = {o.value: o for o in OutcomeKind}
 _RELATIONS = {r.value: r for r in InterruptRelation}
 _BLOCK_KINDS = {k.value: k for k in BlockKind}
 
-# Use-case clauses in their mandatory order; value is the rank used to
-# reject out-of-order or repeated clauses.
+# Use-case clauses in their mandatory order, which is also the order of the
+# UseCase fields they fill; value is the rank used to reject out-of-order or
+# repeated clauses.
 _CLAUSE_ORDER = {
     "scope": 0,
     "level": 1,
@@ -87,6 +88,8 @@ _CLAUSE_ORDER = {
     "postcondition": 8,
     "contexts": 9,
 }
+# The clauses that list entries.
+_LIST_CLAUSES = ("primary", "secondary", "facilitator", "contexts")
 
 
 _T = TypeVar("_T")
@@ -251,34 +254,19 @@ class _Parser:
         start = self.advance()  # usecase | handler
         name_tok = self.expect_ident("use case name")
         self.expect("{")
-        uc = UseCase(
-            name=name_tok.text,
-            is_handler=start.text == "handler",
-            scope=None,
-            level=None,
-            intention=None,
-            multiplicity_text=None,
-            primary_actors=[],
-            secondary_actors=[],
-            facilitator_actors=[],
-            precondition=None,
-            postcondition=None,
-            contexts=[],
-            main=None,
-            extensions=[],
-            span=self.span_of(start),
-            name_span=self.span_of(name_tok),
-        )
-        self.parse_clauses(uc)
-        if self.current.text == "main":
-            uc.main = self.parse_scenario()
-        if self.current.text == "extensions":
-            uc.extensions = self.parse_extensions()
+        clauses = self.parse_clauses()
+        main = self.parse_scenario() if self.current.text == "main" else None
+        extensions = self.parse_extensions() if self.current.text == "extensions" else []
         self.expect("}")
-        uc.span = self.span_from(start)
-        return uc
+        is_handler = start.text == "handler"
+        return UseCase(
+            name_tok.text, is_handler, *clauses, main, extensions, self.span_from(start), self.span_of(name_tok)
+        )
 
-    def parse_clauses(self, uc: UseCase) -> None:
+    def parse_clauses(self) -> list:
+        """The value of each use-case clause in `_CLAUSE_ORDER`: an absent
+        clause that lists entries is an empty list, any other None."""
+        values: dict[str, object] = {}
         last_rank = -1
         while (word := self.current.text) in _CLAUSE_ORDER:
             rank = _CLAUSE_ORDER[word]
@@ -288,15 +276,14 @@ class _Parser:
             self.advance()
             self.expect(":")
             if word == "level":
-                uc.level = _LEVELS[self.expect_word(_LEVELS)]
-            elif word in ("primary", "secondary", "facilitator"):
-                getattr(uc, f"{word}_actors").extend(self.parse_list(self.parse_actor_ref))
+                values[word] = _LEVELS[self.expect_word(_LEVELS)]
             elif word == "contexts":
-                uc.contexts.extend(self.parse_list(self.parse_context_entry))
-            elif word == "multiplicity":
-                uc.multiplicity_text = self.expect_string()
-            else:  # scope, intention, precondition, postcondition: named as on UseCase
-                setattr(uc, word, self.expect_string())
+                values[word] = self.parse_list(self.parse_context_entry)
+            elif word in _LIST_CLAUSES:
+                values[word] = self.parse_list(self.parse_actor_ref)
+            else:
+                values[word] = self.expect_string()
+        return [values.get(word, [] if word in _LIST_CLAUSES else None) for word in _CLAUSE_ORDER]
 
     def parse_actor_ref(self) -> ActorRef:
         start = self.expect_ident("actor reference")
@@ -348,15 +335,26 @@ class _Parser:
 
     def parse_scenario(self) -> Scenario:
         start = self.expect("main")
+        return Scenario(*self.parse_body(), self.span_from(start))
+
+    def parse_body(self, depth: int = 0) -> tuple[ModeSwitch | None, list, ModeSwitch | None, Outcome]:
+        """`{ [mode switch] items [mode switch] outcome }`: the body of a main
+        scenario (depth 0), whose items are steps, or of a block at `depth`,
+        whose items are steps and nested blocks."""
         self.expect("{")
         entry = self.parse_mode_switch()
-        steps = []
-        while self.current.kind is TokenKind.LABEL:
-            steps.append(self.parse_step())
+        items: list[Step | ExtensionBlock] = []
+        while True:
+            if self.current.kind is TokenKind.LABEL:
+                items.append(self.parse_step())
+            elif depth and self.current.text == "block":
+                items.append(self.parse_block(depth + 1))
+            else:
+                break
         exit_switch = self.parse_mode_switch()
         outcome = self.parse_outcome()
         self.expect("}")
-        return Scenario(entry, steps, exit_switch, outcome, self.span_from(start))
+        return entry, items, exit_switch, outcome
 
     def parse_outcome(self) -> Outcome:
         start = self.expect("outcome")
@@ -437,19 +435,7 @@ class _Parser:
         label = self.parse_label()[0]
         kind = _BLOCK_KINDS[self.expect_word(_BLOCK_KINDS)]
         guard = self.expect_string() if self.accept("when") else ""
-        self.expect("{")
-        entry = self.parse_mode_switch()
-        body: list[Step | ExtensionBlock] = []
-        while True:
-            if self.current.kind is TokenKind.LABEL:
-                body.append(self.parse_step())
-            elif self.current.text == "block":
-                body.append(self.parse_block(depth + 1))
-            else:
-                break
-        exit_switch = self.parse_mode_switch()
-        outcome = self.parse_outcome()
-        self.expect("}")
+        entry, body, exit_switch, outcome = self.parse_body(depth)
         return ExtensionBlock(label, kind, guard, body, entry, exit_switch, outcome, self.span_from(start))
 
 

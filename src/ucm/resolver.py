@@ -54,13 +54,14 @@ class ResolvedModel:
     the raise sites, handlers and invocation adjacency the resolver met on
     its walk.
 
-    `_define` fills the four name tables, first definition wins. `_bind`
-    fills `bindings`, keyed by ``id()`` of the node that carries the
+    `_define` fills the four name tables, first definition wins, and
+    `actor_by_name` holds each actor's first reference under a known category.
+    `_bind` fills `bindings`, keyed by ``id()`` of the node that carries the
     reference: an invocation or goto/repeat step, an exception reference, a
     mode switch, a continue outcome or a handler context (its use case); a
     block binds to its anchor step. Mode `offers` and service `provides`
-    entries get no binding; an undefined one is E017. Immutable by
-    convention after resolve(); safe to share across readers.
+    entries get no binding; an undefined one is E017. Immutable by convention
+    after resolve(); safe to share across readers.
 
     `sites_by_exception` maps a qualified exception name to its raise sites
     in document order, and `handlers_by_exception` to the distinct handlers
@@ -72,6 +73,7 @@ class ResolvedModel:
     exception_by_qualified_name: dict[str, ExceptionDef] = field(default_factory=dict)
     mode_by_name: dict[str, ModeDecl] = field(default_factory=dict)
     service_by_name: dict[str, ServiceDecl] = field(default_factory=dict)
+    actor_by_name: dict[str, ActorRef] = field(default_factory=dict)
     bindings: dict[int, object] = field(default_factory=dict)
     sites_by_exception: dict[str, list[RaiseSite]] = field(default_factory=dict)
     handlers_by_exception: dict[str, dict[str, None]] = field(default_factory=dict)
@@ -170,13 +172,13 @@ def _collect_definitions(resolved: ResolvedModel, diags: list[Diagnostic]) -> No
 def _collect_actors(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:
     """Actors are global entities identified by (category, name); reusing a
     name under a different category is a duplicate definition. Only a known
-    category declares: a missing or unknown one is the validator's E005."""
-    first_category: dict[str, ActorRef] = {}
+    category declares, and the first declaration of each name goes into
+    `actor_by_name`: a missing or unknown category is the validator's E005."""
     for uc in resolved.model.use_cases:
         for ref in uc.all_actors():
             if ref.category not in ACTOR_CATEGORIES:
                 continue
-            prior = first_category.setdefault(ref.name, ref)
+            prior = resolved.actor_by_name.setdefault(ref.name, ref)
             if prior.category != ref.category:
                 diags.append(
                     Diagnostic(

@@ -24,7 +24,6 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, sort_diagnostics
 from .model import (
     ACTOR_CATEGORIES,
-    ActorRef,
     BlockKind,
     ExceptionRef,
     ExtensionBlock,
@@ -48,29 +47,21 @@ _CLAUSE_NAMES = (
 
 def validate(resolved: ResolvedModel) -> list[Diagnostic]:
     """Run every semantic rule; total, never mutates the model."""
-    use_cases = resolved.model.use_cases
-    actors = [uc.all_actors() for uc in use_cases]
-    known: dict[str, str] = {}  # actor name -> its first valid category, for E005's suggestion
-    for refs in actors:
-        for ref in refs:
-            if ref.category in ACTOR_CATEGORIES:
-                known.setdefault(ref.name, ref.category)
     diags: list[Diagnostic] = []
-    for uc, refs in zip(use_cases, actors):
-        _walk_use_case(resolved, uc, refs, known, diags)
+    for uc in resolved.model.use_cases:
+        _walk_use_case(resolved, uc, diags)
     _check_model_rules(resolved, diags)
     return sort_diagnostics(diags)
 
 
-def _walk_use_case(
-    resolved: ResolvedModel, uc: UseCase, actors: list[ActorRef], known: dict[str, str], diags: list[Diagnostic]
-) -> None:
+def _walk_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]) -> None:
     """Apply the rules of one use case and of every node in it, in walk order.
 
     - E001 for each absent mandatory clause: scope, level, intention,
       multiplicity, primary actor, main success scenario; handlers also need
       the contexts & exceptions clause, and only handlers may carry one.
-    - E005 for an actor with no category or one outside the closed set;
+    - E005 for an actor with no category or one outside the closed set,
+      suggesting the category the resolver's `actor_by_name` holds for it;
       E006 when its multiplicity's lower bound exceeds a bounded upper bound.
     - E002 when a step label is not the unique legal successor of its
       predecessor: main scenarios count 1, 2, 3, ...; a block labelled L
@@ -97,14 +88,15 @@ def _walk_use_case(
         message = f"use case '{uc.name}' carries a contexts & exceptions clause, which only handlers may declare"
         diags.append(Diagnostic("E001", message, uc.contexts[0].span))
 
+    actors = uc.all_actors()
     for ref in actors:
         if ref.category not in ACTOR_CATEGORIES:
             if ref.category is None:
                 message = f"actor '{ref.name}' has no category"
             else:
                 message = f"actor '{ref.name}' uses unknown category '{ref.category}'"
-            if ref.name in known:
-                suggestions = [f"{known[ref.name]}::{ref.name}"]
+            if ref.name in resolved.actor_by_name:
+                suggestions = [resolved.actor_by_name[ref.name].qualified_name]
             else:
                 suggestions = ["use one of " + ", ".join(f"{c}::{ref.name}" for c in ACTOR_CATEGORIES)]
             diags.append(Diagnostic("E005", message, ref.span, suggestions=suggestions))

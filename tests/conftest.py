@@ -188,6 +188,18 @@ def hub_source(n: int) -> str:
     return "".join(parts)
 
 
+def fan_source(n: int) -> str:
+    """Use case Hub invokes `n` leaves L0..L(n-1), each of which raises
+    SoftwareException::X, and handler H has the context `Hub on
+    SoftwareException::X`."""
+    invokes = "".join(f"    {i + 1}. invoke L{i}\n" for i in range(n))
+    parts = [f"model Fan\n{_HEAD_X}usecase Hub {{\n  main {{\n{invokes}    outcome success\n  }}\n}}\n"]
+    for i in range(n):
+        parts.append(f"usecase L{i} {{\n  main {{\n    1. raise SoftwareException::X\n    outcome success\n  }}\n}}\n")
+    parts.append(f"handler H {{\n  contexts: Hub on SoftwareException::X interrupt-fail\n{_RECOVER}")
+    return "".join(parts)
+
+
 def wide_handler_source(n: int) -> str:
     """`n` use cases U0..U(n-1), each raising SoftwareException::X, and one
     handler H with a context on each of them."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     chain_source,
     diamond_chain_source,
+    fan_source,
     growth,
     pipeline,
     wide_block_source,
@@ -765,6 +766,15 @@ def test_wide_handler_exception_summary_in_linear_time():
     assert len(exception_summary(resolved[4000])) == 4000
     # 8x the raise sites: about 8x the time; scanning every root per site gives 64x.
     assert growth(lambda n: exception_summary(resolved[n]), 500, 4000) < 20
+
+
+@pytest.mark.parametrize("view", [None, "Hub"])
+def test_fan_exception_summary_in_linear_time(view):
+    resolved = {n: pipeline(fan_source(n))[0] for n in (500, 4000)}
+    rows = exception_summary(resolved[4000], view)
+    assert len(rows) == 4000 and rows[-1].paths == ["Hub -> L3999"]
+    # 8x the raising callees: about 8x the time; scanning every callee of Hub per row gives 64x.
+    assert growth(lambda n: exception_summary(resolved[n], view), 500, 4000) < 20
 
 
 def test_wide_block_exception_summary_in_linear_time():

@@ -384,6 +384,20 @@ def test_generated_reports_match_the_golden_files(model, tmp_path, capsys):
         assert (written / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [(None, "No such file or directory"), (b"model \xff\n", "not valid UTF-8 at byte 6")],
+    ids=["missing", "not-utf8"],
+)
+def test_report_script_on_an_unreadable_file_writes_nothing(content, reason, tmp_path, capsys):
+    model = tmp_path / "m.ucm"
+    if content is not None:
+        model.write_bytes(content)
+    assert GENERATE(model, tmp_path / "reports") == 1
+    assert capsys.readouterr() == ("", f"ucm: cannot read '{model}': {reason}\n")
+    assert not (tmp_path / "reports").exists()
+
+
 def _run_every_command(path: str, first_use_case: str) -> None:
     for argv in _every_command(path, first_use_case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -416,6 +416,16 @@ def test_unknown_actor_category_is_e005():
     assert [d.code for d in diags] == ["E005"]
 
 
+def test_e005_suggests_a_category_declared_in_a_later_use_case():
+    src = (
+        BASE_HEADER
+        + uc("A", '    1. internal "x"\n    outcome success', clauses="  primary: Owner")
+        + uc("B", '    1. internal "x"\n    outcome success', clauses="  primary: Human::Owner")
+    )
+    _, diags = pipeline(src)
+    assert [(d.code, d.suggestions) for d in diags] == [("E005", ["Human::Owner"])]
+
+
 def test_device_subcategories_are_valid_actor_types():
     clauses = (
         "  primary: Human::P\n"
