@@ -18,7 +18,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from ucm.analysis import TABLES, AnalysisError  # noqa: E402
 from ucm.cli import load  # noqa: E402
-from ucm.diagnostics import has_errors  # noqa: E402
+from ucm.diagnostics import has_errors, sort_diagnostics  # noqa: E402
 from ucm.export import export_dot, export_json, export_xmi, render_table  # noqa: E402
 from ucm.lexer import normalize  # noqa: E402
 from ucm.spans import LineIndex  # noqa: E402
@@ -37,13 +37,14 @@ def write(path: Path, text: str) -> None:
 
 def generate(corpus_file: Path, out_dir: Path) -> int:
     """Write every artifact of one model; print each problem as
-    `file:LINE: CODE message` and write nothing when any is an error."""
+    `file:LINE: CODE message`, in the order of `ucm check`, and write
+    nothing when any is an error."""
     loaded = load(corpus_file)
     if loaded is None:
         return 1
     source, resolved, problems = loaded
     if resolved is not None:
-        problems += validate(resolved)
+        problems = sort_diagnostics(problems + validate(resolved))
         if not has_errors(problems):
             try:
                 tables = {name: TABLES[kind](resolved, None) for kind, name in REPORTS.items()}

@@ -6,8 +6,9 @@ from a resolved model. One depth-first search at construction gives the
 graph's topological order and, on a cyclic graph, the witness cycle that
 aborts path-based summaries with E015. Path totals are counted in one pass
 over that order, without listing paths. Only the paths the exception table
-prints are listed: a walk back from the raise site finds the nodes on them,
-and each gets its paths to the site once, as a head and a list of texts
+prints are listed: a walk back from the raise site, over the callers those
+counts show a start reaches and never above a start, finds the nodes on
+them, and each gets its paths to the site once, as a head and a list of texts
 shared by all its callers. A node with one callee on those paths shares that
 callee's list under a longer head, and a start joins its callees' lists
 straight into the printed cell, so the work is bounded by the printed text.
@@ -225,73 +226,65 @@ def path_counts(graph: InvocationGraph) -> dict[str, int]:
     return _path_totals(graph, graph.roots)[0]
 
 
-def _paths_between(graph: InvocationGraph, starts: set[str], target: str) -> str:
+def _paths_between(graph: InvocationGraph, starts: set[str], counts: dict[str, int], target: str) -> str:
     """The printed text of all paths from the `starts` to `target` in an
     acyclic graph: each path's node names joined by `` -> ``, the paths
     joined by ``; `` in lexicographic order; a path over k parallel edges is
-    listed k times, the copies next to each other.
+    listed k times, the copies next to each other. `counts` are the starts'
+    `_path_totals` counts.
 
-    A walk back from `target` over the callers finds the nodes that reach it,
-    each with its callees that do, in name order; no other callee is read.
-    Only live nodes take part: those that also are reachable from a start.
-    Each gets its paths to `target` as a pair: a head and a list of texts,
-    each path being the head followed by one text. The pairs are built in
-    post-order from the callees' pairs taken in name order, so the texts come
-    out sorted with no sort of texts and no recursion. A node with one live
-    callee (over k parallel edges, each text k times) shares that callee's
-    texts and only puts itself in front of the head; a node with more builds a
-    new list. A start builds no per-path string: for each live callee it joins
-    the texts with its own head in the separator. A callee's pair is dropped
-    once its last live caller has read it."""
+    One depth-first walk back from `target` finds the live nodes, those on a
+    path from a start to it: it follows only callers with a non-zero count,
+    and never a start's callers, as no start reaches another. It notes each
+    live node's live callees and number of live callers; its post-order,
+    reversed, puts callees first. In that order each live node gets its paths
+    to `target` as a pair: a head and a list of texts, each path being the
+    head followed by one text, built from its callees' pairs taken in name
+    order, so the texts come out sorted with no sort of texts and no
+    recursion. A node with one live callee (over k parallel edges, each text
+    k times) shares that callee's texts and only puts itself in front of the
+    head; a node with more builds a new list. A start builds no per-path
+    string: for each live callee it joins the texts with its own head in the
+    separator; the starts' texts are joined in name order. A callee's pair is
+    dropped once its last live caller has read it."""
     if target in starts:  # no start reaches another, so no other path leads here
         return target
-    reaches: dict[str, list[tuple[str, int]]] = {target: []}  # each node that reaches target: its callees that do
-    pending = [target]
-    while pending:
-        node = pending.pop()
-        for caller, k in graph.callers[node]:
-            if caller not in reaches:
-                pending.append(caller)
-            reaches.setdefault(caller, []).append((node, k))
-    for callees in reaches.values():
-        callees.sort()
-    roots = sorted(n for n in reaches if n in starts)
+    reaches: dict[str, list[tuple[str, int]]] = {target: []}  # each live node: its live callees
     readers: dict[str, int] = {}  # live callers of each live node
-    live = set(roots)  # no start reaches another: they are the roots, or one view
-    order: list[str] = []  # live nodes, callees before callers
-    for root in roots:
-        stack = [(root, iter(reaches[root]))]
-        while stack:
-            node, callees = stack[-1]
-            for callee, _ in callees:
-                readers[callee] = readers.get(callee, 0) + 1
-                if callee not in live:
-                    live.add(callee)
-                    stack.append((callee, iter(reaches[callee])))
+    order: list[str] = []  # live nodes, callers before callees
+    stack = [(target, iter(graph.callers[target]))]
+    while stack:
+        node, callers = stack[-1]
+        for caller, k in callers:
+            if counts[caller]:
+                readers[node] = readers.get(node, 0) + 1
+                if caller not in reaches:
+                    reaches[caller] = [(node, k)]
+                    stack.append((caller, iter(() if caller in starts else graph.callers[caller])))
                     break
-            else:
-                stack.pop()
-                order.append(node)
+                reaches[caller].append((node, k))
+        else:
+            stack.pop()
+            order.append(node)
 
     pairs: dict[str, tuple[str, list[str]]] = {target: (target, [""])}
-    pieces: list[str] = []  # one per live callee of a start, in root and name order
-    for node in order:
-        if node == target:
-            continue
+    pieces: dict[str, str] = {}  # each start's paths
+    order.pop()  # the target, which the walk leaves last
+    for node in reversed(order):
         edges = []  # the node's paths through each live callee, as (head, texts)
-        for callee, k in reaches[node]:
+        for callee, k in sorted(reaches[node]):
             head, texts = pairs[callee]
             edges.append((f"{node} -> {head}", texts if k == 1 else [t for t in texts for _ in range(k)]))
             readers[callee] -= 1
             if not readers[callee]:
                 del pairs[callee]
         if node in starts:
-            pieces += [head + ("; " + head).join(texts) for head, texts in edges]
+            pieces[node] = "; ".join(head + ("; " + head).join(texts) for head, texts in edges)
         elif len(edges) == 1:
             pairs[node] = edges[0]
         else:
             pairs[node] = ("", [head + text for head, texts in edges for text in texts])
-    return "; ".join(pieces)
+    return "; ".join(pieces[start] for start in sorted(pieces))
 
 
 def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
@@ -300,8 +293,7 @@ def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
     InvocationCycleError (E015) on cyclic graphs."""
     if target not in graph.nodes:
         raise ValueError(f"unknown use case '{target}'")
-    ensure_acyclic(graph)
-    return list(PathList(_paths_between(graph, set(graph.roots), target)))
+    return list(PathList(_paths_between(graph, set(graph.roots), path_counts(graph), target)))
 
 
 # -- exception summary ------------------------------------------------------
@@ -378,7 +370,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
         reach = reachable_use_cases(resolved, view)
 
     starts = set(graph.roots) if view is None else {view}
-    _, sizes = _path_totals(graph, starts)
+    counts, sizes = _path_totals(graph, starts)
     printed = 0  # path nodes of the rows so far
     listed: dict[str, PathList] = {}  # paths per source use case, shared by its rows
     block_actors: dict[int, dict[str, None]] = {}
@@ -404,7 +396,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
                         site.step.span,
                     ))
                 if source not in listed:
-                    listed[source] = PathList(_paths_between(graph, starts, source))
+                    listed[source] = PathList(_paths_between(graph, starts, counts, source))
                 paths = listed[source]
             rows.append(_exception_row(resolved, exc, [site], paths, block_actors))
     return rows

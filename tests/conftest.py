@@ -200,6 +200,21 @@ def fan_source(n: int) -> str:
     return "".join(parts)
 
 
+def callers_above_view_source(n: int) -> str:
+    """Use cases A0..A(n-1) each invoke V, and V invokes `n` leaves
+    L0..L(n-1), each of which raises SoftwareException::X; handler H has the
+    context `V on SoftwareException::X`."""
+    parts = [f"model Above\n{_HEAD_X}"]
+    for i in range(n):
+        parts.append(f"usecase A{i} {{\n  main {{\n    1. invoke V\n    outcome success\n  }}\n}}\n")
+    invokes = "".join(f"    {i + 1}. invoke L{i}\n" for i in range(n))
+    parts.append(f"usecase V {{\n  main {{\n{invokes}    outcome success\n  }}\n}}\n")
+    for i in range(n):
+        parts.append(f"usecase L{i} {{\n  main {{\n    1. raise SoftwareException::X\n    outcome success\n  }}\n}}\n")
+    parts.append(f"handler H {{\n  contexts: V on SoftwareException::X interrupt-fail\n{_RECOVER}")
+    return "".join(parts)
+
+
 def wide_handler_source(n: int) -> str:
     """`n` use cases U0..U(n-1), each raising SoftwareException::X, and one
     handler H with a context on each of them."""

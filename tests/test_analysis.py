@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    callers_above_view_source,
     chain_source,
     diamond_chain_source,
     fan_source,
@@ -297,9 +298,9 @@ def test_paths_are_listed_once_per_source_use_case(smartstore_resolved, monkeypa
     calls = []
     listing = analysis._paths_between
 
-    def counted(graph, starts, target):
-        calls.append(target)
-        return listing(graph, starts, target)
+    def counted(*args):
+        calls.append(args[-1])
+        return listing(*args)
 
     monkeypatch.setattr(analysis, "_paths_between", counted)
     rows = exception_summary(smartstore_resolved)
@@ -429,6 +430,43 @@ def test_usecase_view_rows_subset_of_global_occurrences(smartstore_resolved):
         for row in exception_summary(smartstore_resolved, view=view):
             if not row.is_global:
                 assert (row.exception, row.source_use_case) in global_keys
+
+
+HANDLER_BETWEEN = """model Mediated
+modes { default normal Normal }
+exceptions { exception SoftwareException::X }
+usecase V {
+  main {
+    1. invoke H
+    outcome success
+  }
+}
+handler H {
+  contexts: V on SoftwareException::X interrupt-fail
+  main {
+    1. invoke U
+    outcome success
+  }
+}
+usecase U {
+  main {
+    1. raise SoftwareException::X
+    outcome success
+  }
+}
+"""
+
+
+def test_view_row_reached_only_through_a_handler_lists_no_paths():
+    """A view's rows are the use cases it reaches, handlers included; the
+    invocation graph leaves handlers out, so a row reached only through a
+    handler lists no path in the view, while the global view roots it at U."""
+    resolved, _ = pipeline(HANDLER_BETWEEN)
+    (row,) = exception_summary(resolved, "V")
+    assert (row.exception, row.source_use_case, row.handlers) == ("SoftwareException::X", "U", ["H"])
+    assert row.paths == [] and row.paths.text == ""
+    (row,) = exception_summary(resolved)
+    assert row.source_use_case == "U" and row.paths == ["U"]
 
 
 def test_view_on_unknown_or_handler_name_rejected(smartstore_resolved):
@@ -775,6 +813,15 @@ def test_fan_exception_summary_in_linear_time(view):
     assert len(rows) == 4000 and rows[-1].paths == ["Hub -> L3999"]
     # 8x the raising callees: about 8x the time; scanning every callee of Hub per row gives 64x.
     assert growth(lambda n: exception_summary(resolved[n], view), 500, 4000) < 20
+
+
+def test_view_below_many_callers_in_linear_time():
+    resolved = {n: pipeline(callers_above_view_source(n))[0] for n in (250, 2000)}
+    rows = exception_summary(resolved[2000], "V")
+    assert len(rows) == 2000 and rows[-1].paths == ["V -> L1999"]
+    # 8x the callers above V and its raising callees: about 8x the time;
+    # walking back over every caller of V per row gives 64x.
+    assert growth(lambda n: exception_summary(resolved[n], "V"), 250, 2000) < 20
 
 
 def test_wide_block_exception_summary_in_linear_time():

@@ -332,6 +332,10 @@ GOLDEN_TABLES = {
     "invocation-paths-exceptions.md": ["table", "exceptions", INVOCATION_PATHS],
     "invocation-paths-exceptions.csv": ["table", "exceptions", INVOCATION_PATHS, "--format", "csv"],
     "invocation-paths-exceptions-Home.md": ["table", "exceptions", INVOCATION_PATHS, "--usecase", "Home"],
+    "invocation-paths-exceptions-Browse.md": ["table", "exceptions", INVOCATION_PATHS, "--usecase", "Browse"],
+    "invocation-paths-exceptions-Browse.csv": [
+        "table", "exceptions", INVOCATION_PATHS, "--usecase", "Browse", "--format", "csv",
+    ],
     **{
         f"{name}-{kind}.csv": ["table", kind, path, "--format", "csv"]
         for name, path in (("smartstore", SMARTSTORE), ("firealarm", FIREALARM))

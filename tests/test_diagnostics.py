@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,12 @@ _MULTI_DEFECT_FILES = {
 FIXTURES = REPO_ROOT / "tests" / "fixtures"
 
 
+def _write_fixture(file: str, directory: Path) -> None:
+    """Write `file`, a multi-defect copy or a fixture, as bytes into `directory`."""
+    text = _MULTI_DEFECT_FILES[file].encode("utf-8") if file in _MULTI_DEFECT_FILES else (FIXTURES / file).read_bytes()
+    (directory / file).write_bytes(text)
+
+
 @pytest.mark.parametrize(
     ("file", "golden"),
     [
@@ -208,8 +215,7 @@ def test_check_output_matches_golden_file(file, golden, fmt, tmp_path, monkeypat
     """`ucm check` on the BOM+CRLF model, written as bytes, and on the
     fixtures holding every resolver and every validator message: stderr
     (text) or stdout (json) equals the file captured from the command."""
-    text = _MULTI_DEFECT_FILES[file].encode("utf-8") if file in _MULTI_DEFECT_FILES else (FIXTURES / file).read_bytes()
-    (tmp_path / file).write_bytes(text)
+    _write_fixture(file, tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main(["check", "--format", fmt, file]) == 1
     captured = capsys.readouterr()
@@ -228,6 +234,22 @@ def test_report_script_prints_file_line_code_message(tmp_path, monkeypatch, caps
     assert generate(Path("m-eof.ucm"), tmp_path / "reports") == 1
     assert capsys.readouterr().err == "m-eof.ucm:20: E000 expected '}', got 'end of file'\n"
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("file", ["m.ucm", "resolver-faults.ucm"])
+def test_report_script_prints_diagnostics_in_check_order(file, tmp_path, monkeypatch, capsys):
+    """The report script lists a model's diagnostics by line and code in the
+    order `ucm check` does: resolver and validator findings interleaved."""
+    _write_fixture(file, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "--format", "json", file]) == 1
+    checked = [(d["line"], d["code"]) for d in json.loads(capsys.readouterr().out)]
+    assert report_script().generate(Path(file), tmp_path / "reports") == 1
+    reported = []
+    for line in capsys.readouterr().err.splitlines():
+        location, code, _ = line.split(" ", 2)
+        reported.append((int(location.split(":")[1]), code))
+    assert reported == checked
 
 
 def _usecase(name: str, step: str, extra: str = "") -> str:
