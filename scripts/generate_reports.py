@@ -19,7 +19,7 @@ sys.path.insert(0, str(REPO / "src"))
 from ucm.analysis import TABLES, AnalysisError  # noqa: E402
 from ucm.cli import load  # noqa: E402
 from ucm.diagnostics import has_errors, sort_diagnostics  # noqa: E402
-from ucm.export import export_dot, export_json, export_xmi, render_table  # noqa: E402
+from ucm.export import EXPORTS, render_table  # noqa: E402
 from ucm.lexer import normalize  # noqa: E402
 from ucm.spans import LineIndex  # noqa: E402
 from ucm.validation import validate  # noqa: E402
@@ -62,9 +62,8 @@ def generate(corpus_file: Path, out_dir: Path) -> int:
     for name, table in tables.items():
         write(stem / f"{name}.md", render_table(table, "md"))
         write(stem / f"{name}.csv", render_table(table, "csv"))
-    write(stem / "model.json", export_json(resolved))
-    write(stem / "model.xmi", export_xmi(resolved))
-    write(stem / "model.dot", export_dot(resolved))
+    for target, export in EXPORTS.items():
+        write(stem / f"model.{target}", export(resolved))
     return 0
 
 

@@ -186,18 +186,13 @@ def build_invocation_graph(resolved: ResolvedModel) -> InvocationGraph:
 
 def ensure_acyclic(graph: InvocationGraph) -> None:
     """Raise InvocationCycleError (E015) naming the graph's witness cycle, at
-    the first edge from its first node to its second."""
+    the first edge from its first node to its second. The cycle is cut from
+    the search stack, so those two nodes are always joined by an edge."""
     cycle = graph.cycle
     if cycle is not None:
         witness = " -> ".join(cycle)
-        span = ZERO_SPAN
-        for edge in graph.edges:
-            if edge.caller == cycle[0] and edge.callee == cycle[1]:
-                span = edge.span
-                break
-        raise InvocationCycleError(
-            Diagnostic("E015", f"invocation cycle detected: {witness}", span)
-        )
+        span = next(edge.span for edge in graph.edges if edge.caller == cycle[0] and edge.callee == cycle[1])
+        raise InvocationCycleError(Diagnostic("E015", f"invocation cycle detected: {witness}", span))
 
 
 def _path_totals(graph: InvocationGraph, starts: Iterable[str]) -> tuple[dict[str, int], dict[str, int]]:

@@ -1,11 +1,11 @@
 """Command-line driver: check, table, and export subcommands.
 
 Every command starts from `load`, which reads, parses and resolves a model,
-and scripts/generate_reports.py calls it too; the table kinds and their
-builders are `analysis.TABLES`. Diagnostics go to stderr, requested artifacts
-to stdout, so output can be piped. Exit codes: 0 success, 1 model errors (or
-warnings under --strict), 2 usage or I/O problems, an output stream closed
-early included.
+and scripts/generate_reports.py calls it too, as it reads `analysis.TABLES`
+and `export.EXPORTS`, the builders of each table kind and export target.
+Diagnostics go to stderr, requested artifacts to stdout, so output can be
+piped. Exit codes: 0 success, 1 model errors (or warnings under --strict),
+2 usage or I/O problems, an output stream closed early included.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analysis
 from .diagnostics import Diagnostic, Severity, has_errors, render_diagnostics, sort_diagnostics
-from .export import dump_json, export_dot, export_json, export_xmi, render_table
+from .export import EXPORTS, dump_json, render_table
 from .lexer import normalize
 from .parser import parse
 from .resolver import ResolvedModel, resolve
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=("md", "csv"), default="md")
 
     export = sub.add_parser("export", help="export the model")
-    export.add_argument("target", choices=("json", "xmi", "dot"))
+    export.add_argument("target", choices=EXPORTS)
     export.add_argument("file", help="input .ucm file")
     export.add_argument("-o", "--output", metavar="OUT", help="write to OUT instead of stdout")
     return parser
@@ -150,13 +150,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     _print_diagnostics(diags, source)
     if resolved is None:
         return MODEL_ERRORS
-    if args.target == "json":
-        text = export_json(resolved)
-    elif args.target == "xmi":
-        text = export_xmi(resolved)
-    else:
-        text = export_dot(resolved)
-    return OK if _write_artifact(text, args.output) else USAGE_ERROR
+    return OK if _write_artifact(EXPORTS[args.target](resolved), args.output) else USAGE_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:

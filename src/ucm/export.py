@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import count
@@ -56,7 +57,7 @@ from .model import (
     too_many_digits,
 )
 from .resolver import ResolvedModel
-from .spans import ZERO_SPAN
+from .spans import SourceSpan, ZERO_SPAN
 
 FORMAT_VERSION = 1
 XMI_NS = "http://www.omg.org/XMI"
@@ -297,10 +298,9 @@ _NODE_WORDS = {Step: "step", ExtensionBlock: "block"}
 _NODE_CLASSES = {word: cls for cls, word in _NODE_WORDS.items()}
 _PAYLOAD_CLASSES = {kind: cls for cls, kind in STEP_KINDS.items()}
 
-# The fields the document does not hold: every span comes back zero-length,
-# and a model's file is "<json>".
-_SYNTHETIC = {cls: {f.name: ZERO_SPAN for f in fields(cls) if f.type == "SourceSpan"} for cls in _LAYOUT}
-_SYNTHETIC[Model]["source_file"] = "<json>"
+# The span fields of each class, which the document does not hold. A model's
+# file, which it does not hold either, comes back "<json>".
+_SPANS = {cls: [f.name for f in fields(cls) if f.type == "SourceSpan"] for cls in _LAYOUT}
 
 
 def _writer(attr: str, kind):
@@ -349,10 +349,11 @@ _KEYS.update((cls, _KEYS[Step] | _KEYS[cls]) for cls in STEP_KINDS if cls is not
 
 
 def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
-    """Rebuild a model from export_json output; spans come back zero-length.
-    It accepts exactly the models `.ucm` text can write: a schema violation,
-    a value the parser would reject or an unknown format version yields an
-    E000 diagnostic and no model."""
+    """Rebuild a model from export_json output; each node's spans come back
+    as `("<synthetic>", k, k)`, k its ordinal in document order. It accepts
+    exactly the models `.ucm` text can write: a schema violation, a value the
+    parser would reject or an unknown format version yields an E000
+    diagnostic and no model."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as err:
@@ -367,27 +368,30 @@ def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
         version = _need(doc, "formatVersion", int, "document")
         if version != FORMAT_VERSION:
             raise _SchemaError(f"unsupported formatVersion {version}, expected {FORMAT_VERSION}")
-        model = _from_json(doc, Model, "document", 0)
+        model = _from_json(doc, Model, "document", 0, count())
     except _SchemaError as err:
         return None, [Diagnostic("E000", str(err), ZERO_SPAN)]
     return model, []
 
 
-def _from_json(doc, cls: type, where: str, depth: int):
+def _from_json(doc, cls: type, where: str, depth: int, ordinals: Iterator[int]):
     """The `cls` node that the JSON object `doc` lays out, `where` naming it
-    in messages and `depth` counting the blocks around it. Each value is held
-    to its rule by `_need` and each node to its cross-field rules by `_check`."""
+    in messages, `depth` counting the blocks around it and `ordinals` giving
+    each node, on entry, the ordinal its spans hold. Each value is held to its
+    rule by `_need` and each node to its cross-field rules by `_check`."""
     if cls is ExtensionBlock:
         depth += 1
         if depth > MAX_BLOCK_DEPTH:
             raise _SchemaError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels")
-    values = dict(_SYNTHETIC[cls])
+    values = dict.fromkeys(_SPANS[cls], _synthetic_span(ordinals))
+    if cls is Model:
+        values["source_file"] = "<json>"
     named = _KEYS[cls]
     for key, attr, kind, *optional in _LAYOUT[cls]:
         if kind is _PAYLOAD:
             kind = _PAYLOAD_CLASSES[_need(doc, key, StepKind, where)]
             if kind is not ExceptionRef:
-                values[attr] = _from_json(doc, kind, where, depth)
+                values[attr] = _from_json(doc, kind, where, depth, ordinals)
                 named = _KEYS[kind]
                 continue
             key = "exception"  # a raise step's payload is an object of its own
@@ -398,13 +402,14 @@ def _from_json(doc, cls: type, where: str, depth: int):
                 item_cls = kind[0]
                 if len(kind) > 1:  # a block body
                     item_cls = _NODE_CLASSES[_need(item, "node", tuple(_NODE_CLASSES), f"{where} {key} item")]
-                items.append(_from_json(item, item_cls, _WHERE[item_cls], depth))
+                items.append(_from_json(item, item_cls, _WHERE[item_cls], depth, ordinals))
         elif kind in _LAYOUT:
             value = _need(doc, key, dict, where, *optional)
-            values[attr] = None if value is None else _from_json(value, kind, _WHERE.get(kind, f"{where} {key}"), depth)
+            place = _WHERE.get(kind, f"{where} {key}")
+            values[attr] = None if value is None else _from_json(value, kind, place, depth, ordinals)
         elif kind is _SWITCH:
             name = _need(doc, key, _IDENT, where, *optional)
-            values[attr] = None if name is None else ModeSwitch(name, ZERO_SPAN)
+            values[attr] = None if name is None else ModeSwitch(name, _synthetic_span(ordinals))
         else:
             values[attr] = _need(doc, key, kind, where, *optional)
     node = cls(**values)
@@ -414,6 +419,11 @@ def _from_json(doc, cls: type, where: str, depth: int):
     if doc.keys() - named:  # only now, so that a fault in a named key comes first
         raise _SchemaError(f"unknown key {next(key for key in doc if key not in named)!r} in {where}")
     return node
+
+
+def _synthetic_span(ordinals: Iterator[int]) -> SourceSpan:
+    k = next(ordinals)
+    return SourceSpan(ZERO_SPAN.file, k, k)
 
 
 def _check(node, where: str) -> None:
@@ -705,3 +715,7 @@ def export_dot(resolved: ResolvedModel) -> str:
 
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+#: Each `ucm export` target and its writer, for the CLI and the report script alike.
+EXPORTS = {"json": export_json, "xmi": export_xmi, "dot": export_dot}

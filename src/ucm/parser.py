@@ -4,7 +4,9 @@ Parsing is all-or-nothing: any grammar violation yields an E000 diagnostic
 and no tree. The grammar is deliberately lenient in two places so that later
 phases can produce better diagnostics than a bare syntax error: use-case
 clauses may be absent (missing ones become E001) and actor references accept
-any or no category keyword (checked as E005).
+any or no category keyword (checked as E005). One rule, `parse_section`,
+reads each `keyword { word … }` section (exceptions, services, extensions);
+`modes { … }` keeps its own loop, as its items run up to `}`.
 
 Every fixed token, keyword or symbol, is tested by its text alone
 (`expect(text)`, `current.text == word`, or membership in a keyword table).
@@ -187,8 +189,10 @@ class _Parser:
         start = self.expect("model")
         name = self.expect_ident("model name").text
         modes = self.parse_modes()
-        exceptions = self.parse_exceptions()
-        services = self.parse_services() if self.current.text == "services" else []
+        exceptions = self.parse_section("exceptions", "exception", self.parse_exception)
+        services = []
+        if self.current.text == "services":
+            services = self.parse_section("services", "service", self.parse_service)
         use_cases = []
         while self.current.text in ("usecase", "handler"):
             use_cases.append(self.parse_use_case())
@@ -220,35 +224,32 @@ class _Parser:
         self.expect("}")
         return modes
 
-    def parse_exceptions(self) -> list[ExceptionDef]:
-        self.expect("exceptions")
+    def parse_section(self, keyword: str, word: str, parse_item: Callable[[Token], _T]) -> list[_T]:
+        """`keyword { word … word … }`: each item opens with `word`, which
+        `parse_item` takes already consumed."""
+        self.expect(keyword)
         self.expect("{")
-        out = []
-        while self.current.text == "exception":
-            start = self.advance()
-            category, name, _ = self.parse_exception_name()
-            out.append(ExceptionDef(category, name, self.accept("global"), self.span_from(start)))
+        items = []
+        while self.current.text == word:
+            items.append(parse_item(self.advance()))
         self.expect("}")
-        return out
+        return items
 
-    def parse_exception_name(self):
+    def parse_exception(self, start: Token) -> ExceptionDef:
+        ref = self.parse_exception_ref()
+        return ExceptionDef(ref.category, ref.name, self.accept("global"), self.span_from(start))
+
+    def parse_exception_ref(self) -> ExceptionRef:
         start = self.current
         category = EXCEPTION_KEYWORDS[self.expect_word(EXCEPTION_KEYWORDS)]
         self.expect("::")
         name = self.expect_ident("exception name").text
-        return category, name, self.span_from(start)
+        return ExceptionRef(category, name, self.span_from(start))
 
-    def parse_services(self) -> list[ServiceDecl]:
-        self.expect("services")
-        self.expect("{")
-        out = []
-        while self.current.text == "service":
-            start = self.advance()
-            name = self.expect_ident("service name").text
-            self.expect("provides")
-            out.append(ServiceDecl(name, self.parse_names("use case name"), self.span_from(start)))
-        self.expect("}")
-        return out
+    def parse_service(self, start: Token) -> ServiceDecl:
+        name = self.expect_ident("service name").text
+        self.expect("provides")
+        return ServiceDecl(name, self.parse_names("use case name"), self.span_from(start))
 
     def parse_use_case(self) -> UseCase:
         start = self.advance()  # usecase | handler
@@ -256,7 +257,9 @@ class _Parser:
         self.expect("{")
         clauses = self.parse_clauses()
         main = self.parse_scenario() if self.current.text == "main" else None
-        extensions = self.parse_extensions() if self.current.text == "extensions" else []
+        extensions = []
+        if self.current.text == "extensions":
+            extensions = self.parse_section("extensions", "block", self.parse_block)
         self.expect("}")
         is_handler = start.text == "handler"
         return UseCase(
@@ -312,15 +315,9 @@ class _Parser:
     def parse_context_entry(self) -> HandlerContext:
         start = self.expect_ident("use case name")
         self.expect("on")
-        category, name, exc_span = self.parse_exception_name()
+        exception = self.parse_exception_ref()
         relation = _RELATIONS[self.expect_word(_RELATIONS)]
-        return HandlerContext(
-            use_case=start.text,
-            use_case_span=self.span_of(start),
-            exception=ExceptionRef(category, name, exc_span),
-            relation=relation,
-            span=self.span_from(start),
-        )
+        return HandlerContext(start.text, self.span_of(start), exception, relation, self.span_from(start))
 
     def parse_mode_switch(self) -> ModeSwitch | None:
         """`mode switch: Name`, or None when the next tokens are not one."""
@@ -348,7 +345,7 @@ class _Parser:
             if self.current.kind is TokenKind.LABEL:
                 items.append(self.parse_step())
             elif depth and self.current.text == "block":
-                items.append(self.parse_block(depth + 1))
+                items.append(self.parse_block(self.advance(), depth + 1))
             else:
                 break
         exit_switch = self.parse_mode_switch()
@@ -400,8 +397,7 @@ class _Parser:
             )
         elif word == "raise":
             self.advance()
-            category, name, exc_span = self.parse_exception_name()
-            payload = ExceptionRef(category, name, exc_span)
+            payload = self.parse_exception_ref()
         else:
             raise self.error(
                 ["interaction", "'invoke'", "'condition'", "'internal'", "'goto'", "'repeat'", "'raise'"]
@@ -419,17 +415,7 @@ class _Parser:
             raise ParseError("timeout amount must be positive", self.span_of(amount_tok))
         return Timeout(amount, self.expect_word(TIME_UNITS))
 
-    def parse_extensions(self) -> list[ExtensionBlock]:
-        self.expect("extensions")
-        self.expect("{")
-        blocks = []
-        while self.current.text == "block":
-            blocks.append(self.parse_block())
-        self.expect("}")
-        return blocks
-
-    def parse_block(self, depth: int = 1) -> ExtensionBlock:
-        start = self.advance()  # block
+    def parse_block(self, start: Token, depth: int = 1) -> ExtensionBlock:
         if depth > MAX_BLOCK_DEPTH:
             raise ParseError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels", self.span_of(start))
         label = self.parse_label()[0]

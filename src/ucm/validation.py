@@ -8,11 +8,10 @@ E008 and E009 at each block. Rules over the whole model keep a loop each:
 W001, E007, W002 and W003.
 
 The result is sorted by (file, offset, code), a stable sort, so diagnostics
-tied on all three come out in walk order. Every span of an imported model is
-the same, so there each code's group keeps the order the walk emits it in:
-use cases in order, actors in `all_actors` order, main steps before block
-steps, blocks in `all_blocks` pre-order. Parsed and imported models thus list
-each code's diagnostics in the same relative order.
+tied on all three come out in walk order. An imported model's spans are
+numbered in document order (`import_json`), so such ties arise only within
+one node, in parsed and imported models alike, and both list their
+diagnostics in the same order.
 
 Name-resolution problems (E003/E004/E012/E013/E014/E017) are the resolver's
 job and are not re-reported here. A repeated block label is E014 too, but it

@@ -148,6 +148,24 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["table", "nonsense", SMARTSTORE]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["export", "yaml", SMARTSTORE], ["json", "xmi", "dot"]),
+        (["table", "bogus", SMARTSTORE], ["exceptions", "handlers", "modes", "services"]),
+    ],
+)
+def test_usage_error_names_every_registry_entry_in_order(capsys, argv, names):
+    """An unknown export target or table kind is a usage error whose message
+    lists every entry of `export.EXPORTS` or `analysis.TABLES`, in order. Only
+    the order is pinned: argparse quotes the choices differently by version."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    line = next(line for line in err.splitlines() if "invalid choice" in line)
+    positions = [line.find(name, line.find("choose from")) for name in names]
+    assert -1 not in positions and positions == sorted(positions), line
+
+
 def test_table_handlers_shows_service_sensor(capsys):
     assert main(["table", "handlers", SMARTSTORE]) == 0
     out = capsys.readouterr().out

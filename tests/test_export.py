@@ -26,7 +26,7 @@ from oracles import elementtree_xmi, print_model, reference_render_table
 from strategies import invocation_model_source, model_source
 from ucm import analysis
 from ucm.cli import main
-from ucm.diagnostics import has_errors
+from ucm.diagnostics import has_errors, sort_diagnostics
 from ucm.export import (
     _LAYOUT,
     SummaryTable,
@@ -251,6 +251,20 @@ def test_imported_spans_are_synthetic(smartstore_resolved):
     model, _ = import_json(export_json(smartstore_resolved))
     assert model.span.start == model.span.end == 0
     assert model.use_cases[0].span.file == "<synthetic>"
+
+
+def test_imported_spans_follow_document_order(smartstore_resolved):
+    """Every span of an imported model is a zero-length `<synthetic>` one at
+    its node's ordinal, so use cases come in strictly increasing order."""
+    model, _ = import_json(export_json(smartstore_resolved))
+    starts = [uc.name_span.start for uc in model.use_cases]
+    assert starts == sorted(set(starts))
+    spans = [model.span]
+    for uc in model.use_cases:
+        spans += [uc.span, uc.name_span, *(ref.span for ref in uc.all_actors()), *(ctx.span for ctx in uc.contexts)]
+        spans += [step.span for step in uc.all_steps()] + [block.span for block in uc.all_blocks()]
+    assert len(spans) > len(model.use_cases)
+    assert all(span.file == "<synthetic>" and span.start == span.end for span in spans)
 
 
 def nested_block_document(depth: int) -> str:
@@ -835,11 +849,15 @@ def mutated_model_sources(draw) -> str:
 
 def facts(model) -> list:
     """What every command reports on `model`: the resolve and validate
-    diagnostics (code and message; sorted, as an imported model's spans
-    cannot order them) and, when resolution finds no error, the four tables
-    or the analysis error that blocks each."""
+    diagnostics (code and message) in the order each gives them and in the
+    CLI's order, `sort_diagnostics` of both, and, when resolution finds no
+    error, the four tables or the analysis error that blocks each."""
     resolved, resolve_diags = resolve(model)
-    found = [sorted((d.code, d.message) for d in diags) for diags in (resolve_diags, validate(resolved))]
+    validate_diags = validate(resolved)
+    found = [
+        [(d.code, d.message) for d in diags]
+        for diags in (resolve_diags, validate_diags, sort_diagnostics(resolve_diags + validate_diags))
+    ]
     if has_errors(resolve_diags):
         return found
     for table in (

@@ -246,14 +246,15 @@ def test_resolve_is_pure(smartstore):
 
 
 def test_imported_fault_fixture_keeps_the_resolver_emission_order():
-    """Every span of an imported model is the same, so its sorted diagnostics
-    keep the order the resolver emits them in within each code."""
+    """The spans of an imported model follow document order, so its sorted
+    diagnostics come in the parsed model's order."""
     model, _ = parse_file(REPO_ROOT / "tests" / "fixtures" / "resolver-faults.ucm")
-    resolved, _ = resolve(model)
+    resolved, parsed_diags = resolve(model)
     imported, import_diags = import_json(export_json(resolved))
     assert import_diags == []
     reresolved, diags = resolve(imported)
     produced = "".join(f"{d.code} {d.message}\n" for d in diags)
     golden = REPO_ROOT / "tests" / "golden" / "resolver-faults-imported.txt"
     assert produced == golden.read_text(encoding="utf-8")
+    assert produced == "".join(f"{d.code} {d.message}\n" for d in parsed_diags)
     assert len(reresolved.bindings) == len(resolved.bindings)

@@ -585,8 +585,8 @@ def test_validate_walks_each_use_case_once(smartstore_resolved, monkeypatch):
 
 
 def test_imported_fault_fixture_keeps_the_validator_emission_order():
-    """Every span of an imported model is the same, so its sorted diagnostics
-    keep the order the validator emits them in within each code."""
+    """The spans of an imported model follow document order, so its sorted
+    diagnostics come in the parsed model's order."""
     model, _ = parse_file(REPO_ROOT / "tests" / "fixtures" / "validation-faults.ucm")
     resolved, resolve_diags = resolve(model)
     assert resolve_diags == []
@@ -595,6 +595,7 @@ def test_imported_fault_fixture_keeps_the_validator_emission_order():
     produced = "".join(f"{d.code} {d.message}\n" for d in validate(resolve(imported)[0]))
     golden = REPO_ROOT / "tests" / "golden" / "validation-faults-imported.txt"
     assert produced == golden.read_text(encoding="utf-8")
+    assert produced == "".join(f"{d.code} {d.message}\n" for d in validate(resolved))
 
 
 def test_empty_model_validates_clean():
