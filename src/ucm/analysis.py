@@ -12,8 +12,8 @@ them, and each gets its paths to the site once, as a head and a list of texts
 shared by all its callers. A node with one callee on those paths shares that
 callee's list under a longer head, and a start joins its callees' lists
 straight into the printed cell, so the work is bounded by the printed text.
-A row keeps that one text, which the table prints as it is; it is split into
-paths, and a `PathRecord` made, only when a row's path is read. More than
+A row keeps that one text, which the table prints as it is; only reading a
+row's `paths` splits it into `PathRecord`s. More than
 `MAX_PATH_NODES` path nodes in an exception table abort it with E016 before
 any is listed. `TABLES` maps each `ucm table` kind to its builder, for the
 CLI and the report script alike.
@@ -21,9 +21,8 @@ CLI and the report script alike.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .diagnostics import Diagnostic
 from .export import SummaryTable
@@ -113,7 +112,7 @@ class InvocationGraph:
 
 class PathRecord(str):
     """A simple path through the invocation graph as its printed text, use-case
-    names joined by `` -> ``, made when a `PathList` item is read. Names are
+    names joined by `` -> ``, made when a row's `paths` is read. Names are
     identifiers, so the text and `use_cases` determine each other."""
 
     __slots__ = ()
@@ -123,37 +122,10 @@ class PathRecord(str):
         return tuple(self.split(" -> "))
 
 
-class PathList(Sequence):
-    """The paths of an exception row as one `text`, the path texts joined by
-    ``; ``, which is the table's Paths cell as printed. A read-only sequence
-    that yields a `PathRecord` for each item read, and compares and prints
-    like the list of those records. Names are identifiers, so no path holds
-    ``; ``: the length counts separators, and `texts` splits the text once,
-    when an item is first read."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-    @cached_property
-    def texts(self) -> list[str]:
-        return self.text.split("; ") if self.text else []
-
-    def __len__(self) -> int:
-        return self.text.count("; ") + 1 if self.text else 0
-
-    def __getitem__(self, index: int | slice) -> PathRecord | list[PathRecord]:
-        if isinstance(index, slice):
-            return [PathRecord(text) for text in self.texts[index]]
-        return PathRecord(self.texts[index])
-
-    def __iter__(self) -> Iterator[PathRecord]:
-        return map(PathRecord, self.texts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sequence) and not isinstance(other, str) and self.texts == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+def _records(text: str) -> list[PathRecord]:
+    """The paths of a printed Paths cell, whose path texts are joined by
+    ``; ``. Names are identifiers, so no path holds ``; ``."""
+    return [PathRecord(path) for path in text.split("; ")] if text else []
 
 
 class AnalysisError(Exception):
@@ -288,7 +260,7 @@ def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
     InvocationCycleError (E015) on cyclic graphs."""
     if target not in graph.nodes:
         raise ValueError(f"unknown use case '{target}'")
-    return list(PathList(_paths_between(graph, set(graph.roots), path_counts(graph), target)))
+    return _records(_paths_between(graph, set(graph.roots), path_counts(graph), target))
 
 
 # -- exception summary ------------------------------------------------------
@@ -302,14 +274,19 @@ class ExceptionSummaryRow:
     handlers: list[str]
     situations: list[str]
     participating_actors: list[str]
-    paths: PathList
+    paths_text: str  # the Paths cell as printed
+
+    @property
+    def paths(self) -> list[PathRecord]:
+        """A new list of the row's paths, split from `paths_text`."""
+        return _records(self.paths_text)
 
 
 def _exception_row(
     resolved: ResolvedModel,
     exc: ExceptionDef,
     sites: list[RaiseSite],
-    paths: PathList,
+    paths_text: str,
     block_actors: dict[int, dict[str, None]],
 ) -> ExceptionSummaryRow:
     """The row of a global exception's raise sites, or of one site of
@@ -341,7 +318,7 @@ def _exception_row(
         list(resolved.handlers_by_exception.get(exc.qualified_name, ())),
         list(situations),
         list(actors),
-        paths,
+        paths_text,
     )
 
 
@@ -367,20 +344,20 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
     starts = set(graph.roots) if view is None else {view}
     counts, sizes = _path_totals(graph, starts)
     printed = 0  # path nodes of the rows so far
-    listed: dict[str, PathList] = {}  # paths per source use case, shared by its rows
+    listed: dict[str, str] = {}  # paths text per source use case, shared by its rows
     block_actors: dict[int, dict[str, None]] = {}
     rows = []
     for exc in resolved.model.exceptions:
         exc_sites = resolved.sites_by_exception.get(exc.qualified_name, [])
         if exc.is_global:
             if exc_sites:
-                rows.append(_exception_row(resolved, exc, exc_sites, PathList(""), block_actors))
+                rows.append(_exception_row(resolved, exc, exc_sites, "", block_actors))
             continue
         for site in exc_sites:
             source = site.use_case.name
             if reach is not None and source not in reach:
                 continue
-            paths = PathList("")
+            paths = ""
             if not site.use_case.is_handler and source in graph.callees:
                 printed += sizes[source]
                 if printed > MAX_PATH_NODES:
@@ -391,7 +368,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
                         site.step.span,
                     ))
                 if source not in listed:
-                    listed[source] = PathList(_paths_between(graph, starts, counts, source))
+                    listed[source] = _paths_between(graph, starts, counts, source)
                 paths = listed[source]
             rows.append(_exception_row(resolved, exc, [site], paths, block_actors))
     return rows
@@ -470,11 +447,12 @@ def mode_switch_table(resolved: ResolvedModel) -> list[ModeSwitchRow]:
     default_mode = resolved.model.default_mode()
     default = default_mode.name if default_mode else ""
     rows: list[ModeSwitchRow] = []
-    entered: dict[str, set[str]] = {}  # exception -> modes its raising blocks switch into
+    entered: dict[str, set[str]] = {}  # exception -> up to two modes its raising blocks switch into
     for site in resolved.raise_sites():
         switch = site.block and (site.block.entry_switch or site.block.exit_switch)
-        if switch is not None:
-            entered.setdefault(site.exception.qualified_name, set()).add(switch.mode)
+        modes = entered.setdefault(site.exception.qualified_name, set())
+        if switch is not None and len(modes) < 2:  # a second mode already means the default
+            modes.add(switch.mode)
 
     for uc in resolved.model.use_cases:
         if uc.main is not None:
@@ -524,7 +502,7 @@ def exception_table(rows: list[ExceptionSummaryRow]) -> SummaryTable:
                 ", ".join(row.handlers),
                 "; ".join(row.situations),
                 ", ".join(row.participating_actors),
-                row.paths.text,
+                row.paths_text,
             ]
         )
     return SummaryTable(columns, cells)

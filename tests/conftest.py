@@ -238,6 +238,33 @@ def wide_block_source(n: int) -> str:
     )
 
 
+def raising_in_mode_source(name: str, mode: str) -> str:
+    """Use case `name` whose exceptional block 1a switches to `mode` and
+    raises SoftwareException::X."""
+    return (
+        f'usecase {name} {{\n  main {{\n    1. internal "go"\n    outcome success\n  }}\n'
+        f"  extensions {{\n    block 1a exceptional {{\n      mode switch: {mode}\n"
+        "      1a1. raise SoftwareException::X\n      outcome failure\n    }\n  }\n}\n"
+    )
+
+
+def mode_fan_source(n: int) -> str:
+    """Modes Normal (the default) and M0..M(n-1); `n` use cases U0..U(n-1),
+    each with an exceptional block 1a that switches to its own mode Mi and
+    raises SoftwareException::X; and `n` handlers H0..H(n-1), Hi with the
+    context `Ui on SoftwareException::X`, each switching to Normal at its end."""
+    modes = "".join(f"  degraded M{i}\n" for i in range(n))
+    parts = [f"model ModeFan\nmodes {{\n  default normal Normal\n{modes}}}\n"
+             "exceptions { exception SoftwareException::X }\n"]
+    parts += [raising_in_mode_source(f"U{i}", f"M{i}") for i in range(n)]
+    for i in range(n):
+        parts.append(
+            f"handler H{i} {{\n  contexts: U{i} on SoftwareException::X interrupt-fail\n"
+            '  main {\n    1. internal "recover"\n    mode switch: Normal\n    outcome success\n  }\n}\n'
+        )
+    return "".join(parts)
+
+
 def growth(run, small, large) -> float:
     """How many times longer `run(large)` takes than `run(small)`, each the
     best of 3 runs, so that one slow run on a busy machine does not count.

@@ -177,6 +177,77 @@ def reference_mode_switch_table(resolved: ResolvedModel) -> list[tuple[str, str,
     return rows
 
 
+def reference_exception_details(resolved: ResolvedModel) -> list[tuple[str, str, list[str], list[str]]]:
+    """(exception, source use case, situations, participating actors) of
+    every global-view exception row, in table order. Raise steps are
+    collected by a recursive walk of each use case, its main steps first,
+    then its blocks, a block's own steps before its nested blocks. A row's
+    situations are the distinct guards of its raising blocks, and its actors
+    the distinct non-System endpoints of the interactions in those blocks'
+    steps and in the steps each block hangs off, in order of first
+    appearance. The steps a block hangs off are found by comparing its label,
+    less the final letter, with the label texts of its parent sequence,
+    first occurrence per label: one step, or for an anchor ``lo-hi`` whose
+    ends both exist, every step numbered lo to hi."""
+    sites: list[tuple[str, str, ExtensionBlock | None, list[Step]]] = []  # with the steps scanned for actors
+
+    def hangs_off(block: ExtensionBlock, parent: list[Step]) -> list[Step]:
+        text = block.label.text
+        if not text[-1].isalpha():
+            return []
+        anchor = text[:-1]
+        first: dict[str, Step] = {}
+        for step in parent:
+            first.setdefault(step.label.text, step)
+        lo, dash, hi = anchor.partition("-")
+        if dash and lo.isdigit() and hi.isdigit():
+            if lo not in first or hi not in first:
+                return []
+            return [first[str(k)] for k in range(int(lo), int(hi) + 1) if str(k) in first]
+        return [first[anchor]] if anchor in first else []
+
+    def visit(uc: UseCase, block: ExtensionBlock, parent: list[Step]) -> None:
+        steps = [item for item in block.body if isinstance(item, Step)]
+        scanned = steps + hangs_off(block, parent)
+        for step in steps:
+            if isinstance(step.payload, ExceptionRef):
+                sites.append((step.payload.qualified_name, uc.name, block, scanned))
+        for item in block.body:
+            if isinstance(item, ExtensionBlock):
+                visit(uc, item, steps)
+
+    for uc in resolved.model.use_cases:
+        main = uc.main.steps if uc.main is not None else []
+        for step in main:
+            if isinstance(step.payload, ExceptionRef):
+                sites.append((step.payload.qualified_name, uc.name, None, []))
+        for block in uc.extensions:
+            visit(uc, block, main)
+
+    def details(found: list[tuple[str, str, ExtensionBlock | None, list[Step]]]) -> tuple[list[str], list[str]]:
+        situations: list[str] = []
+        actors: list[str] = []
+        for _, _, block, scanned in found:
+            if block is not None and block.guard and block.guard not in situations:
+                situations.append(block.guard)
+            for step in scanned:
+                if isinstance(step.payload, Interaction):
+                    for actor in (step.payload.source, step.payload.target):
+                        if actor != "System" and actor not in actors:
+                            actors.append(actor)
+        return situations, actors
+
+    rows = []
+    for exc in resolved.model.exceptions:
+        found = [site for site in sites if site[0] == exc.qualified_name]
+        if exc.is_global:
+            if found:
+                rows.append((exc.qualified_name, "(global)", *details(found)))
+        else:
+            rows += [(exc.qualified_name, site[1], *details([site])) for site in found]
+    return rows
+
+
 def position_at(source: str, offset: int) -> tuple[int, int]:
     """(line, column), both 1-based, for an offset into LF-normalized text,
     counted from scratch. Offsets at or past the end of the text land one

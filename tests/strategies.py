@@ -77,9 +77,12 @@ def use_case_source(draw, name: str, is_handler: bool, uc_names: list[str], exce
     lines.append(f"    outcome {draw(st.sampled_from(('success', 'failure', 'degraded', 'abandoned')))}")
     lines.append("  }")
     if draw(st.booleans()):
-        anchor = draw(st.integers(min_value=1, max_value=n_steps))
+        lo = draw(st.integers(min_value=1, max_value=n_steps))
+        anchor = str(lo)
+        if draw(st.booleans()):  # a ranged anchor `lo-hi`
+            anchor += f"-{draw(st.integers(min_value=lo, max_value=n_steps))}"
         lines.append("  extensions {")
-        lines.extend(draw(block_lines(str(anchor), 2, uc_names, exceptions, modes, "    ")))
+        lines.extend(draw(block_lines(anchor, 2, uc_names, exceptions, modes, "    ")))
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines)

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -13,11 +13,18 @@ from conftest import (
     diamond_chain_source,
     fan_source,
     growth,
+    mode_fan_source,
     pipeline,
+    raising_in_mode_source,
     wide_block_source,
     wide_handler_source,
 )
-from oracles import brute_force_paths, declared_order_cycle, reference_mode_switch_table
+from oracles import (
+    brute_force_paths,
+    declared_order_cycle,
+    reference_exception_details,
+    reference_mode_switch_table,
+)
 from strategies import invocation_model_source, model_source
 from ucm import analysis
 from ucm.analysis import (
@@ -25,7 +32,6 @@ from ucm.analysis import (
     GLOBAL_SOURCE,
     InvocationCycleError,
     InvocationGraph,
-    PathList,
     PathRecord,
     build_invocation_graph,
     ensure_acyclic,
@@ -309,10 +315,10 @@ def test_paths_are_listed_once_per_source_use_case(smartstore_resolved, monkeypa
     by_source = {}
     for row in rows:
         if not row.is_global:
-            assert by_source.setdefault(row.source_use_case, row.paths) is row.paths
+            assert by_source.setdefault(row.source_use_case, row.paths_text) is row.paths_text
 
 
-def assert_behaves_like(paths: PathList, expected: list[PathRecord]) -> None:
+def assert_behaves_like(paths: list[PathRecord], expected: list[PathRecord]) -> None:
     """`paths` reads, compares and prints as the list `expected` does."""
     n = len(expected)
     assert len(paths) == n and bool(paths) is bool(expected)
@@ -328,8 +334,6 @@ def assert_behaves_like(paths: PathList, expected: list[PathRecord]) -> None:
     assert paths != expected + ["Nowhere"]
     if n:
         assert paths != expected[:-1] and paths != expected[:-1] + ["Nowhere"]
-    twin = PathList("; ".join(expected))
-    assert paths == twin and not paths != twin and twin == paths
     assert repr(paths) == repr(expected)
 
 
@@ -464,9 +468,51 @@ def test_view_row_reached_only_through_a_handler_lists_no_paths():
     resolved, _ = pipeline(HANDLER_BETWEEN)
     (row,) = exception_summary(resolved, "V")
     assert (row.exception, row.source_use_case, row.handlers) == ("SoftwareException::X", "U", ["H"])
-    assert row.paths == [] and row.paths.text == ""
+    assert row.paths == [] and row.paths_text == ""
     (row,) = exception_summary(resolved)
     assert row.source_use_case == "U" and row.paths == ["U"]
+
+
+RANGED_ANCHOR = """model Ranged
+modes { default normal Normal }
+exceptions { exception SoftwareException::X }
+usecase U {
+  main {
+    1. P -> System : "a"
+    2. System -> Q : "b"
+    3. Dev -> System : "c"
+    outcome success
+  }
+  extensions {
+    block 1-3a exceptional when "late" {
+      1-3a1. raise SoftwareException::X
+      outcome failure
+    }
+    block 2-3b alternative {
+      2-3b1. P -> System : "d"
+      block 2-3b1a alternative {
+        2-3b1a1. raise SoftwareException::X
+        outcome failure
+      }
+      outcome success
+    }
+  }
+}
+"""
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=model_source())
+@example(source=RANGED_ANCHOR)
+def test_situations_and_actors_match_the_block_scan_oracle_on_generated_models(source):
+    """Single and ranged block anchors alike, nested blocks included."""
+    resolved, _ = pipeline(source)
+    try:
+        rows = exception_summary(resolved)
+    except InvocationCycleError:  # E015: there is no table
+        return
+    details = [(r.exception, r.source_use_case, r.situations, r.participating_actors) for r in rows]
+    assert details == reference_exception_details(resolved)
 
 
 def test_view_on_unknown_or_handler_name_rejected(smartstore_resolved):
@@ -743,6 +789,42 @@ def test_mode_switch_table_matches_the_recursive_oracle_on_the_corpora(smartstor
 def test_mode_switch_table_matches_the_recursive_oracle_on_generated_models(source):
     resolved, _ = pipeline(source)
     assert switch_rows(resolved) == reference_mode_switch_table(resolved)
+
+
+def entry_mode_source(modes: list[str]) -> str:
+    """Use cases U0, U1, ..., each raising SoftwareException::X in a block
+    that switches to its entry of `modes`, and handler H of `U0 on
+    SoftwareException::X` that switches to Safe at its end."""
+    declared = "".join(f"  degraded {mode}\n" for mode in sorted(set(modes)))
+    parts = [f"model Entry\nmodes {{\n  default normal Normal\n  restricted Safe\n{declared}}}\n"
+             "exceptions { exception SoftwareException::X }\n"]
+    parts += [raising_in_mode_source(f"U{i}", mode) for i, mode in enumerate(modes)]
+    parts.append(
+        "handler H {\n  contexts: U0 on SoftwareException::X interrupt-fail\n"
+        '  main {\n    1. internal "recover"\n    mode switch: Safe\n    outcome success\n  }\n}\n'
+    )
+    return "".join(parts)
+
+
+@pytest.mark.parametrize(
+    "modes, start",
+    [(["M1", "M2"], "Normal"), (["M1", "M2", "M3"], "Normal"), (["M1", "M1"], "M1")],
+)
+def test_handler_starts_in_the_one_mode_its_exception_enters(modes, start):
+    """Two or more distinct modes entered by the exception's raising blocks
+    leave the handler in the default mode; one mode, however many blocks
+    enter it, is the handler's start."""
+    resolved, _ = pipeline(entry_mode_source(modes))
+    assert switch_rows(resolved)[-1] == ("H", "main-end", start, "Safe")
+    assert switch_rows(resolved) == reference_mode_switch_table(resolved)
+
+
+def test_mode_fan_table_in_linear_time():
+    resolved = {n: pipeline(mode_fan_source(n))[0] for n in (250, 2000)}
+    assert switch_rows(resolved[250]) == reference_mode_switch_table(resolved[250])
+    # 8x the handlers of one exception entering 8x the modes: about 8x the
+    # time; collecting every entered mode per handler context gives 64x.
+    assert growth(lambda n: mode_switch_table(resolved[n]), 250, 2000) < 20
 
 
 def test_firealarm_reconnect_rows(firealarm_resolved):
