@@ -358,7 +358,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
             if reach is not None and source not in reach:
                 continue
             paths = ""
-            if not site.use_case.is_handler and source in graph.callees:
+            if not site.use_case.is_handler:
                 printed += sizes[source]
                 if printed > MAX_PATH_NODES:
                     raise AnalysisError(Diagnostic(

@@ -1,7 +1,7 @@
 """Command-line driver: check, table, and export subcommands.
 
-Every command starts from `load`, which reads, parses and resolves a model,
-and scripts/generate_reports.py calls it too, as it reads `analysis.TABLES`
+`main` calls `load` once for every command, to read, parse and resolve the
+model; scripts/generate_reports.py calls it too, as it reads `analysis.TABLES`
 and `export.EXPORTS`, the builders of each table kind and export target.
 Diagnostics go to stderr, requested artifacts to stdout, so output can be
 piped. Exit codes: 0 success, 1 model errors (or warnings under --strict),
@@ -98,11 +98,7 @@ def _write_artifact(text: str, output: str | None) -> bool:
     return True
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    loaded = load(args.file)
-    if loaded is None:
-        return USAGE_ERROR
-    source, resolved, diags = loaded
+def _cmd_check(args: argparse.Namespace, source: str, resolved: ResolvedModel | None, diags: list[Diagnostic]) -> int:
     if resolved is not None:
         diags = sort_diagnostics(diags + validate(resolved))
     if args.format == "json":
@@ -117,14 +113,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    if args.usecase is not None and args.kind != "exceptions":
-        print("ucm: --usecase applies only to 'table exceptions'", file=sys.stderr)
-        return USAGE_ERROR
-    loaded = load(args.file)
-    if loaded is None:
-        return USAGE_ERROR
-    source, resolved, diags = loaded
+def _cmd_table(args: argparse.Namespace, source: str, resolved: ResolvedModel | None, diags: list[Diagnostic]) -> int:
     if resolved is None or has_errors(diags):
         _print_diagnostics(diags, source)
         return MODEL_ERRORS
@@ -140,13 +129,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: argparse.Namespace, source: str, resolved: ResolvedModel | None, diags: list[Diagnostic]) -> int:
     # Exporters are total over any resolved model, so unlike `table` this
     # only requires a successful parse; resolution diagnostics still print.
-    loaded = load(args.file)
-    if loaded is None:
-        return USAGE_ERROR
-    source, resolved, diags = loaded
     _print_diagnostics(diags, source)
     if resolved is None:
         return MODEL_ERRORS
@@ -158,9 +143,13 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exit_err:
         return exit_err.code if isinstance(exit_err.code, int) else USAGE_ERROR
+    if args.command == "table" and args.usecase is not None and args.kind != "exceptions":
+        print("ucm: --usecase applies only to 'table exceptions'", file=sys.stderr)
+        return USAGE_ERROR
     command = {"check": _cmd_check, "table": _cmd_table}.get(args.command, _cmd_export)
     try:
-        code = command(args)
+        loaded = load(args.file)
+        code = USAGE_ERROR if loaded is None else command(args, *loaded)
         sys.stdout.flush()
         sys.stderr.flush()
     except BrokenPipeError:

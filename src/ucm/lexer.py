@@ -40,11 +40,14 @@ class Token(NamedTuple):
     end: int
 
 
-class LexError(Exception):
-    def __init__(self, message: str, span: SourceSpan):
+class ParseError(Exception):
+    """A syntax error from the lexer or the parser; `parse` reports it as E000."""
+
+    def __init__(self, message: str, span: SourceSpan, expected: list[str] | None = None):
         super().__init__(message)
         self.message = message
         self.span = span
+        self.expected = expected or []
 
 
 # Identifiers may contain single hyphens between word parts so multi-word
@@ -97,8 +100,9 @@ def normalize(source: str) -> str:
 
 
 def tokenize(source: str, file: str) -> list[Token]:
-    """Lex LF-normalized source; raises LexError at the first offset that no
-    token, whitespace or comment matches."""
+    """Lex LF-normalized source. At the first offset that no token, whitespace
+    or comment matches, raises ParseError, the parser's syntax error too, with
+    no expected words: only the parser names what it expected."""
     tokens: list[Token] = []
     append = tokens.append
     match = _TOKEN_RE.match
@@ -113,8 +117,8 @@ def tokenize(source: str, file: str) -> list[Token]:
         loose = _LOOSE_STRING_RE.match(source, pos)
         if loose and (found := non_string_char(loose[0])):
             offset, message = found
-            raise LexError(message, SourceSpan(file, pos + offset, pos + offset + 1))
-        raise LexError(f"unrecognized character {source[pos]!r}", SourceSpan(file, pos, pos + 1))
+            raise ParseError(message, SourceSpan(file, pos + offset, pos + offset + 1))
+        raise ParseError(f"unrecognized character {source[pos]!r}", SourceSpan(file, pos, pos + 1))
     append(Token(TokenKind.EOF, "", pos, pos))
     return tokens
 

@@ -1,12 +1,13 @@
 """Recursive-descent parser building the spanned AST from `.ucm` text.
 
-Parsing is all-or-nothing: any grammar violation yields an E000 diagnostic
-and no tree. The grammar is deliberately lenient in two places so that later
-phases can produce better diagnostics than a bare syntax error: use-case
-clauses may be absent (missing ones become E001) and actor references accept
-any or no category keyword (checked as E005). One rule, `parse_section`,
-reads each `keyword { word … }` section (exceptions, services, extensions);
-`modes { … }` keeps its own loop, as its items run up to `}`.
+Parsing is all-or-nothing: the lexer and the parser raise one `ParseError` at
+the first syntax error, and `parse` turns it into E000 and returns no tree.
+The grammar is deliberately lenient in two places so that later phases can
+produce better diagnostics than a bare syntax error: use-case clauses may be
+absent (missing ones become E001) and actor references accept any or no
+category keyword (checked as E005). One rule, `parse_section`, reads each
+`keyword { word … }` section (exceptions, services, extensions); `modes { … }`
+keeps its own loop, as its items run up to `}`.
 
 Every fixed token, keyword or symbol, is tested by its text alone
 (`expect(text)`, `current.text == word`, or membership in a keyword table).
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Collection, TypeVar
 
 from .diagnostics import Diagnostic
-from .lexer import LexError, Token, TokenKind, normalize, string_value, tokenize
+from .lexer import ParseError, Token, TokenKind, normalize, string_value, tokenize
 from .model import (
     ActorRef,
     BlockKind,
@@ -59,14 +60,6 @@ from .model import (
     too_many_digits,
 )
 from .spans import SourceSpan
-
-
-class ParseError(Exception):
-    def __init__(self, message: str, span: SourceSpan, expected: list[str] | None = None):
-        super().__init__(message)
-        self.message = message
-        self.span = span
-        self.expected = expected or []
 
 
 _MODE_KINDS = {k.value: k for k in ModeKind}
@@ -437,8 +430,6 @@ def parse(source: str, file: str | Path = "<string>") -> tuple[Model | None, lis
     try:
         tokens = tokenize(text, file)
         model = _Parser(tokens, file).parse_model()
-    except LexError as err:
-        return None, [Diagnostic("E000", err.message, err.span)]
     except ParseError as err:
         return None, [Diagnostic("E000", err.message, err.span, suggestions=err.expected)]
     return model, []

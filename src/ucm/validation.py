@@ -173,8 +173,8 @@ def _check_model_rules(resolved: ResolvedModel, diags: list[Diagnostic]) -> None
       context use case nor anywhere reachable from it (global exceptions
       may interrupt any use case and are exempt)
     - W002: a header exception that is never raised
-    - W003: a declared non-default mode that no mode switch targets, read
-      from the resolver's bindings, where only mode switches bind to a mode
+    - W003: a mode that is neither marked default, nor the start mode
+      (`default_mode`), nor the target of a mode switch (a resolver binding)
     """
     sites = resolved.sites_by_exception
     for site in resolved.raise_sites():
@@ -210,6 +210,7 @@ def _check_model_rules(resolved: ResolvedModel, diags: list[Diagnostic]) -> None
             diags.append(Diagnostic("W002", message, exc.span))
 
     targeted = {target.name for target in resolved.bindings.values() if isinstance(target, ModeDecl)}
+    start = resolved.model.default_mode()
     for mode in resolved.model.modes:
-        if not mode.is_default and mode.name not in targeted:
+        if not mode.is_default and mode is not start and mode.name not in targeted:
             diags.append(Diagnostic("W003", f"mode '{mode.name}' is declared but never switched to", mode.span))

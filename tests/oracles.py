@@ -17,7 +17,7 @@ import io
 import re
 import xml.etree.ElementTree as ET
 
-from ucm.lexer import LexError, TokenKind
+from ucm.lexer import ParseError, TokenKind
 from ucm.model import (
     CATEGORY_KEYWORD,
     MAX_DIGITS,
@@ -290,7 +290,7 @@ def reference_tokenize(source: str, file: str) -> list[tuple[TokenKind, str, int
     """(kind, text, start, end) of every token of LF-normalized source, EOF
     last. First pass: `finditer` over whitespace, comments and tokens, one
     group each, stopping where it skips text. Second pass: drop whitespace and
-    comments. Raises LexError at the first character a string may not hold
+    comments. Raises ParseError at the first character a string may not hold
     (below U+0020 but TAB, U+FFFE, U+FFFF), else at the first offset nothing
     matches."""
     matches = []
@@ -305,9 +305,9 @@ def reference_tokenize(source: str, file: str) -> list[tuple[TokenKind, str, int
             for offset, char in enumerate(m.group(), m.start()):
                 if (char < " " and char != "\t") or char in "\ufffe\uffff":
                     kind = "control character" if char < " " else "noncharacter"
-                    raise LexError(f"string holds {kind} U+{ord(char):04X}", SourceSpan(file, offset, offset + 1))
+                    raise ParseError(f"string holds {kind} U+{ord(char):04X}", SourceSpan(file, offset, offset + 1))
     if pos < len(source):
-        raise LexError(f"unrecognized character {source[pos]!r}", SourceSpan(file, pos, pos + 1))
+        raise ParseError(f"unrecognized character {source[pos]!r}", SourceSpan(file, pos, pos + 1))
     tokens = []
     for m in matches:
         group = m.lastgroup

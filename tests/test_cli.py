@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, REPO_ROOT, chain_source, diamond_chain_source, nested_blocks_source, report_script
 from strategies import model_source
 from test_diagnostics import CYCLIC, MULTI_DEFECT
-from ucm.cli import main
+from ucm.cli import load, main
 from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS
 from ucm.parser import parse
 
@@ -141,6 +141,23 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["check", "missing.ucm"]) == 2
     assert "missing.ucm" in capsys.readouterr().err
     assert main(["export", "json", "missing.ucm"]) == 2
+
+
+def test_usecase_on_another_table_is_rejected_before_the_file_is_read(capsys):
+    assert main(["table", "handlers", "--usecase", "X", "missing.ucm"]) == 2
+    assert capsys.readouterr() == ("", "ucm: --usecase applies only to 'table exceptions'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", SMARTSTORE], ["table", "exceptions", SMARTSTORE], ["export", "json", SMARTSTORE]],
+    ids=["check", "table", "export"],
+)
+def test_every_command_loads_its_model_once(argv, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("ucm.cli.load", lambda path: calls.append(path) or load(path))
+    assert main(argv) == 0
+    assert calls == [SMARTSTORE]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import position_at, reference_tokenize
 from strategies import model_source
-from ucm.lexer import LexError, Token, TokenKind, normalize, string_value, tokenize
+from ucm.lexer import ParseError, Token, TokenKind, normalize, string_value, tokenize
 from ucm.parser import parse
 from ucm.spans import LineIndex
 
@@ -51,7 +51,7 @@ def test_line_index_equals_position_at(text):
 
 def test_lex_error_on_third_line_reports_its_position():
     text = "model M\n\n  modes $ {\n"
-    with pytest.raises(LexError) as err:
+    with pytest.raises(ParseError) as err:
         tokenize(text, "t.ucm")
     span = err.value.span
     assert (span.start, span.end) == (text.index("$"), text.index("$") + 1)
@@ -63,7 +63,7 @@ def test_lex_error_on_third_line_reports_its_position():
     [("$", 0), ("model M $", 8), ("model M\n@@ x", 8), ('model M "open', 8), ("model M\n  ~", 10)],
 )
 def test_lex_error_is_at_the_first_unmatched_offset(text, offset):
-    with pytest.raises(LexError) as err:
+    with pytest.raises(ParseError) as err:
         tokenize(text, "t.ucm")
     assert err.value.span.start == offset
     assert err.value.message == f"unrecognized character {text[offset]!r}"
@@ -94,10 +94,10 @@ def test_multi_line_whitespace_run_sets_column_from_last_newline():
 
 
 def lex_outcome(lex, text: str):
-    """The tokens, or the LexError's message and span."""
+    """The tokens, or the ParseError's message and span."""
     try:
         return [tuple(tok) for tok in lex(text, "t.ucm")]
-    except LexError as err:
+    except ParseError as err:
         return err.message, err.span
 
 

@@ -238,6 +238,17 @@ def test_unterminated_string_is_a_syntax_error():
     assert diags[0].code == "E000"
 
 
+def test_only_a_parser_e000_lists_the_words_it_expected():
+    """The lexer and the parser raise one syntax-error type; the lexer's
+    names no expected words, so its E000 has no suggestions."""
+    _, lexed = parse(MINIMAL + " usecase A { scope: ? }")
+    assert [(d.code, d.message, d.suggestions) for d in lexed] == [("E000", "unrecognized character '?'", [])]
+    _, parsed = parse(MINIMAL + ' usecase A { main { 1. internal "x" outcome maybe } }')
+    assert [(d.code, d.suggestions) for d in parsed] == [
+        ("E000", ["'success'", "'failure'", "'degraded'", "'abandoned'", "'continue'"])
+    ]
+
+
 def _child_spans(node):
     if isinstance(node, Model):
         yield from node.modes

@@ -15,6 +15,7 @@ from conftest import CORPUS, REPO_ROOT, growth, hub_source, pipeline, wide_handl
 from oracles import unreached_handler_contexts
 from strategies import model_source
 from ucm.analysis import InvocationCycleError, build_invocation_graph, enumerate_paths
+from ucm.cli import main
 from ucm.export import export_json, import_json
 from ucm.model import UseCase
 from ucm.parser import parse, parse_file
@@ -524,6 +525,35 @@ def test_e007_satisfied_through_invocation_chain():
     assert import_diags == []
     again, resolve_diags = resolve(back)
     assert resolve_diags + validate(again) == []
+
+
+_NO_DEFAULT_MODE = BASE_HEADER.replace("modes { default normal Normal }", "modes { normal Normal  degraded Low }")
+_SWITCH_IN_A_BLOCK = """  extensions {
+    block 1a alternative when "power drops" {
+      mode switch: Low
+      1a1. internal "save"
+      outcome success
+    }
+  }
+"""
+
+
+def test_the_start_mode_of_a_model_without_a_default_mode_is_exempt_from_w003(tmp_path, capsys):
+    """Without a mode marked `default` a model starts in its first mode, as
+    the mode table shows, so that mode needs no switch to it; a later mode
+    that nothing switches to is still W003."""
+    source = _NO_DEFAULT_MODE + uc("A", '    1. internal "x"\n    outcome success', extensions=_SWITCH_IN_A_BLOCK)
+    assert pipeline(source)[1] == []
+    path = tmp_path / "m.ucm"
+    path.write_text(source, encoding="utf-8")
+    assert main(["check", "--strict", str(path)]) == 0
+    assert main(["table", "modes", str(path)]) == 0
+    assert "| A | block 1a-begin | Normal | Low |" in capsys.readouterr().out
+
+    unswitched = source.replace("      mode switch: Low\n", "")
+    assert [(d.code, d.message) for d in pipeline(unswitched)[1]] == [
+        ("W003", "mode 'Low' is declared but never switched to")
+    ]
 
 
 def test_corpora_are_diagnostic_free(smartstore, firealarm):
