@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -28,17 +29,25 @@ from ucm.validation import validate  # noqa: E402
 REPORTS = {"exceptions": "exceptions", "handlers": "handlers", "modes": "mode-switches", "services": "mode-services"}
 
 
-def write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+def write(path: Path, text: str) -> bool:
+    """Write `text` to `path`, making its directory; a failure is reported
+    in the words of `ucm export -o` and returns False."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as err:
+        print(f"ucm: cannot write '{path}': {err.strerror or err}", file=sys.stderr)
+        return False
     print(f"wrote {path}")
+    return True
 
 
 def generate(corpus_file: Path, out_dir: Path) -> int:
     """Write every artifact of one model; print each problem as
     `file:LINE: CODE message`, in the order of `ucm check`, and write
-    nothing when any is an error."""
+    nothing when any is an error. Stop at the first artifact that cannot
+    be written; either way the model's status is 1."""
     loaded = load(corpus_file)
     if loaded is None:
         return 1
@@ -59,12 +68,11 @@ def generate(corpus_file: Path, out_dir: Path) -> int:
         return 1
 
     stem = out_dir / corpus_file.stem
-    for name, table in tables.items():
-        write(stem / f"{name}.md", render_table(table, "md"))
-        write(stem / f"{name}.csv", render_table(table, "csv"))
-    for target, export in EXPORTS.items():
-        write(stem / f"model.{target}", export(resolved))
-    return 0
+    table_files = (
+        (f"{name}.{fmt}", render_table(table, fmt)) for name, table in tables.items() for fmt in ("md", "csv")
+    )
+    export_files = ((f"model.{target}", export(resolved)) for target, export in EXPORTS.items())
+    return 0 if all(write(stem / name, text) for name, text in chain(table_files, export_files)) else 1
 
 
 def main() -> int:

@@ -466,8 +466,9 @@ def _check(node, where: str) -> None:
 
 
 # An XMI element: its tag and attribute names with their namespace prefixes
-# written in, its attributes in document order, and its children.
-_Element = tuple[str, dict[str, str], list]
+# written in, its attributes in document order, None for a value the model
+# lacks (`_write_element` writes no such attribute), and its children.
+_Element = tuple[str, dict[str, str | None], list]
 
 
 def export_xmi(resolved: ResolvedModel) -> str:
@@ -490,12 +491,13 @@ def export_xmi(resolved: ResolvedModel) -> str:
         ("mode", model.modes), ("exception", model.exceptions), ("service", model.services), ("usecase", model.use_cases)
     ):
         ids.update((id(node), f"{prefix}_{i}") for i, node in enumerate(nodes, 1))
-    actor_ids: dict[tuple[str, str], str] = {}
+    # Each actor by its qualified name, numbered in order of first reference.
+    actors = {ref.qualified_name: ref for uc in model.use_cases for ref in uc.all_actors()}
+    actor_ids = {name: f"actor_{i}" for i, name in enumerate(actors, 1)}
 
-    def set_refs(attrs: dict, name: str, *nodes: object | None) -> None:
-        """Set `name` to the xmi:ids of `nodes`, skipping None (unbound)."""
-        if refs := [ids[id(node)] for node in nodes if node is not None]:
-            attrs[name] = " ".join(refs)
+    def refs(*nodes: object | None) -> str | None:
+        """The xmi:ids of `nodes`, skipping None (unbound); None if all are."""
+        return " ".join([ids[id(node)] for node in nodes if node is not None]) or None
 
     for mode in model.modes:
         attrs = {
@@ -503,8 +505,8 @@ def export_xmi(resolved: ResolvedModel) -> str:
             "name": mode.name,
             "kind": mode.kind.value,
             "default": "true" if mode.is_default else "false",
+            "offers": refs(*map(resolved.service_by_name.get, mode.offered_services)),
         }
-        set_refs(attrs, "offers", *map(resolved.service_by_name.get, mode.offered_services))
         elements.append(("ucm:Mode", attrs, []))
 
     for exc in model.exceptions:
@@ -517,19 +519,11 @@ def export_xmi(resolved: ResolvedModel) -> str:
         elements.append(("ucm:Exception", attrs, []))
 
     for svc in model.services:
-        attrs = {"xmi:id": ids[id(svc)], "name": svc.name}
-        set_refs(attrs, "provides", *map(resolved.use_case_by_name.get, svc.goals))
-        elements.append(("ucm:Service", attrs, []))
+        provides = refs(*map(resolved.use_case_by_name.get, svc.goals))
+        elements.append(("ucm:Service", {"xmi:id": ids[id(svc)], "name": svc.name, "provides": provides}, []))
 
-    for uc in model.use_cases:
-        for ref in uc.all_actors():
-            key = (ref.category or "", ref.name)
-            if key not in actor_ids:
-                actor_ids[key] = f"actor_{len(actor_ids) + 1}"
-                attrs = {"xmi:id": actor_ids[key], "name": ref.name}
-                if ref.category:
-                    attrs["category"] = ref.category
-                elements.append(("ucm:Actor", attrs, []))
+    for name, ref in actors.items():
+        elements.append(("ucm:Actor", {"xmi:id": actor_ids[name], "name": ref.name, "category": ref.category or None}, []))
 
     step_ids, block_ids = count(1), count(1)
 
@@ -543,73 +537,57 @@ def export_xmi(resolved: ResolvedModel) -> str:
         if isinstance(payload, Interaction):
             attrs.update(source=payload.source, target=payload.target, message=payload.message)
         elif isinstance(payload, Invocation):
-            set_refs(attrs, "invokes", resolved.binding_for(step))
-            attrs["targetName"] = payload.target
+            attrs.update(invokes=refs(resolved.binding_for(step)), targetName=payload.target)
         elif isinstance(payload, Condition):
             attrs["text"] = payload.text
         elif isinstance(payload, Internal):
             attrs["description"] = payload.description
             if payload.timeout is not None:
-                attrs["timeoutAmount"] = _format_amount(payload.timeout.amount)
-                attrs["timeoutUnit"] = payload.timeout.unit
+                attrs.update(timeoutAmount=_format_amount(payload.timeout.amount), timeoutUnit=payload.timeout.unit)
         elif isinstance(payload, ControlFlow):
-            if payload.goto is not None:
-                attrs["goto"] = payload.goto.text
-            if payload.repeat_from is not None:
-                attrs["repeatFrom"] = payload.repeat_from.text
-            if payload.repeat_to is not None:
-                attrs["repeatTo"] = payload.repeat_to.text
+            goto, lo, hi = payload.goto, payload.repeat_from, payload.repeat_to
+            attrs.update(goto=goto and goto.text, repeatFrom=lo and lo.text, repeatTo=hi and hi.text)
         elif isinstance(payload, ExceptionRef):
-            set_refs(attrs, "raises", resolved.binding_for(payload))
-            attrs["exceptionName"] = payload.qualified_name
+            attrs.update(raises=refs(resolved.binding_for(payload)), exceptionName=payload.qualified_name)
         return ("ucm:Step", attrs, [])
 
     def _boundary_attrs(attrs: dict, owner: Scenario | ExtensionBlock) -> dict:
-        set_refs(attrs, "entryMode", resolved.binding_for(owner.entry_switch))
-        set_refs(attrs, "exitMode", resolved.binding_for(owner.exit_switch))
+        target = owner.outcome.continue_target
+        attrs["entryMode"] = refs(resolved.binding_for(owner.entry_switch))
+        attrs["exitMode"] = refs(resolved.binding_for(owner.exit_switch))
         attrs["outcome"] = owner.outcome.kind.value
-        if owner.outcome.continue_target is not None:
-            attrs["continueTarget"] = owner.outcome.continue_target.text
+        attrs["continueTarget"] = target and target.text
         return attrs
 
     for uc in model.use_cases:
-        tag = "Handler" if uc.is_handler else "UseCase"
-        attrs = {"xmi:id": ids[id(uc)], "name": uc.name}
-        if uc.level is not None:
-            attrs["level"] = uc.level.value
-        for field_name, value in (
-            ("scope", uc.scope),
-            ("intention", uc.intention),
-            ("multiplicity", uc.multiplicity_text),
-            ("precondition", uc.precondition),
-            ("postcondition", uc.postcondition),
-        ):
-            if value is not None:
-                attrs[field_name] = value
+        attrs = {
+            "xmi:id": ids[id(uc)], "name": uc.name, "level": uc.level and uc.level.value, "scope": uc.scope,
+            "intention": uc.intention, "multiplicity": uc.multiplicity_text,
+            "precondition": uc.precondition, "postcondition": uc.postcondition,
+        }
         children: list[_Element] = []
-        for role, refs in (
+        for role, role_refs in (
             ("primary", uc.primary_actors),
             ("secondary", uc.secondary_actors),
             ("facilitator", uc.facilitator_actors),
         ):
-            for ref in refs:
-                ref_attrs = {"role": role, "actor": actor_ids[(ref.category or "", ref.name)]}
+            for ref in role_refs:
+                ref_attrs = {"role": role, "actor": actor_ids[ref.qualified_name]}
                 if ref.multiplicity is not None:
                     ref_attrs["lower"] = str(ref.multiplicity.lower)
                     ref_attrs["upper"] = "*" if ref.multiplicity.upper is None else str(ref.multiplicity.upper)
                 children.append(("ucm:ActorRef", ref_attrs, []))
 
         for ctx in uc.contexts:
-            ctx_attrs = {"relation": ctx.relation.value}
-            set_refs(ctx_attrs, "contextUseCase", resolved.binding_for(ctx))
-            ctx_attrs["contextName"] = ctx.use_case
-            set_refs(ctx_attrs, "exception", resolved.binding_for(ctx.exception))
-            ctx_attrs["exceptionName"] = ctx.exception.qualified_name
+            ctx_attrs = {
+                "relation": ctx.relation.value, "contextUseCase": refs(resolved.binding_for(ctx)),
+                "contextName": ctx.use_case, "exception": refs(resolved.binding_for(ctx.exception)),
+                "exceptionName": ctx.exception.qualified_name,
+            }
             children.append(("ucm:Context", ctx_attrs, []))
 
         if uc.main is not None:
-            main_attrs = _boundary_attrs({}, uc.main)
-            children.append(("ucm:MainScenario", main_attrs, [step_element(step) for step in uc.main.steps]))
+            children.append(("ucm:MainScenario", _boundary_attrs({}, uc.main), list(map(step_element, uc.main.steps))))
         # Each body item with the children its element joins; ids follow document order.
         pending = [(children, block) for block in reversed(uc.extensions)]
         while pending:
@@ -618,11 +596,10 @@ def export_xmi(resolved: ResolvedModel) -> str:
                 items.append(step_element(item))
                 continue
             block_attrs = {"xmi:id": f"block_{next(block_ids)}", "label": item.label.text, "kind": item.kind.value}
-            if item.guard:
-                block_attrs["guard"] = item.guard
+            block_attrs["guard"] = item.guard or None
             items.append(("ucm:ExtensionBlock", _boundary_attrs(block_attrs, item), []))
             pending.extend((items[-1][2], nested) for nested in reversed(item.body))
-        elements.append((f"ucm:{tag}", attrs, children))
+        elements.append(("ucm:Handler" if uc.is_handler else "ucm:UseCase", attrs, children))
 
     lines = ["<?xml version='1.0' encoding='utf-8'?>"]
     _write_element(root, "", lines)
@@ -631,13 +608,13 @@ def export_xmi(resolved: ResolvedModel) -> str:
 
 def _write_element(element: _Element, indent: str, lines: list[str]) -> None:
     """Append one line per tag, as ElementTree writes the element after
-    `ET.indent(tree, space="  ")`: attribute values escaped by its rule,
-    children two spaces in, an element without children closed by ` />`."""
+    `ET.indent(tree, space="  ")`: an attribute valued None left out, values
+    escaped by its rule, children two spaces in, a childless element closed by ` />`."""
     tag, attrs, children = element
-    values = "".join(attrs.values())
+    values = "".join(filter(None, attrs.values()))
     if _escape_attrib(values) != values:  # one test per element: values rarely need escaping
-        attrs = {name: _escape_attrib(value) for name, value in attrs.items()}
-    head = indent + "<" + tag + "".join([f' {name}="{value}"' for name, value in attrs.items()])
+        attrs = {name: value and _escape_attrib(value) for name, value in attrs.items()}
+    head = indent + "<" + tag + "".join([f' {name}="{value}"' for name, value in attrs.items() if value is not None])
     if not children:
         lines.append(head + " />")
         return
@@ -682,12 +659,8 @@ def export_dot(resolved: ResolvedModel) -> str:
         style = ", style=dashed" if uc.is_handler else ""
         lines.append(f"  {_dot_quote(uc.name)} [shape=ellipse{style}];")
 
-    seen_actors: set[str] = set()
-    for uc in model.use_cases:
-        for ref in uc.all_actors():
-            if ref.qualified_name not in seen_actors:
-                seen_actors.add(ref.qualified_name)
-                lines.append(f"  {_dot_quote(ref.qualified_name)} [shape=box];")
+    for name in dict.fromkeys(ref.qualified_name for uc in model.use_cases for ref in uc.all_actors()):
+        lines.append(f"  {_dot_quote(name)} [shape=box];")
 
     for uc in model.use_cases:
         for ref in uc.all_actors():

@@ -437,6 +437,18 @@ def test_report_script_on_an_unreadable_file_writes_nothing(content, reason, tmp
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize("step, reason", [("mkdir", "Not a directory"), ("open", "Is a directory")])
+def test_report_script_on_an_unwritable_output_reports_it(step, reason, tmp_path, capsys):
+    out_dir = tmp_path / "reports"
+    target = out_dir / "smartstore" / "exceptions.md"
+    if step == "mkdir":
+        out_dir.write_text("")  # a file where the output directory goes
+    else:
+        target.mkdir(parents=True)  # a directory where the first report goes
+    assert GENERATE(CORPUS / "smartstore.ucm", out_dir) == 1
+    assert capsys.readouterr() == ("", f"ucm: cannot write '{target}': {reason}\n")
+
+
 def _run_every_command(path: str, first_use_case: str) -> None:
     for argv in _every_command(path, first_use_case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

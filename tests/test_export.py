@@ -677,6 +677,27 @@ def test_xmi_is_well_formed_and_deterministic(smartstore_resolved, firealarm_res
         ET.fromstring(first)  # well-formedness
 
 
+@pytest.mark.parametrize(
+    "source, fragment",
+    [
+        (nested_blocks_source(MAX_BLOCK_DEPTH), 'xmi:id="block_64"'),
+        (
+            (REPO_ROOT / "tests" / "fixtures" / "resolver-faults.ucm").read_text(encoding="utf-8"),
+            '<ucm:Step xmi:id="step_1" label="1" kind="invocation" targetName="Ghost" />',
+        ),
+        ("model M modes { } exceptions { } usecase A { }", '\n    <ucm:UseCase xmi:id="usecase_1" name="A" />\n'),
+    ],
+    ids=["blocks-at-the-depth-limit", "resolver-faults", "bare-use-case"],
+)
+def test_xmi_writes_no_attribute_for_a_value_the_model_lacks(source, fragment):
+    """Deep blocks number in document order; an unbound reference, an absent
+    clause, and an unset goto, continue target or timeout write no attribute."""
+    resolved = resolved_of(source)
+    text = export_xmi(resolved)
+    assert text == elementtree_xmi(resolved)
+    assert fragment in text
+
+
 DUPLICATES = MINIMAL.replace("default normal Normal }", "default normal Normal offers S degraded Low normal Normal }")
 DUPLICATES = DUPLICATES.replace(
     "exceptions { }",
