@@ -18,7 +18,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from ucm.analysis import TABLES, AnalysisError  # noqa: E402
-from ucm.cli import load  # noqa: E402
+from ucm.cli import load, without_collector  # noqa: E402
 from ucm.diagnostics import has_errors, sort_diagnostics  # noqa: E402
 from ucm.export import EXPORTS, render_table  # noqa: E402
 from ucm.lexer import normalize  # noqa: E402
@@ -43,11 +43,13 @@ def write(path: Path, text: str) -> bool:
     return True
 
 
+@without_collector()
 def generate(corpus_file: Path, out_dir: Path) -> int:
     """Write every artifact of one model; print each problem as
     `file:LINE: CODE message`, in the order of `ucm check`, and write
     nothing when any is an error. Stop at the first artifact that cannot
-    be written; either way the model's status is 1."""
+    be written; either way the model's status is 1. Like `ucm`, it runs
+    with the cyclic collector off."""
     loaded = load(corpus_file)
     if loaded is None:
         return 1

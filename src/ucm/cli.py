@@ -6,13 +6,21 @@ and `export.EXPORTS`, the builders of each table kind and export target.
 Diagnostics go to stderr, requested artifacts to stdout, so output can be
 piped. Exit codes: 0 success, 1 model errors (or warnings under --strict),
 2 usage or I/O problems, an output stream closed early included.
+
+`main` and the report script's `generate` run with the cyclic collector off
+(`without_collector`): no command leaves a reference cycle, so reference
+counting frees all they build. Argument parsing stays outside, as argparse
+leaves cycles on usage errors. Library callers keep their own setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import analysis
@@ -52,6 +60,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = _build_parser()  # built once: each parser holds reference cycles
+
+
+@contextlib.contextmanager
+def without_collector() -> Iterator[None]:
+    """Run the body with the cyclic collector off, then restore the caller's
+    setting, which may be off already (see the module docstring for why)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _print_diagnostics(diags: list[Diagnostic], source: str) -> None:
@@ -147,18 +168,19 @@ def main(argv: list[str] | None = None) -> int:
         print("ucm: --usecase applies only to 'table exceptions'", file=sys.stderr)
         return USAGE_ERROR
     command = {"check": _cmd_check, "table": _cmd_table}.get(args.command, _cmd_export)
-    try:
-        loaded = load(args.file)
-        code = USAGE_ERROR if loaded is None else command(args, *loaded)
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except BrokenPipeError:
-        # The reader has gone: what is still buffered goes to the null device.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        for stream in (sys.stdout, sys.stderr):
-            os.dup2(devnull, stream.fileno())
-        os.close(devnull)
-        return USAGE_ERROR
+    with without_collector():
+        try:
+            loaded = load(args.file)
+            code = USAGE_ERROR if loaded is None else command(args, *loaded)
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except BrokenPipeError:
+            # The reader has gone: what is still buffered goes to the null device.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            for stream in (sys.stdout, sys.stderr):
+                os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+            return USAGE_ERROR
     return code
 
 

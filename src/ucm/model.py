@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .spans import SourceSpan
 
@@ -162,7 +163,7 @@ class StepLabel:
             return None
         return cls(lo, hi, suffix)
 
-    @property
+    @cached_property  # stored in the instance dict, which fields() and __eq__ never read
     def text(self) -> str:
         anchor = str(self.anchor_lo) if self.anchor_hi is None else f"{self.anchor_lo}-{self.anchor_hi}"
         return anchor + "".join(

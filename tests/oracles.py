@@ -248,6 +248,17 @@ def reference_exception_details(resolved: ResolvedModel) -> list[tuple[str, str,
     return rows
 
 
+def reference_label_text(anchor_lo: int, anchor_hi: int | None, suffix: tuple[tuple[str, int | None], ...]) -> str:
+    """A step label's text, written out field by field: the anchor, `-` and
+    the range end if any, then each letter with its number if any."""
+    text = "%d" % anchor_lo
+    if anchor_hi is not None:
+        text += "-%d" % anchor_hi
+    for letter, num in suffix:
+        text += letter if num is None else "%s%d" % (letter, num)
+    return text
+
+
 def position_at(source: str, offset: int) -> tuple[int, int]:
     """(line, column), both 1-based, for an offset into LF-normalized text,
     counted from scratch. Offsets at or past the end of the text land one

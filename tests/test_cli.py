@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, REPO_ROOT, chain_source, diamond_chain_source, nested_blocks_source, report_script
 from strategies import model_source
 from test_diagnostics import CYCLIC, MULTI_DEFECT
+from ucm import analysis
 from ucm.cli import load, main
 from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS
 from ucm.parser import parse
@@ -517,6 +518,123 @@ def test_no_nested_function_refers_to_itself():
     assert self_referring_nested_functions("def f():\n    def g(n):\n        return g(n - 1)\n") == ["f.g:2"]
     for path in sorted((REPO_ROOT / "src" / "ucm").glob("*.py")):
         assert self_referring_nested_functions(path.read_text(encoding="utf-8")) == [], path.name
+
+
+@pytest.mark.parametrize(
+    "content, argv, code",
+    [
+        (Path(SMARTSTORE).read_text(encoding="utf-8"), None, 0),
+        (Path(FIREALARM).read_text(encoding="utf-8"), None, 0),
+        (MULTI_DEFECT, None, 1),
+        ("model M $", ["check"], 1),
+        (BROKEN.replace('"s"', '"s\x01"'), ["check"], 1),
+        (None, ["check"], 2),
+        (b"model \xff\n", ["check"], 2),
+        (Path(SMARTSTORE).read_text(encoding="utf-8"), ["export", "xmi", "-o", "out.xmi"], 0),
+        (Path(SMARTSTORE).read_text(encoding="utf-8"), ["export", "json", "-o", "missing/out.json"], 2),
+    ],
+    ids=[
+        "report-smartstore", "report-firealarm", "report-multi-defect", "unrecognized-character",
+        "control-character", "missing-file", "not-utf8", "export-to-file", "export-unwritable",
+    ],
+)
+def test_no_path_run_without_the_collector_leaves_a_reference_cycle(content, argv, code, tmp_path, monkeypatch, capsys):
+    """The paths the cycle test above does not reach, each run with the
+    collector off as `main` and the report script run them: the report
+    script (argv None), lexer errors, unreadable files and `export -o`."""
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        Path("m.ucm").write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    gc.collect()
+    gc.disable()
+    try:
+        assert (GENERATE(Path("m.ucm"), Path("reports")) if argv is None else main([*argv, "m.ucm"])) == code
+        capsys.readouterr()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Enter the test with the cyclic collector on or off; restore it after."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", SMARTSTORE], 0),
+        (["check", str(REPO_ROOT / "tests" / "fixtures" / "resolver-faults.ucm")], 1),
+        (["check", "missing.ucm"], 2),
+        (["table", "handlers", "--usecase", "X", SMARTSTORE], 2),
+        (["table", "bogus", SMARTSTORE], 2),
+    ],
+    ids=["ok", "model-errors", "unreadable", "usecase-on-handlers", "usage-error"],
+)
+def test_main_restores_the_collector(argv, code, collector, capsys):
+    assert main(argv) == code
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("driver", ["main", "report-script"])
+def test_a_driver_runs_without_the_collector_and_restores_it_when_a_builder_raises(
+    driver, collector, tmp_path, monkeypatch, capsys
+):
+    seen = []
+
+    def failing_builder(resolved, usecase):
+        seen.append(gc.isenabled())
+        raise RuntimeError("builder failed")
+
+    monkeypatch.setitem(analysis.TABLES, "handlers", failing_builder)
+    with pytest.raises(RuntimeError, match="builder failed"):
+        if driver == "main":
+            main(["table", "handlers", SMARTSTORE])
+        else:
+            GENERATE(CORPUS / "smartstore.ucm", tmp_path / "reports")
+    assert seen == [False]
+    assert gc.isenabled() is collector
+
+
+class _ClosedPipe(io.StringIO):
+    """A stream whose reader has gone: every write fails. Its file number is
+    that of a file the test owns, which `main` points at the null device."""
+
+    def __init__(self, fileno: int):
+        super().__init__()
+        self._fileno = fileno
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self._fileno
+
+
+def test_main_restores_the_collector_after_a_broken_pipe(collector, tmp_path, monkeypatch):
+    model = tmp_path / "m.ucm"
+    model.write_text(MULTI_DEFECT, encoding="utf-8")
+    with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(out.fileno()))
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["check", "--format", "json", str(model)]) == 2
+        monkeypatch.undo()
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("case, code", [("ok", 0), ("model-errors", 1), ("unwritable", 1)])
+def test_report_script_restores_the_collector(case, code, collector, tmp_path, capsys):
+    model = CORPUS / "smartstore.ucm"
+    if case == "model-errors":
+        model = REPO_ROOT / "tests" / "fixtures" / "resolver-faults.ucm"
+    elif case == "unwritable":
+        (tmp_path / "reports").write_text("")  # a file where the output directory goes
+    assert GENERATE(model, tmp_path / "reports") == code
+    assert gc.isenabled() is collector
 
 
 def test_block_nested_past_the_limit_is_e000_for_every_command(tmp_path, capsys):

@@ -3,7 +3,12 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CORPUS, REPO_ROOT
+from oracles import reference_label_text
+from ucm.lexer import TokenKind
 from ucm.model import (
     BlockKind,
     ExceptionCategory,
@@ -296,6 +301,45 @@ def test_labels_round_trip_text():
     assert StepLabel.parse("2a1b") is not None  # block label: trailing pair open
     assert StepLabel.parse("") is None
     assert StepLabel.parse("2ab") is None  # only the last letter may stand without a number
+
+
+@pytest.mark.parametrize(
+    "path",
+    [CORPUS / "smartstore.ucm", CORPUS / "firealarm.ucm", REPO_ROOT / "tests" / "fixtures" / "all-productions.ucm"],
+    ids=lambda path: path.name,
+)
+def test_every_label_of_a_model_round_trips_its_text(path):
+    """Each label token reads back as its own text, and so does every label
+    the parser shares between the steps and blocks that carry it."""
+    source = normalize(path.read_text(encoding="utf-8"))
+    texts = {tok.text for tok in tokenize(source, path.name) if tok.kind is TokenKind.LABEL}
+    assert texts
+    for text in texts:
+        assert StepLabel.parse(text).text == text
+    model, diags = parse(source, path.name)
+    assert model is not None and diags == []
+    for uc in model.use_cases:
+        assert {item.label.text for item in [*uc.all_steps(), *uc.all_blocks()]} <= texts
+
+
+_SUFFIX = st.lists(st.tuples(st.sampled_from("abcxyz"), st.integers(1, 10**4)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.integers(1, 10**6), hi=st.none() | st.integers(1, 10**6), pairs=_SUFFIX, block=st.none() | st.sampled_from("az")
+)
+def test_derived_labels_have_the_text_of_their_fields(lo, hi, pairs, block):
+    """`successor`, `anchor_label` and `first_in_block` build labels whose
+    text is the reference formula over their fields and parses back to an
+    equal label: the stored text takes no part in equality or hashing."""
+    label = StepLabel(lo, hi, (*pairs, *([] if block is None else [(block, None)])))
+    derived = [label, label.successor(), label.anchor_label(), label.first_in_block()]
+    for item in filter(None, derived):
+        expected = reference_label_text(item.anchor_lo, item.anchor_hi, item.suffix)
+        assert item.text == expected
+        fresh = StepLabel.parse(expected)
+        assert fresh == item and hash(fresh) == hash(item)
 
 
 def test_label_successors():
