@@ -18,7 +18,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from ucm.analysis import TABLES, AnalysisError  # noqa: E402
-from ucm.cli import load, without_collector  # noqa: E402
+from ucm.cli import load, report_unwritable_stdout, without_collector  # noqa: E402
 from ucm.diagnostics import has_errors, sort_diagnostics  # noqa: E402
 from ucm.export import EXPORTS, render_table  # noqa: E402
 from ucm.lexer import normalize  # noqa: E402
@@ -30,8 +30,8 @@ REPORTS = {"exceptions": "exceptions", "handlers": "handlers", "modes": "mode-sw
 
 
 def write(path: Path, text: str) -> bool:
-    """Write `text` to `path`, making its directory; a failure is reported
-    in the words of `ucm export -o` and returns False."""
+    """Write `text` to `path`, making its directory, and say so on stdout; a
+    failure of either is reported in the words of `ucm` and returns False."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -39,7 +39,11 @@ def write(path: Path, text: str) -> bool:
     except OSError as err:
         print(f"ucm: cannot write '{path}': {err.strerror or err}", file=sys.stderr)
         return False
-    print(f"wrote {path}")
+    try:
+        print(f"wrote {path}", flush=True)  # flushed, so that a failing stdout fails here and not at exit
+    except OSError as err:
+        report_unwritable_stdout(err)
+        return False
     return True
 
 

@@ -5,7 +5,7 @@ model; scripts/generate_reports.py calls it too, as it reads `analysis.TABLES`
 and `export.EXPORTS`, the builders of each table kind and export target.
 Diagnostics go to stderr, requested artifacts to stdout, so output can be
 piped. Exit codes: 0 success, 1 model errors (or warnings under --strict),
-2 usage or I/O problems, an output stream closed early included.
+2 usage or I/O problems, an output stream closed early or failing included.
 
 `main` and the report script's `generate` run with the cyclic collector off
 (`without_collector`): no command leaves a reference cycle, so reference
@@ -119,6 +119,28 @@ def _write_artifact(text: str, output: str | None) -> bool:
     return True
 
 
+def _drop_buffered(*streams) -> None:
+    """Point each stream at the null device, where what it still buffers
+    goes, so that exiting does not fail on it again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    for stream in streams:
+        os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def report_unwritable_stdout(err: OSError) -> None:
+    """Report that stdout failed with `err` while stderr still works, and
+    drop what the failed streams still buffer; when stderr was the one that
+    failed, the report fails too and both are dropped."""
+    try:
+        print(f"ucm: cannot write '<stdout>': {err.strerror or err}", file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:
+        _drop_buffered(sys.stdout, sys.stderr)
+    else:
+        _drop_buffered(sys.stdout)
+
+
 def _cmd_check(args: argparse.Namespace, source: str, resolved: ResolvedModel | None, diags: list[Diagnostic]) -> int:
     if resolved is not None:
         diags = sort_diagnostics(diags + validate(resolved))
@@ -175,11 +197,10 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()
             sys.stderr.flush()
         except BrokenPipeError:
-            # The reader has gone: what is still buffered goes to the null device.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            for stream in (sys.stdout, sys.stderr):
-                os.dup2(devnull, stream.fileno())
-            os.close(devnull)
+            _drop_buffered(sys.stdout, sys.stderr)  # the reader has gone
+            return USAGE_ERROR
+        except OSError as err:  # a full disk, say
+            report_unwritable_stdout(err)
             return USAGE_ERROR
     return code
 

@@ -11,7 +11,6 @@ import json
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from enum import Enum
 from itertools import count
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -135,7 +134,7 @@ def _render_csv(table: SummaryTable) -> str:
 
 def export_json(resolved: ResolvedModel | Model) -> str:
     model = resolved.model if isinstance(resolved, ResolvedModel) else resolved
-    return dump_json({"formatVersion": FORMAT_VERSION, **_to_json(model)}) + "\n"
+    return _write_node(model, "\n") + "\n"
 
 
 def dump_json(value, indent: str = "\n") -> str:
@@ -303,48 +302,49 @@ _PAYLOAD_CLASSES = {kind: cls for cls, kind in STEP_KINDS.items()}
 _SPANS = {cls: [f.name for f in fields(cls) if f.type == "SourceSpan"] for cls in _LAYOUT}
 
 
-def _writer(attr: str, kind):
-    """The function from a node to the JSON value of its `attr`, a `kind`."""
+def _emitter(key: str, attr: str, kind, *_) -> tuple:
+    """The `"key": ` text of `key` and the function from a node and the indent of its key's line
+    to the JSON text of its `attr`, a `kind`. Model Enums are str Enums, each quoted as its value."""
+    prefix = encode_basestring_ascii(key) + ": "
     if kind is _PAYLOAD:
-        return attrgetter("kind.value")
+        return prefix, _write_payload
     get = attrgetter(attr)
-    if isinstance(kind, list):
-        return lambda node: [_to_json(item) for item in get(node)]
-    if kind in _LAYOUT:
-        convert = _to_json
-    elif kind is _SWITCH:
-        convert = attrgetter("mode")
-    elif kind is StepLabel:
-        convert = attrgetter("text")
-    elif isinstance(kind, type) and issubclass(kind, Enum):
-        convert = attrgetter("value")
-    else:
-        return get
-    return lambda node: None if (value := get(node)) is None else convert(value)
+    if kind in (bool, int, float, _IDENTS):
+        return prefix, lambda node, indent: dump_json(get(node), indent)
+    if isinstance(kind, list) or kind in _LAYOUT:
+        return prefix, lambda node, indent: "null" if (value := get(node)) is None else _write_node(value, indent)
+    if kind is _SWITCH or kind is StepLabel:
+        text = attrgetter("mode" if kind is _SWITCH else "text")
+        return prefix, lambda node, _: "null" if (value := get(node)) is None else encode_basestring_ascii(text(value))
+    return prefix, lambda node, _: "null" if (value := get(node)) is None else encode_basestring_ascii(value)
 
 
-def _writers(cls: type) -> list:
-    """The (key, writer) pairs of `cls` in `_LAYOUT` order; an object of a
-    block body's class opens with its `node` word."""
-    node = [("node", lambda _: _NODE_WORDS[cls])] if cls in _NODE_WORDS else []
-    return node + [(key, _writer(attr, kind)) for key, attr, kind, *_ in _LAYOUT[cls]]
+def _write_node(node, indent: str) -> str:
+    """A node as its JSON object, a list of nodes as a JSON array, opened on a line indented by `indent`."""
+    inner = indent + "  "
+    if type(node) is list:
+        return "[" + inner + ("," + inner).join([_write_node(n, inner) for n in node]) + indent + "]" if node else "[]"
+    parts = [key + emit(node, inner) for key, emit in _EMITTERS[type(node)]]
+    return "{" + inner + ("," + inner).join(parts) + indent + "}"
 
 
-def _to_json(node) -> dict:
-    """`node` as its JSON object, keys in `_LAYOUT` order, a step's payload
-    keys after its `kind`."""
-    doc = {key: write(node) for key, write in _WRITERS[type(node)]}
-    if type(node) is Step:
-        payload = _to_json(node.payload)
-        doc.update({"exception": payload} if type(node.payload) is ExceptionRef else payload)
-    return doc
+def _write_payload(step: Step, indent: str) -> str:
+    """A step's `kind` word, then its payload's keys, or a raise step's payload as an object under `exception`."""
+    payload = step.payload
+    pairs = [('"exception": ', _write_node)] if type(payload) is ExceptionRef else _EMITTERS[type(payload)]
+    return ("," + indent).join([encode_basestring_ascii(step.kind), *[key + emit(payload, indent) for key, emit in pairs]])
 
 
-_WRITERS = {cls: _writers(cls) for cls in _LAYOUT}
-# The keys of each class's JSON object. A payload other than a raise step's
-# is read from its step's object, so its set holds the step's keys too.
-_KEYS = {cls: {key for key, _ in writers} for cls, writers in _WRITERS.items()}
+# Each class's (`"key": ` text, emitter) pairs in written order, and the keys of its JSON object:
+# the document opens with `formatVersion`, an object in a block body with `node`. A payload other
+# than a raise step's is read from its step's object, so its set holds the step's keys too.
+_EMITTERS = {cls: [_emitter(*entry) for entry in layout] for cls, layout in _LAYOUT.items()}
+_EMITTERS[Model].insert(0, ('"formatVersion": ', lambda *_: str(FORMAT_VERSION)))
+_KEYS = {cls: {key for key, *_ in layout} for cls, layout in _LAYOUT.items()}
 _KEYS[Model].add("formatVersion")
+for cls, word in _NODE_WORDS.items():
+    _EMITTERS[cls].insert(0, ('"node": ', lambda *_, text=encode_basestring_ascii(word): text))
+    _KEYS[cls].add("node")
 _KEYS.update((cls, _KEYS[Step] | _KEYS[cls]) for cls in STEP_KINDS if cls is not ExceptionRef)
 
 

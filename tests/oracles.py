@@ -6,17 +6,22 @@ every parallel edge instead of one over distinct callees, a forward walk per
 handler context instead of one walk over callers per exception, newline
 counting instead of a line index, a two-pass `finditer` lexer instead of one
 match per token, an ElementTree serialized by the standard library instead
-of the XMI exporter's own writer, a `.ucm` printer written from the README
-grammar and the corpus, summary tables rendered line by line, no shared
-helpers.
+of the XMI exporter's own writer, the JSON document built as a tree of
+dicts and lists and written by `json.dumps` instead of in one walk that
+writes the text, a `.ucm` printer written from the README grammar and the
+corpus, summary tables rendered line by line, no shared helpers. The JSON
+oracle walks the exporter's `_LAYOUT`, the schema that the golden files pin.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import re
 import xml.etree.ElementTree as ET
+from enum import Enum
 
+from ucm.export import _LAYOUT, _NODE_WORDS, _PAYLOAD, _SWITCH, FORMAT_VERSION
 from ucm.lexer import ParseError, TokenKind
 from ucm.model import (
     CATEGORY_KEYWORD,
@@ -34,6 +39,7 @@ from ucm.model import (
     Outcome,
     Scenario,
     Step,
+    StepLabel,
     UseCase,
 )
 from ucm.resolver import ResolvedModel
@@ -551,6 +557,41 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
     out = io.StringIO()
     tree.write(out, encoding="unicode", xml_declaration=True)
     return out.getvalue() + "\n"
+
+
+def reference_export_json(model: Model) -> str:
+    """`export_json` as a tree of dicts and lists, keys in `_LAYOUT` order,
+    written by `json.dumps(doc, indent=2)`."""
+    return json.dumps({"formatVersion": FORMAT_VERSION, **_json_object(model)}, indent=2) + "\n"
+
+
+def _json_object(node) -> dict:
+    """`node` as its JSON object: a block body's item opens with its `node`
+    word, and a step's payload keys follow its `kind`, a raise step's payload
+    as an object under `exception`."""
+    doc = {"node": _NODE_WORDS[type(node)]} if type(node) in _NODE_WORDS else {}
+    for key, attr, kind, *_ in _LAYOUT[type(node)]:
+        if kind is _PAYLOAD:
+            doc[key] = node.kind.value
+            payload = _json_object(node.payload)
+            doc.update({"exception": payload} if type(node.payload) is ExceptionRef else payload)
+        else:
+            doc[key] = _json_value(getattr(node, attr), kind)
+    return doc
+
+
+def _json_value(value, kind):
+    if value is None:
+        return None
+    if isinstance(kind, list):
+        return [_json_object(item) for item in value]
+    if kind in _LAYOUT:
+        return _json_object(value)
+    if kind is _SWITCH:
+        return value.mode
+    if kind is StepLabel:
+        return value.text
+    return value.value if isinstance(value, Enum) else value
 
 
 def print_model(model: Model) -> str:

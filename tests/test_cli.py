@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -25,6 +26,7 @@ from ucm.parser import parse
 
 SMARTSTORE = str(CORPUS / "smartstore.ucm")
 FIREALARM = str(CORPUS / "firealarm.ucm")
+RESOLVER_FAULTS = REPO_ROOT / "tests" / "fixtures" / "resolver-faults.ucm"
 
 BROKEN = """model M
 modes { default normal Normal }
@@ -600,16 +602,18 @@ def test_a_driver_runs_without_the_collector_and_restores_it_when_a_builder_rais
     assert gc.isenabled() is collector
 
 
-class _ClosedPipe(io.StringIO):
-    """A stream whose reader has gone: every write fails. Its file number is
-    that of a file the test owns, which `main` points at the null device."""
+class _FailingStream(io.StringIO):
+    """A stream every write to which fails with the error number `code`:
+    EPIPE when its reader has gone, ENOSPC when the disk is full. Its file
+    number is that of a file the test owns, which `main` and the report
+    script may point at the null device."""
 
-    def __init__(self, fileno: int):
+    def __init__(self, fileno: int, code: int = errno.EPIPE):
         super().__init__()
-        self._fileno = fileno
+        self._fileno, self._code = fileno, code
 
     def write(self, text: str) -> int:
-        raise BrokenPipeError(32, "Broken pipe")
+        raise OSError(self._code, os.strerror(self._code))  # EPIPE makes a BrokenPipeError
 
     def fileno(self) -> int:
         return self._fileno
@@ -619,11 +623,44 @@ def test_main_restores_the_collector_after_a_broken_pipe(collector, tmp_path, mo
     model = tmp_path / "m.ucm"
     model.write_text(MULTI_DEFECT, encoding="utf-8")
     with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe(out.fileno()))
+        monkeypatch.setattr(sys, "stdout", _FailingStream(out.fileno()))
         monkeypatch.setattr(sys, "stderr", err)
         assert main(["check", "--format", "json", str(model)]) == 2
         monkeypatch.undo()
     assert gc.isenabled() is collector
+
+
+FULL_DEVICE = f"ucm: cannot write '<stdout>': {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize(
+    "stream, argv",
+    [
+        ("stdout", ["export", "json", SMARTSTORE]),
+        ("stdout", ["check", "--format", "json", SMARTSTORE]),
+        ("stderr", ["export", "json", str(RESOLVER_FAULTS)]),  # fails on the first diagnostic
+    ],
+    ids=["export-stdout", "check-stdout", "export-stderr"],
+)
+def test_a_full_output_stream_is_exit_2_with_its_reason(stream, argv, collector, tmp_path, monkeypatch):
+    with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+        streams = {"stdout": out, "stderr": err}
+        streams[stream] = _FailingStream(streams[stream].fileno(), errno.ENOSPC)
+        for name, value in streams.items():
+            monkeypatch.setattr(sys, name, value)
+        assert main(argv) == 2
+        monkeypatch.undo()
+    assert (tmp_path / "err").read_text() == (FULL_DEVICE if stream == "stdout" else "")
+    assert gc.isenabled() is collector
+
+
+def test_report_script_on_a_full_stdout_reports_it(tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "out", "w") as out:
+        monkeypatch.setattr(sys, "stdout", _FailingStream(out.fileno(), errno.ENOSPC))
+        assert GENERATE(CORPUS / "smartstore.ucm", tmp_path / "reports") == 1
+        monkeypatch.undo()
+    assert capsys.readouterr().err == FULL_DEVICE
+    assert [p.name for p in (tmp_path / "reports" / "smartstore").iterdir()] == ["exceptions.md"]
 
 
 @pytest.mark.parametrize("case, code", [("ok", 0), ("model-errors", 1), ("unwritable", 1)])
@@ -769,19 +806,24 @@ def test_cli_never_crashes_on_mutated_corpus(tmp_path_factory, data):
     _run_every_command(str(path), _first_use_case(data.decode("utf-8", "replace")))
 
 
-def run_into_closed_pipe(stream: str, argv: list[str]) -> subprocess.CompletedProcess:
+def run_ucm(argv: list[str], stream: str, fd: int) -> subprocess.CompletedProcess:
     """Run `ucm argv` in a fresh interpreter whose `stream`, "stdout" or
-    "stderr", is a pipe with its read end already closed, so every write to
-    it fails; the other stream is captured. Output is buffered, as by
-    default, so a short output fails only when flushed."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    "stderr", writes to the file `fd`; the other stream is captured. Output
+    is buffered, as by default, so a short output fails only when flushed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: fd}
     code = "import sys; from ucm.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=60, **streams)
+
+
+def run_into_closed_pipe(stream: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """`run_ucm` with `stream` a pipe whose read end is already closed, so
+    every write to it fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
-        return subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=60, **streams)
+        return run_ucm(argv, stream, write_end)
     finally:
         os.close(write_end)
 
@@ -801,3 +843,23 @@ def test_an_output_stream_closed_early_exits_2_and_prints_nothing(stream, argv, 
     done = run_into_closed_pipe(stream, [str(defective) if a == defective.name else a for a in argv])
     assert done.returncode == 2
     assert (done.stderr if stream == "stdout" else done.stdout) == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the system has no /dev/full")
+@pytest.mark.parametrize(
+    "stream, argv",
+    [
+        ("stdout", ["export", "json", SMARTSTORE]),  # overflows the buffer: fails in the write
+        ("stdout", ["check", "--format", "json", SMARTSTORE]),  # fits the buffer: fails when flushed
+        ("stderr", ["export", "json", str(RESOLVER_FAULTS)]),
+    ],
+    ids=["export-stdout", "check-stdout", "export-stderr"],
+)
+def test_a_full_device_exits_2_without_a_traceback(stream, argv):
+    with open("/dev/full", "wb") as full:
+        done = run_ucm(argv, stream, full.fileno())
+    assert done.returncode == 2
+    if stream == "stdout":
+        assert done.stderr.decode() == FULL_DEVICE
+    else:
+        assert done.stdout == b""

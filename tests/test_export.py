@@ -22,7 +22,7 @@ from conftest import (
     nested_blocks_source,
     wide_use_case_source,
 )
-from oracles import elementtree_xmi, print_model, reference_render_table
+from oracles import elementtree_xmi, print_model, reference_export_json, reference_render_table
 from strategies import invocation_model_source, model_source
 from ucm import analysis
 from ucm.cli import main
@@ -180,6 +180,23 @@ def test_export_matches_golden_file(name, target, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.{target}").read_bytes()
+
+
+# Every model file in the repository, and blocks nested to the limit.
+JSON_REFERENCE_SOURCES = {
+    **{path.stem: path for path in sorted(CORPUS.glob("*.ucm"))},
+    **{path.stem: path for path in sorted((REPO_ROOT / "tests" / "fixtures").glob("*.ucm"))},
+    "nested-blocks": None,
+}
+
+
+@pytest.mark.parametrize("name", JSON_REFERENCE_SOURCES)
+def test_export_json_writes_the_bytes_of_the_dict_tree_reference(name):
+    path = JSON_REFERENCE_SOURCES[name]
+    source = nested_blocks_source(MAX_BLOCK_DEPTH) if path is None else path.read_text(encoding="utf-8")
+    model, diags = parse(source, f"{name}.ucm")
+    assert model is not None, diags
+    assert export_json(model).encode("utf-8") == reference_export_json(model).encode("utf-8")
 
 
 def test_minimal_model_exports_expected_shape():
@@ -826,6 +843,14 @@ def test_generated_models_round_trip_through_json(source):
     back, import_diags = import_json(once)
     assert import_diags == []
     assert export_json(back) == once
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=model_source())
+def test_generated_models_export_the_json_of_the_dict_tree_reference(source):
+    model, diags = parse(source, "gen.ucm")
+    assert diags == [], source
+    assert export_json(model) == reference_export_json(model)
 
 
 @settings(max_examples=100, deadline=None)
