@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, REPO_ROOT, chain_source, diamond_chain_source, nested_blocks_source, report_script
 from strategies import model_source
 from test_diagnostics import CYCLIC, MULTI_DEFECT
+import ucm
 from ucm import analysis
 from ucm.cli import load, main
 from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS
@@ -27,6 +28,9 @@ from ucm.parser import parse
 SMARTSTORE = str(CORPUS / "smartstore.ucm")
 FIREALARM = str(CORPUS / "firealarm.ucm")
 RESOLVER_FAULTS = REPO_ROOT / "tests" / "fixtures" / "resolver-faults.ucm"
+# The directory this suite imported `ucm` from: `src/`, or an installed
+# package's. Child interpreters get it first on PYTHONPATH, so they test the same `ucm`.
+UCM_PATH = str(Path(ucm.__file__).resolve().parents[1])
 
 BROKEN = """model M
 modes { default normal Normal }
@@ -100,11 +104,13 @@ def warn_file(tmp_path):
     return str(path)
 
 
-def test_check_clean_corpus_exits_zero(capsys):
-    assert main(["check", SMARTSTORE]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out == ""
+@pytest.mark.parametrize(
+    "flags, out", [([], ""), (["--strict"], ""), (["--format", "json"], "[]\n")], ids=["plain", "strict", "json"]
+)
+@pytest.mark.parametrize("model", [SMARTSTORE, FIREALARM], ids=["smartstore", "firealarm"])
+def test_check_clean_corpus_exits_zero(model, flags, out, capsys):
+    assert main(["check", *flags, model]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_check_reports_errors_and_exits_one(broken_file, capsys):
@@ -811,7 +817,7 @@ def run_ucm(argv: list[str], stream: str, fd: int) -> subprocess.CompletedProces
     "stderr", writes to the file `fd`; the other stream is captured. Output
     is buffered, as by default, so a short output fails only when flushed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [UCM_PATH, env.get("PYTHONPATH")]))
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: fd}
     code = "import sys; from ucm.cli import main; sys.exit(main())"
     return subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=60, **streams)
@@ -863,3 +869,60 @@ def test_a_full_device_exits_2_without_a_traceback(stream, argv):
         assert done.stderr.decode() == FULL_DEVICE
     else:
         assert done.stdout == b""
+
+
+# Every command whose output could follow the set or dict order of use-case
+# names, run in one interpreter; prints exit codes, outputs and report files as
+# JSON. Stdlib only, so any interpreter can run it by hand, pytest or not:
+#     python -c "import sys; sys.path[:0] = ['tests', 'src']; import test_cli; print(test_cli.SEEDED_RUN)" > seeded.py
+#     PYTHONHASHSEED=1 PYTHONPATH=src python3.13 seeded.py .
+SEEDED_RUN = """
+import contextlib, importlib.util, io, json, os, sys, tempfile
+from pathlib import Path
+import ucm.cli  # before the report script, whose sys.path entry for src/ would otherwise win
+
+repo = Path(sys.argv[1]).resolve()
+spec = importlib.util.spec_from_file_location("generate_reports", repo / "scripts" / "generate_reports.py")
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+fixtures = repo / "tests" / "fixtures"
+commands = [["check", "--format", "json", str(fixtures / f"{name}-faults.ucm")] for name in ("resolver", "validation")]
+commands += [
+    ["table", "exceptions", "--format", fmt, *view, str(fixtures / "invocation-paths.ucm")]
+    for view in ([], ["--usecase", "Home"], ["--usecase", "Browse"])
+    for fmt in ("md", "csv")
+]
+
+def run(function, *args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = function(*args)
+    return [code, out.getvalue(), err.getvalue()]
+
+runs = [run(ucm.cli.main, argv) for argv in commands]
+with tempfile.TemporaryDirectory() as tmp:
+    os.chdir(tmp)  # write to the relative reports/, so both seeds print the same paths
+    for name in ("smartstore", "firealarm"):
+        runs.append(run(script.generate, repo / "corpus" / f"{name}.ucm", Path("reports")))
+    files = {str(p): p.read_text(encoding="utf-8") for p in sorted(Path("reports").rglob("*")) if p.is_file()}
+print(json.dumps({"ucm": ucm.__file__, "runs": runs, "files": files}, indent=1))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    """The fault fixtures' JSON diagnostics, six exception-table views of
+    `invocation-paths.ucm` and the report trees of both corpora come out
+    byte for byte the same under two hash seeds, from the `ucm` this suite tests."""
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", SEEDED_RUN, str(REPO_ROOT)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": UCM_PATH},
+            capture_output=True, timeout=60, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    first, second = (json.loads(output) for output in outputs)
+    assert first == second and outputs[0] == outputs[1]
+    assert Path(first["ucm"]).resolve() == Path(ucm.__file__).resolve()
+    assert [code for code, _, _ in first["runs"]] == [1, 1, *[0] * 8]
+    assert len(first["files"]) == 22
