@@ -1,24 +1,28 @@
 """Tokenizer for `.ucm` sources.
 
 Token kinds: IDENT, LABEL, NUMBER and STRING carry a value; SYMBOL is one of
-`-> :: .. : , . { } [ ] *`; EOF ends the list. Keywords are IDENT tokens,
-and the parser tests keywords and symbols alike by their text, so clause
-names remain usable as model identifiers. Labels (``2``, ``2-6a1``) are
-digit-led and lexed greedily, which keeps them distinct from identifiers.
-Digits are ASCII ``0-9`` only: any other Unicode digit is an unrecognized
-character. A string holds TAB and any character from U+0020 up except U+FFFE
-and U+FFFF. `//` comments run to end of line.
+`-> :: .. : , . { } [ ] *`; EOF ends the text and ERROR holds the rest of it
+from a bad character. Keywords are IDENT tokens, and the parser tests keywords
+and symbols alike by their text, so clause names remain usable as model
+identifiers. Labels (``2``, ``2-6a1``) are digit-led and lexed greedily, which
+keeps them distinct from identifiers. Digits are ASCII ``0-9`` only: any other
+Unicode digit is an unrecognized character. A string holds TAB and any
+character from U+0020 up except U+FFFE and U+FFFF. `//` comments run to end of
+line.
 
-Each token is one anchored regex match whose prefix skips the whitespace and
-comments before it. Tokens carry offsets, not spans: `(kind, text, start,
-end)`, with the parser building a `SourceSpan` only for AST nodes and errors.
+A token is a plain tuple `(kind, text, start, end)`, read by position through
+`KIND`, `TEXT`, `START` and `END`; the parser builds a `SourceSpan` only for
+AST nodes and errors. `scan` makes them in one `finditer`: each match skips
+the whitespace and comments before one token, and the last two alternatives,
+end of text and any other character, leave no offset unmatched and end the
+scan. `tokenize` raises an ERROR token's `lex_error` at once, the parser only
+when it reaches or peeks at that token.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple
 
 from .model import NON_STRING_CHARS, non_string_char
 from .spans import SourceSpan
@@ -31,13 +35,11 @@ class TokenKind(Enum):
     STRING = "string"
     SYMBOL = "symbol"
     EOF = "end of file"
+    ERROR = "unrecognized character"
 
 
-class Token(NamedTuple):
-    kind: TokenKind
-    text: str
-    start: int
-    end: int
+Token = tuple[TokenKind, str, int, int]
+KIND, TEXT, START, END = range(4)
 
 
 class ParseError(Exception):
@@ -56,14 +58,12 @@ class ParseError(Exception):
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
 
 # Whitespace and comments before a token. Each run is matched whole (the
-# lookaheads forbid a shorter one), so the prefix can match in only one way:
-# a failed token match backtracks in linear time and never re-reads comment
-# text as tokens.
+# lookaheads forbid a shorter one), so the prefix can match in only one way
+# and never re-reads comment text as tokens.
 _SKIP = r"(?:[ \t\n]+(?![ \t\n])|//[^\n]*(?![^\n]))*"
-_SKIP_RE = re.compile(_SKIP)
 
 # A string holds no character in NON_STRING_CHARS, raw or escaped, and is
-# unrolled to match one way. Where no token matches at a quote that
+# unrolled to match one way. Where an ERROR token opens with a quote that
 # _LOOSE_STRING_RE matches, the string holds such a character, and the lex
 # error names it at its own offset.
 _STRING_CHAR = rf'[^"\\{NON_STRING_CHARS}]'
@@ -71,7 +71,7 @@ _STRING = rf'"{_STRING_CHAR}*(?:\\[^{NON_STRING_CHARS}]{_STRING_CHAR}*)*"'
 _LOOSE_STRING_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"')
 
 # One group per token kind, named after its TokenKind member; _KINDS maps
-# each group's index to its kind.
+# each group's number to its kind.
 _TOKEN_RE = re.compile(
     _SKIP
     + r"""(?:
@@ -84,11 +84,13 @@ _TOKEN_RE = re.compile(
     + _STRING
     + r""")
     | (?P<SYMBOL>->|::|\.\.|[:,.{}\[\]*])
+    | (?P<EOF>\Z)
+    | (?P<ERROR>(?s:.+))
     )""",
     re.VERBOSE,
 )
 
-_KINDS = {index: TokenKind[name] for name, index in _TOKEN_RE.groupindex.items()}
+_KINDS = (None, *(TokenKind[name] for name in sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)))
 
 
 def normalize(source: str) -> str:
@@ -99,31 +101,31 @@ def normalize(source: str) -> str:
     return source.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def tokenize(source: str, file: str) -> list[Token]:
-    """Lex LF-normalized source. At the first offset that no token, whitespace
-    or comment matches, raises ParseError, the parser's syntax error too, with
-    no expected words: only the parser names what it expected."""
-    tokens: list[Token] = []
-    append = tokens.append
-    match = _TOKEN_RE.match
-    new = tuple.__new__
-    pos = 0
-    while m := match(source, pos):
-        group = m.lastindex
-        pos = m.end()
-        append(new(Token, (_KINDS[group], m[group], m.start(group), pos)))
-    pos = _SKIP_RE.match(source, pos).end()
-    if pos < len(source):
-        loose = _LOOSE_STRING_RE.match(source, pos)
-        if loose and (found := non_string_char(loose[0])):
-            offset, message = found
-            raise ParseError(message, SourceSpan(file, pos + offset, pos + offset + 1))
-        raise ParseError(f"unrecognized character {source[pos]!r}", SourceSpan(file, pos, pos + 1))
-    append(Token(TokenKind.EOF, "", pos, pos))
+def scan(source: str) -> list[Token]:
+    """The tokens of LF-normalized source, the last an EOF or ERROR token."""
+    tokens = [(_KINDS[g := m.lastindex], m[g], m.start(g), m.end()) for m in _TOKEN_RE.finditer(source)]
+    if len(tokens) > 1 and tokens[-2][KIND] in (TokenKind.EOF, TokenKind.ERROR):
+        tokens.pop()  # finditer matches the empty end again after a match that reached it
     return tokens
 
 
-def string_value(token: Token) -> str:
-    """Unquote a STRING token, handling backslash escapes."""
-    body = token.text[1:-1]
+def lex_error(token: Token, file: str) -> ParseError:
+    """An ERROR token's error, with no expected words: at the first character a
+    string opening there may not hold, else at the unrecognized character."""
+    _, rest, pos, _ = token
+    if (loose := _LOOSE_STRING_RE.match(rest)) and (found := non_string_char(loose[0])):
+        return ParseError(found[1], SourceSpan(file, pos + found[0], pos + found[0] + 1))
+    return ParseError(f"unrecognized character {rest[0]!r}", SourceSpan(file, pos, pos + 1))
+
+
+def tokenize(source: str, file: str) -> list[Token]:
+    """`scan`, raising the error of an ERROR token: the list ends in EOF."""
+    if (tokens := scan(source))[-1][KIND] is TokenKind.ERROR:
+        raise lex_error(tokens[-1], file)
+    return tokens
+
+
+def string_value(text: str) -> str:
+    """Unquote a STRING token's text, handling backslash escapes."""
+    body = text[1:-1]
     return re.sub(r"\\(.)", r"\1", body) if "\\" in body else body

@@ -1,7 +1,10 @@
 """Recursive-descent parser building the spanned AST from `.ucm` text.
 
-Parsing is all-or-nothing: the lexer and the parser raise one `ParseError` at
-the first syntax error, and `parse` turns it into E000 and returns no tree.
+Parsing is all-or-nothing: `parse` turns the first error in the text, the
+lexer's or the parser's `ParseError`, into E000 and returns no tree. The
+lexer's error waits in the ERROR token that ends the tokens at a bad
+character, and is raised only when the parser reaches that token or peeks at
+it, so an earlier syntax error wins.
 The grammar is deliberately lenient in two places so that later phases can
 produce better diagnostics than a bare syntax error: use-case clauses may be
 absent (missing ones become E001) and actor references accept any or no
@@ -10,13 +13,13 @@ category keyword (checked as E005). One rule, `parse_section`, reads each
 keeps its own loop, as its items run up to `}`.
 
 Every fixed token, keyword or symbol, is tested by its text alone
-(`expect(text)`, `current.text == word`, or membership in a keyword table).
+(`expect(text)`, `current[TEXT] == word`, or membership in a keyword table).
 Only an IDENT token can have identifier-shaped text and only a SYMBOL token
 symbol-shaped text: strings keep their quotes, labels and numbers start with
-an ASCII digit and EOF is empty. Lookahead reads `tokens[pos + 1]` only when
-the current token is an IDENT, which is never the last token, and nothing
-but the final check of `parse_model` stands on EOF, so `advance` needs no
-bounds test.
+an ASCII digit, EOF is empty and ERROR opens with a bad character. So no
+check accepts ERROR and only the final one of `parse_model` accepts EOF, and
+`advance` needs no bounds test. Lookahead (`peek`) reads `tokens[pos + 1]`
+only when the current token is an IDENT, which is never the last token.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Collection, TypeVar
 
 from .diagnostics import Diagnostic
-from .lexer import ParseError, Token, TokenKind, normalize, string_value, tokenize
+from .lexer import END, KIND, START, TEXT, ParseError, Token, TokenKind, lex_error, normalize, scan, string_value
 from .model import (
     ActorRef,
     BlockKind,
@@ -86,6 +89,7 @@ _CLAUSE_ORDER = {
 # The clauses that list entries.
 _LIST_CLAUSES = ("primary", "secondary", "facilitator", "contexts")
 
+_IDENT, _LABEL, _NUMBER, _STRING, _SYMBOL, _EOF, _ERROR = TokenKind  # definition order; faster than TokenKind.X
 
 _T = TypeVar("_T")
 
@@ -109,15 +113,18 @@ class _Parser:
         return tok
 
     def error(self, expected: list[str]) -> ParseError:
+        """The syntax error at the current token; at ERROR, its lexer error."""
         tok = self.current
-        found = tok.text if tok.kind is not TokenKind.EOF else "end of file"
+        if tok[KIND] is _ERROR:
+            return lex_error(tok, self.file)
+        found = tok[TEXT] if tok[KIND] is not _EOF else "end of file"
         wanted = " or ".join(expected)
         return ParseError(f"expected {wanted}, got {found!r}", self.span_of(tok), expected)
 
     def expect(self, text: str) -> Token:
         """Consume the current token, a keyword or symbol spelled `text`."""
         tok = self.current
-        if tok.text != text:
+        if tok[TEXT] != text:
             raise self.error([f"'{text}'"])
         self.pos += 1  # advance() inlined here and in expect_ident: the most frequent calls
         self.current = self.tokens[self.pos]
@@ -125,54 +132,61 @@ class _Parser:
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.current
-        if tok.kind is not TokenKind.IDENT:
+        if tok[KIND] is not _IDENT:
             raise self.error([what])
         self.pos += 1
         self.current = self.tokens[self.pos]
         return tok
 
+    def peek(self) -> str:
+        """The text of the token after the current IDENT; at ERROR, its lexer error."""
+        tok = self.tokens[self.pos + 1]
+        if tok[KIND] is _ERROR:
+            raise lex_error(tok, self.file)
+        return tok[TEXT]
+
     def accept(self, text: str) -> bool:
         """Consume the current token if its text is `text`."""
-        if self.current.text != text:
+        if self.current[TEXT] != text:
             return False
         self.advance()
         return True
 
     def expect_string(self) -> str:
-        if self.current.kind is not TokenKind.STRING:
-            raise self.error([TokenKind.STRING.value])
-        return string_value(self.advance())
+        if self.current[KIND] is not _STRING:
+            raise self.error([_STRING.value])
+        return string_value(self.advance()[TEXT])
 
     def expect_word(self, table: Collection[str]) -> str:
         """Consume a keyword from `table`, or fail listing all of them."""
-        word = self.current.text
+        word = self.current[TEXT]
         if word not in table:
             raise self.error([f"'{w}'" for w in table])
         self.advance()
         return word
 
     def span_of(self, tok: Token) -> SourceSpan:
-        return SourceSpan(self.file, tok.start, tok.end)
+        return SourceSpan(self.file, tok[START], tok[END])
 
     def span_from(self, start: Token) -> SourceSpan:
         """The span from `start`, already consumed, to the last consumed token."""
-        return SourceSpan(self.file, start.start, self.tokens[self.pos - 1].end)
+        return SourceSpan(self.file, start[START], self.tokens[self.pos - 1][END])
 
     def check_digits(self, tok: Token) -> None:
-        if too_many_digits(tok.text):
+        if too_many_digits(tok[TEXT]):
             raise ParseError(f"number with more than {MAX_DIGITS} digits", self.span_of(tok))
 
     def parse_label(self) -> tuple[StepLabel, Token]:
         tok = self.current
-        if tok.kind is not TokenKind.LABEL:
+        if tok[KIND] is not _LABEL:
             raise self.error(["step label"])
-        label = self.labels.get(tok.text)
+        label = self.labels.get(tok[TEXT])
         if label is None:
             self.check_digits(tok)
-            label = StepLabel.parse(tok.text)
+            label = StepLabel.parse(tok[TEXT])
             if label is None:
-                raise ParseError(f"malformed step label {tok.text!r}", self.span_of(tok))
-            self.labels[tok.text] = label
+                raise ParseError(f"malformed step label {tok[TEXT]!r}", self.span_of(tok))
+            self.labels[tok[TEXT]] = label
         self.advance()
         return label, tok
 
@@ -180,17 +194,17 @@ class _Parser:
 
     def parse_model(self) -> Model:
         start = self.expect("model")
-        name = self.expect_ident("model name").text
+        name = self.expect_ident("model name")[TEXT]
         modes = self.parse_modes()
         exceptions = self.parse_section("exceptions", "exception", self.parse_exception)
         services = []
-        if self.current.text == "services":
+        if self.current[TEXT] == "services":
             services = self.parse_section("services", "service", self.parse_service)
         use_cases = []
-        while self.current.text in ("usecase", "handler"):
+        while self.current[TEXT] in ("usecase", "handler"):
             use_cases.append(self.parse_use_case())
-        if self.current.kind is not TokenKind.EOF:
-            raise self.error([TokenKind.EOF.value])
+        if self.current[KIND] is not _EOF:
+            raise self.error([_EOF.value])
         return Model(name, modes, exceptions, services, use_cases, self.span_from(start), self.file)
 
     def parse_list(self, parse_item: Callable[[], _T]) -> list[_T]:
@@ -201,17 +215,17 @@ class _Parser:
         return items
 
     def parse_names(self, what: str) -> list[str]:
-        return self.parse_list(lambda: self.expect_ident(what).text)
+        return self.parse_list(lambda: self.expect_ident(what)[TEXT])
 
     def parse_modes(self) -> list[ModeDecl]:
         self.expect("modes")
         self.expect("{")
         modes = []
-        while self.current.text != "}":
+        while self.current[TEXT] != "}":
             start = self.current
             is_default = self.accept("default")
             kind = _MODE_KINDS[self.expect_word(_MODE_KINDS)]
-            name = self.expect_ident("mode name").text
+            name = self.expect_ident("mode name")[TEXT]
             offered = self.parse_names("service name") if self.accept("offers") else []
             modes.append(ModeDecl(name, kind, is_default, offered, self.span_from(start)))
         self.expect("}")
@@ -223,7 +237,7 @@ class _Parser:
         self.expect(keyword)
         self.expect("{")
         items = []
-        while self.current.text == word:
+        while self.current[TEXT] == word:
             items.append(parse_item(self.advance()))
         self.expect("}")
         return items
@@ -236,11 +250,11 @@ class _Parser:
         start = self.current
         category = EXCEPTION_KEYWORDS[self.expect_word(EXCEPTION_KEYWORDS)]
         self.expect("::")
-        name = self.expect_ident("exception name").text
+        name = self.expect_ident("exception name")[TEXT]
         return ExceptionRef(category, name, self.span_from(start))
 
     def parse_service(self, start: Token) -> ServiceDecl:
-        name = self.expect_ident("service name").text
+        name = self.expect_ident("service name")[TEXT]
         self.expect("provides")
         return ServiceDecl(name, self.parse_names("use case name"), self.span_from(start))
 
@@ -249,14 +263,14 @@ class _Parser:
         name_tok = self.expect_ident("use case name")
         self.expect("{")
         clauses = self.parse_clauses()
-        main = self.parse_scenario() if self.current.text == "main" else None
+        main = self.parse_scenario() if self.current[TEXT] == "main" else None
         extensions = []
-        if self.current.text == "extensions":
+        if self.current[TEXT] == "extensions":
             extensions = self.parse_section("extensions", "block", self.parse_block)
         self.expect("}")
-        is_handler = start.text == "handler"
+        is_handler = start[TEXT] == "handler"
         return UseCase(
-            name_tok.text, is_handler, *clauses, main, extensions, self.span_from(start), self.span_of(name_tok)
+            name_tok[TEXT], is_handler, *clauses, main, extensions, self.span_from(start), self.span_of(name_tok)
         )
 
     def parse_clauses(self) -> list:
@@ -264,7 +278,7 @@ class _Parser:
         clause that lists entries is an empty list, any other None."""
         values: dict[str, object] = {}
         last_rank = -1
-        while (word := self.current.text) in _CLAUSE_ORDER:
+        while (word := self.current[TEXT]) in _CLAUSE_ORDER:
             rank = _CLAUSE_ORDER[word]
             if rank <= last_rank:
                 raise ParseError(f"clause '{word}' repeated or out of order", self.span_of(self.current))
@@ -284,10 +298,10 @@ class _Parser:
     def parse_actor_ref(self) -> ActorRef:
         start = self.expect_ident("actor reference")
         category: str | None = None
-        name = start.text
+        name = start[TEXT]
         if self.accept("::"):
-            category = start.text
-            name = self.expect_ident("actor name").text
+            category = start[TEXT]
+            name = self.expect_ident("actor name")[TEXT]
         multiplicity = None
         if self.accept("["):
             lower = self.parse_int("lower bound")
@@ -299,29 +313,29 @@ class _Parser:
 
     def parse_int(self, what: str) -> int:
         tok = self.current
-        if tok.kind is not TokenKind.LABEL or not (tok.text.isascii() and tok.text.isdigit()):
+        if tok[KIND] is not _LABEL or not (tok[TEXT].isascii() and tok[TEXT].isdigit()):
             raise self.error([what])
         self.check_digits(tok)
         self.advance()
-        return int(tok.text)
+        return int(tok[TEXT])
 
     def parse_context_entry(self) -> HandlerContext:
         start = self.expect_ident("use case name")
         self.expect("on")
         exception = self.parse_exception_ref()
         relation = _RELATIONS[self.expect_word(_RELATIONS)]
-        return HandlerContext(start.text, self.span_of(start), exception, relation, self.span_from(start))
+        return HandlerContext(start[TEXT], self.span_of(start), exception, relation, self.span_from(start))
 
     def parse_mode_switch(self) -> ModeSwitch | None:
         """`mode switch: Name`, or None when the next tokens are not one."""
         start = self.current
-        if start.text != "mode" or self.tokens[self.pos + 1].text != "switch":
+        if start[TEXT] != "mode" or self.peek() != "switch":
             return None
         self.pos += 2  # past `mode switch`
         self.current = self.tokens[self.pos]
         self.expect(":")
         name_tok = self.expect_ident("mode name")
-        return ModeSwitch(name_tok.text, self.span_from(start))
+        return ModeSwitch(name_tok[TEXT], self.span_from(start))
 
     def parse_scenario(self) -> Scenario:
         start = self.expect("main")
@@ -335,9 +349,9 @@ class _Parser:
         entry = self.parse_mode_switch()
         items: list[Step | ExtensionBlock] = []
         while True:
-            if self.current.kind is TokenKind.LABEL:
+            if self.current[KIND] is _LABEL:
                 items.append(self.parse_step())
-            elif depth and self.current.text == "block":
+            elif depth and self.current[TEXT] == "block":
                 items.append(self.parse_block(self.advance(), depth + 1))
             else:
                 break
@@ -356,16 +370,16 @@ class _Parser:
         label, label_tok = self.parse_label()
         self.expect(".")
         cur = self.current
-        word = cur.text
-        if cur.kind is TokenKind.IDENT and self.tokens[self.pos + 1].text == "->":
+        word = cur[TEXT]
+        if cur[KIND] is _IDENT and self.peek() == "->":
             self.pos += 2  # past the source endpoint and `->`
             self.current = self.tokens[self.pos]
-            target = self.expect_ident("interaction endpoint").text
+            target = self.expect_ident("interaction endpoint")[TEXT]
             self.expect(":")
             payload: object = Interaction(word, target, self.expect_string())
         elif word == "invoke":
             self.advance()
-            payload = Invocation(self.expect_ident("use case name").text)
+            payload = Invocation(self.expect_ident("use case name")[TEXT])
         elif word == "condition":
             self.advance()
             payload = Condition(self.expect_string())
@@ -381,7 +395,7 @@ class _Parser:
             rng, rng_tok = self.parse_label()
             if rng.anchor_hi is None or rng.suffix:
                 raise ParseError(
-                    f"repeat expects a label range like 2-4, got {rng_tok.text!r}", self.span_of(rng_tok)
+                    f"repeat expects a label range like 2-4, got {rng_tok[TEXT]!r}", self.span_of(rng_tok)
                 )
             payload = ControlFlow(
                 goto=None,
@@ -399,9 +413,9 @@ class _Parser:
 
     def parse_timeout(self) -> Timeout:
         amount_tok = self.current  # its digit bound keeps the amount finite
-        if amount_tok.kind is TokenKind.NUMBER:
+        if amount_tok[KIND] is _NUMBER:
             self.check_digits(amount_tok)
-            amount = float(self.advance().text)
+            amount = float(self.advance()[TEXT])
         else:
             amount = float(self.parse_int("timeout amount"))
         if amount <= 0:
@@ -421,15 +435,13 @@ class _Parser:
 def parse(source: str, file: str | Path = "<string>") -> tuple[Model | None, list[Diagnostic]]:
     """Parse `.ucm` text into a Model.
 
-    Returns (model, []) on success, or (None, [E000 diagnostic]) on the first
-    syntax error; no partial tree is ever returned. Line endings are
-    normalized to LF before offsets are assigned.
+    Returns (model, []) on success, or (None, [E000 diagnostic]) for the first
+    error in the text, the lexer's or the parser's; no partial tree is ever
+    returned. Line endings are normalized to LF before offsets are assigned.
     """
     file = str(file)
-    text = normalize(source)
     try:
-        tokens = tokenize(text, file)
-        model = _Parser(tokens, file).parse_model()
+        model = _Parser(scan(normalize(source)), file).parse_model()
     except ParseError as err:
         return None, [Diagnostic("E000", err.message, err.span, suggestions=err.expected)]
     return model, []

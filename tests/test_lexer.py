@@ -3,12 +3,12 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import position_at, reference_tokenize
 from strategies import model_source
-from ucm.lexer import ParseError, Token, TokenKind, normalize, string_value, tokenize
+from ucm.lexer import ParseError, TokenKind, normalize, string_value, tokenize
 from ucm.parser import parse
 from ucm.spans import LineIndex
 
@@ -18,11 +18,11 @@ def positions(text: str) -> list[tuple[str, int, int]]:
     checked against position_at at each token start."""
     index = LineIndex(text)
     placed = []
-    for tok in tokenize(text, "t.ucm"):
-        line_column = index.position(tok.start)
-        assert line_column == position_at(text, tok.start), tok
-        assert tok.end - tok.start == len(tok.text), tok
-        placed.append((tok.text, *line_column))
+    for _, token_text, start, end in tokenize(text, "t.ucm"):
+        line_column = index.position(start)
+        assert line_column == position_at(text, start), token_text
+        assert end - start == len(token_text), token_text
+        placed.append((token_text, *line_column))
     return placed
 
 
@@ -45,8 +45,8 @@ def test_line_index_equals_position_at(text):
     index = LineIndex(text)
     for offset in range(len(text) + 3):
         assert index.position(offset) == position_at(text, offset), offset
-    eof = tokenize(text, "t.ucm")[-1]
-    assert eof.kind is TokenKind.EOF and eof.start == eof.end == len(text)
+    kind, _, start, end = tokenize(text, "t.ucm")[-1]
+    assert kind is TokenKind.EOF and start == end == len(text)
 
 
 def test_lex_error_on_third_line_reports_its_position():
@@ -72,8 +72,8 @@ def test_lex_error_is_at_the_first_unmatched_offset(text, offset):
 def test_eof_after_trailing_comment_without_newline():
     text = "model M\n  exceptions { } // done"
     assert positions(text)[-1] == ("", 2, 25)
-    eof = tokenize(text, "t.ucm")[-1]
-    assert eof.start == eof.end == len(text)
+    _, _, start, end = tokenize(text, "t.ucm")[-1]
+    assert start == end == len(text)
 
 
 def test_crlf_input_counts_each_line_once():
@@ -140,6 +140,16 @@ def control_source(draw) -> str:
 
 @settings(max_examples=100, deadline=None)
 @given(text=st.one_of(model_source(), commented_source(), mutated_source(), control_source()))
+# Edges of the scan: empty and blank text, a comment or a bad character at the
+# end, an unterminated string, NUL, and a bad character after `1.`.
+@example(text="")
+@example(text="   ")
+@example(text="// c")
+@example(text="x @")
+@example(text="x //c\n$")
+@example(text='"abc')
+@example(text="x\x00")
+@example(text="1.@")
 def test_tokenize_equals_the_reference_lexer(text):
     assert lex_outcome(tokenize, text) == lex_outcome(reference_tokenize, text)
 
@@ -152,7 +162,7 @@ def test_tokenize_equals_the_reference_lexer(text):
         ("//x\n" * 50_000 + "$", 200_000),
         ("// \n" * 50_000 + "$", 200_000),
         # The `"` inside the comment is comment text, never the start of a string.
-        ('x // a "\n$', 9),
+        ('model // a "\n$', 13),
     ],
     ids=["space-run", "padded-comment", "comment-lines", "blank-comment-lines", "quote-in-comment"],
 )
@@ -167,11 +177,11 @@ def test_lex_error_after_a_long_skip_is_found_once_in_linear_time(text, offset):
 
 
 def test_token_is_kind_text_and_offsets():
-    assert tokenize('x "a\\"b"', "t.ucm") == [
-        Token(TokenKind.IDENT, "x", 0, 1),
-        Token(TokenKind.STRING, '"a\\"b"', 2, 8),
-        Token(TokenKind.EOF, "", 8, 8),
-    ]
+    ident, string, eof = tokenize('x "a\\"b"', "t.ucm")
+    assert ident == (TokenKind.IDENT, "x", 0, 1)
+    assert string == (TokenKind.STRING, '"a\\"b"', 2, 8)
+    assert eof == (TokenKind.EOF, "", 8, 8)
+    assert {type(tok) for tok in (ident, string, eof)} == {tuple}
 
 
 @pytest.mark.parametrize(
@@ -179,5 +189,5 @@ def test_token_is_kind_text_and_offsets():
     [('""', ""), ('"plain"', "plain"), ('"say \\"hi\\""', 'say "hi"'), ('"a\\\\b"', "a\\b")],
 )
 def test_string_value_unescapes_only_backslashes(text, value):
-    (tok, _) = tokenize(text, "t.ucm")
-    assert string_value(tok) == value
+    ((_, token_text, _, _), _) = tokenize(text, "t.ucm")
+    assert string_value(token_text) == value

@@ -254,6 +254,42 @@ def test_only_a_parser_e000_lists_the_words_it_expected():
     ]
 
 
+def test_a_syntax_error_before_a_bad_character_is_the_e000():
+    """The first error in the text wins: a missing `:` at line 43 is the E000
+    even with a stray `@` before the last `}` of the file, which alone is the
+    lexer's E000."""
+    source = (CORPUS / "smartstore.ucm").read_text(encoding="utf-8")
+    end = source.rindex("}")
+    syntax = source.replace("scope:", "scope", 1)
+    stray = source[:end] + "@" + source[end:]
+    both = syntax[: end - 1] + "@" + syntax[end - 1 :]
+
+    def e000(text):
+        model, diags = parse(text, "smartstore.ucm")
+        assert model is None
+        return [(d.code, d.span.start, d.message) for d in diags]
+
+    at = source.index("scope:") + len("scope")
+    assert e000(syntax) == [("E000", syntax.index('"', at), "expected ':', got '\"Smart store\"'")]
+    assert e000(stray) == [("E000", end, "unrecognized character '@'")]
+    assert e000(both) == e000(syntax)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    ['    1. Customer @ System : "x"', '    mode @ switch: Normal\n    1. internal "x"'],
+    ids=["interaction", "mode-switch"],
+)
+def test_a_bad_character_the_parser_peeks_at_is_the_e000(steps):
+    """An identifier whose meaning hangs on the next token does not hide a
+    bad character there: the parser's lookahead reads it as the error."""
+    source = uc_source(steps)
+    _, diags = parse(source)
+    assert [(d.code, d.span.start, d.message) for d in diags] == [
+        ("E000", source.index("@"), "unrecognized character '@'")
+    ]
+
+
 def _child_spans(node):
     if isinstance(node, Model):
         yield from node.modes
@@ -312,7 +348,7 @@ def test_every_label_of_a_model_round_trips_its_text(path):
     """Each label token reads back as its own text, and so does every label
     the parser shares between the steps and blocks that carry it."""
     source = normalize(path.read_text(encoding="utf-8"))
-    texts = {tok.text for tok in tokenize(source, path.name) if tok.kind is TokenKind.LABEL}
+    texts = {text for kind, text, _, _ in tokenize(source, path.name) if kind is TokenKind.LABEL}
     assert texts
     for text in texts:
         assert StepLabel.parse(text).text == text
@@ -410,15 +446,15 @@ def parse_error_sweep() -> str:
     text, then `ok` or the E000's code, span offsets, message and suggestions."""
     source = normalize((FIXTURES / "all-productions.ucm").read_text(encoding="utf-8"))
     lines = []
-    for index, tok in enumerate(tokenize(source, "all-productions.ucm")[:-1]):
-        for edit, replacement in (("delete", ""), ("double", tok.text + " " + tok.text)):
-            model, diags = parse(source[: tok.start] + replacement + source[tok.end :], "all-productions.ucm")
+    for index, (_, text, start, end) in enumerate(tokenize(source, "all-productions.ucm")[:-1]):
+        for edit, replacement in (("delete", ""), ("double", text + " " + text)):
+            model, diags = parse(source[:start] + replacement + source[end:], "all-productions.ucm")
             if model is not None:
                 outcome = "ok"
             else:
                 (d,) = diags
                 outcome = f"{d.code} {d.span.start} {d.span.end} {d.message} {d.suggestions}"
-            lines.append(f"{edit} {index} {tok.text!r}: {outcome}\n")
+            lines.append(f"{edit} {index} {text!r}: {outcome}\n")
     return "".join(lines)
 
 
