@@ -3,11 +3,12 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO_ROOT
 from oracles import reference_label_text
+from strategies import model_source
 from ucm.lexer import TokenKind
 from ucm.model import (
     BlockKind,
@@ -288,6 +289,24 @@ def test_a_bad_character_the_parser_peeks_at_is_the_e000(steps):
     assert [(d.code, d.span.start, d.message) for d in diags] == [
         ("E000", source.index("@"), "unrecognized character '@'")
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=model_source(), data=st.data())
+def test_a_bad_character_after_the_first_syntax_error_changes_no_e000(text, data):
+    """Delete one token of a generated model, and where that makes a syntax
+    error, put a `@` before any token from two after the error's token on
+    (the parser reads one token past the one it fails at): the E000 stays."""
+    tokens = tokenize(text, "t.ucm")
+    _, _, start, end = tokens[data.draw(st.integers(0, len(tokens) - 2), label="deleted")]
+    broken = text[:start] + text[end:]
+    model, diags = parse(broken, "t.ucm")
+    assume(model is None)
+    starts = [start for _, _, start, _ in tokenize(broken, "t.ucm")]
+    failed_at = starts.index(diags[0].span.start)
+    assume(failed_at + 2 < len(starts))
+    at = starts[data.draw(st.integers(failed_at + 2, len(starts) - 1), label="inserted")]
+    assert parse(broken[:at] + "@" + broken[at:], "t.ucm") == (None, diags)
 
 
 def _child_spans(node):
