@@ -71,19 +71,22 @@ _STRING = rf'"{_STRING_CHAR}*(?:\\[^{NON_STRING_CHARS}]{_STRING_CHAR}*)*"'
 _LOOSE_STRING_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"')
 
 # One group per token kind, named after its TokenKind member; _KINDS maps
-# each group's number to its kind.
+# each group's number to its kind. The most common kinds come first: IDENT and
+# SYMBOL are 83% of the smart store's tokens. The order cannot change a token,
+# since the kinds start with disjoint characters (letter or `_`, symbol, digit,
+# quote), except NUMBER and LABEL, and NUMBER stays first so `1.5` is a number.
 _TOKEN_RE = re.compile(
     _SKIP
     + r"""(?:
-      (?P<NUMBER>[0-9]+\.[0-9]+)
-    | (?P<LABEL>[0-9]+(?:-[0-9]+)?(?:[a-z][0-9]*)*)
-    | (?P<IDENT>"""
+      (?P<IDENT>"""
     + IDENT_RE.pattern
     + r""")
+    | (?P<SYMBOL>->|::|\.\.|[:,.{}\[\]*])
+    | (?P<NUMBER>[0-9]+\.[0-9]+)
+    | (?P<LABEL>[0-9]+(?:-[0-9]+)?(?:[a-z][0-9]*)*)
     | (?P<STRING>"""
     + _STRING
     + r""")
-    | (?P<SYMBOL>->|::|\.\.|[:,.{}\[\]*])
     | (?P<EOF>\Z)
     | (?P<ERROR>(?s:.+))
     )""",

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .spans import SourceSpan
 
@@ -134,18 +135,28 @@ _LABEL_RE = re.compile(r"([0-9]+)(?:-([0-9]+))?((?:[a-z][0-9]*)*)")
 _SUFFIX_RE = re.compile(r"([a-z])([0-9]*)")
 
 
-@dataclass(frozen=True)
-class StepLabel:
+class _LabelFields(NamedTuple):
+    anchor_lo: int
+    anchor_hi: int | None = None
+    suffix: tuple[tuple[str, int | None], ...] = ()
+
+
+class StepLabel(_LabelFields):
     """Hierarchical step number: integer anchor (optionally a range) plus
     letter/integer pairs, e.g. ``3``, ``2-6``, ``2a``, ``2a1``, ``2-6a2``.
 
     A trailing pair without an integer (``2a``) names an extension block;
     its steps append integers (``2a1``, ``2a2``).
+
+    Tuple-backed like `SourceSpan`, so hashable and equal by value, and cheaper
+    to build and compare than a frozen dataclass. Setting or deleting any
+    attribute raises `AttributeError`.
     """
 
-    anchor_lo: int
-    anchor_hi: int | None = None
-    suffix: tuple[tuple[str, int | None], ...] = ()
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: StepLabel is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def parse(cls, text: str) -> StepLabel | None:
@@ -163,7 +174,7 @@ class StepLabel:
             return None
         return cls(lo, hi, suffix)
 
-    @cached_property  # stored in the instance dict, which fields() and __eq__ never read
+    @cached_property  # kept in the instance dict, which it writes past __setattr__; ==, hash and repr read only the tuple
     def text(self) -> str:
         anchor = str(self.anchor_lo) if self.anchor_hi is None else f"{self.anchor_lo}-{self.anchor_hi}"
         return anchor + "".join(

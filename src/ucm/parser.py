@@ -100,7 +100,7 @@ class _Parser:
         self.file = file
         self.pos = 0
         self.current = tokens[0]
-        # StepLabel is frozen, so steps share one instance per label text.
+        # StepLabel is immutable, so steps share one instance per label text.
         self.labels: dict[str, StepLabel] = {}
 
     # -- token plumbing -------------------------------------------------

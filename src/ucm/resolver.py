@@ -192,6 +192,8 @@ def _collect_actors(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:
 
 # A parent sequence as block anchors read it: the first step per label text,
 # then the plain-integer labels among those in ascending order, and their steps.
+# `_bind_use_case` builds one only for a sequence that some block anchors on: a
+# main scenario with extensions, or a block body that holds nested blocks.
 _Sequence = tuple[dict[str, Step], list[int], list[Step]]
 
 
@@ -291,15 +293,16 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
 
     if uc.main:
         bind_sequence(uc.main, uc.main.steps, [])
-    main_sequence = _index_sequence(uc.main.steps if uc.main else [])
+    main_sequence = _index_sequence(uc.main.steps if uc.main else []) if uc.extensions else None
     pending = [(block, main_sequence) for block in reversed(uc.extensions)]
     while pending:
         block, parent = pending.pop()
         anchored = bind_anchor(block, parent)
         steps = block.steps()
         bind_sequence(block, steps, anchored)
-        sequence = _index_sequence(steps)
-        pending.extend((nested, sequence) for nested in reversed(block.nested_blocks()))
+        if nested := block.nested_blocks():
+            sequence = _index_sequence(steps)
+            pending.extend((child, sequence) for child in reversed(nested))
 
 
 def closure(starts: Iterable[str], neighbours: Callable[[str], Iterable[str]]) -> set[str]:

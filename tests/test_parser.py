@@ -387,14 +387,25 @@ _SUFFIX = st.lists(st.tuples(st.sampled_from("abcxyz"), st.integers(1, 10**4)), 
 def test_derived_labels_have_the_text_of_their_fields(lo, hi, pairs, block):
     """`successor`, `anchor_label` and `first_in_block` build labels whose
     text is the reference formula over their fields and parses back to an
-    equal label: the stored text takes no part in equality or hashing."""
+    equal label: the stored text takes no part in equality, hashing or repr.
+    The text is computed once, and no attribute can be set or deleted."""
     label = StepLabel(lo, hi, (*pairs, *([] if block is None else [(block, None)])))
     derived = [label, label.successor(), label.anchor_label(), label.first_in_block()]
     for item in filter(None, derived):
         expected = reference_label_text(item.anchor_lo, item.anchor_hi, item.suffix)
-        assert item.text == expected
+        text = item.text
+        assert text == expected and item.text is text
         fresh = StepLabel.parse(expected)
         assert fresh == item and hash(fresh) == hash(item)
+        assert repr(item) == repr(fresh) == (
+            f"StepLabel(anchor_lo={item.anchor_lo!r}, anchor_hi={item.anchor_hi!r}, suffix={item.suffix!r})"
+        )
+        for name in ("anchor_lo", "anchor_hi", "suffix", "text", "new_name"):
+            with pytest.raises(AttributeError):
+                setattr(item, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(item, name)
+        assert item.text is text and item == fresh
 
 
 def test_label_successors():

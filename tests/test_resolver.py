@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from conftest import REPO_ROOT
+from ucm import resolver
 from ucm.export import export_json, import_json
 from ucm.model import StepKind
 from ucm.parser import parse, parse_file
@@ -173,6 +174,44 @@ def test_context_references_bind_to_usecase_and_exception():
     ctx = resolved.model.use_cases[1].contexts[0]
     assert resolved.binding_for(ctx) is resolved.model.use_cases[0]
     assert resolved.binding_for(ctx.exception) is resolved.model.exceptions[0]
+
+
+TWO_BLOCKS = UC.replace(
+    "    outcome success\n  }\n",
+    """    outcome success
+  }
+  extensions {
+    block 1a alternative when "c" {
+      1a1. internal "z"
+      outcome continue 2
+    }
+    block 2a alternative when "d" {
+      2a1. internal "w"
+      outcome failure
+    }
+  }
+""",
+)
+
+
+def test_a_sequence_is_indexed_only_where_a_block_hangs_off_it(monkeypatch):
+    """Only the main scenario of A is indexed: its two blocks anchor on it but
+    hold no nested block, and B has no block at all."""
+    calls = []
+    index = resolver._index_sequence
+
+    def counted(steps):
+        calls.append(steps)
+        return index(steps)
+
+    monkeypatch.setattr(resolver, "_index_sequence", counted)
+    src = HEADER + TWO_BLOCKS % ("A", '    1. internal "x"\n    2. internal "y"') + UC % ("B", '    1. internal "x"')
+    resolved, diags = resolved_of(src)
+    assert diags == []
+    a = resolved.model.use_cases[0]
+    assert [resolved.binding_for(block) for block in a.extensions] == a.main.steps
+    assert len(calls) == 1
+    assert calls[0] is a.main.steps
 
 
 def test_reachable_transitive_closure():
