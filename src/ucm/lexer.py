@@ -57,10 +57,11 @@ class ParseError(Exception):
 # followed by a letter is left for the next token (e.g. `->`).
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
 
-# Whitespace and comments before a token. Each run is matched whole (the
-# lookaheads forbid a shorter one), so the prefix can match in only one way
-# and never re-reads comment text as tokens.
-_SKIP = r"(?:[ \t\n]+(?![ \t\n])|//[^\n]*(?![^\n]))*"
+# Whitespace and comments before a token, matched greedily. The token part
+# after it cannot fail (EOF and ERROR match at any offset), so nothing ever
+# backtracks into the prefix: it matches each run whole, in one way, and never
+# re-reads comment text as tokens.
+_SKIP = r"[ \t\n]*(?://[^\n]*[ \t\n]*)*"
 
 # A string holds no character in NON_STRING_CHARS, raw or escaped, and is
 # unrolled to match one way. Where an ERROR token opens with a quote that

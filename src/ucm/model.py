@@ -133,6 +133,7 @@ def non_string_char(text: str) -> tuple[int, str] | None:
 
 _LABEL_RE = re.compile(r"([0-9]+)(?:-([0-9]+))?((?:[a-z][0-9]*)*)")
 _SUFFIX_RE = re.compile(r"([a-z])([0-9]*)")
+_LEADING_ZERO_RE = re.compile(r"(?<![0-9])0[0-9]")
 
 
 class _LabelFields(NamedTuple):
@@ -150,7 +151,9 @@ class StepLabel(_LabelFields):
 
     Tuple-backed like `SourceSpan`, so hashable and equal by value, and cheaper
     to build and compare than a frozen dataclass. Setting or deleting any
-    attribute raises `AttributeError`.
+    attribute raises `AttributeError`. `parse` stores its text as `text` when
+    no number in it has a leading zero, and `anchor_label` stores the block
+    label's text less its letter; other labels compute `text` on first read.
     """
 
     def __setattr__(self, name: str, *_: object) -> None:
@@ -172,9 +175,14 @@ class StepLabel(_LabelFields):
         # Only the final pair may omit its integer (a block label).
         if any(num is None for _, num in suffix[:-1]):
             return None
-        return cls(lo, hi, suffix)
+        label = cls(lo, hi, suffix)
+        if not _LEADING_ZERO_RE.search(text):
+            label.__dict__["text"] = text  # spelled as the formula spells it
+        return label
 
-    @cached_property  # kept in the instance dict, which it writes past __setattr__; ==, hash and repr read only the tuple
+    # Kept in the instance dict, which it writes past __setattr__, as `parse` and
+    # `anchor_label` do up front; ==, hash and repr read only the tuple.
+    @cached_property
     def text(self) -> str:
         anchor = str(self.anchor_lo) if self.anchor_hi is None else f"{self.anchor_lo}-{self.anchor_hi}"
         return anchor + "".join(
@@ -188,7 +196,9 @@ class StepLabel(_LabelFields):
         """The parent-sequence label(s) a block with this label is attached to."""
         if not self.is_block_label():
             return None
-        return StepLabel(self.anchor_lo, self.anchor_hi, self.suffix[:-1])
+        anchor = StepLabel(self.anchor_lo, self.anchor_hi, self.suffix[:-1])
+        anchor.__dict__["text"] = self.text[:-1]
+        return anchor
 
     def first_in_block(self) -> StepLabel | None:
         """Label of the first step inside the block named by this label."""

@@ -165,12 +165,14 @@ class _Parser:
         self.advance()
         return word
 
+    # These spans skip `SourceSpan`'s order check: a token starts before it
+    # ends, and the last token consumed ends at or after `start` begins.
     def span_of(self, tok: Token) -> SourceSpan:
-        return SourceSpan(self.file, tok[START], tok[END])
+        return tuple.__new__(SourceSpan, (self.file, tok[START], tok[END]))
 
     def span_from(self, start: Token) -> SourceSpan:
         """The span from `start`, already consumed, to the last consumed token."""
-        return SourceSpan(self.file, start[START], self.tokens[self.pos - 1][END])
+        return tuple.__new__(SourceSpan, (self.file, start[START], self.tokens[self.pos - 1][END]))
 
     def check_digits(self, tok: Token) -> None:
         if too_many_digits(tok[TEXT]):

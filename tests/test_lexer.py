@@ -141,7 +141,9 @@ def control_source(draw) -> str:
 @settings(max_examples=100, deadline=None)
 @given(text=st.one_of(model_source(), commented_source(), mutated_source(), control_source()))
 # Edges of the scan: empty and blank text, a comment or a bad character at the
-# end, an unterminated string, NUL, and a bad character after `1.`.
+# end, an unterminated string, NUL, and a bad character after `1.`. Then runs
+# of the gap before a token: comment after comment, a comment at the end with
+# and without a newline after it, a lone slash, and slashes split by a space.
 @example(text="")
 @example(text="   ")
 @example(text="// c")
@@ -150,6 +152,12 @@ def control_source(draw) -> str:
 @example(text='"abc')
 @example(text="x\x00")
 @example(text="1.@")
+@example(text="a//x\n//y\n b")
+@example(text="a // x")
+@example(text="a\n\n//\n")
+@example(text="a /b")
+@example(text="a/ /b")
+@example(text="  //x")
 def test_tokenize_equals_the_reference_lexer(text):
     assert lex_outcome(tokenize, text) == lex_outcome(reference_tokenize, text)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from ucm.model import (
     ExceptionCategory,
     ExceptionRef,
     ExtensionBlock,
+    HandlerContext,
     Internal,
     Interaction,
     Invocation,
@@ -321,12 +323,12 @@ def _child_spans(node):
         if node.main:
             yield node.main
         yield from node.extensions
+    elif isinstance(node, HandlerContext):
+        yield node.exception
     elif isinstance(node, Scenario):
-        yield from node.steps
-        yield node.outcome
+        yield from filter(None, (node.entry_switch, *node.steps, node.exit_switch, node.outcome))
     elif isinstance(node, ExtensionBlock):
-        yield from node.body
-        yield node.outcome
+        yield from filter(None, (node.entry_switch, *node.body, node.exit_switch, node.outcome))
     elif isinstance(node, Step):
         if isinstance(node.payload, ExceptionRef):
             yield node.payload
@@ -345,6 +347,43 @@ def _assert_contained(node):
 def test_every_span_is_inside_its_parent(smartstore, firealarm):
     _assert_contained(smartstore)
     _assert_contained(firealarm)
+
+
+def _walk(node):
+    yield node
+    for child in _child_spans(node):
+        yield from _walk(child)
+
+
+def span_rows(text: str, file: str) -> list[str]:
+    """Parse `text` and list every span field of every node, in walk order, as
+    `class field start end`, asserting each is a SourceSpan inside the text."""
+    model, diags = parse(text, file)
+    assert model is not None, diags
+    size = len(normalize(text))
+    rows = []
+    for node in _walk(model):
+        for name in (f.name for f in fields(node) if f.type == "SourceSpan"):
+            span = getattr(node, name)
+            assert type(span) is SourceSpan and span.file == file, (node, name)
+            assert 0 <= span.start <= span.end <= size, (node, name)
+            rows.append(f"{type(node).__name__} {name} {span.start} {span.end}\n")
+    return rows
+
+
+@pytest.mark.parametrize(
+    "path",
+    [CORPUS / "smartstore.ucm", CORPUS / "firealarm.ucm", *sorted((REPO_ROOT / "tests" / "fixtures").glob("*.ucm"))],
+    ids=lambda path: path.name,
+)
+def test_every_span_of_a_model_is_an_ordered_source_span(path):
+    assert span_rows(path.read_text(encoding="utf-8"), path.name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=model_source())
+def test_every_span_of_a_generated_model_is_an_ordered_source_span(text):
+    assert span_rows(text, "g.ucm")
 
 
 def test_labels_round_trip_text():
@@ -375,6 +414,13 @@ def test_every_label_of_a_model_round_trips_its_text(path):
     assert model is not None and diags == []
     for uc in model.use_cases:
         assert {item.label.text for item in [*uc.all_steps(), *uc.all_blocks()]} <= texts
+
+
+def test_a_label_with_a_leading_zero_has_the_text_of_its_fields():
+    """Such a label is not spelled as its own text, so its text is the
+    formula's, and so is its anchor's."""
+    assert [StepLabel.parse(text).text for text in ("02", "2a01", "1-03a")] == ["2", "2a1", "1-3a"]
+    assert StepLabel.parse("1-03a").anchor_label().text == "1-3"
 
 
 _SUFFIX = st.lists(st.tuples(st.sampled_from("abcxyz"), st.integers(1, 10**4)), max_size=4)
@@ -486,6 +532,13 @@ def parse_error_sweep() -> str:
                 outcome = f"{d.code} {d.span.start} {d.span.end} {d.message} {d.suggestions}"
             lines.append(f"{edit} {index} {text!r}: {outcome}\n")
     return "".join(lines)
+
+
+def test_spans_match_golden_walk():
+    """The parser builds its spans without `SourceSpan`'s order check; each
+    span of the all-productions fixture is where it was when it had one."""
+    rows = span_rows((FIXTURES / "all-productions.ucm").read_text(encoding="utf-8"), "all-productions.ucm")
+    assert "".join(rows) == (GOLDEN / "all-productions-spans.txt").read_text(encoding="utf-8")
 
 
 def test_parse_errors_match_golden_sweep():

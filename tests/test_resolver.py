@@ -3,10 +3,11 @@ from __future__ import annotations
 from conftest import REPO_ROOT
 from ucm import resolver
 from ucm.export import export_json, import_json
-from ucm.model import StepKind
+from ucm.model import StepKind, StepLabel
 from ucm.parser import parse, parse_file
 from ucm.resolver import reachable_use_cases, resolve
 from ucm.spans import LineIndex
+from ucm.validation import validate
 
 HEADER = """model M
 modes { default normal Normal }
@@ -212,6 +213,26 @@ def test_a_sequence_is_indexed_only_where_a_block_hangs_off_it(monkeypatch):
     assert [resolved.binding_for(block) for block in a.extensions] == a.main.steps
     assert len(calls) == 1
     assert calls[0] is a.main.steps
+
+
+def test_resolve_and_validate_compute_no_label_text(monkeypatch):
+    """The parser's labels keep their token text, and a block's anchor label
+    the block label's text less its letter, so no label text of the smart
+    store is computed from its fields."""
+    model, diags = parse_file(REPO_ROOT / "corpus" / "smartstore.ucm")
+    assert diags == []
+    text = StepLabel.__dict__["text"]
+    formula = text.func
+    computed = []
+
+    def counted(label):
+        computed.append(label)
+        return formula(label)
+
+    monkeypatch.setattr(text, "func", counted)
+    resolved, diags = resolve(model)
+    assert diags == [] and validate(resolved) == []
+    assert len(computed) == 0, computed[:3]
 
 
 def test_reachable_transitive_closure():
