@@ -67,9 +67,8 @@ def generate(corpus_file: Path, out_dir: Path) -> int:
                 problems.append(err.diagnostic)
     if problems:
         index = LineIndex(normalize(source))
-        for diag in problems:
-            line, _ = index.position(diag.span.start)
-            print(f"{corpus_file}:{line}: {diag.code} {diag.message}", file=sys.stderr)
+        lines = (f"{corpus_file}:{index.position(d.span.start)[0]}: {d.code} {d.message}\n" for d in problems)
+        sys.stderr.write("".join(lines))
     if has_errors(problems):
         return 1
 

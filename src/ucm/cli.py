@@ -3,9 +3,10 @@
 `main` calls `load` once for every command, to read, parse and resolve the
 model; scripts/generate_reports.py calls it too, as it reads `analysis.TABLES`
 and `export.EXPORTS`, the builders of each table kind and export target.
-Diagnostics go to stderr, requested artifacts to stdout, so output can be
-piped. Exit codes: 0 success, 1 model errors (or warnings under --strict),
-2 usage or I/O problems, an output stream closed early or failing included.
+Diagnostics go to stderr in one write, requested artifacts to stdout, so
+output can be piped. Exit codes: 0 success, 1 model errors (or warnings
+under --strict), 2 usage or I/O problems, an output stream closed early or
+failing included.
 
 `main` and the report script's `generate` run with the cyclic collector off
 (`without_collector`): no command leaves a reference cycle, so reference
@@ -76,14 +77,14 @@ def without_collector() -> Iterator[None]:
 
 
 def _print_diagnostics(diags: list[Diagnostic], source: str) -> None:
-    use_color = sys.stderr.isatty() and not os.environ.get("NO_COLOR")
-    for diag, text in zip(diags, render_diagnostics(diags, source)):
-        if use_color:
+    texts = render_diagnostics(diags, source)
+    if sys.stderr.isatty() and not os.environ.get("NO_COLOR"):
+        for i, (diag, text) in enumerate(zip(diags, texts)):
             # The severity follows `file:line:column: `; the file name may hold the same word.
             color = "\x1b[31m" if diag.severity is Severity.ERROR else "\x1b[33m"
             word, cut = diag.severity.value, len(diag.span.file)
-            text = text[:cut] + text[cut:].replace(f"{word}[", f"{color}{word}\x1b[0m[", 1)
-        print(text, file=sys.stderr)
+            texts[i] = text[:cut] + text[cut:].replace(f"{word}[", f"{color}{word}\x1b[0m[", 1)
+    sys.stderr.write("".join(text + "\n" for text in texts))
 
 
 def load(path: str | Path) -> tuple[str, ResolvedModel | None, list[Diagnostic]] | None:

@@ -119,7 +119,8 @@ def _render(diag: Diagnostic, index: LineIndex) -> str:
     line, column = index.position(diag.span.start)
     line_begin = index.starts[line - 1]
     start = line_begin + column - 1  # clamped to the end of the text
-    lines = [f"{diag.span.file}:{line}:{column}: {diag.severity.value}[{diag.code}]: {diag.message}"]
+    severity = "error" if diag.code[0] == "E" else "warning"  # as `severity_of` reads the code
+    lines = [f"{diag.span.file}:{line}:{column}: {severity}[{diag.code}]: {diag.message}"]
     line_end = text.find("\n", start)
     if line_end == -1:
         line_end = len(text)
@@ -128,7 +129,8 @@ def _render(diag: Diagnostic, index: LineIndex) -> str:
         width = max(1, min(diag.span.end, line_end) - start)
         lines.append(f"  {excerpt}")
         # Tabs stay tabs, so the carets share the excerpt's tab stops.
-        pad = "".join(c if c == "\t" else " " for c in excerpt[: column - 1])
+        pad = excerpt[: column - 1]
+        pad = "".join(c if c == "\t" else " " for c in pad) if "\t" in pad else " " * (column - 1)
         lines.append(f"  {pad}{'^' * width}")
     for suggestion in diag.suggestions:
         lines.append(f"  suggestion: {suggestion}")

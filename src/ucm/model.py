@@ -142,6 +142,25 @@ class _LabelFields(NamedTuple):
     suffix: tuple[tuple[str, int | None], ...] = ()
 
 
+def successor_fields(lo: int, hi: int | None, suffix: tuple) -> tuple | None:
+    """The step numbering rule, on plain tuples of label fields, as the
+    validator compares them and `StepLabel.successor` wraps it: the next
+    sibling's fields. A plain integer and the number of the last pair count
+    up; a range and a block label have no successor."""
+    if not suffix:
+        return (lo + 1, None, ()) if hi is None else None
+    letter, num = suffix[-1]
+    return None if num is None else (lo, hi, suffix[:-1] + ((letter, num + 1),))
+
+
+def first_in_block_fields(lo: int, hi: int | None, suffix: tuple) -> tuple | None:
+    """The fields of the first step label in the block these fields label:
+    the successor of its letter numbered 0; None unless a block label."""
+    if not suffix or suffix[-1][1] is not None:
+        return None
+    return successor_fields(lo, hi, suffix[:-1] + ((suffix[-1][0], 0),))
+
+
 class StepLabel(_LabelFields):
     """Hierarchical step number: integer anchor (optionally a range) plus
     letter/integer pairs, e.g. ``3``, ``2-6``, ``2a``, ``2a1``, ``2-6a2``.
@@ -202,21 +221,13 @@ class StepLabel(_LabelFields):
 
     def first_in_block(self) -> StepLabel | None:
         """Label of the first step inside the block named by this label."""
-        if not self.is_block_label():
-            return None
-        letter = self.suffix[-1][0]
-        return StepLabel(self.anchor_lo, self.anchor_hi, self.suffix[:-1] + ((letter, 1),))
+        fields = first_in_block_fields(*self)
+        return None if fields is None else StepLabel(*fields)
 
     def successor(self) -> StepLabel | None:
         """Next sibling step label; None when this label cannot have one."""
-        if not self.suffix:
-            if self.anchor_hi is not None:
-                return None
-            return StepLabel(self.anchor_lo + 1)
-        letter, num = self.suffix[-1]
-        if num is None:
-            return None
-        return StepLabel(self.anchor_lo, self.anchor_hi, self.suffix[:-1] + ((letter, num + 1),))
+        fields = successor_fields(*self)
+        return None if fields is None else StepLabel(*fields)
 
     def __str__(self) -> str:
         return self.text

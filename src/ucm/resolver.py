@@ -6,6 +6,10 @@ to the node it names or reports it (E003, E004, E012, E013). The names a mode
 offers and a service provides get no binding; each must name a definition
 (E017). Resolution never aborts, and all resolvable references are bound
 regardless of the others.
+
+A use case's map from label text to first step, which its goto, repeat and
+continue references bind through, is built at the first such reference. A
+block's anchor is read from the block label's own fields and text.
 """
 
 from __future__ import annotations
@@ -209,7 +213,7 @@ def _index_sequence(steps: list[Step]) -> _Sequence:
 
 
 def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]) -> None:
-    labels = {step.label.text: step for step in reversed(uc.all_steps())}  # first step per label text
+    labels: dict[str, Step] = {}  # first step per label text, built at the first reference by label
     invocations = resolved._invocations[id(uc)] = []
     use_cases = resolved.use_case_by_name
     bind = partial(_bind, resolved, diags)
@@ -217,6 +221,10 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
     def bind_exception(ref: ExceptionRef) -> None:
         exceptions = resolved.exception_by_qualified_name
         bind(ref, exceptions, ref.qualified_name, "E004", "exception '{}' is not defined in the header", ref.span)
+
+    def index_labels() -> None:
+        if not labels:
+            labels.update((step.label.text, step) for step in reversed(uc.all_steps()))
 
     def bind_sequence(owner: Scenario | ExtensionBlock, steps: list[Step], anchored: list[Step]) -> None:
         """Bind the mode switches of a scenario or block, then its steps, then
@@ -227,18 +235,20 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         block = owner if isinstance(owner, ExtensionBlock) else None
         for step in steps:
             payload = step.payload
-            if isinstance(payload, Invocation):
+            kind = type(payload)
+            if kind is Invocation:
                 target = bind(
                     step, use_cases, payload.target, "E003", "invoked use case '{}' is not defined", step.span
                 )
                 if target is not None:
                     invocations.append((step, target))
-            elif isinstance(payload, ExceptionRef):
+            elif kind is ExceptionRef:
                 bind_exception(payload)
                 site = RaiseSite(uc, block, step, anchored)
                 resolved._raise_sites.append(site)
                 resolved.sites_by_exception.setdefault(payload.qualified_name, []).append(site)
-            elif isinstance(payload, ControlFlow):
+            elif kind is ControlFlow:
+                index_labels()
                 goto, start, end = payload.goto, payload.repeat_from, payload.repeat_to
                 if goto is not None:
                     bind(step, labels, goto.text, "E012", "goto target names no existing step: '{}'", step.span)
@@ -250,32 +260,32 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                     diags.append(Diagnostic("E012", message, step.span))
         outcome, target = owner.outcome, owner.outcome.continue_target
         if target is not None:
+            index_labels()
             bind(outcome, labels, target.text, "E012", "continue target names no existing step: '{}'", outcome.span)
 
     def bind_anchor(block: ExtensionBlock, parent: _Sequence) -> list[Step]:
         """Bind the block to its anchor step in the parent sequence and return
         the steps it is attached to: the anchor, or every step of an anchor
         range ``lo-hi`` (first occurrence per label), found by bisection."""
-        anchor = block.label.anchor_label()
-        if anchor is None:
+        label = block.label  # its anchor: the same fields less the last pair, the same text less the letter
+        if not label.is_block_label():
             diags.append(
                 Diagnostic(
                     "E012",
-                    f"block label '{block.label.text}' does not end in a letter naming an anchor",
+                    f"block label '{label.text}' does not end in a letter naming an anchor",
                     block.span,
                 )
             )
             return []
         by_label, numbers, numbered = parent
-        if anchor.anchor_hi is not None and not anchor.suffix:
-            ends = [str(anchor.anchor_lo), str(anchor.anchor_hi)]
-        else:
-            ends = [anchor.text]
+        anchor = label.text[:-1]
+        lo, hi, suffix = label
+        ends = [str(lo), str(hi)] if hi is not None and len(suffix) == 1 else [anchor]
         if any(end not in by_label for end in ends):
             diags.append(
                 Diagnostic(
                     "E012",
-                    f"block anchor '{anchor.text}' names no existing step in its parent sequence",
+                    f"block anchor '{anchor}' names no existing step in its parent sequence",
                     block.span,
                 )
             )
@@ -283,7 +293,7 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         first = resolved.bindings[id(block)] = by_label[ends[0]]
         if len(ends) == 1:
             return [first]
-        return numbered[bisect_left(numbers, anchor.anchor_lo) : bisect_right(numbers, anchor.anchor_hi)]
+        return numbered[bisect_left(numbers, lo) : bisect_right(numbers, hi)]
 
     for ctx in uc.contexts:
         bind(ctx, use_cases, ctx.use_case, "E003", "context use case '{}' is not defined", ctx.use_case_span)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
+from itertools import accumulate
 from typing import NamedTuple
 
 
@@ -40,7 +40,7 @@ class LineIndex:
 
     def __init__(self, text: str):
         self.text = text
-        self.starts = [0, *(m.end() for m in re.finditer("\n", text))]
+        self.starts = list(accumulate((len(line) + 1 for line in text.split("\n")[:-1]), initial=0))
 
     def position(self, offset: int) -> tuple[int, int]:
         """(line, column), both 1-based. Offsets past the end of the text land

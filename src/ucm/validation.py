@@ -7,6 +7,9 @@ E011 at the main scenario, and E014 (a repeated block label), E002, E010,
 E008 and E009 at each block. Rules over the whole model keep a loop each:
 W001, E007, W002 and W003.
 
+E002 compares each step's label with the plain tuple of fields expected
+there (`model.successor_fields`); only its suggestion builds a `StepLabel`.
+
 The result is sorted by (file, offset, code), a stable sort, so diagnostics
 tied on all three come out in walk order. An imported model's spans are
 numbered in document order (`import_json`), so such ties arise only within
@@ -33,6 +36,8 @@ from .model import (
     Step,
     StepLabel,
     UseCase,
+    first_in_block_fields,
+    successor_fields,
 )
 from .resolver import ResolvedModel, closure
 
@@ -111,17 +116,17 @@ def _walk_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         more = f" and {len(actors) - 8} more" if len(actors) > 8 else ""
         listing = ", ".join(ref.name for ref in actors[:8]) + more or "none"
 
-    def walk_steps(steps: list[Step], expected: StepLabel | None) -> None:
-        """E002 along `steps` from the label `expected` (None: a malformed
+    def walk_steps(steps: list[Step], expected: tuple | None) -> None:
+        """E002 along `steps` from the label fields `expected` (None: a malformed
         block label, which anchor resolution reported), and E010."""
         numbered = expected is not None
         for step in steps:
             if numbered:
-                if expected is None or step.label != expected:
-                    suggestions = [expected.text] if expected is not None else []
+                if step.label != expected:  # a label equals the plain tuple of its fields
+                    suggestions = [] if expected is None else [StepLabel(*expected).text]
                     message = f"step '{step.label.text}' does not follow the step numbering"
                     diags.append(Diagnostic("E002", message, step.span, suggestions=suggestions))
-                expected = step.label.successor()
+                expected = successor_fields(*step.label)
             if declared is None or not isinstance(step.payload, Interaction):
                 continue
             ends = (step.payload.source, step.payload.target)
@@ -137,7 +142,7 @@ def _walk_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                     diags.append(Diagnostic("E010", message, step.span))
 
     if uc.main is not None:
-        walk_steps(uc.main.steps, StepLabel(1))
+        walk_steps(uc.main.steps, (1, None, ()))
         outcome = uc.main.outcome
         if outcome.kind is not OutcomeKind.SUCCESS:
             message = f"main success scenario of '{uc.name}' ends in '{outcome.kind.value}', expected success"
@@ -150,7 +155,7 @@ def _walk_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
             message = f"duplicate block label '{block.label.text}' in '{uc.name}'"
             diags.append(Diagnostic("E014", message, block.span, related=[(prior.span, "first block with this label")]))
         steps = block.steps()
-        walk_steps(steps, block.label.first_in_block())
+        walk_steps(steps, first_in_block_fields(*block.label))
         if block.kind is not BlockKind.EXCEPTIONAL:
             continue
         raises = [s.payload for s in steps if isinstance(s.payload, ExceptionRef)]

@@ -275,6 +275,48 @@ def position_at(source: str, offset: int) -> tuple[int, int]:
     return line, offset - last_nl
 
 
+def reference_line_starts(text: str) -> list[int]:
+    """The offset at which each line of LF-normalized text starts: 0, and
+    the offset after each newline."""
+    return [0, *(m.end() for m in re.finditer("\n", text))]
+
+
+def reference_caret_pad(prefix: str) -> str:
+    """The indent of a diagnostic's carets under `prefix`, the excerpt
+    before the caret column: each tab kept, every other character a space."""
+    return "".join(c if c == "\t" else " " for c in prefix)
+
+
+def reference_step_numbering(uc: UseCase) -> list[tuple[SourceSpan, str, list[str]]]:
+    """Each E002 of one use case as (span, message, suggestions), by walking
+    each sequence label by label: the main scenario counts 1, 2, 3, ...; the
+    block labelled L counts L1, L2, ...; a step after a range or a block label
+    is out of step, with no suggestion; a block whose label does not end in a
+    letter is not numbered at all."""
+    found: list[tuple[SourceSpan, str, list[str]]] = []
+
+    def walk(steps: list[Step], expected: tuple | None) -> None:
+        for step in steps:
+            lo, hi, suffix = fields = tuple(step.label)
+            if fields != expected:
+                message = f"step '{reference_label_text(*fields)}' does not follow the step numbering"
+                found.append((step.span, message, [] if expected is None else [reference_label_text(*expected)]))
+            if not suffix:
+                expected = (lo + 1, None, ()) if hi is None else None
+            elif suffix[-1][1] is None:
+                expected = None
+            else:
+                expected = (lo, hi, (*suffix[:-1], (suffix[-1][0], suffix[-1][1] + 1)))
+
+    if uc.main is not None:
+        walk(uc.main.steps, (1, None, ()))
+    for block in uc.all_blocks():
+        lo, hi, suffix = block.label
+        if suffix and suffix[-1][1] is None:
+            walk(block.steps(), (lo, hi, (*suffix[:-1], (suffix[-1][0], 1))))
+    return found
+
+
 _REFERENCE_TOKEN_RE = re.compile(
     r"""
       (?P<ws>[ \t\n]+)

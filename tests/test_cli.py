@@ -851,6 +851,19 @@ def test_an_output_stream_closed_early_exits_2_and_prints_nothing(stream, argv, 
     assert (done.stderr if stream == "stdout" else done.stdout) == b""
 
 
+def test_check_writes_the_golden_diagnostics_to_a_pipe():
+    """`python -m ucm.cli check` with stderr on a real pipe, so through a
+    text stream over a file descriptor, writes the golden bytes."""
+    fixtures = REPO_ROOT / "tests" / "fixtures"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [UCM_PATH, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "ucm.cli", "check", "validation-faults.ucm"],
+        cwd=fixtures, env=env, capture_output=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == (REPO_ROOT / "tests" / "golden" / "validation-faults-check.txt").read_bytes()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the system has no /dev/full")
 @pytest.mark.parametrize(
     "stream, argv",

@@ -4,8 +4,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, pipeline, report_script
+from oracles import position_at, reference_caret_pad
 from ucm.cli import main
 from ucm.diagnostics import CODES, Diagnostic, Severity, render_diagnostic, render_diagnostics, sort_diagnostics
 from ucm.spans import ZERO_SPAN, LineIndex, SourceSpan
@@ -60,6 +63,28 @@ def test_render_carets_keep_the_tabs_of_the_excerpt():
     assert header.startswith("store.ucm:2:3:")  # a tab counts as one column
     assert excerpt == "  \t bogus"
     assert carets == "  \t ^^^^^"
+
+
+@given(text=st.text(alphabet="ab \t\n", max_size=30), start=st.integers(0, 35), length=st.integers(0, 8))
+@example(text="", start=0, length=0)
+@example(text="ab\ncd", start=4, length=1)
+@example(text="ab\ncd\n", start=4, length=9)
+@example(text="a\t b\n", start=3, length=2)
+@example(text="\t\tab", start=9, length=1)
+def test_render_pads_the_carets_as_the_reference(text, start, length):
+    """The caret line repeats the tabs of the excerpt before the caret
+    column and a space for every other character, also where the offset
+    lies past the end of the text."""
+    rendered = render_diagnostic(Diagnostic("E000", "m", span(start=start, end=start + length)), text).split("\n")
+    line, column = position_at(text, start)
+    excerpt = text.split("\n")[line - 1]
+    if not excerpt:
+        assert len(rendered) == 1
+        return
+    offset = min(start, len(text))
+    line_end = offset - column + 1 + len(excerpt)
+    width = max(1, min(start + length, line_end) - offset)
+    assert rendered[1:] == [f"  {excerpt}", f"  {reference_caret_pad(excerpt[: column - 1])}{'^' * width}"]
 
 
 def test_render_related_notes():

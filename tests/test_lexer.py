@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import position_at, reference_tokenize
+from oracles import position_at, reference_line_starts, reference_tokenize
 from strategies import model_source
 from ucm.lexer import ParseError, TokenKind, normalize, string_value, tokenize
 from ucm.parser import parse
@@ -47,6 +47,16 @@ def test_line_index_equals_position_at(text):
         assert index.position(offset) == position_at(text, offset), offset
     kind, _, start, end = tokenize(text, "t.ucm")[-1]
     assert kind is TokenKind.EOF and start == end == len(text)
+
+
+@given(text=st.text(alphabet="ab \t\n", max_size=40))
+@example(text="")
+@example(text="ab")
+@example(text="ab\n")
+@example(text="\n\n")
+@example(text="a\n\tb\n\n c")
+def test_line_index_starts_equal_the_reference(text):
+    assert LineIndex(text).starts == reference_line_starts(text)
 
 
 def test_lex_error_on_third_line_reports_its_position():

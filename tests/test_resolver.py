@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
+
 from conftest import REPO_ROOT
 from ucm import resolver
 from ucm.export import export_json, import_json
-from ucm.model import StepKind, StepLabel
+from ucm.model import ControlFlow, StepKind, StepLabel, UseCase
 from ucm.parser import parse, parse_file
 from ucm.resolver import reachable_use_cases, resolve
 from ucm.spans import LineIndex
@@ -233,6 +235,31 @@ def test_resolve_and_validate_compute_no_label_text(monkeypatch):
     resolved, diags = resolve(model)
     assert diags == [] and validate(resolved) == []
     assert len(computed) == 0, computed[:3]
+
+
+def test_a_label_map_is_built_only_for_a_use_case_that_references_a_step(monkeypatch):
+    """A use case's first-step-per-label map is built once, at its first goto,
+    repeat or continue reference, and not at all without one; `all_steps`
+    is called for nothing else."""
+    model, diags = parse_file(REPO_ROOT / "corpus" / "smartstore.ucm")
+    assert diags == []
+    referencing = Counter()
+    for uc in model.use_cases:
+        outcomes = [uc.main.outcome, *(block.outcome for block in uc.all_blocks())]
+        if any(o.continue_target for o in outcomes) or any(isinstance(s.payload, ControlFlow) for s in uc.all_steps()):
+            referencing[uc.name] = 1
+    assert 0 < len(referencing) < len(model.use_cases)
+    calls = Counter()
+    all_steps = UseCase.all_steps
+
+    def counted(uc):
+        calls[uc.name] += 1
+        return all_steps(uc)
+
+    monkeypatch.setattr(UseCase, "all_steps", counted)
+    resolved, diags = resolve(model)
+    assert diags == []
+    assert calls == referencing
 
 
 def test_reachable_transitive_closure():

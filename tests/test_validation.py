@@ -9,15 +9,16 @@ from collections import Counter
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO_ROOT, growth, hub_source, pipeline, wide_handler_source, wide_use_case_source
-from oracles import unreached_handler_contexts
+from oracles import reference_step_numbering, unreached_handler_contexts
 from strategies import model_source
 from ucm.analysis import InvocationCycleError, build_invocation_graph, enumerate_paths
 from ucm.cli import main
 from ucm.export import export_json, import_json
-from ucm.model import UseCase
+from ucm.model import StepLabel, UseCase
 from ucm.parser import parse, parse_file
 from ucm.resolver import resolve
 from ucm.spans import LineIndex
@@ -392,6 +393,55 @@ def test_block_steps_numbered_from_block_label():
     _, diags = pipeline(bad)
     (diag,) = [d for d in diags if d.code == "E002"]
     assert diag.suggestions == ["2a2"]
+
+
+_LABELS = ("1", "2", "3", "02", "2-4", "2a", "2a1", "2a2", "2-6a1", "1a1b1")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    main=st.lists(st.sampled_from(_LABELS), min_size=1, max_size=5),
+    block=st.sampled_from(("2a", "2-6a", "1a1b", "3", "2a1")),
+    body=st.lists(st.sampled_from(_LABELS + ("2-6a2", "1a1b1", "1a1b2", "31")), max_size=4),
+)
+@example(main=["1", "2-4", "3"], block="2-6a", body=["2-6a1", "2-6a3"])
+@example(main=["1", "2", "2-4", "2-4"], block="2-6a", body=["2-6a1", "2-6a2", "2a"])
+@example(main=["1", "2", "3"], block="3", body=["31", "1"])
+@example(main=["01", "2", "2a"], block="2a", body=["2a1", "2a02", "2a"])
+def test_e002_matches_the_reference_step_numbering(main, block, body):
+    """Every E002 of a use case with drawn step labels, and of a block with a
+    drawn label, ranged and malformed ones included: span, message and
+    suggestions as a label-by-label walk gives them."""
+    steps = "\n".join(f'    {label}. internal "x"' for label in main)
+    block_steps = "".join(f'      {label}. internal "y"\n' for label in body)
+    extensions = f'  extensions {{\n    block {block} alternative {{\n{block_steps}      outcome abandoned\n    }}\n  }}\n'
+    resolved, diags = pipeline(BASE_HEADER + uc("A", steps + "\n    outcome success", extensions=extensions))
+    e002 = [(d.span, d.message, d.suggestions) for d in diags if d.code == "E002"]
+    (use_case,) = resolved.model.use_cases
+    assert e002 == sorted(reference_step_numbering(use_case), key=lambda found: found[0].start)
+
+
+def test_validating_a_parsed_model_builds_no_step_label(monkeypatch):
+    """Each step label is compared with the fields of the label expected
+    there, so validating the smart store builds no label; an E002 builds
+    one for its suggestion."""
+    model, diags = parse_file(CORPUS / "smartstore.ucm")
+    resolved, diags = resolve(model)
+    assert diags == []
+    built = []
+    new = StepLabel.__new__
+
+    def counted(cls, *fields):
+        built.append(fields)
+        return new(cls, *fields)
+
+    monkeypatch.setattr(StepLabel, "__new__", counted)
+    assert validate(resolved) == []
+    assert built == []
+    model, _ = parse(BASE_HEADER + uc("A", '    1. internal "a"\n    3. internal "b"\n    outcome success'))
+    resolved, _ = resolve(model)
+    built.clear()
+    assert [d.suggestions for d in validate(resolved)] == [["2"]] and built == [(2, None, ())]
 
 
 def test_first_main_step_must_be_one():
