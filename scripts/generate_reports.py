@@ -20,7 +20,7 @@ sys.path.insert(0, str(REPO / "src"))
 from ucm.analysis import TABLES, AnalysisError  # noqa: E402
 from ucm.cli import load, report_unwritable_stdout, without_collector  # noqa: E402
 from ucm.diagnostics import has_errors, sort_diagnostics  # noqa: E402
-from ucm.export import EXPORTS, render_table  # noqa: E402
+from ucm.export import EXPORTS, table_parts  # noqa: E402
 from ucm.lexer import normalize  # noqa: E402
 from ucm.spans import LineIndex  # noqa: E402
 from ucm.validation import validate  # noqa: E402
@@ -29,13 +29,14 @@ from ucm.validation import validate  # noqa: E402
 REPORTS = {"exceptions": "exceptions", "handlers": "handlers", "modes": "mode-switches", "services": "mode-services"}
 
 
-def write(path: Path, text: str) -> bool:
-    """Write `text` to `path`, making its directory, and say so on stdout; a
-    failure of either is reported in the words of `ucm` and returns False."""
+def write(path: Path, parts: list[str]) -> bool:
+    """Write the text `parts` to `path`, making its directory, and say so on
+    stdout; a failure of either is reported in the words of `ucm` and
+    returns False."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(parts)
     except OSError as err:
         print(f"ucm: cannot write '{path}': {err.strerror or err}", file=sys.stderr)
         return False
@@ -74,10 +75,10 @@ def generate(corpus_file: Path, out_dir: Path) -> int:
 
     stem = out_dir / corpus_file.stem
     table_files = (
-        (f"{name}.{fmt}", render_table(table, fmt)) for name, table in tables.items() for fmt in ("md", "csv")
+        (f"{name}.{fmt}", table_parts(table, fmt)) for name, table in tables.items() for fmt in ("md", "csv")
     )
-    export_files = ((f"model.{target}", export(resolved)) for target, export in EXPORTS.items())
-    return 0 if all(write(stem / name, text) for name, text in chain(table_files, export_files)) else 1
+    export_files = ((f"model.{target}", [export(resolved)]) for target, export in EXPORTS.items())
+    return 0 if all(write(stem / name, parts) for name, parts in chain(table_files, export_files)) else 1
 
 
 def main() -> int:

@@ -10,12 +10,12 @@ prints are listed: a walk back from the raise site, over the callers those
 counts show a start reaches and never above a start, finds the nodes on
 them, and each gets its paths to the site once, as a head and a list of texts
 shared by all its callers. A node with one callee on those paths shares that
-callee's list under a longer head, and a start joins its callees' lists
-straight into the printed cell, so the work is bounded by the printed text.
-A row keeps that one text, which the table prints as it is; only reading a
-row's `paths` splits it into `PathRecord`s. More than
-`MAX_PATH_NODES` path nodes in an exception table abort it with E016 before
-any is listed. `TABLES` maps each `ucm table` kind to its builder, for the
+callee's list under a longer head, and the starts lay their callees' lists
+out as one list of parts, heads and texts, joined once into the printed cell,
+so the work is bounded by the printed text. A row keeps that one text, which
+the table prints as it is; only reading a row's `paths` splits it into
+`PathRecord`s. More than `MAX_PATH_NODES` path nodes in an exception table
+abort it with E016 before any is listed. `TABLES` maps each `ucm table` kind to its builder, for the
 CLI and the report script alike.
 """
 
@@ -211,9 +211,10 @@ def _paths_between(graph: InvocationGraph, starts: set[str], counts: dict[str, i
     recursion. A node with one live callee (over k parallel edges, each text
     k times) shares that callee's texts and only puts itself in front of the
     head; a node with more builds a new list. A start builds no per-path
-    string: for each live callee it joins the texts with its own head in the
-    separator; the starts' texts are joined in name order. A callee's pair is
-    dropped once its last live caller has read it."""
+    string: it keeps its callees' pairs, and the cell is one join of one list
+    of parts, the starts in name order and, for each pair, the separator and
+    head before each text; a slice assignment puts the texts between the
+    heads. A callee's pair is dropped once its last live caller has read it."""
     if target in starts:  # no start reaches another, so no other path leads here
         return target
     reaches: dict[str, list[tuple[str, int]]] = {target: []}  # each live node: its live callees
@@ -235,7 +236,7 @@ def _paths_between(graph: InvocationGraph, starts: set[str], counts: dict[str, i
             order.append(node)
 
     pairs: dict[str, tuple[str, list[str]]] = {target: (target, [""])}
-    pieces: dict[str, str] = {}  # each start's paths
+    pieces: dict[str, list[tuple[str, list[str]]]] = {}  # each start's pairs, one per live callee
     order.pop()  # the target, which the walk leaves last
     for node in reversed(order):
         edges = []  # the node's paths through each live callee, as (head, texts)
@@ -246,12 +247,20 @@ def _paths_between(graph: InvocationGraph, starts: set[str], counts: dict[str, i
             if not readers[callee]:
                 del pairs[callee]
         if node in starts:
-            pieces[node] = "; ".join(head + ("; " + head).join(texts) for head, texts in edges)
+            pieces[node] = edges
         elif len(edges) == 1:
             pairs[node] = edges[0]
         else:
             pairs[node] = ("", [head + text for head, texts in edges for text in texts])
-    return "; ".join(pieces[start] for start in sorted(pieces))
+    parts: list[str] = []  # each path as its separator and head, then its text
+    for start in sorted(pieces):
+        for head, texts in pieces[start]:
+            at = len(parts)
+            parts += ["; " + head] * (2 * len(texts))
+            parts[at + 1 :: 2] = texts
+    if parts:  # none when only a handler leads to the target
+        parts[0] = parts[0][2:]  # the first path has no separator
+    return "".join(parts)
 
 
 def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:

@@ -3,8 +3,8 @@
 `main` calls `load` once for every command, to read, parse and resolve the
 model; scripts/generate_reports.py calls it too, as it reads `analysis.TABLES`
 and `export.EXPORTS`, the builders of each table kind and export target.
-Diagnostics go to stderr in one write, requested artifacts to stdout, so
-output can be piped. Exit codes: 0 success, 1 model errors (or warnings
+Diagnostics go to stderr in one write, requested artifacts to stdout, a
+table as its parts, so output can be piped. Exit codes: 0 success, 1 model errors (or warnings
 under --strict), 2 usage or I/O problems, an output stream closed early or
 failing included.
 
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import analysis
 from .diagnostics import Diagnostic, Severity, has_errors, render_diagnostics, sort_diagnostics
-from .export import EXPORTS, dump_json, render_table
+from .export import EXPORTS, dump_json, table_parts
 from .lexer import normalize
 from .parser import parse
 from .resolver import ResolvedModel, resolve
@@ -169,7 +169,7 @@ def _cmd_table(args: argparse.Namespace, source: str, resolved: ResolvedModel | 
     except analysis.AnalysisError as err:
         _print_diagnostics([err.diagnostic], source)
         return MODEL_ERRORS
-    sys.stdout.write(render_table(table, args.format))
+    sys.stdout.writelines(table_parts(table, args.format))
     return OK
 
 

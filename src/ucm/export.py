@@ -77,6 +77,13 @@ class SummaryTable:
 
 
 def render_table(table: SummaryTable, format: str = "md") -> str:
+    """The text of `table` in `format`, ``md`` or ``csv``: its `table_parts` joined."""
+    return "".join(table_parts(table, format))
+
+
+def table_parts(table: SummaryTable, format: str = "md") -> list[str]:
+    """The text of `table` in `format` as a list of parts, for `writelines`:
+    a large cell is one part, and no copy of the whole table is made."""
     if format == "md":
         return _render_markdown(table)
     if format == "csv":
@@ -84,9 +91,9 @@ def render_table(table: SummaryTable, format: str = "md") -> str:
     raise ValueError(f"unknown table format {format!r}")
 
 
-def _join_rows(rows, start: str, sep: str, end: str) -> str:
-    """Each list of cells as `start + sep.join(cells) + end`, all in one
-    join: no row is built as a line of its own."""
+def _join_rows(rows, start: str, sep: str, end: str) -> list[str]:
+    """The parts of each list of cells as `start + sep.join(cells) + end`,
+    all in one list: no row is built as a line of its own."""
     parts = []
     for cells in rows:
         parts.append(start)
@@ -95,7 +102,7 @@ def _join_rows(rows, start: str, sep: str, end: str) -> str:
         if cells:
             parts.pop()
         parts.append(end)
-    return "".join(parts)
+    return parts
 
 
 def _md_cell(text: str) -> str:
@@ -104,7 +111,7 @@ def _md_cell(text: str) -> str:
     return text.replace("\n", " ") if "\n" in text else text
 
 
-def _render_markdown(table: SummaryTable) -> str:
+def _render_markdown(table: SummaryTable) -> list[str]:
     rows = (table.columns, ["---"] * len(table.columns), *table.rows)
     return _join_rows((list(map(_md_cell, row)) for row in rows), "| ", " | ", " |\n")
 
@@ -117,13 +124,13 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _render_csv(table: SummaryTable) -> str:
+def _render_csv(table: SummaryTable) -> list[str]:
     """CSV as the stdlib writer writes it with CRLF row ends and
     QUOTE_MINIMAL: a field is quoted if and only if it holds a comma, a
     double quote, CR or LF, inner double quotes are doubled, and a row that
     is one empty field is ``""``. Str operations scan the large path cells
-    in C, where the stdlib writer inspects every character; one list of
-    parts, joined once, holds the whole table."""
+    in C, where the stdlib writer inspects every character; the parts of the
+    whole table go into one list."""
     rows = (table.columns, *table.rows)
     cells = (['""'] if len(row) == 1 and row[0] == "" else list(map(_csv_field, row)) for row in rows)
     return _join_rows(cells, "", ",", "\r\n")

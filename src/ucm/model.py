@@ -144,9 +144,9 @@ class _LabelFields(NamedTuple):
 
 def successor_fields(lo: int, hi: int | None, suffix: tuple) -> tuple | None:
     """The step numbering rule, on plain tuples of label fields, as the
-    validator compares them and `StepLabel.successor` wraps it: the next
-    sibling's fields. A plain integer and the number of the last pair count
-    up; a range and a block label have no successor."""
+    validator compares them: the next sibling's fields. A plain integer and
+    the number of the last pair count up; a range and a block label have no
+    successor."""
     if not suffix:
         return (lo + 1, None, ()) if hi is None else None
     letter, num = suffix[-1]
@@ -171,8 +171,8 @@ class StepLabel(_LabelFields):
     Tuple-backed like `SourceSpan`, so hashable and equal by value, and cheaper
     to build and compare than a frozen dataclass. Setting or deleting any
     attribute raises `AttributeError`. `parse` stores its text as `text` when
-    no number in it has a leading zero, and `anchor_label` stores the block
-    label's text less its letter; other labels compute `text` on first read.
+    no number in it has a leading zero; other labels compute `text` on first
+    read.
     """
 
     def __setattr__(self, name: str, *_: object) -> None:
@@ -199,8 +199,8 @@ class StepLabel(_LabelFields):
             label.__dict__["text"] = text  # spelled as the formula spells it
         return label
 
-    # Kept in the instance dict, which it writes past __setattr__, as `parse` and
-    # `anchor_label` do up front; ==, hash and repr read only the tuple.
+    # Kept in the instance dict, which it writes past __setattr__, as `parse`
+    # does up front; ==, hash and repr read only the tuple.
     @cached_property
     def text(self) -> str:
         anchor = str(self.anchor_lo) if self.anchor_hi is None else f"{self.anchor_lo}-{self.anchor_hi}"
@@ -210,24 +210,6 @@ class StepLabel(_LabelFields):
 
     def is_block_label(self) -> bool:
         return bool(self.suffix) and self.suffix[-1][1] is None
-
-    def anchor_label(self) -> StepLabel | None:
-        """The parent-sequence label(s) a block with this label is attached to."""
-        if not self.is_block_label():
-            return None
-        anchor = StepLabel(self.anchor_lo, self.anchor_hi, self.suffix[:-1])
-        anchor.__dict__["text"] = self.text[:-1]
-        return anchor
-
-    def first_in_block(self) -> StepLabel | None:
-        """Label of the first step inside the block named by this label."""
-        fields = first_in_block_fields(*self)
-        return None if fields is None else StepLabel(*fields)
-
-    def successor(self) -> StepLabel | None:
-        """Next sibling step label; None when this label cannot have one."""
-        fields = successor_fields(*self)
-        return None if fields is None else StepLabel(*fields)
 
     def __str__(self) -> str:
         return self.text

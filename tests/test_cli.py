@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -316,6 +317,28 @@ def test_exception_table_past_the_path_node_bound_is_e016(tmp_path, capsys):
     assert "J20 -> A21 -> J21 -> A22 -> J22" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("format", ["md", "csv"])
+def test_the_exception_table_peaks_near_its_printed_size(format, tmp_path, capsys, monkeypatch):
+    """On a diamond chain whose one row prints 4,096 paths, printing the table
+    to a text file allocates at most 2.5 times its text: the Paths cell and
+    the bytes the file encodes it to, but no copy of the whole table."""
+    path = tmp_path / "diamonds.ucm"
+    path.write_text(diamond_chain_source(12), encoding="utf-8")
+    argv = ["table", "exceptions", str(path), "--format", format]
+    assert main(argv) == 0
+    printed = len(capsys.readouterr().out.encode())
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert printed > 600_000
+    assert peak <= 2.5 * printed, f"peak {peak} bytes for {printed} printed"
+
+
 def test_export_json_to_stdout(capsys):
     assert main(["export", "json", SMARTSTORE]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -609,16 +632,19 @@ def test_a_driver_runs_without_the_collector_and_restores_it_when_a_builder_rais
 
 
 class _FailingStream(io.StringIO):
-    """A stream every write to which fails with the error number `code`:
-    EPIPE when its reader has gone, ENOSPC when the disk is full. Its file
-    number is that of a file the test owns, which `main` and the report
-    script may point at the null device."""
+    """A stream every write to which, after the first `writes`, fails with
+    the error number `code`: EPIPE when its reader has gone, ENOSPC when the
+    disk is full. Its file number is that of a file the test owns, which
+    `main` and the report script may point at the null device."""
 
-    def __init__(self, fileno: int, code: int = errno.EPIPE):
+    def __init__(self, fileno: int, code: int = errno.EPIPE, writes: int = 0):
         super().__init__()
-        self._fileno, self._code = fileno, code
+        self._fileno, self._code, self._writes = fileno, code, writes
 
     def write(self, text: str) -> int:
+        if self._writes:
+            self._writes -= 1
+            return super().write(text)
         raise OSError(self._code, os.strerror(self._code))  # EPIPE makes a BrokenPipeError
 
     def fileno(self) -> int:
@@ -640,22 +666,24 @@ FULL_DEVICE = f"ucm: cannot write '<stdout>': {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize(
-    "stream, argv",
+    "stream, argv, writes",
     [
-        ("stdout", ["export", "json", SMARTSTORE]),
-        ("stdout", ["check", "--format", "json", SMARTSTORE]),
-        ("stderr", ["export", "json", str(RESOLVER_FAULTS)]),  # fails on the first diagnostic
+        ("stdout", ["export", "json", SMARTSTORE], 0),
+        ("stdout", ["check", "--format", "json", SMARTSTORE], 0),
+        ("stderr", ["export", "json", str(RESOLVER_FAULTS)], 0),  # fails on the first diagnostic
+        ("stdout", ["table", "exceptions", SMARTSTORE], 1),  # fails after the table's first part
     ],
-    ids=["export-stdout", "check-stdout", "export-stderr"],
+    ids=["export-stdout", "check-stdout", "export-stderr", "table-stdout-partway"],
 )
-def test_a_full_output_stream_is_exit_2_with_its_reason(stream, argv, collector, tmp_path, monkeypatch):
+def test_a_full_output_stream_is_exit_2_with_its_reason(stream, argv, writes, collector, tmp_path, monkeypatch):
     with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
         streams = {"stdout": out, "stderr": err}
-        streams[stream] = _FailingStream(streams[stream].fileno(), errno.ENOSPC)
+        failing = streams[stream] = _FailingStream(streams[stream].fileno(), errno.ENOSPC, writes)
         for name, value in streams.items():
             monkeypatch.setattr(sys, name, value)
         assert main(argv) == 2
         monkeypatch.undo()
+    assert bool(failing.getvalue()) is bool(writes)
     assert (tmp_path / "err").read_text() == (FULL_DEVICE if stream == "stdout" else "")
     assert gc.isenabled() is collector
 
@@ -841,12 +869,14 @@ def run_into_closed_pipe(stream: str, argv: list[str]) -> subprocess.CompletedPr
         ("stdout", ["export", "json", SMARTSTORE]),  # overflows the buffer: fails in the write
         ("stdout", ["check", "--format", "json", "multi-defect.ucm"]),
         ("stderr", ["check", "multi-defect.ucm"]),
+        ("stdout", ["table", "exceptions", "diamonds.ucm"]),  # 129 KB, over a pipe's buffer: fails in its parts' writes
     ],
 )
 def test_an_output_stream_closed_early_exits_2_and_prints_nothing(stream, argv, tmp_path):
-    defective = tmp_path / "multi-defect.ucm"
-    defective.write_text(MULTI_DEFECT, encoding="utf-8")
-    done = run_into_closed_pipe(stream, [str(defective) if a == defective.name else a for a in argv])
+    models = {"multi-defect.ucm": MULTI_DEFECT, "diamonds.ucm": diamond_chain_source(10)}
+    for name, source in models.items():
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    done = run_into_closed_pipe(stream, [str(tmp_path / a) if a in models else a for a in argv])
     assert done.returncode == 2
     assert (done.stderr if stream == "stdout" else done.stdout) == b""
 
@@ -862,6 +892,21 @@ def test_check_writes_the_golden_diagnostics_to_a_pipe():
     )
     assert (done.returncode, done.stdout) == (1, b"")
     assert done.stderr == (REPO_ROOT / "tests" / "golden" / "validation-faults-check.txt").read_bytes()
+
+
+@pytest.mark.parametrize("format", ["md", "csv"])
+def test_table_exceptions_writes_the_golden_table_to_a_pipe(format):
+    """`python -m ucm.cli table exceptions` with stdout on a real pipe, so
+    through a text stream over a file descriptor, writes the table's parts
+    as exactly the golden bytes."""
+    fixtures = REPO_ROOT / "tests" / "fixtures"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [UCM_PATH, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "ucm.cli", "table", "exceptions", "invocation-paths.ucm", "--format", format],
+        cwd=fixtures, env=env, capture_output=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (REPO_ROOT / "tests" / "golden" / f"invocation-paths-exceptions.{format}").read_bytes()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the system has no /dev/full")

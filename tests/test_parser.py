@@ -29,6 +29,8 @@ from ucm.model import (
     StepKind,
     StepLabel,
     UseCase,
+    first_in_block_fields,
+    successor_fields,
 )
 from ucm.lexer import normalize, tokenize
 from ucm.parser import parse
@@ -418,9 +420,9 @@ def test_every_label_of_a_model_round_trips_its_text(path):
 
 def test_a_label_with_a_leading_zero_has_the_text_of_its_fields():
     """Such a label is not spelled as its own text, so its text is the
-    formula's, and so is its anchor's."""
+    formula's, and so is its anchor's, the text less the letter."""
     assert [StepLabel.parse(text).text for text in ("02", "2a01", "1-03a")] == ["2", "2a1", "1-3a"]
-    assert StepLabel.parse("1-03a").anchor_label().text == "1-3"
+    assert StepLabel.parse("1-03a").text[:-1] == "1-3"
 
 
 _SUFFIX = st.lists(st.tuples(st.sampled_from("abcxyz"), st.integers(1, 10**4)), max_size=4)
@@ -431,13 +433,19 @@ _SUFFIX = st.lists(st.tuples(st.sampled_from("abcxyz"), st.integers(1, 10**4)), 
     lo=st.integers(1, 10**6), hi=st.none() | st.integers(1, 10**6), pairs=_SUFFIX, block=st.none() | st.sampled_from("az")
 )
 def test_derived_labels_have_the_text_of_their_fields(lo, hi, pairs, block):
-    """`successor`, `anchor_label` and `first_in_block` build labels whose
-    text is the reference formula over their fields and parses back to an
-    equal label: the stored text takes no part in equality, hashing or repr.
-    The text is computed once, and no attribute can be set or deleted."""
+    """A label, and the labels built from the fields of its successor, its
+    anchor and its block's first step, have as text the reference formula over
+    their fields, which parses back to an equal label: the stored text takes
+    no part in equality, hashing or repr. The text is computed once, and no
+    attribute can be set or deleted. A block label's text less its letter,
+    which the resolver looks its anchor up by, is its anchor's text."""
     label = StepLabel(lo, hi, (*pairs, *([] if block is None else [(block, None)])))
-    derived = [label, label.successor(), label.anchor_label(), label.first_in_block()]
-    for item in filter(None, derived):
+    anchor = None if block is None else (lo, hi, label.suffix[:-1])
+    if anchor is not None:
+        assert label.text[:-1] == reference_label_text(*anchor)
+    fields = (successor_fields(*label), anchor, first_in_block_fields(*label))
+    derived = [label, *(StepLabel(*f) for f in fields if f)]
+    for item in derived:
         expected = reference_label_text(item.anchor_lo, item.anchor_hi, item.suffix)
         text = item.text
         assert text == expected and item.text is text
@@ -455,13 +463,13 @@ def test_derived_labels_have_the_text_of_their_fields(lo, hi, pairs, block):
 
 
 def test_label_successors():
-    assert StepLabel.parse("3").successor() == StepLabel.parse("4")
-    assert StepLabel.parse("2a1").successor() == StepLabel.parse("2a2")
-    assert StepLabel.parse("2-6").successor() is None
-    assert StepLabel.parse("2a").successor() is None
-    assert StepLabel.parse("2a").first_in_block() == StepLabel.parse("2a1")
-    assert StepLabel.parse("2-6a").anchor_label() == StepLabel.parse("2-6")
-    assert StepLabel.parse("2a1b").anchor_label() == StepLabel.parse("2a1")
+    assert successor_fields(*StepLabel.parse("3")) == StepLabel.parse("4")
+    assert successor_fields(*StepLabel.parse("2a1")) == StepLabel.parse("2a2")
+    assert successor_fields(*StepLabel.parse("2-6")) is None
+    assert successor_fields(*StepLabel.parse("2a")) is None
+    assert first_in_block_fields(*StepLabel.parse("2a")) == StepLabel.parse("2a1")
+    assert StepLabel.parse("2-6a").text[:-1] == "2-6"  # the anchor, as the resolver reads it
+    assert StepLabel.parse("2a1b").text[:-1] == "2a1"
 
 
 @pytest.mark.parametrize(

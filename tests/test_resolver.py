@@ -140,6 +140,36 @@ def test_unresolved_continue_and_goto_are_e012():
     assert [d.code for d in diags] == ["E012"]
 
 
+RANGED_BLOCK = UC.replace(
+    "    outcome success\n  }\n",
+    """    outcome success
+  }
+  extensions {
+    block 1-03a exceptional {
+      1-3a1. raise HardwareException::EntryFailure
+      outcome failure
+    }
+  }
+""",
+)
+
+
+def test_a_block_anchors_on_its_label_text_less_the_letter():
+    """`1-03a` anchors on the range `1-3`: over steps 1 to 3 of A it binds
+    step 1 and hangs off all three, and where B has no step 3 its E012
+    names the anchor `1-3`."""
+    steps = '    1. internal "x"\n    2. internal "y"'
+    src = HEADER + RANGED_BLOCK % ("A", steps + '\n    3. internal "z"') + RANGED_BLOCK % ("B", steps)
+    resolved, diags = resolved_of(src)
+    a = resolved.model.use_cases[0]
+    assert resolved.binding_for(a.extensions[0]) is a.main.steps[0]
+    site = next(s for s in resolved.raise_sites() if s.use_case is a)
+    assert site.anchored_steps == a.main.steps
+    assert [(d.code, d.message) for d in diags] == [
+        ("E012", "block anchor '1-3' names no existing step in its parent sequence")
+    ]
+
+
 def test_unresolved_mode_switch_is_e013():
     src = HEADER + """usecase A {
   scope: "s"
