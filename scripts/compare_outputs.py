@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Compare what `ucm` prints when run from two source trees.
 
-Runs eleven commands (`check`, `check --strict`, `check --format json`,
+Runs twelve commands (`check`, `check --strict`, `check --format json`,
 `table exceptions` in md and csv, `table handlers`, `table modes`,
-`table services`, `export json`, `export xmi`, `export dot`) on twelve
-models: both corpora, the four test fixtures, and the three benchmark
-workloads at seeds 3 and 11. Each runs as `python -m ucm.cli` under this
-interpreter, once with each tree first on PYTHONPATH, from one temporary
-directory that holds the models, so file names print alike.
+`table services`, `export json`, `export xmi`, `export dot`, and
+`table exceptions --usecase NAME` for the first use case declared in the
+model's text) on twelve models: both corpora, the four test fixtures, and
+the three benchmark workloads at seeds 3 and 11, 144 command lines in all.
+Each runs as `python -m ucm.cli` under this interpreter, once with each tree
+first on PYTHONPATH, from one temporary directory that holds the models, so
+file names print alike.
 
 Prints one line per command: `same` or `DIFF`, then the exit code and the
 SHA-256 and byte length of stdout and of stderr (both trees' when they
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -46,6 +49,8 @@ COMMANDS = [
     ["export", "xmi"],
     ["export", "dot"],
 ]
+# The first `usecase` declaration of a model text, as the first use case of the parsed model.
+FIRST_USE_CASE = re.compile(r"^[ \t]*usecase[ \t]+([A-Za-z_][A-Za-z0-9_-]*)", re.MULTILINE)
 FIXTURES = ("all-productions", "invocation-paths", "resolver-faults", "validation-faults")
 SEEDS = (3, 11)
 
@@ -63,6 +68,13 @@ def write_models(directory: Path) -> list[str]:
             (directory / name).write_text(GENERATORS[workload](seed).source, encoding="utf-8")
             names.append(name)
     return names
+
+
+def model_commands(model: str, text: str) -> list[list[str]]:
+    """Every command line to run on the model file `model` whose text is `text`."""
+    found = FIRST_USE_CASE.search(text)
+    view = ["table", "exceptions", model, "--usecase", found[1] if found else "Missing"]
+    return [*([*command, model] for command in COMMANDS), view]
 
 
 def record(src: Path, argv: list[str], cwd: Path) -> str:
@@ -88,8 +100,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
         for model in write_models(cwd):
-            for command in COMMANDS:
-                argv = [*command, model]
+            for argv in model_commands(model, (cwd / model).read_text(encoding="utf-8")):
                 old, new = (record(tree, argv, cwd) for tree in trees)
                 label = " ".join(argv)
                 total += 1

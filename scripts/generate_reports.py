@@ -20,7 +20,7 @@ sys.path.insert(0, str(REPO / "src"))
 from ucm.analysis import TABLES, AnalysisError  # noqa: E402
 from ucm.cli import load, report_unwritable_stdout, without_collector  # noqa: E402
 from ucm.diagnostics import has_errors, sort_diagnostics  # noqa: E402
-from ucm.export import EXPORTS, table_parts  # noqa: E402
+from ucm.export import EXPORTS, TABLE_FORMATS, table_parts  # noqa: E402
 from ucm.lexer import normalize  # noqa: E402
 from ucm.spans import LineIndex  # noqa: E402
 from ucm.validation import validate  # noqa: E402
@@ -75,7 +75,7 @@ def generate(corpus_file: Path, out_dir: Path) -> int:
 
     stem = out_dir / corpus_file.stem
     table_files = (
-        (f"{name}.{fmt}", table_parts(table, fmt)) for name, table in tables.items() for fmt in ("md", "csv")
+        (f"{name}.{fmt}", table_parts(table, fmt)) for name, table in tables.items() for fmt in TABLE_FORMATS
     )
     export_files = ((f"model.{target}", [export(resolved)]) for target, export in EXPORTS.items())
     return 0 if all(write(stem / name, parts) for name, parts in chain(table_files, export_files)) else 1

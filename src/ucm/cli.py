@@ -1,8 +1,9 @@
 """Command-line driver: check, table, and export subcommands.
 
 `main` calls `load` once for every command, to read, parse and resolve the
-model; scripts/generate_reports.py calls it too, as it reads `analysis.TABLES`
-and `export.EXPORTS`, the builders of each table kind and export target.
+model; scripts/generate_reports.py calls it too. Both take their choices from
+the registries `analysis.TABLES`, `export.TABLE_FORMATS` and `export.EXPORTS`:
+the builder of each table kind and the writer of each format and target.
 Diagnostics go to stderr in one write, requested artifacts to stdout, a
 table as its parts, so output can be piped. Exit codes: 0 success, 1 model errors (or warnings
 under --strict), 2 usage or I/O problems, an output stream closed early or
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import analysis
 from .diagnostics import Diagnostic, Severity, has_errors, render_diagnostics, sort_diagnostics
-from .export import EXPORTS, dump_json, table_parts
+from .export import EXPORTS, TABLE_FORMATS, dump_json, table_parts
 from .lexer import normalize
 from .parser import parse
 from .resolver import ResolvedModel, resolve
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     view = table.add_mutually_exclusive_group()
     view.add_argument("--view", choices=("global",), default="global")
     view.add_argument("--usecase", metavar="NAME", help="restrict the exception view to one use case")
-    table.add_argument("--format", choices=("md", "csv"), default="md")
+    table.add_argument("--format", choices=TABLE_FORMATS, default="md")
 
     export = sub.add_parser("export", help="export the model")
     export.add_argument("target", choices=EXPORTS)

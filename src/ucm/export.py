@@ -1,5 +1,7 @@
 """Serializers: summary tables (Markdown/CSV), canonical JSON interchange,
 XMI, and DOT. All exporters are pure and byte-deterministic for equal models.
+`TABLE_FORMATS` maps each table format to its writer and `EXPORTS` each
+export target; `ucm` and the report script take their choices from both.
 Each format has its own small writer: JSON comes out as `json.dumps(doc,
 indent=2)` writes it and XMI as ElementTree writes it after `ET.indent`, byte
 for byte, without either generic serializer.
@@ -77,18 +79,16 @@ class SummaryTable:
 
 
 def render_table(table: SummaryTable, format: str = "md") -> str:
-    """The text of `table` in `format`, ``md`` or ``csv``: its `table_parts` joined."""
+    """The text of `table` in `format`, a key of `TABLE_FORMATS`: its `table_parts` joined."""
     return "".join(table_parts(table, format))
 
 
 def table_parts(table: SummaryTable, format: str = "md") -> list[str]:
     """The text of `table` in `format` as a list of parts, for `writelines`:
     a large cell is one part, and no copy of the whole table is made."""
-    if format == "md":
-        return _render_markdown(table)
-    if format == "csv":
-        return _render_csv(table)
-    raise ValueError(f"unknown table format {format!r}")
+    if format not in TABLE_FORMATS:
+        raise ValueError(f"unknown table format {format!r}")
+    return TABLE_FORMATS[format](table)
 
 
 def _join_rows(rows, start: str, sep: str, end: str) -> list[str]:
@@ -136,6 +136,10 @@ def _render_csv(table: SummaryTable) -> list[str]:
     return _join_rows(cells, "", ",", "\r\n")
 
 
+#: Each table format and its writer, for `table_parts`, the CLI and the report script alike.
+TABLE_FORMATS = {"md": _render_markdown, "csv": _render_csv}
+
+
 # -- canonical JSON -----------------------------------------------------------
 
 
@@ -148,7 +152,9 @@ def dump_json(value, indent: str = "\n") -> str:
     """`json.dumps(value, indent=2)` for a value built of dicts with str keys,
     lists, strs, ints, floats, bools and None. Any `indent` sends `json.dumps`
     down a pure-Python path; this writer quotes strings with the same C
-    function and leaves only numbers to `json.dumps`."""
+    function and leaves only numbers to `json.dumps`. It is also needed for
+    the collector rule (see `cli`): that path's nested closures refer to one
+    another, so each `json.dumps(..., indent=2)` leaves a reference cycle."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, dict):

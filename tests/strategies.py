@@ -2,12 +2,17 @@
 
 The generator aims for syntactic breadth (every clause, step kind, block
 shape), not semantic cleanliness; generated models may carry validation
-diagnostics but must always parse.
+diagnostics but must always parse. `token_mutated_source` instead breaks a
+given model a few tokens at a time, for the never-crash properties.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from hypothesis import strategies as st
+
+from ucm.lexer import TokenKind, normalize, scan
 
 MODE_KINDS = ("normal", "degraded", "restricted", "emergency")
 CATEGORIES = ("HardwareException", "SoftwareException", "NetworkException", "EnvironmentException")
@@ -186,3 +191,39 @@ def invocation_model_source(draw) -> str:
         body = '  main {\n    1. internal "y"\n    outcome success\n  }\n'
         lines.append(f"handler H {{\n  contexts: {context}\n{body}}}")
     return "\n".join(lines) + "\n"
+
+
+@cache
+def _token_pieces(text: str) -> tuple[list[tuple[str, TokenKind, str]], str, dict[TokenKind, list[str]]]:
+    """The tokens of `text` as (the whitespace and comments before it, its
+    kind, its text), the text after the last one, and the distinct token
+    texts of each kind."""
+    source = normalize(text)
+    pieces, end = [], 0
+    for kind, token, start, stop in scan(source)[:-1]:
+        pieces.append((source[end:start], kind, token))
+        end = stop
+    by_kind: dict[TokenKind, set[str]] = {}
+    for _, kind, token in pieces:
+        by_kind.setdefault(kind, set()).add(token)
+    return pieces, source[end:], {kind: sorted(tokens) for kind, tokens in by_kind.items()}
+
+
+@st.composite
+def token_mutated_source(draw, texts: tuple[str, ...]) -> str:
+    """One of `texts` with 1-4 token edits, each at a drawn token: swap it
+    for another token of the same kind from the same text, delete it, or
+    double it. The whitespace and comments between tokens are kept."""
+    pieces, tail, by_kind = _token_pieces(draw(st.sampled_from(texts)))
+    pieces = list(pieces)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(pieces) - 1))
+        gap, kind, token = pieces[i]
+        edit = draw(st.sampled_from(("swap", "delete", "double")))
+        if edit == "swap":
+            pieces[i] = (gap, kind, draw(st.sampled_from(by_kind[kind])))
+        elif edit == "delete":
+            del pieces[i]
+        else:
+            pieces.insert(i + 1, (" ", kind, token))
+    return "".join(gap + token for gap, _, token in pieces) + tail

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO_ROOT, chain_source, diamond_chain_source, nested_blocks_source, report_script
-from strategies import model_source
+from strategies import model_source, token_mutated_source
 from test_diagnostics import CYCLIC, MULTI_DEFECT
 import ucm
 from ucm import analysis
@@ -838,6 +838,31 @@ def test_cli_never_crashes_on_mutated_corpus(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("mutated") / "smartstore.ucm"
     path.write_bytes(data)
     _run_every_command(str(path), _first_use_case(data.decode("utf-8", "replace")))
+
+
+# Both corpora and the four fixtures, the texts whose tokens are mutated.
+TOKEN_MUTATION_BASES = tuple(
+    path.read_text(encoding="utf-8")
+    for path in (
+        CORPUS / "smartstore.ucm",
+        CORPUS / "firealarm.ucm",
+        *(
+            REPO_ROOT / "tests" / "fixtures" / f"{name}.ucm"
+            for name in ("all-productions", "invocation-paths", "resolver-faults", "validation-faults")
+        ),
+    )
+)
+
+
+@NEVER_CRASH
+@given(source=token_mutated_source(TOKEN_MUTATION_BASES))
+def test_cli_never_crashes_on_token_mutations(tmp_path_factory, source):
+    """Token edits reach past the parser: a mutant that still parses, after
+    a swapped name say, takes a broken model through resolution,
+    validation, the tables and the exports."""
+    path = tmp_path_factory.mktemp("tokens") / "model.ucm"
+    path.write_text(source, encoding="utf-8")
+    _run_every_command(str(path), _first_use_case(source))
 
 
 def run_ucm(argv: list[str], stream: str, fd: int) -> subprocess.CompletedProcess:
