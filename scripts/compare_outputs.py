@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Compare what `ucm` prints when run from two source trees.
 
-Runs twelve commands (`check`, `check --strict`, `check --format json`,
-`table exceptions` in md and csv, `table handlers`, `table modes`,
-`table services`, `export json`, `export xmi`, `export dot`, and
+Runs fifteen commands (`check`, `check --strict`, `check --format json`,
+`table exceptions`, `table handlers`, `table modes` and `table services`,
+each in md and csv, `export json`, `export xmi`, `export dot`, and
 `table exceptions --usecase NAME` for the first use case declared in the
 model's text) on twelve models: both corpora, the four test fixtures, and
-the three benchmark workloads at seeds 3 and 11, 144 command lines in all.
+the three benchmark workloads at seeds 3 and 11, 180 command lines in all.
 Each runs as `python -m ucm.cli` under this interpreter, once with each tree
 first on PYTHONPATH, from one temporary directory that holds the models, so
 file names print alike.
@@ -43,8 +43,11 @@ COMMANDS = [
     ["table", "exceptions"],
     ["table", "exceptions", "--format", "csv"],
     ["table", "handlers"],
+    ["table", "handlers", "--format", "csv"],
     ["table", "modes"],
+    ["table", "modes", "--format", "csv"],
     ["table", "services"],
+    ["table", "services", "--format", "csv"],
     ["export", "json"],
     ["export", "xmi"],
     ["export", "dot"],

@@ -144,16 +144,17 @@ class InvocationCycleError(AnalysisError):
 
 
 def build_invocation_graph(resolved: ResolvedModel) -> InvocationGraph:
-    nodes = [uc.name for uc in resolved.model.use_cases if not uc.is_handler]
-    node_set = set(nodes)
-    edges = []
-    for uc in resolved.model.use_cases:
-        if uc.is_handler:
-            continue
-        for step, target in resolved.invocations_of(uc):
-            if target.name in node_set:
-                edges.append(Edge(uc.name, target.name, step.label.text, step.span))
-    return InvocationGraph(nodes, edges)
+    """The use cases that names resolve to (`use_case_by_name`, the first
+    declaration of each name), less the handlers, and their invocations of
+    one another, in declaration order."""
+    callers = [uc for uc in resolved.use_case_by_name.values() if not uc.is_handler]
+    edges = [
+        Edge(uc.name, target.name, step.label.text, step.span)
+        for uc in callers
+        for step, target in resolved.invocations_of(uc)
+        if not target.is_handler
+    ]
+    return InvocationGraph([uc.name for uc in callers], edges)
 
 
 def ensure_acyclic(graph: InvocationGraph) -> None:
@@ -356,8 +357,8 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
     listed: dict[str, str] = {}  # paths text per source use case, shared by its rows
     block_actors: dict[int, dict[str, None]] = {}
     rows = []
-    for exc in resolved.model.exceptions:
-        exc_sites = resolved.sites_by_exception.get(exc.qualified_name, [])
+    for name, exc in resolved.exception_by_qualified_name.items():
+        exc_sites = resolved.sites_by_exception.get(name, [])
         if exc.is_global:
             if exc_sites:
                 rows.append(_exception_row(resolved, exc, exc_sites, "", block_actors))
@@ -367,7 +368,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
             if reach is not None and source not in reach:
                 continue
             paths = ""
-            if not site.use_case.is_handler:
+            if source in counts:  # a use case, not a handler, as its name resolves
                 printed += sizes[source]
                 if printed > MAX_PATH_NODES:
                     raise AnalysisError(Diagnostic(
@@ -402,21 +403,16 @@ def handler_summary(resolved: ResolvedModel) -> list[HandlerSummaryRow]:
     exceptional with ``*``."""
     counts = path_counts(build_invocation_graph(resolved))
     sites = resolved.sites_by_exception
-    paths_by_exception: dict[str, int] = {}
-    for exc in resolved.model.exceptions:
-        if exc.is_global:  # a global exception's single row lists no paths
-            continue
-        qname = exc.qualified_name
-        found = sum(counts.get(s.use_case.name, 0) for s in sites.get(qname, []) if not s.use_case.is_handler)
-        paths_by_exception[qname] = paths_by_exception.get(qname, 0) + found
-
-    base_actor_names: set[str] = set()
-    for uc in resolved.model.use_cases:
-        if not uc.is_handler:
-            base_actor_names.update(ref.name for ref in uc.all_actors())
+    paths_by_exception = {  # a global exception's single row lists no paths
+        name: sum(counts.get(site.use_case.name, 0) for site in sites.get(name, []))
+        for name, exc in resolved.exception_by_qualified_name.items()
+        if not exc.is_global
+    }
+    use_cases = resolved.use_case_by_name.values()
+    base_actor_names = {ref.name for uc in use_cases if not uc.is_handler for ref in uc.all_actors()}
 
     rows = []
-    for uc in resolved.model.use_cases:
+    for uc in use_cases:
         if not uc.is_handler:
             continue
         dependents = list(dict.fromkeys(ctx.use_case for ctx in uc.contexts))
@@ -457,13 +453,14 @@ def mode_switch_table(resolved: ResolvedModel) -> list[ModeSwitchRow]:
     default = default_mode.name if default_mode else ""
     rows: list[ModeSwitchRow] = []
     entered: dict[str, set[str]] = {}  # exception -> up to two modes its raising blocks switch into
-    for site in resolved.raise_sites():
-        switch = site.block and (site.block.entry_switch or site.block.exit_switch)
-        modes = entered.setdefault(site.exception.qualified_name, set())
-        if switch is not None and len(modes) < 2:  # a second mode already means the default
-            modes.add(switch.mode)
+    for name, sites in resolved.sites_by_exception.items():
+        modes = entered[name] = set()
+        for site in sites:
+            switch = site.block and (site.block.entry_switch or site.block.exit_switch)
+            if switch is not None and len(modes) < 2:  # a second mode already means the default
+                modes.add(switch.mode)
 
-    for uc in resolved.model.use_cases:
+    for uc in resolved.use_case_by_name.values():
         if uc.main is not None:
             mode = _handler_entry_mode(uc, entered, default) if uc.is_handler else default
             _switch_rows(rows, uc, "main", uc.main, uc.extensions, mode)

@@ -392,6 +392,8 @@ def _from_json(doc, cls: type, where: str, depth: int, ordinals: Iterator[int]):
     in messages, `depth` counting the blocks around it and `ordinals` giving
     each node, on entry, the ordinal its spans hold. Each value is held to its
     rule by `_need` and each node to its cross-field rules by `_check`."""
+    if cls in _NODE_WORDS:  # read first, as it is written first; in a block body it picked `cls`
+        _need(doc, "node", (_NODE_WORDS[cls],), where)
     if cls is ExtensionBlock:
         depth += 1
         if depth > MAX_BLOCK_DEPTH:
@@ -427,8 +429,6 @@ def _from_json(doc, cls: type, where: str, depth: int, ordinals: Iterator[int]):
             values[attr] = _need(doc, key, kind, where, *optional)
     node = cls(**values)
     _check(node, where)
-    if cls in _NODE_WORDS:  # read ahead only in a block body, where it picks the class
-        _need(doc, "node", (_NODE_WORDS[cls],), where)
     if doc.keys() - named:  # only now, so that a fault in a named key comes first
         raise _SchemaError(f"unknown key {next(key for key in doc if key not in named)!r} in {where}")
     return node

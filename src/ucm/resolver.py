@@ -18,6 +18,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 
 from .diagnostics import Diagnostic, sort_diagnostics
 from .model import (
@@ -67,9 +68,10 @@ class ResolvedModel:
     entries get no binding; an undefined one is E017. Immutable by convention
     after resolve(); safe to share across readers.
 
-    `sites_by_exception` maps a qualified exception name to its raise sites
-    in document order, and `handlers_by_exception` to the distinct handlers
-    whose contexts name it, in document order (as dict keys).
+    `sites_by_exception`, the one copy of the raise sites, maps a qualified
+    exception name to its sites in document order, and `handlers_by_exception`
+    to the distinct handlers whose contexts name it, in document order (as
+    dict keys). Tables read use cases and exceptions through the name tables.
     """
 
     model: Model
@@ -81,15 +83,15 @@ class ResolvedModel:
     bindings: dict[int, object] = field(default_factory=dict)
     sites_by_exception: dict[str, list[RaiseSite]] = field(default_factory=dict)
     handlers_by_exception: dict[str, dict[str, None]] = field(default_factory=dict)
-    _raise_sites: list[RaiseSite] = field(default_factory=list)
     _invocations: dict[int, list[tuple[Step, UseCase]]] = field(default_factory=dict)
 
     def binding_for(self, node: object) -> object | None:
         return self.bindings.get(id(node))
 
     def raise_sites(self) -> list[RaiseSite]:
-        """Every raise step, bound or not, in document order per use case."""
-        return self._raise_sites
+        """Every raise step, bound or not, grouped by exception in the order
+        of their first raise, each group in document order."""
+        return [site for sites in self.sites_by_exception.values() for site in sites]
 
     def invocations_of(self, uc: UseCase) -> list[tuple[Step, UseCase]]:
         """Resolved invocation steps of one use case, in document order."""
@@ -195,21 +197,19 @@ def _collect_actors(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:
 
 
 # A parent sequence as block anchors read it: the first step per label text,
-# then the plain-integer labels among those in ascending order, and their steps.
+# then those with a plain-integer label, in ascending order of their number.
 # `_bind_use_case` builds one only for a sequence that some block anchors on: a
 # main scenario with extensions, or a block body that holds nested blocks.
-_Sequence = tuple[dict[str, Step], list[int], list[Step]]
+_Sequence = tuple[dict[str, Step], list[Step]]
+_number = attrgetter("label.anchor_lo")
 
 
 def _index_sequence(steps: list[Step]) -> _Sequence:
     by_label: dict[str, Step] = {}
     for step in steps:
         by_label.setdefault(step.label.text, step)
-    numbered = sorted(
-        (s for s in by_label.values() if s.label.anchor_hi is None and not s.label.suffix),
-        key=lambda s: s.label.anchor_lo,
-    )
-    return by_label, [s.label.anchor_lo for s in numbered], numbered
+    numbered = [s for s in by_label.values() if s.label.anchor_hi is None and not s.label.suffix]
+    return by_label, sorted(numbered, key=_number)
 
 
 def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]) -> None:
@@ -244,9 +244,8 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                     invocations.append((step, target))
             elif kind is ExceptionRef:
                 bind_exception(payload)
-                site = RaiseSite(uc, block, step, anchored)
-                resolved._raise_sites.append(site)
-                resolved.sites_by_exception.setdefault(payload.qualified_name, []).append(site)
+                sites = resolved.sites_by_exception.setdefault(payload.qualified_name, [])
+                sites.append(RaiseSite(uc, block, step, anchored))
             elif kind is ControlFlow:
                 index_labels()
                 goto, start, end = payload.goto, payload.repeat_from, payload.repeat_to
@@ -277,7 +276,7 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                 )
             )
             return []
-        by_label, numbers, numbered = parent
+        by_label, numbered = parent
         anchor = label.text[:-1]
         lo, hi, suffix = label
         ends = [str(lo), str(hi)] if hi is not None and len(suffix) == 1 else [anchor]
@@ -293,7 +292,7 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         first = resolved.bindings[id(block)] = by_label[ends[0]]
         if len(ends) == 1:
             return [first]
-        return numbered[bisect_left(numbers, lo) : bisect_right(numbers, hi)]
+        return numbered[bisect_left(numbered, lo, key=_number) : bisect_right(numbered, hi, key=_number)]
 
     for ctx in uc.contexts:
         bind(ctx, use_cases, ctx.use_case, "E003", "context use case '{}' is not defined", ctx.use_case_span)

@@ -182,10 +182,10 @@ def _check_model_rules(resolved: ResolvedModel, diags: list[Diagnostic]) -> None
       (`default_mode`), nor the target of a mode switch (a resolver binding)
     """
     sites = resolved.sites_by_exception
-    for site in resolved.raise_sites():
-        name = site.exception.qualified_name
+    for name, raised in sites.items():
         if name in resolved.exception_by_qualified_name and name not in resolved.handlers_by_exception:
-            diags.append(Diagnostic("W001", f"exception '{name}' is raised here but never handled", site.step.span))
+            message = f"exception '{name}' is raised here but never handled"
+            diags.extend(Diagnostic("W001", message, site.step.span) for site in raised)
 
     callers: dict[str, list[str]] = {}  # among the use cases names resolve to, as reachable_use_cases walks
     for uc in resolved.use_case_by_name.values():

@@ -46,7 +46,7 @@ from ucm.analysis import (
 )
 from ucm.cli import main
 from ucm.parser import parse
-from ucm.resolver import resolve
+from ucm.resolver import reachable_use_cases, resolve
 from ucm.spans import SourceSpan
 
 THREE_SENSOR_PATHS = [
@@ -651,6 +651,67 @@ def test_handler_summary_reports_a_cycle_without_raise_sites():
         exception_summary(resolved)
     assert counted.value.diagnostic.code == "E015"
     assert counted.value.diagnostic == listed.value.diagnostic
+
+
+# -- a name declared twice ----------------------------------------------------
+# A second declaration is E014, so `ucm` prints no table; the library's tables
+# read the first declaration of a name, as references bind to it.
+
+
+def test_exception_declared_twice_has_one_row_per_raise_site_and_counts_each_path_once():
+    source = (
+        "model M\nmodes { default normal Normal }\n"
+        "exceptions {\n  exception SoftwareException::X\n  exception SoftwareException::X\n}\n"
+        'usecase U {\n  main {\n    1. internal "go"\n    outcome success\n  }\n'
+        "  extensions {\n    block 1a exceptional {\n"
+        "      1a1. raise SoftwareException::X\n      outcome failure\n    }\n  }\n}\n"
+        "handler H {\n  contexts: U on SoftwareException::X interrupt-fail\n"
+        '  main {\n    1. internal "recover"\n    outcome success\n  }\n}\n'
+    )
+    resolved, diags = pipeline(source)
+    assert "E014" in [d.code for d in diags]
+    assert [(row.exception, row.paths_text) for row in exception_summary(resolved)] == [("SoftwareException::X", "U")]
+    (row,) = handler_summary(resolved)
+    assert row.total_invocation_paths == 1
+
+
+def test_use_case_declared_twice_is_its_first_declaration_in_the_graph_and_the_paths():
+    """R invokes U; the first U invokes A, the second B, which raises X. The
+    graph holds U once, with the first U's edge only, so B is a root: the
+    global row's one path is B, and the view of R, which does not reach B,
+    has no row."""
+    resolved = model_with(
+        plain_uc("R", "    1. invoke U\n    outcome success"),
+        plain_uc("U", "    1. invoke A\n    outcome success"),
+        plain_uc("A"),
+        plain_uc("U", "    1. invoke B\n    outcome success"),
+        plain_uc("B", "    1. raise SoftwareException::X\n    outcome success"),
+        header_exceptions="exception SoftwareException::X",
+    )
+    graph = build_invocation_graph(resolved)
+    assert graph.nodes == ["R", "U", "A", "B"]
+    assert [(edge.caller, edge.callee) for edge in graph.edges] == [("R", "U"), ("U", "A")]
+    (row,) = exception_summary(resolved)
+    assert row.paths_text == "B"
+    assert reachable_use_cases(resolved, "R") == {"R", "U", "A"}
+    assert exception_summary(resolved, view="R") == []
+
+
+def test_use_case_declared_twice_has_its_first_declaration_s_rows_in_the_handler_and_mode_tables():
+    second = '  main {\n    1. internal "again"\n    mode switch: Safe\n    outcome success\n  }\n}\n'
+    source = (
+        "model M\nmodes {\n  default normal Normal\n  restricted Safe\n}\n"
+        "exceptions { exception SoftwareException::X }\n"
+        "usecase U {\n  main {\n    1. raise SoftwareException::X\n    outcome success\n  }\n}\n"
+        "usecase U {\n" + second +
+        "handler H {\n  contexts: U on SoftwareException::X interrupt-fail\n"
+        '  main {\n    1. internal "recover"\n    outcome success\n  }\n}\n'
+        "handler H {\n  contexts: U on SoftwareException::X interrupt-fail\n" + second
+    )
+    resolved, diags = pipeline(source)
+    assert [d.code for d in diags].count("E014") == 2
+    assert [(row.handler, row.total_invocation_paths) for row in handler_summary(resolved)] == [("H", 1)]
+    assert mode_switch_table(resolved) == []
 
 
 @pytest.fixture(scope="module")

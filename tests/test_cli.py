@@ -21,7 +21,7 @@ from conftest import CORPUS, REPO_ROOT, chain_source, diamond_chain_source, nest
 from strategies import model_source, token_mutated_source
 from test_diagnostics import CYCLIC, MULTI_DEFECT
 import ucm
-from ucm import analysis
+from ucm import analysis, export
 from ucm.cli import load, main
 from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS
 from ucm.parser import parse
@@ -430,12 +430,15 @@ def test_non_utf8_file_is_io_error(tmp_path, capsys):
 
 
 def _every_command(path: str, first_use_case: str) -> list[list[str]]:
+    """Each `check` form, each table kind in each table format, the exception
+    table's view of `first_use_case`, and each export target, on `path`."""
     return [
         ["check", path],
         ["check", "--format", "json", path],
-        *(["table", kind, path] for kind in ("exceptions", "handlers", "modes", "services")),
+        ["check", "--strict", path],
+        *(["table", kind, path, "--format", fmt] for kind in analysis.TABLES for fmt in export.TABLE_FORMATS),
         ["table", "exceptions", path, "--usecase", first_use_case],
-        *(["export", target, path] for target in ("json", "xmi", "dot")),
+        *(["export", target, path] for target in export.EXPORTS),
     ]
 
 
@@ -453,6 +456,10 @@ def test_generated_reports_match_the_golden_files(model, tmp_path, capsys):
     assert sorted(p.name for p in written.iterdir()) == sorted(expected)
     for name, golden in expected.items():
         assert (written / name).read_bytes() == (GOLDEN / golden).read_bytes(), name
+
+
+def test_report_script_names_a_report_for_every_table_kind():
+    assert list(report_script().REPORTS) == list(analysis.TABLES)
 
 
 @pytest.mark.parametrize(

@@ -589,7 +589,7 @@ def test_layout_writes_every_field_of_each_class_under_its_own_key():
 
 @pytest.mark.parametrize(
     ("where", "message"),
-    [("usecase", "missing key 'name' in usecase"), ("block", "missing key 'label' in block")],
+    [("usecase", "missing key 'name' in usecase"), ("block", "missing key 'node' in block")],
 )
 def test_document_with_several_faults_reports_the_first_in_layout_order(where, message):
     def edit(doc):
@@ -614,6 +614,9 @@ UNWRITTEN_EDITS = {
     "document-key": (lambda d: d.update(extra=None), "unknown key 'extra' in document"),
     "scenario-step-node-block": (
         lambda d: d["usecases"][0]["main"]["steps"][0].update(node="block"), "unknown step node 'block'"
+    ),
+    "scenario-step-node-before-label": (
+        lambda d: d["usecases"][0]["main"]["steps"][0].update(node="block", label="x!"), "unknown step node 'block'"
     ),
     "scenario-step-node-deleted": (
         lambda d: d["usecases"][0]["main"]["steps"][0].pop("node"), "missing key 'node' in step"
