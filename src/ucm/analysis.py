@@ -490,7 +490,7 @@ class ModeServiceRow:
 
 def mode_service_table(model: Model) -> list[ModeServiceRow]:
     """One row per declared mode, in declaration order."""
-    return [ModeServiceRow(m.name, m.kind.value, list(m.offered_services)) for m in model.modes]
+    return [ModeServiceRow(m.name, m.kind, list(m.offered_services)) for m in model.modes]
 
 
 # -- presentation adapters ---------------------------------------------------

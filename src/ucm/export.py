@@ -21,33 +21,32 @@ from .diagnostics import Diagnostic
 from .lexer import IDENT_RE
 from .model import (
     ActorRef,
-    BlockKind,
+    BLOCK_KINDS,
     Condition,
     ControlFlow,
-    ExceptionCategory,
+    EXCEPTION_CATEGORIES,
     ExceptionDef,
     ExceptionRef,
     ExtensionBlock,
     HandlerContext,
     Interaction,
     Internal,
-    InterruptRelation,
     Invocation,
-    Level,
+    LEVELS,
     MAX_BLOCK_DEPTH,
     MAX_DIGITS,
     Model,
+    MODE_KINDS,
     ModeDecl,
-    ModeKind,
     ModeSwitch,
     Multiplicity,
+    OUTCOMES,
     Outcome,
-    OutcomeKind,
+    RELATIONS,
     STEP_KINDS,
     Scenario,
     ServiceDecl,
     Step,
-    StepKind,
     StepLabel,
     TIME_UNITS,
     Timeout,
@@ -177,7 +176,7 @@ class _SchemaError(Exception):
 
 
 # Kinds of `_need` leaf that no Python type names, and the JSON type of
-# every kind that is not an Enum class or a tuple of words.
+# every kind that is not a tuple of words.
 _IDENT = "identifier"
 _IDENTS = "list of identifiers"
 _JSON_TYPES = {
@@ -192,8 +191,8 @@ def _need(doc, key: str, kind, where: str, optional: bool = False):
     `bool`; `int`, and `float` for any number, neither taking a bool; `dict`;
     `list`; `str`, which holds no `non_string_char`; `_IDENT`, a str the lexer
     reads as one IDENT token (`IDENT_RE`); `_IDENTS`, a list of those;
-    `StepLabel`, text `StepLabel.parse` reads, no `too_many_digits`; an `Enum`
-    class, by value; a tuple of words, such as `TIME_UNITS`."""
+    `StepLabel`, text `StepLabel.parse` reads, no `too_many_digits`; a tuple
+    of words, such as `TIME_UNITS` or `MODE_KINDS`."""
     if not isinstance(doc, dict) or key not in doc:
         raise _SchemaError(f"missing key '{key}' in {where}")
     value = doc[key]
@@ -203,11 +202,6 @@ def _need(doc, key: str, kind, where: str, optional: bool = False):
         if value not in kind:
             raise _SchemaError(f"unknown {where} {key} {value!r}")
         return value
-    if kind not in _JSON_TYPES:
-        try:
-            return kind(value)
-        except ValueError:
-            raise _SchemaError(f"unknown {where} {key} {value!r}") from None
     what = f"key '{key}' in {where}"
     if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind is not bool):
         raise _SchemaError(f"{what} has unexpected type {type(value).__name__}")
@@ -248,16 +242,16 @@ _LAYOUT: dict[type, tuple[tuple, ...]] = {
         ("services", "services", [ServiceDecl]), ("usecases", "use_cases", [UseCase]),
     ),
     ModeDecl: (
-        ("name", "name", _IDENT), ("kind", "kind", ModeKind), ("default", "is_default", bool),
+        ("name", "name", _IDENT), ("kind", "kind", MODE_KINDS), ("default", "is_default", bool),
         ("offers", "offered_services", _IDENTS),
     ),
     ExceptionDef: (
-        ("category", "category", ExceptionCategory), ("name", "name", _IDENT), ("global", "is_global", bool),
+        ("category", "category", EXCEPTION_CATEGORIES), ("name", "name", _IDENT), ("global", "is_global", bool),
     ),
     ServiceDecl: (("name", "name", _IDENT), ("provides", "goals", _IDENTS)),
     UseCase: (
         ("name", "name", _IDENT), ("handler", "is_handler", bool), ("scope", "scope", str, True),
-        ("level", "level", Level, True), ("intention", "intention", str, True),
+        ("level", "level", LEVELS, True), ("intention", "intention", str, True),
         ("multiplicity", "multiplicity_text", str, True), ("primary", "primary_actors", [ActorRef]),
         ("secondary", "secondary_actors", [ActorRef]), ("facilitator", "facilitator_actors", [ActorRef]),
         ("precondition", "precondition", str, True), ("postcondition", "postcondition", str, True),
@@ -271,20 +265,20 @@ _LAYOUT: dict[type, tuple[tuple, ...]] = {
     Multiplicity: (("lower", "lower", int), ("upper", "upper", int, True)),
     HandlerContext: (
         ("usecase", "use_case", _IDENT), ("exception", "exception", ExceptionRef),
-        ("relation", "relation", InterruptRelation),
+        ("relation", "relation", RELATIONS),
     ),
-    ExceptionRef: (("category", "category", ExceptionCategory), ("name", "name", _IDENT)),
+    ExceptionRef: (("category", "category", EXCEPTION_CATEGORIES), ("name", "name", _IDENT)),
     Scenario: (
         ("entryModeSwitch", "entry_switch", _SWITCH, True), ("steps", "steps", [Step]),
         ("exitModeSwitch", "exit_switch", _SWITCH, True), ("outcome", "outcome", Outcome),
     ),
     Step: (("label", "label", StepLabel), ("kind", "payload", _PAYLOAD)),
     ExtensionBlock: (
-        ("label", "label", StepLabel), ("kind", "kind", BlockKind), ("guard", "guard", str),
+        ("label", "label", StepLabel), ("kind", "kind", BLOCK_KINDS), ("guard", "guard", str),
         ("entryModeSwitch", "entry_switch", _SWITCH, True), ("body", "body", [Step, ExtensionBlock]),
         ("exitModeSwitch", "exit_switch", _SWITCH, True), ("outcome", "outcome", Outcome),
     ),
-    Outcome: (("kind", "kind", OutcomeKind), ("continueTarget", "continue_target", StepLabel, True)),
+    Outcome: (("kind", "kind", OUTCOMES), ("continueTarget", "continue_target", StepLabel, True)),
     Interaction: (("source", "source", _IDENT), ("target", "target", _IDENT), ("message", "message", str)),
     Invocation: (("target", "target", _IDENT),),
     Condition: (("text", "text", str),),
@@ -317,7 +311,7 @@ _SPANS = {cls: [f.name for f in fields(cls) if f.type == "SourceSpan"] for cls i
 
 def _emitter(key: str, attr: str, kind, *_) -> tuple:
     """The `"key": ` text of `key` and the function from a node and the indent of its key's line
-    to the JSON text of its `attr`, a `kind`. Model Enums are str Enums, each quoted as its value."""
+    to the JSON text of its `attr`, a `kind`; a str, such as a keyword's word, is written as a JSON string."""
     prefix = encode_basestring_ascii(key) + ": "
     if kind is _PAYLOAD:
         return prefix, _write_payload
@@ -404,7 +398,7 @@ def _from_json(doc, cls: type, where: str, depth: int, ordinals: Iterator[int]):
     named = _KEYS[cls]
     for key, attr, kind, *optional in _LAYOUT[cls]:
         if kind is _PAYLOAD:
-            kind = _PAYLOAD_CLASSES[_need(doc, key, StepKind, where)]
+            kind = _PAYLOAD_CLASSES[_need(doc, key, tuple(_PAYLOAD_CLASSES), where)]
             if kind is not ExceptionRef:
                 values[attr] = _from_json(doc, kind, where, depth, ordinals)
                 named = _KEYS[kind]
@@ -451,8 +445,8 @@ def _check(node, where: str) -> None:
                 raise _SchemaError(f"multiplicity {which} bound is negative or has more than {MAX_DIGITS} digits")
     elif isinstance(node, Outcome):
         target = node.continue_target
-        if (node.kind is OutcomeKind.CONTINUE) != (target is not None):  # text names it after `continue` only
-            raise _SchemaError(f"{node.kind.value} outcome {'lacks its' if target is None else 'has a'} continueTarget")
+        if (node.kind == "continue") != (target is not None):  # text names it after `continue` only
+            raise _SchemaError(f"{node.kind} outcome {'lacks its' if target is None else 'has a'} continueTarget")
     elif isinstance(node, (Scenario, ExtensionBlock)):
         # Text reads a lone switch before the outcome of an empty body as the entry.
         items = node.steps if isinstance(node, Scenario) else node.body
@@ -516,7 +510,7 @@ def export_xmi(resolved: ResolvedModel) -> str:
         attrs = {
             "xmi:id": ids[id(mode)],
             "name": mode.name,
-            "kind": mode.kind.value,
+            "kind": mode.kind,
             "default": "true" if mode.is_default else "false",
             "offers": refs(*map(resolved.service_by_name.get, mode.offered_services)),
         }
@@ -525,7 +519,7 @@ def export_xmi(resolved: ResolvedModel) -> str:
     for exc in model.exceptions:
         attrs = {
             "xmi:id": ids[id(exc)],
-            "category": exc.category.value,
+            "category": exc.category,
             "name": exc.name,
             "global": "true" if exc.is_global else "false",
         }
@@ -544,7 +538,7 @@ def export_xmi(resolved: ResolvedModel) -> str:
         attrs = {
             "xmi:id": f"step_{next(step_ids)}",
             "label": step.label.text,
-            "kind": step.kind.value,
+            "kind": step.kind,
         }
         payload = step.payload
         if isinstance(payload, Interaction):
@@ -568,13 +562,13 @@ def export_xmi(resolved: ResolvedModel) -> str:
         target = owner.outcome.continue_target
         attrs["entryMode"] = refs(resolved.binding_for(owner.entry_switch))
         attrs["exitMode"] = refs(resolved.binding_for(owner.exit_switch))
-        attrs["outcome"] = owner.outcome.kind.value
+        attrs["outcome"] = owner.outcome.kind
         attrs["continueTarget"] = target and target.text
         return attrs
 
     for uc in model.use_cases:
         attrs = {
-            "xmi:id": ids[id(uc)], "name": uc.name, "level": uc.level and uc.level.value, "scope": uc.scope,
+            "xmi:id": ids[id(uc)], "name": uc.name, "level": uc.level, "scope": uc.scope,
             "intention": uc.intention, "multiplicity": uc.multiplicity_text,
             "precondition": uc.precondition, "postcondition": uc.postcondition,
         }
@@ -593,7 +587,7 @@ def export_xmi(resolved: ResolvedModel) -> str:
 
         for ctx in uc.contexts:
             ctx_attrs = {
-                "relation": ctx.relation.value, "contextUseCase": refs(resolved.binding_for(ctx)),
+                "relation": ctx.relation, "contextUseCase": refs(resolved.binding_for(ctx)),
                 "contextName": ctx.use_case, "exception": refs(resolved.binding_for(ctx.exception)),
                 "exceptionName": ctx.exception.qualified_name,
             }
@@ -608,7 +602,7 @@ def export_xmi(resolved: ResolvedModel) -> str:
             if isinstance(item, Step):
                 items.append(step_element(item))
                 continue
-            block_attrs = {"xmi:id": f"block_{next(block_ids)}", "label": item.label.text, "kind": item.kind.value}
+            block_attrs = {"xmi:id": f"block_{next(block_ids)}", "label": item.label.text, "kind": item.kind}
             block_attrs["guard"] = item.guard or None
             items.append(("ucm:ExtensionBlock", _boundary_attrs(block_attrs, item), []))
             pending.extend((items[-1][2], nested) for nested in reversed(item.body))
@@ -693,7 +687,7 @@ def export_dot(resolved: ResolvedModel) -> str:
         if not uc.is_handler:
             continue
         for ctx in uc.contexts:
-            relation = "interrupt & continue" if ctx.relation is InterruptRelation.CONTINUE else "interrupt & fail"
+            relation = "interrupt & continue" if ctx.relation == "interrupt-continue" else "interrupt & fail"
             lines.append(
                 f"  {_dot_quote(uc.name)} -> {_dot_quote(ctx.use_case)}"
                 f' [label="<<{relation}>>", style=dashed];'

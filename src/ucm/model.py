@@ -10,35 +10,29 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 from .spans import SourceSpan
 
 
-class ModeKind(str, Enum):
-    NORMAL = "normal"
-    DEGRADED = "degraded"
-    RESTRICTED = "restricted"
-    EMERGENCY = "emergency"
+# The grammar's closed vocabularies, each a tuple of its words in the order a
+# syntax error lists them. A model field holds the word itself.
+MODE_KINDS = ("normal", "degraded", "restricted", "emergency")
+LEVELS = ("summary", "user-goal", "sub-function")
+BLOCK_KINDS = ("alternative", "exceptional")
+OUTCOMES = ("success", "failure", "degraded", "abandoned", "continue")
+RELATIONS = ("interrupt-continue", "interrupt-fail")
 
-
-class ExceptionCategory(str, Enum):
-    HARDWARE = "hardware"
-    SOFTWARE = "software"
-    NETWORK = "network"
-    ENVIRONMENT = "environment"
-
-
-# Surface keyword <-> category, e.g. "HardwareException::TagUnavailable".
-EXCEPTION_KEYWORDS: dict[str, ExceptionCategory] = {
-    "HardwareException": ExceptionCategory.HARDWARE,
-    "SoftwareException": ExceptionCategory.SOFTWARE,
-    "NetworkException": ExceptionCategory.NETWORK,
-    "EnvironmentException": ExceptionCategory.ENVIRONMENT,
+# Surface keyword <-> category word, e.g. "HardwareException::TagUnavailable".
+EXCEPTION_KEYWORDS = {
+    "HardwareException": "hardware",
+    "SoftwareException": "software",
+    "NetworkException": "network",
+    "EnvironmentException": "environment",
 }
 CATEGORY_KEYWORD = {v: k for k, v in EXCEPTION_KEYWORDS.items()}
+EXCEPTION_CATEGORIES = tuple(CATEGORY_KEYWORD)
 
 # Actor category keywords; sensor/actuator/tag/reader are device subkinds.
 ACTOR_CATEGORIES = (
@@ -51,39 +45,6 @@ ACTOR_CATEGORIES = (
     "Tag",
     "Reader",
 )
-
-
-class Level(str, Enum):
-    SUMMARY = "summary"
-    USER_GOAL = "user-goal"
-    SUB_FUNCTION = "sub-function"
-
-
-class StepKind(str, Enum):
-    INTERACTION = "interaction"
-    INVOCATION = "invocation"
-    CONDITION = "condition"
-    INTERNAL = "internal"
-    CONTROL_FLOW = "control-flow"
-    RAISE = "exception-raise"
-
-
-class BlockKind(str, Enum):
-    ALTERNATIVE = "alternative"
-    EXCEPTIONAL = "exceptional"
-
-
-class OutcomeKind(str, Enum):
-    SUCCESS = "success"
-    FAILURE = "failure"
-    DEGRADED = "degraded"
-    ABANDONED = "abandoned"
-    CONTINUE = "continue"
-
-
-class InterruptRelation(str, Enum):
-    CONTINUE = "interrupt-continue"
-    FAIL = "interrupt-fail"
 
 
 # Most digits a number in a model may have: step labels, multiplicity bounds
@@ -211,9 +172,6 @@ class StepLabel(_LabelFields):
     def is_block_label(self) -> bool:
         return bool(self.suffix) and self.suffix[-1][1] is None
 
-    def __str__(self) -> str:
-        return self.text
-
 
 @dataclass
 class ModeSwitch:
@@ -226,7 +184,7 @@ class ModeSwitch:
 @dataclass
 class ModeDecl:
     name: str
-    kind: ModeKind
+    kind: str  # one of MODE_KINDS
     is_default: bool
     offered_services: list[str]
     span: SourceSpan
@@ -234,7 +192,7 @@ class ModeDecl:
 
 @dataclass
 class ExceptionDef:
-    category: ExceptionCategory
+    category: str  # one of EXCEPTION_CATEGORIES
     name: str
     is_global: bool
     span: SourceSpan
@@ -279,7 +237,7 @@ class ActorRef:
 
 @dataclass
 class ExceptionRef:
-    category: ExceptionCategory
+    category: str  # one of EXCEPTION_CATEGORIES
     name: str
     span: SourceSpan
 
@@ -332,13 +290,13 @@ class ControlFlow:
 StepPayload = Interaction | Invocation | Condition | Internal | ControlFlow | ExceptionRef
 
 # A step's kind is the type of its payload.
-STEP_KINDS: dict[type, StepKind] = {
-    Interaction: StepKind.INTERACTION,
-    Invocation: StepKind.INVOCATION,
-    Condition: StepKind.CONDITION,
-    Internal: StepKind.INTERNAL,
-    ControlFlow: StepKind.CONTROL_FLOW,
-    ExceptionRef: StepKind.RAISE,
+STEP_KINDS = {
+    Interaction: "interaction",
+    Invocation: "invocation",
+    Condition: "condition",
+    Internal: "internal",
+    ControlFlow: "control-flow",
+    ExceptionRef: "exception-raise",
 }
 
 
@@ -349,13 +307,13 @@ class Step:
     span: SourceSpan
 
     @property
-    def kind(self) -> StepKind:
+    def kind(self) -> str:
         return STEP_KINDS[type(self.payload)]
 
 
 @dataclass
 class Outcome:
-    kind: OutcomeKind
+    kind: str  # one of OUTCOMES
     continue_target: StepLabel | None
     span: SourceSpan
 
@@ -370,7 +328,7 @@ MAX_BLOCK_DEPTH = 64
 @dataclass
 class ExtensionBlock:
     label: StepLabel
-    kind: BlockKind
+    kind: str  # one of BLOCK_KINDS
     guard: str
     body: list[Step | ExtensionBlock]
     entry_switch: ModeSwitch | None
@@ -399,7 +357,7 @@ class HandlerContext:
     use_case: str
     use_case_span: SourceSpan
     exception: ExceptionRef
-    relation: InterruptRelation
+    relation: str  # one of RELATIONS
     span: SourceSpan
 
 
@@ -408,7 +366,7 @@ class UseCase:
     name: str
     is_handler: bool
     scope: str | None
-    level: Level | None
+    level: str | None  # one of LEVELS
     intention: str | None
     multiplicity_text: str | None
     primary_actors: list[ActorRef]

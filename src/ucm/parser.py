@@ -31,7 +31,7 @@ from .diagnostics import Diagnostic
 from .lexer import END, KIND, START, TEXT, ParseError, Token, TokenKind, lex_error, normalize, scan, string_value
 from .model import (
     ActorRef,
-    BlockKind,
+    BLOCK_KINDS,
     Condition,
     ControlFlow,
     EXCEPTION_KEYWORDS,
@@ -41,18 +41,18 @@ from .model import (
     HandlerContext,
     Interaction,
     Internal,
-    InterruptRelation,
     Invocation,
-    Level,
+    LEVELS,
     MAX_BLOCK_DEPTH,
     MAX_DIGITS,
     Model,
+    MODE_KINDS,
     ModeDecl,
-    ModeKind,
     ModeSwitch,
     Multiplicity,
+    OUTCOMES,
     Outcome,
-    OutcomeKind,
+    RELATIONS,
     Scenario,
     ServiceDecl,
     Step,
@@ -64,12 +64,6 @@ from .model import (
 )
 from .spans import SourceSpan
 
-
-_MODE_KINDS = {k.value: k for k in ModeKind}
-_LEVELS = {lv.value: lv for lv in Level}
-_OUTCOMES = {o.value: o for o in OutcomeKind}
-_RELATIONS = {r.value: r for r in InterruptRelation}
-_BLOCK_KINDS = {k.value: k for k in BlockKind}
 
 # Use-case clauses in their mandatory order, which is also the order of the
 # UseCase fields they fill; value is the rank used to reject out-of-order or
@@ -226,7 +220,7 @@ class _Parser:
         while self.current[TEXT] != "}":
             start = self.current
             is_default = self.accept("default")
-            kind = _MODE_KINDS[self.expect_word(_MODE_KINDS)]
+            kind = self.expect_word(MODE_KINDS)
             name = self.expect_ident("mode name")[TEXT]
             offered = self.parse_names("service name") if self.accept("offers") else []
             modes.append(ModeDecl(name, kind, is_default, offered, self.span_from(start)))
@@ -288,7 +282,7 @@ class _Parser:
             self.advance()
             self.expect(":")
             if word == "level":
-                values[word] = _LEVELS[self.expect_word(_LEVELS)]
+                values[word] = self.expect_word(LEVELS)
             elif word == "contexts":
                 values[word] = self.parse_list(self.parse_context_entry)
             elif word in _LIST_CLAUSES:
@@ -325,7 +319,7 @@ class _Parser:
         start = self.expect_ident("use case name")
         self.expect("on")
         exception = self.parse_exception_ref()
-        relation = _RELATIONS[self.expect_word(_RELATIONS)]
+        relation = self.expect_word(RELATIONS)
         return HandlerContext(start[TEXT], self.span_of(start), exception, relation, self.span_from(start))
 
     def parse_mode_switch(self) -> ModeSwitch | None:
@@ -364,8 +358,8 @@ class _Parser:
 
     def parse_outcome(self) -> Outcome:
         start = self.expect("outcome")
-        kind = _OUTCOMES[self.expect_word(_OUTCOMES)]
-        target = self.parse_label()[0] if kind is OutcomeKind.CONTINUE else None
+        kind = self.expect_word(OUTCOMES)
+        target = self.parse_label()[0] if kind == "continue" else None
         return Outcome(kind, target, self.span_from(start))
 
     def parse_step(self) -> Step:
@@ -428,7 +422,7 @@ class _Parser:
         if depth > MAX_BLOCK_DEPTH:
             raise ParseError(f"block nested deeper than {MAX_BLOCK_DEPTH} levels", self.span_of(start))
         label = self.parse_label()[0]
-        kind = _BLOCK_KINDS[self.expect_word(_BLOCK_KINDS)]
+        kind = self.expect_word(BLOCK_KINDS)
         guard = self.expect_string() if self.accept("when") else ""
         entry, body, exit_switch, outcome = self.parse_body(depth)
         return ExtensionBlock(label, kind, guard, body, entry, exit_switch, outcome, self.span_from(start))

@@ -26,13 +26,10 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, sort_diagnostics
 from .model import (
     ACTOR_CATEGORIES,
-    BlockKind,
     ExceptionRef,
     ExtensionBlock,
     Interaction,
-    Level,
     ModeDecl,
-    OutcomeKind,
     Step,
     StepLabel,
     UseCase,
@@ -110,7 +107,7 @@ def _walk_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
             diags.append(Diagnostic("E006", message, ref.span))
 
     declared: set[str] | None = None  # the endpoint rule applies to summary and user-goal use cases
-    if uc.level in (Level.SUMMARY, Level.USER_GOAL):
+    if uc.level in ("summary", "user-goal"):
         declared = {ref.name for ref in actors}
         # Each diagnostic names at most 8 actors, so its length does not grow with the use case.
         more = f" and {len(actors) - 8} more" if len(actors) > 8 else ""
@@ -144,8 +141,8 @@ def _walk_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
     if uc.main is not None:
         walk_steps(uc.main.steps, (1, None, ()))
         outcome = uc.main.outcome
-        if outcome.kind is not OutcomeKind.SUCCESS:
-            message = f"main success scenario of '{uc.name}' ends in '{outcome.kind.value}', expected success"
+        if outcome.kind != "success":
+            message = f"main success scenario of '{uc.name}' ends in '{outcome.kind}', expected success"
             diags.append(Diagnostic("E011", message, outcome.span))
 
     first: dict[str, ExtensionBlock] = {}
@@ -156,13 +153,13 @@ def _walk_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
             diags.append(Diagnostic("E014", message, block.span, related=[(prior.span, "first block with this label")]))
         steps = block.steps()
         walk_steps(steps, first_in_block_fields(*block.label))
-        if block.kind is not BlockKind.EXCEPTIONAL:
+        if block.kind != "exceptional":
             continue
         raises = [s.payload for s in steps if isinstance(s.payload, ExceptionRef)]
         if len(raises) != 1:
             message = f"exceptional block '{block.label.text}' contains {len(raises)} raise steps, expected exactly one"
             diags.append(Diagnostic("E008", message, block.span))
-        if block.outcome.kind is OutcomeKind.CONTINUE:
+        if block.outcome.kind == "continue":
             for raised in raises:
                 name = raised.qualified_name
                 if name in resolved.exception_by_qualified_name and name not in resolved.handlers_by_exception:

@@ -19,7 +19,6 @@ import io
 import json
 import re
 import xml.etree.ElementTree as ET
-from enum import Enum
 
 from ucm.export import _LAYOUT, _NODE_WORDS, _PAYLOAD, _SWITCH, FORMAT_VERSION
 from ucm.lexer import ParseError, TokenKind
@@ -442,7 +441,7 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
         attrs = {
             f"{{{_XMI_NS}}}id": mode_id,
             "name": mode.name,
-            "kind": mode.kind.value,
+            "kind": mode.kind,
             "default": "true" if mode.is_default else "false",
         }
         offers = first_refs(model.services, svc_ids, mode.offered_services)
@@ -456,7 +455,7 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
             f"{{{_MODEL_NS}}}Exception",
             {
                 f"{{{_XMI_NS}}}id": exc_id,
-                "category": exc.category.value,
+                "category": exc.category,
                 "name": exc.name,
                 "global": "true" if exc.is_global else "false",
             },
@@ -486,7 +485,7 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
         attrs = {
             f"{{{_XMI_NS}}}id": f"step_{step_counter[0]}",
             "label": step.label.text,
-            "kind": step.kind.value,
+            "kind": step.kind,
         }
         payload = step.payload
         if isinstance(payload, Interaction):
@@ -523,7 +522,7 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
         attrs = {
             f"{{{_XMI_NS}}}id": f"block_{block_counter[0]}",
             "label": block.label.text,
-            "kind": block.kind.value,
+            "kind": block.kind,
         }
         if block.guard:
             attrs["guard"] = block.guard
@@ -542,7 +541,7 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
                 attrs[name] = mode_id
 
     def _outcome_attrs(attrs: dict, outcome: Outcome) -> None:
-        attrs["outcome"] = outcome.kind.value
+        attrs["outcome"] = outcome.kind
         if outcome.continue_target is not None:
             attrs["continueTarget"] = outcome.continue_target.text
 
@@ -550,7 +549,7 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
         tag = "Handler" if uc.is_handler else "UseCase"
         attrs = {f"{{{_XMI_NS}}}id": uc_id, "name": uc.name}
         if uc.level is not None:
-            attrs["level"] = uc.level.value
+            attrs["level"] = uc.level
         for field_name, value in (
             ("scope", uc.scope),
             ("intention", uc.intention),
@@ -575,7 +574,7 @@ def elementtree_xmi(resolved: ResolvedModel) -> str:
                 ET.SubElement(uc_el, f"{{{_MODEL_NS}}}ActorRef", ref_attrs)
 
         for ctx in uc.contexts:
-            ctx_attrs = {"relation": ctx.relation.value}
+            ctx_attrs = {"relation": ctx.relation}
             if (context_id := bound_id(model.use_cases, uc_ids, resolved.binding_for(ctx))) is not None:
                 ctx_attrs["contextUseCase"] = context_id
             ctx_attrs["contextName"] = ctx.use_case
@@ -614,7 +613,7 @@ def _json_object(node) -> dict:
     doc = {"node": _NODE_WORDS[type(node)]} if type(node) in _NODE_WORDS else {}
     for key, attr, kind, *_ in _LAYOUT[type(node)]:
         if kind is _PAYLOAD:
-            doc[key] = node.kind.value
+            doc[key] = node.kind
             payload = _json_object(node.payload)
             doc.update({"exception": payload} if type(node.payload) is ExceptionRef else payload)
         else:
@@ -633,7 +632,7 @@ def _json_value(value, kind):
         return value.mode
     if kind is StepLabel:
         return value.text
-    return value.value if isinstance(value, Enum) else value
+    return value
 
 
 def print_model(model: Model) -> str:
@@ -646,7 +645,7 @@ def print_model(model: Model) -> str:
     lines = [f"model {model.name}", "modes {"]
     for mode in model.modes:
         offers = f" offers {', '.join(mode.offered_services)}" if mode.offered_services else ""
-        lines.append(f"  {'default ' if mode.is_default else ''}{mode.kind.value} {mode.name}{offers}")
+        lines.append(f"  {'default ' if mode.is_default else ''}{mode.kind} {mode.name}{offers}")
     lines += ["}", "exceptions {"]
     for exc in model.exceptions:
         lines.append(f"  exception {CATEGORY_KEYWORD[exc.category]}::{exc.name}{' global' if exc.is_global else ''}")
@@ -673,12 +672,12 @@ def _print_actor(ref: ActorRef) -> str:
 
 def _print_use_case(uc: UseCase) -> list[str]:
     contexts = [
-        f"{ctx.use_case} on {CATEGORY_KEYWORD[ctx.exception.category]}::{ctx.exception.name} {ctx.relation.value}"
+        f"{ctx.use_case} on {CATEGORY_KEYWORD[ctx.exception.category]}::{ctx.exception.name} {ctx.relation}"
         for ctx in uc.contexts
     ]
     clauses = [
         ("scope", _quote(uc.scope)),
-        ("level", None if uc.level is None else uc.level.value),
+        ("level", uc.level),
         ("intention", _quote(uc.intention)),
         ("multiplicity", _quote(uc.multiplicity_text)),
         ("primary", ", ".join(map(_print_actor, uc.primary_actors)) or None),
@@ -703,7 +702,7 @@ def _print_use_case(uc: UseCase) -> list[str]:
 
 def _print_block(block: ExtensionBlock, indent: str) -> list[str]:
     guard = f" when {_quote(block.guard)}" if block.guard else ""
-    head = f"{indent}block {block.label.text} {block.kind.value}{guard} {{"
+    head = f"{indent}block {block.label.text} {block.kind}{guard} {{"
     return _print_body(head, block, block.body, indent)
 
 
@@ -717,7 +716,7 @@ def _print_body(head: str, owner: Scenario | ExtensionBlock, items: list, indent
     if owner.exit_switch is not None:
         lines.append(f"{inner}mode switch: {owner.exit_switch.mode}")
     target = owner.outcome.continue_target
-    lines.append(f"{inner}outcome {owner.outcome.kind.value}{'' if target is None else ' ' + target.text}")
+    lines.append(f"{inner}outcome {owner.outcome.kind}{'' if target is None else ' ' + target.text}")
     lines.append(indent + "}")
     return lines
 

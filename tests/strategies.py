@@ -210,16 +210,17 @@ def _token_pieces(text: str) -> tuple[list[tuple[str, TokenKind, str]], str, dic
 
 
 @st.composite
-def token_mutated_source(draw, texts: tuple[str, ...]) -> str:
-    """One of `texts` with 1-4 token edits, each at a drawn token: swap it
-    for another token of the same kind from the same text, delete it, or
-    double it. The whitespace and comments between tokens are kept."""
+def token_mutated_source(draw, texts: tuple[str, ...], edits: tuple[str, ...] = ("swap", "delete", "double")) -> str:
+    """One of `texts` with 1-4 token edits, each at a drawn token and drawn
+    from `edits`: swap it for another token of the same kind from the same
+    text, delete it, or double it. The whitespace and comments between
+    tokens are kept. Swaps alone keep the text parsing far more often."""
     pieces, tail, by_kind = _token_pieces(draw(st.sampled_from(texts)))
     pieces = list(pieces)
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         i = draw(st.integers(min_value=0, max_value=len(pieces) - 1))
         gap, kind, token = pieces[i]
-        edit = draw(st.sampled_from(("swap", "delete", "double")))
+        edit = draw(st.sampled_from(edits))
         if edit == "swap":
             pieces[i] = (gap, kind, draw(st.sampled_from(by_kind[kind])))
         elif edit == "delete":

@@ -23,7 +23,6 @@ from ucm.analysis import (
     path_counts,
 )
 from ucm.export import export_dot, export_json, export_xmi, import_json
-from ucm.model import StepKind
 from ucm.parser import parse_file
 from ucm.resolver import reachable_use_cases, resolve
 from ucm.validation import validate
@@ -151,7 +150,7 @@ def test_criterion_9_smartstore_has_51_interactions_outside_handlers(smartstore,
         for uc in smartstore.use_cases
         if not uc.is_handler
         for step in uc.all_steps()
-        if step.kind is StepKind.INTERACTION
+        if step.kind == "interaction"
     )
     assert count == 51
     acceptance_report(9, "smart store corpus contains 51 interaction steps outside handlers")
@@ -165,7 +164,7 @@ def test_corpus_reconstruction_extras(smartstore, firealarm, smartstore_resolved
         for uc in firealarm.use_cases
         if not uc.is_handler
         for step in uc.all_steps()
-        if step.kind is StepKind.INTERACTION
+        if step.kind == "interaction"
     )
     assert count == 26
     assert sum(1 for uc in firealarm.use_cases if uc.is_handler) == 13

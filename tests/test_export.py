@@ -23,7 +23,8 @@ from conftest import (
     wide_use_case_source,
 )
 from oracles import elementtree_xmi, print_model, reference_export_json, reference_render_table
-from strategies import invocation_model_source, model_source
+from strategies import invocation_model_source, model_source, token_mutated_source
+from test_cli import TOKEN_MUTATION_BASES
 from ucm import analysis
 from ucm.cli import main
 from ucm.diagnostics import has_errors, sort_diagnostics
@@ -37,7 +38,7 @@ from ucm.export import (
     import_json,
     render_table,
 )
-from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS, STEP_KINDS, Model, Step
+from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS, STEP_KINDS, ExceptionRef, Model, Step
 from ucm.parser import parse, parse_file
 from ucm.resolver import resolve
 from ucm.validation import validate
@@ -649,6 +650,64 @@ def test_document_export_json_never_writes_is_e000(case):
     assert [(d.code, d.message) for d in diags] == [("E000", message)]
 
 
+# Where the smart-store export holds each keyword field: the object that
+# holds it, its key there, and what messages call that object.
+KEYWORD_SITES = {
+    "mode-kind": (lambda d: d["modes"][0], "kind", "mode"),
+    "exception-category": (lambda d: d["exceptions"][0], "category", "exception"),
+    "context-exception-category": (
+        lambda d: first(d, lambda n: "relation" in n)["exception"], "category", "context exception"
+    ),
+    "usecase-level": (lambda d: first(d, lambda n: n.get("level")), "level", "usecase"),
+    "context-relation": (lambda d: first(d, lambda n: "relation" in n), "relation", "context"),
+    "block-kind": (lambda d: first(d, lambda n: n.get("node") == "block"), "kind", "block"),
+    "outcome-kind": (lambda d: d["usecases"][0]["main"]["outcome"], "kind", "outcome"),
+    "step-kind": (lambda d: first(d, lambda n: n.get("node") == "step"), "kind", "step"),
+}
+# An unknown word, a number, null, a list and a bool; a null level is a use case without one.
+KEYWORD_VALUES = {"word": "bogus", "number": 7, "null": None, "list": [], "bool": True}
+
+
+@pytest.mark.parametrize(
+    ("site", "value"),
+    [
+        pytest.param(site, value, id=f"{site}-{name}")
+        for site in sorted(KEYWORD_SITES)
+        for name, value in KEYWORD_VALUES.items()
+        if not (site == "usecase-level" and value is None)
+    ],
+)
+def test_keyword_field_of_another_value_is_e000_naming_it(site, value):
+    holder, key, where = KEYWORD_SITES[site]
+    model, diags = import_json(smartstore_document(lambda doc: holder(doc).update({key: value})))
+    assert model is None
+    assert [(d.code, d.message) for d in diags] == [("E000", f"unknown {where} {key} {value!r}")]
+
+
+def keyword_values(model: Model) -> list:
+    """Every keyword field of `model`: mode kinds, exception categories,
+    levels, relations, block, outcome and step kinds."""
+    values = [mode.kind for mode in model.modes] + [exc.category for exc in model.exceptions]
+    for uc in model.use_cases:
+        values += [uc.level] if uc.level is not None else []
+        values += [word for ctx in uc.contexts for word in (ctx.relation, ctx.exception.category)]
+        values += [block.kind for block in uc.all_blocks()]
+        values += [owner.outcome.kind for owner in ([uc.main] if uc.main else []) + uc.all_blocks()]
+        values += [step.kind for step in uc.all_steps()]
+        values += [step.payload.category for step in uc.all_steps() if isinstance(step.payload, ExceptionRef)]
+    return values
+
+
+@pytest.mark.parametrize("name", ["smartstore", "firealarm"])
+def test_keyword_fields_hold_plain_words(name):
+    model, diags = parse_file(CORPUS / f"{name}.ucm")
+    assert diags == []
+    rebuilt, import_diags = import_json(export_json(model))
+    assert import_diags == []
+    for built in (model, rebuilt):
+        assert {type(value) for value in keyword_values(built)} == {str}
+
+
 def test_unknown_key_is_reported_after_a_fault_in_a_named_key():
     def edit(doc):
         doc["usecases"][0].update(extra=1, scope=7)
@@ -934,8 +993,25 @@ def test_parsed_and_imported_models_report_the_same(source):
     assert facts(rebuilt) == facts(model)
 
 
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_parsed_and_imported_token_mutants_report_the_same(data):
+    """The same on faulted models: a token-swapped corpus or fixture that
+    still parses, drawn until one does, reports the same facts rebuilt by
+    import_json(export_json(...)) as parsed."""
+    for _ in range(20):
+        source = data.draw(token_mutated_source(TOKEN_MUTATION_BASES, edits=("swap",)))
+        model, _ = parse(source, "mutant.ucm")
+        if model is not None:
+            break
+    assume(model is not None)
+    rebuilt, import_diags = import_json(export_json(model))
+    assert import_diags == []
+    assert facts(rebuilt) == facts(model)
+
+
 # Values a mutation writes over one leaf of an export_json document: names,
-# strings, labels, numbers and enum values at and past each rule's edge.
+# strings, labels, numbers and keywords at and past each rule's edge.
 LEAF_VALUES = [
     None, True, 0, -1, 7, 2.5, 1e300, 1e-300, 1e100, 1e-100, 10**MAX_DIGITS, float("nan"), {}, {"a": 1},
     [], [None, 7], [{"a": 1}], ["A"], ["A B"],

@@ -12,21 +12,15 @@ from oracles import reference_label_text
 from strategies import model_source
 from ucm.lexer import TokenKind
 from ucm.model import (
-    BlockKind,
-    ExceptionCategory,
     ExceptionRef,
     ExtensionBlock,
     HandlerContext,
     Internal,
     Interaction,
     Invocation,
-    Level,
-    ModeKind,
     Model,
-    OutcomeKind,
     Scenario,
     Step,
-    StepKind,
     StepLabel,
     UseCase,
     first_in_block_fields,
@@ -68,7 +62,7 @@ def test_minimal_model():
     assert model is not None
     assert model.name == "M"
     assert len(model.modes) == 1
-    assert model.modes[0].is_default and model.modes[0].kind is ModeKind.NORMAL
+    assert model.modes[0].is_default and model.modes[0].kind == "normal"
     assert model.exceptions == []
     assert model.use_cases == []
 
@@ -78,7 +72,7 @@ def test_global_exception_declaration():
     model, diags = parse(src)
     assert diags == []
     (exc,) = model.exceptions
-    assert exc.category is ExceptionCategory.ENVIRONMENT
+    assert exc.category == "environment"
     assert exc.name == "FireHazard"
     assert exc.is_global
     assert exc.qualified_name == "EnvironmentException::FireHazard"
@@ -97,7 +91,7 @@ def test_internal_step_with_timeout():
     steps = model.use_cases[0].main.steps
     step = steps[3]
     assert step.label == StepLabel(4)
-    assert step.kind is StepKind.INTERNAL
+    assert step.kind == "internal"
     assert isinstance(step.payload, Internal)
     assert step.payload.description == "await sensor"
     assert step.payload.timeout.amount == 5.0
@@ -118,14 +112,7 @@ def test_step_kinds_and_payloads():
     assert diags == []
     steps = model.use_cases[0].main.steps
     kinds = [s.kind for s in steps]
-    assert kinds == [
-        StepKind.INTERACTION,
-        StepKind.INVOCATION,
-        StepKind.CONDITION,
-        StepKind.CONTROL_FLOW,
-        StepKind.CONTROL_FLOW,
-        StepKind.RAISE,
-    ]
+    assert kinds == ["interaction", "invocation", "condition", "control-flow", "control-flow", "exception-raise"]
     assert isinstance(steps[0].payload, Interaction)
     assert steps[0].payload.source == "P" and steps[0].payload.target == "System"
     assert isinstance(steps[1].payload, Invocation) and steps[1].payload.target == "A"
@@ -153,11 +140,11 @@ def test_extension_block_structure():
     model, diags = parse(src)
     assert diags == []
     blocks = model.use_cases[0].extensions
-    assert [b.kind for b in blocks] == [BlockKind.EXCEPTIONAL, BlockKind.ALTERNATIVE]
+    assert [b.kind for b in blocks] == ["exceptional", "alternative"]
     first, second = blocks
     assert first.label.text == "1a"
     assert first.guard == "sensor silent"
-    assert first.outcome.kind is OutcomeKind.CONTINUE
+    assert first.outcome.kind == "continue"
     assert first.outcome.continue_target == StepLabel(2)
     assert second.label.anchor_lo == 1 and second.label.anchor_hi == 2
     assert second.entry_switch.mode == "Normal"
@@ -199,7 +186,7 @@ handler FixGate {
     (ctx,) = fix.contexts
     assert ctx.use_case == "Enter"
     assert ctx.exception.qualified_name == "HardwareException::GateStuck"
-    assert ctx.relation.value == "interrupt-continue"
+    assert ctx.relation == "interrupt-continue"
 
 
 def test_parse_is_deterministic(smartstore):

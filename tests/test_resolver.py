@@ -5,7 +5,7 @@ from collections import Counter
 from conftest import REPO_ROOT
 from ucm import resolver
 from ucm.export import export_json, import_json
-from ucm.model import ControlFlow, StepKind, StepLabel, UseCase
+from ucm.model import ControlFlow, StepLabel, UseCase
 from ucm.parser import parse, parse_file
 from ucm.resolver import reachable_use_cases, resolve
 from ucm.spans import LineIndex
@@ -323,9 +323,9 @@ def test_clean_resolve_binds_every_reference(smartstore_resolved):
     sites: list[object] = []
     for uc in resolved.model.use_cases:
         for step in uc.all_steps():
-            if step.kind in (StepKind.INVOCATION, StepKind.CONTROL_FLOW):
+            if step.kind in ("invocation", "control-flow"):
                 sites.append(step)
-            if step.kind is StepKind.RAISE:
+            if step.kind == "exception-raise":
                 sites.append(step.payload)
         for ctx in uc.contexts:
             sites += [ctx, ctx.exception]
