@@ -2,20 +2,20 @@
 XMI, and DOT. All exporters are pure and byte-deterministic for equal models.
 `TABLE_FORMATS` maps each table format to its writer and `EXPORTS` each
 export target; `ucm` and the report script take their choices from both.
-Each format has its own small writer: JSON comes out as `json.dumps(doc,
-indent=2)` writes it and XMI as ElementTree writes it after `ET.indent`, byte
-for byte, without either generic serializer.
+JSON comes out as `json.dumps(doc, indent=2)` writes it and XMI as ElementTree
+writes it after `ET.indent`, byte for byte, each in one walk over the model that
+builds no tree: JSON from one plan per class, XMI one line per element.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import count
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 from .diagnostics import Diagnostic
 from .lexer import IDENT_RE
@@ -309,21 +309,32 @@ _PAYLOAD_CLASSES = {kind: cls for cls, kind in STEP_KINDS.items()}
 _SPANS = {cls: [f.name for f in fields(cls) if f.type == "SourceSpan"] for cls in _LAYOUT}
 
 
-def _emitter(key: str, attr: str, kind, *_) -> tuple:
-    """The `"key": ` text of `key` and the function from a node and the indent of its key's line
-    to the JSON text of its `attr`, a `kind`; a str, such as a keyword's word, is written as a JSON string."""
-    prefix = encode_basestring_ascii(key) + ": "
-    if kind is _PAYLOAD:
-        return prefix, _write_payload
-    get = attrgetter(attr)
-    if kind in (bool, int, float, _IDENTS):
-        return prefix, lambda node, indent: dump_json(get(node), indent)
-    if isinstance(kind, list) or kind in _LAYOUT:
-        return prefix, lambda node, indent: "null" if (value := get(node)) is None else _write_node(value, indent)
-    if kind is _SWITCH or kind is StepLabel:
-        text = attrgetter("mode" if kind is _SWITCH else "text")
-        return prefix, lambda node, _: "null" if (value := get(node)) is None else encode_basestring_ascii(text(value))
-    return prefix, lambda node, _: "null" if (value := get(node)) is None else encode_basestring_ascii(value)
+# How a plan writes a value: a str as a JSON string, a label or a mode switch as its text,
+# a node or a list of nodes by `_write_node`, a bool, a number or a list of names by
+# `dump_json`, and a step's payload into its step's object.
+_AS_STRING, _AS_LABEL, _AS_SWITCH, _AS_NODE, _AS_VALUE, _AS_PAYLOAD = range(6)
+_CODES = {StepLabel: _AS_LABEL, _SWITCH: _AS_SWITCH, _PAYLOAD: _AS_PAYLOAD, **dict.fromkeys(_LAYOUT, _AS_NODE)}
+_CODES.update(dict.fromkeys((bool, int, float, _IDENTS), _AS_VALUE))
+
+# Each class's plan, built once from `_LAYOUT`: the `"key": value` texts its object opens
+# with (`formatVersion` in the document, `node` in an object a block body may hold), then
+# one (`"key": ` text, attribute, code) per key in written order. `_KEYS` holds the keys of
+# each class's object; a payload other than a raise step's is read from its step's object,
+# so its set holds the step's keys too.
+_PLANS = {
+    cls: ([], [
+        (encode_basestring_ascii(key) + ": ", attr, _AS_NODE if type(kind) is list else _CODES.get(kind, _AS_STRING))
+        for key, attr, kind, *_ in layout
+    ])
+    for cls, layout in _LAYOUT.items()
+}
+_PLANS[Model][0].append(f'"formatVersion": {FORMAT_VERSION}')
+_KEYS = {cls: {key for key, *_ in layout} for cls, layout in _LAYOUT.items()}
+_KEYS[Model].add("formatVersion")
+for cls, word in _NODE_WORDS.items():
+    _PLANS[cls][0].append('"node": ' + encode_basestring_ascii(word))
+    _KEYS[cls].add("node")
+_KEYS.update((cls, _KEYS[Step] | _KEYS[cls]) for cls in STEP_KINDS if cls is not ExceptionRef)
 
 
 def _write_node(node, indent: str) -> str:
@@ -331,28 +342,35 @@ def _write_node(node, indent: str) -> str:
     inner = indent + "  "
     if type(node) is list:
         return "[" + inner + ("," + inner).join([_write_node(n, inner) for n in node]) + indent + "]" if node else "[]"
-    parts = [key + emit(node, inner) for key, emit in _EMITTERS[type(node)]]
-    return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    return "{" + inner + ("," + inner).join(_write_fields(node, inner)) + indent + "}"
 
 
-def _write_payload(step: Step, indent: str) -> str:
-    """A step's `kind` word, then its payload's keys, or a raise step's payload as an object under `exception`."""
-    payload = step.payload
-    pairs = [('"exception": ', _write_node)] if type(payload) is ExceptionRef else _EMITTERS[type(payload)]
-    return ("," + indent).join([encode_basestring_ascii(step.kind), *[key + emit(payload, indent) for key, emit in pairs]])
-
-
-# Each class's (`"key": ` text, emitter) pairs in written order, and the keys of its JSON object:
-# the document opens with `formatVersion`, an object in a block body with `node`. A payload other
-# than a raise step's is read from its step's object, so its set holds the step's keys too.
-_EMITTERS = {cls: [_emitter(*entry) for entry in layout] for cls, layout in _LAYOUT.items()}
-_EMITTERS[Model].insert(0, ('"formatVersion": ', lambda *_: str(FORMAT_VERSION)))
-_KEYS = {cls: {key for key, *_ in layout} for cls, layout in _LAYOUT.items()}
-_KEYS[Model].add("formatVersion")
-for cls, word in _NODE_WORDS.items():
-    _EMITTERS[cls].insert(0, ('"node": ', lambda *_, text=encode_basestring_ascii(word): text))
-    _KEYS[cls].add("node")
-_KEYS.update((cls, _KEYS[Step] | _KEYS[cls]) for cls in STEP_KINDS if cls is not ExceptionRef)
+def _write_fields(node, indent: str) -> list[str]:
+    """The `"key": value` text of each field of `node`, on lines indented by `indent`. A step's payload
+    is its `kind` word, then the payload's own fields, or a raise step's payload as an object under `exception`."""
+    head, plan = _PLANS[type(node)]
+    parts = head.copy()
+    for prefix, attr, code in plan:
+        value = getattr(node, attr)
+        if value is None:
+            parts.append(prefix + "null")
+        elif code == _AS_STRING:
+            parts.append(prefix + encode_basestring_ascii(value))
+        elif code == _AS_NODE:
+            parts.append(prefix + _write_node(value, indent))
+        elif code == _AS_LABEL:
+            parts.append(prefix + encode_basestring_ascii(value.text))
+        elif code == _AS_VALUE:
+            parts.append(prefix + dump_json(value, indent))
+        elif code == _AS_SWITCH:
+            parts.append(prefix + encode_basestring_ascii(value.mode))
+        else:
+            parts.append(prefix + encode_basestring_ascii(node.kind))
+            if type(value) is ExceptionRef:
+                parts.append('"exception": ' + _write_node(value, indent))
+            else:
+                parts += _write_fields(value, indent)
+    return parts
 
 
 def import_json(document: str) -> tuple[Model | None, list[Diagnostic]]:
@@ -472,12 +490,6 @@ def _check(node, where: str) -> None:
 # -- XMI -----------------------------------------------------------------------
 
 
-# An XMI element: its tag and attribute names with their namespace prefixes
-# written in, its attributes in document order, None for a value the model
-# lacks (`_write_element` writes no such attribute), and its children.
-_Element = tuple[str, dict[str, str | None], list]
-
-
 def export_xmi(resolved: ResolvedModel) -> str:
     """Flat element-per-class XMI 2.0 document with xmi:id cross-references.
 
@@ -486,9 +498,6 @@ def export_xmi(resolved: ResolvedModel) -> str:
     cross-references use idrefs. Output is deterministic.
     """
     model = resolved.model
-    elements: list[_Element] = []
-    model_el = ("ucm:Model", {"xmi:id": "model_1", "name": model.name}, elements)
-    root = ("xmi:XMI", {"xmlns:ucm": MODEL_NS, "xmlns:xmi": XMI_NS, "xmi:version": "2.0"}, [model_el])
 
     # Each definition's xmi:id by its position, keyed by id() of the node. A
     # reference names the node the resolver bound it to: the first definition
@@ -502,149 +511,138 @@ def export_xmi(resolved: ResolvedModel) -> str:
     actors = {ref.qualified_name: ref for uc in model.use_cases for ref in uc.all_actors()}
     actor_ids = {name: f"actor_{i}" for i, name in enumerate(actors, 1)}
 
-    def refs(*nodes: object | None) -> str | None:
-        """The xmi:ids of `nodes`, skipping None (unbound); None if all are."""
-        return " ".join([ids[id(node)] for node in nodes if node is not None]) or None
+    def refs(names: list[str], by_name: dict) -> str | None:
+        """The xmi:ids of the nodes `by_name` holds for `names`, skipping the rest; None if it holds none."""
+        return " ".join([ids[id(by_name[name])] for name in names if name in by_name]) or None
 
-    for mode in model.modes:
-        attrs = {
-            "xmi:id": ids[id(mode)],
-            "name": mode.name,
-            "kind": mode.kind,
-            "default": "true" if mode.is_default else "false",
-            "offers": refs(*map(resolved.service_by_name.get, mode.offered_services)),
-        }
-        elements.append(("ucm:Mode", attrs, []))
+    def bound_id(node: object) -> str | None:
+        """The xmi:id of the node the resolver bound `node` to; None if it bound none."""
+        return ids.get(id(resolved.binding_for(node)))
 
-    for exc in model.exceptions:
-        attrs = {
-            "xmi:id": ids[id(exc)],
-            "category": exc.category,
-            "name": exc.name,
-            "global": "true" if exc.is_global else "false",
-        }
-        elements.append(("ucm:Exception", attrs, []))
-
-    for svc in model.services:
-        provides = refs(*map(resolved.use_case_by_name.get, svc.goals))
-        elements.append(("ucm:Service", {"xmi:id": ids[id(svc)], "name": svc.name, "provides": provides}, []))
-
-    for name, ref in actors.items():
-        elements.append(("ucm:Actor", {"xmi:id": actor_ids[name], "name": ref.name, "category": ref.category or None}, []))
+    def boundary(owner: Scenario | ExtensionBlock) -> str:
+        modes = _attr("entryMode", bound_id(owner.entry_switch)) + _attr("exitMode", bound_id(owner.exit_switch))
+        target = owner.outcome.continue_target
+        return f'{modes} outcome="{owner.outcome.kind}"{_attr("continueTarget", target and target.text)}'
 
     step_ids, block_ids = count(1), count(1)
 
-    def step_element(step: Step) -> _Element:
-        attrs = {
-            "xmi:id": f"step_{next(step_ids)}",
-            "label": step.label.text,
-            "kind": step.kind,
-        }
+    def step_line(step: Step, indent: str) -> str:
         payload = step.payload
-        if isinstance(payload, Interaction):
-            attrs.update(source=payload.source, target=payload.target, message=payload.message)
-        elif isinstance(payload, Invocation):
-            attrs.update(invokes=refs(resolved.binding_for(step)), targetName=payload.target)
-        elif isinstance(payload, Condition):
-            attrs["text"] = payload.text
-        elif isinstance(payload, Internal):
-            attrs["description"] = payload.description
-            if payload.timeout is not None:
-                attrs.update(timeoutAmount=_format_amount(payload.timeout.amount), timeoutUnit=payload.timeout.unit)
-        elif isinstance(payload, ControlFlow):
+        kind = type(payload)
+        if kind is Interaction:
+            rest = f' source="{payload.source}" target="{payload.target}" message="{_escape_attrib(payload.message)}"'
+        elif kind is Invocation:
+            rest = _attr("invokes", bound_id(step)) + f' targetName="{payload.target}"'
+        elif kind is Condition:
+            rest = f' text="{_escape_attrib(payload.text)}"'
+        elif kind is Internal:
+            rest = f' description="{_escape_attrib(payload.description)}"'
+            if (timeout := payload.timeout) is not None:
+                amount = str(int(timeout.amount)) if timeout.amount == int(timeout.amount) else str(timeout.amount)
+                rest += f' timeoutAmount="{amount}" timeoutUnit="{timeout.unit}"'
+        elif kind is ControlFlow:
             goto, lo, hi = payload.goto, payload.repeat_from, payload.repeat_to
-            attrs.update(goto=goto and goto.text, repeatFrom=lo and lo.text, repeatTo=hi and hi.text)
-        elif isinstance(payload, ExceptionRef):
-            attrs.update(raises=refs(resolved.binding_for(payload)), exceptionName=payload.qualified_name)
-        return ("ucm:Step", attrs, [])
+            rest = _attr("goto", goto and goto.text) + _attr("repeatFrom", lo and lo.text) + _attr("repeatTo", hi and hi.text)
+        else:
+            rest = _attr("raises", bound_id(payload)) + f' exceptionName="{payload.qualified_name}"'
+        return f'{indent}<ucm:Step xmi:id="step_{next(step_ids)}" label="{step.label.text}" kind="{step.kind}"{rest} />'
 
-    def _boundary_attrs(attrs: dict, owner: Scenario | ExtensionBlock) -> dict:
-        target = owner.outcome.continue_target
-        attrs["entryMode"] = refs(resolved.binding_for(owner.entry_switch))
-        attrs["exitMode"] = refs(resolved.binding_for(owner.exit_switch))
-        attrs["outcome"] = owner.outcome.kind
-        attrs["continueTarget"] = target and target.text
-        return attrs
+    # One line per tag, as ElementTree writes the tree after `ET.indent(tree, space="  ")`:
+    # children two spaces in, a childless element closed by ` />` (see `_close`).
+    lines = [
+        "<?xml version='1.0' encoding='utf-8'?>",
+        f'<xmi:XMI xmlns:ucm="{MODEL_NS}" xmlns:xmi="{XMI_NS}" xmi:version="2.0">',
+        f'  <ucm:Model xmi:id="model_1" name="{model.name}"',
+    ]
+    for mode in model.modes:
+        offers = _attr("offers", refs(mode.offered_services, resolved.service_by_name))
+        default = "true" if mode.is_default else "false"
+        lines.append(f'    <ucm:Mode xmi:id="{ids[id(mode)]}" name="{mode.name}" kind="{mode.kind}" default="{default}"{offers} />')
+    for exc in model.exceptions:
+        flag = "true" if exc.is_global else "false"
+        lines.append(f'    <ucm:Exception xmi:id="{ids[id(exc)]}" category="{exc.category}" name="{exc.name}" global="{flag}" />')
+    for svc in model.services:
+        provides = _attr("provides", refs(svc.goals, resolved.use_case_by_name))
+        lines.append(f'    <ucm:Service xmi:id="{ids[id(svc)]}" name="{svc.name}"{provides} />')
+    for name, ref in actors.items():
+        lines.append(f'    <ucm:Actor xmi:id="{actor_ids[name]}" name="{ref.name}"{_attr("category", ref.category or None)} />')
 
     for uc in model.use_cases:
-        attrs = {
-            "xmi:id": ids[id(uc)], "name": uc.name, "level": uc.level, "scope": uc.scope,
-            "intention": uc.intention, "multiplicity": uc.multiplicity_text,
-            "precondition": uc.precondition, "postcondition": uc.postcondition,
-        }
-        children: list[_Element] = []
+        tag = "ucm:Handler" if uc.is_handler else "ucm:UseCase"
+        texts = (
+            ("scope", uc.scope), ("intention", uc.intention), ("multiplicity", uc.multiplicity_text),
+            ("precondition", uc.precondition), ("postcondition", uc.postcondition),
+        )
+        start = len(lines)
+        lines.append(
+            f'    <{tag} xmi:id="{ids[id(uc)]}" name="{uc.name}"{_attr("level", uc.level)}'
+            + "".join([f' {name}="{_escape_attrib(text)}"' for name, text in texts if text is not None])
+        )
         for role, role_refs in (
-            ("primary", uc.primary_actors),
-            ("secondary", uc.secondary_actors),
-            ("facilitator", uc.facilitator_actors),
+            ("primary", uc.primary_actors), ("secondary", uc.secondary_actors), ("facilitator", uc.facilitator_actors)
         ):
             for ref in role_refs:
-                ref_attrs = {"role": role, "actor": actor_ids[ref.qualified_name]}
-                if ref.multiplicity is not None:
-                    ref_attrs["lower"] = str(ref.multiplicity.lower)
-                    ref_attrs["upper"] = "*" if ref.multiplicity.upper is None else str(ref.multiplicity.upper)
-                children.append(("ucm:ActorRef", ref_attrs, []))
-
+                mult = ref.multiplicity
+                bounds = "" if mult is None else f' lower="{mult.lower}" upper="{"*" if mult.upper is None else mult.upper}"'
+                lines.append(f'      <ucm:ActorRef role="{role}" actor="{actor_ids[ref.qualified_name]}"{bounds} />')
         for ctx in uc.contexts:
-            ctx_attrs = {
-                "relation": ctx.relation, "contextUseCase": refs(resolved.binding_for(ctx)),
-                "contextName": ctx.use_case, "exception": refs(resolved.binding_for(ctx.exception)),
-                "exceptionName": ctx.exception.qualified_name,
-            }
-            children.append(("ucm:Context", ctx_attrs, []))
-
+            lines.append(
+                f'      <ucm:Context relation="{ctx.relation}"{_attr("contextUseCase", bound_id(ctx))}'
+                f' contextName="{ctx.use_case}"{_attr("exception", bound_id(ctx.exception))}'
+                f' exceptionName="{ctx.exception.qualified_name}" />'
+            )
         if uc.main is not None:
-            children.append(("ucm:MainScenario", _boundary_attrs({}, uc.main), list(map(step_element, uc.main.steps))))
-        # Each body item with the children its element joins; ids follow document order.
-        pending = [(children, block) for block in reversed(uc.extensions)]
+            main = len(lines)
+            lines.append("      <ucm:MainScenario" + boundary(uc.main))
+            lines += [step_line(step, "        ") for step in uc.main.steps]
+            _close(lines, main, "      </ucm:MainScenario>")
+        # Each body item with its indent, or a block's start line to close; ids follow document order.
+        pending = [("      ", block) for block in reversed(uc.extensions)]
         while pending:
-            items, item = pending.pop()
-            if isinstance(item, Step):
-                items.append(step_element(item))
-                continue
-            block_attrs = {"xmi:id": f"block_{next(block_ids)}", "label": item.label.text, "kind": item.kind}
-            block_attrs["guard"] = item.guard or None
-            items.append(("ucm:ExtensionBlock", _boundary_attrs(block_attrs, item), []))
-            pending.extend((items[-1][2], nested) for nested in reversed(item.body))
-        elements.append(("ucm:Handler" if uc.is_handler else "ucm:UseCase", attrs, children))
+            indent, item = pending.pop()
+            if type(item) is int:
+                _close(lines, item, indent + "</ucm:ExtensionBlock>")
+            elif type(item) is Step:
+                lines.append(step_line(item, indent))
+            else:
+                guard = f' guard="{_escape_attrib(item.guard)}"' if item.guard else ""
+                pending.append((indent, len(lines)))
+                lines.append(
+                    f'{indent}<ucm:ExtensionBlock xmi:id="block_{next(block_ids)}" label="{item.label.text}"'
+                    f' kind="{item.kind}"{guard}{boundary(item)}'
+                )
+                pending += [(indent + "  ", nested) for nested in reversed(item.body)]
+        _close(lines, start, f"    </{tag}>")
 
-    lines = ["<?xml version='1.0' encoding='utf-8'?>"]
-    _write_element(root, "", lines)
-    return "\n".join(lines) + "\n"
-
-
-def _write_element(element: _Element, indent: str, lines: list[str]) -> None:
-    """Append one line per tag, as ElementTree writes the element after
-    `ET.indent(tree, space="  ")`: an attribute valued None left out, values
-    escaped by its rule, children two spaces in, a childless element closed by ` />`."""
-    tag, attrs, children = element
-    values = "".join(filter(None, attrs.values()))
-    if _escape_attrib(values) != values:  # one test per element: values rarely need escaping
-        attrs = {name: value and _escape_attrib(value) for name, value in attrs.items()}
-    head = indent + "<" + tag + "".join([f' {name}="{value}"' for name, value in attrs.items() if value is not None])
-    if not children:
-        lines.append(head + " />")
-        return
-    lines.append(head + ">")
-    for child in children:
-        _write_element(child, indent + "  ", lines)
-    lines.append(indent + "</" + tag + ">")
+    _close(lines, 2, "  </ucm:Model>")
+    lines += ["</xmi:XMI>", ""]  # the last line ends in a newline too
+    return "\n".join(lines)
 
 
-# ElementTree's escapes in an attribute value, `&` first.
-_ATTRIB_ESCAPES = (
-    ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;")
-)
+def _attr(name: str, value: str | None) -> str:
+    """The text of one attribute, none for a value the model lacks. Only free
+    text can hold a character ElementTree escapes: every other value is an
+    identifier, a keyword, a label, an xmi:id or a number."""
+    return "" if value is None else f' {name}="{value}"'
+
+
+def _close(lines: list[str], start: int, end_tag: str) -> None:
+    """End the start tag `lines[start]`: with ` />` if no line follows it, else with `>`, and the element with `end_tag`."""
+    if len(lines) == start + 1:
+        lines[start] += " />"
+    else:
+        lines[start] += ">"
+        lines.append(end_tag)
+
+
+# ElementTree's escapes in an attribute value.
+_ATTRIB_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+_ATTRIB_SPECIAL_RE = re.compile("[" + "".join(_ATTRIB_ESCAPES) + "]")
 
 
 def _escape_attrib(text: str) -> str:
-    for char, reference in _ATTRIB_ESCAPES:
-        text = text.replace(char, reference)
-    return text
-
-
-def _format_amount(amount: float) -> str:
-    return str(int(amount)) if amount == int(amount) else str(amount)
+    """Free text as ElementTree writes it in an attribute value."""
+    return text if _ATTRIB_SPECIAL_RE.search(text) is None else _ATTRIB_SPECIAL_RE.sub(lambda m: _ATTRIB_ESCAPES[m[0]], text)
 
 
 # -- DOT ------------------------------------------------------------------------

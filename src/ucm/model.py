@@ -319,9 +319,9 @@ class Outcome:
 
 
 # Deepest block nesting the parser and `import_json` accept (a block in a
-# use case's extensions is at depth 1). `parse_block`, `_from_json`, `_write_element`
-# and `_switch_rows` recurse once per level and `_write_node` twice (object, body
-# array), so the bound keeps every command inside Python's recursion limit.
+# use case's extensions is at depth 1). `parse_block`, `_from_json` and
+# `_switch_rows` recurse once per level and the JSON writer three times (object,
+# fields, body array), so the bound keeps every command inside Python's recursion limit.
 MAX_BLOCK_DEPTH = 64
 
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import importlib.util
 import io
 import json
 import re
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -756,6 +758,31 @@ def test_xmi_is_well_formed_and_deterministic(smartstore_resolved, firealarm_res
         ET.fromstring(first)  # well-formedness
 
 
+def load_perfbench_workloads():
+    """The benchmark's workload generators, `perfbench/workloads.py`, a stdlib-only module."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is made
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_xmi_writer_peaks_at_a_small_multiple_of_its_output():
+    """The XMI writer keeps one line per element and the joined text, and
+    builds no tree of elements: on the benchmark's store at k=8 its
+    `tracemalloc` peak stays within 4.5 times the characters it writes."""
+    resolved = resolved_of(load_perfbench_workloads().store_scaled(3, k=8).source)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = export_xmi(resolved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) > 300_000
+    assert peak - base <= 4.5 * len(out)
+
+
 @pytest.mark.parametrize(
     "source, fragment",
     [
@@ -765,8 +792,9 @@ def test_xmi_is_well_formed_and_deterministic(smartstore_resolved, firealarm_res
             '<ucm:Step xmi:id="step_1" label="1" kind="invocation" targetName="Ghost" />',
         ),
         ("model M modes { } exceptions { } usecase A { }", '\n    <ucm:UseCase xmi:id="usecase_1" name="A" />\n'),
+        ("model M modes { } exceptions { }", '\n  <ucm:Model xmi:id="model_1" name="M" />\n</xmi:XMI>\n'),
     ],
-    ids=["blocks-at-the-depth-limit", "resolver-faults", "bare-use-case"],
+    ids=["blocks-at-the-depth-limit", "resolver-faults", "bare-use-case", "empty-model"],
 )
 def test_xmi_writes_no_attribute_for_a_value_the_model_lacks(source, fragment):
     """Deep blocks number in document order; an unbound reference, an absent
@@ -993,21 +1021,40 @@ def test_parsed_and_imported_models_report_the_same(source):
     assert facts(rebuilt) == facts(model)
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_parsed_and_imported_token_mutants_report_the_same(data):
-    """The same on faulted models: a token-swapped corpus or fixture that
-    still parses, drawn until one does, reports the same facts rebuilt by
-    import_json(export_json(...)) as parsed."""
+def draw_parsed_token_mutant(data) -> Model:
+    """A token-swapped corpus or fixture that still parses, drawn until one does."""
     for _ in range(20):
         source = data.draw(token_mutated_source(TOKEN_MUTATION_BASES, edits=("swap",)))
         model, _ = parse(source, "mutant.ucm")
         if model is not None:
             break
     assume(model is not None)
+    return model
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_parsed_and_imported_token_mutants_report_the_same(data):
+    """The same on faulted models: a token mutant reports the same facts
+    rebuilt by import_json(export_json(...)) as parsed."""
+    model = draw_parsed_token_mutant(data)
     rebuilt, import_diags = import_json(export_json(model))
     assert import_diags == []
     assert facts(rebuilt) == facts(model)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_token_mutants_export_the_text_of_the_reference_writers(data):
+    """On faulted models, with duplicate names, unbound references and empty
+    bodies that generated models lack, the JSON writer prints the dict tree
+    `json.dumps` writes and the XMI writer what ElementTree writes, well-formed."""
+    model = draw_parsed_token_mutant(data)
+    assert export_json(model) == reference_export_json(model)
+    resolved, _ = resolve(model)
+    text = export_xmi(resolved)
+    assert text == elementtree_xmi(resolved)
+    ET.fromstring(text)
 
 
 # Values a mutation writes over one leaf of an export_json document: names,
