@@ -22,7 +22,7 @@ CLI and the report script alike.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic
 from .export import SummaryTable
@@ -42,8 +42,7 @@ GLOBAL_SOURCE = "(global)"
 MAX_PATH_NODES = 2**24
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     caller: str
     callee: str
     at_step: str
@@ -53,7 +52,6 @@ class Edge:
         return f"{self.caller} -> {self.callee} (step {self.at_step})"
 
 
-@dataclass
 class InvocationGraph:
     """Non-handler use cases and one edge per invocation step; parallel
     invocations of the same target are distinct edges.
@@ -66,28 +64,22 @@ class InvocationGraph:
     its first back edge with the first node repeated at the end, or None. On
     an acyclic graph `order` is topological."""
 
-    nodes: list[str]
-    edges: list[Edge]
-    callees: dict[str, list[tuple[str, int]]] = field(init=False, repr=False)
-    callers: dict[str, list[tuple[str, int]]] = field(init=False, repr=False)
-    roots: list[str] = field(init=False, repr=False)
-    order: list[str] = field(init=False, repr=False)
-    cycle: list[str] | None = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        out: dict[str, dict[str, int]] = {n: {} for n in self.nodes}  # callees in first-edge order
-        for edge in self.edges:
+    def __init__(self, nodes: list[str], edges: list[Edge]) -> None:
+        self.nodes = nodes
+        self.edges = edges
+        out: dict[str, dict[str, int]] = {n: {} for n in nodes}  # callees in first-edge order
+        for edge in edges:
             callees = out[edge.caller]
             callees[edge.callee] = callees.get(edge.callee, 0) + 1
         self.callees = {n: sorted(callees.items()) for n, callees in out.items()}
-        self.callers = {n: [] for n in self.nodes}
+        self.callers: dict[str, list[tuple[str, int]]] = {n: [] for n in nodes}
         for node, callees in out.items():
             for callee, k in callees.items():
                 self.callers[callee].append((node, k))
         self.roots = [n for n, callers in self.callers.items() if not callers]
-        self.cycle = None
+        self.cycle: list[str] | None = None
         depth: dict[str, int] = {}  # a node's place on the stack while on it, then -1
-        self.order = []
+        self.order: list[str] = []
         for start in out:
             if start in depth:
                 continue
@@ -276,8 +268,7 @@ def enumerate_paths(graph: InvocationGraph, target: str) -> list[PathRecord]:
 # -- exception summary ------------------------------------------------------
 
 
-@dataclass
-class ExceptionSummaryRow:
+class ExceptionSummaryRow(NamedTuple):
     exception: str
     is_global: bool
     source_use_case: str
@@ -387,8 +378,7 @@ def exception_summary(resolved: ResolvedModel, view: str | None = None) -> list[
 # -- handler summary ---------------------------------------------------------
 
 
-@dataclass
-class HandlerSummaryRow:
+class HandlerSummaryRow(NamedTuple):
     handler: str
     dependent_use_cases: list[str]
     handled_exceptions: list[str]
@@ -428,8 +418,7 @@ def handler_summary(resolved: ResolvedModel) -> list[HandlerSummaryRow]:
 # -- mode tables -------------------------------------------------------------
 
 
-@dataclass
-class ModeSwitchRow:
+class ModeSwitchRow(NamedTuple):
     use_case: str
     location: str
     from_mode: str
@@ -481,8 +470,7 @@ def _switch_rows(
         rows.append(ModeSwitchRow(uc.name, f"{name}-end", mode, owner.exit_switch.mode))
 
 
-@dataclass
-class ModeServiceRow:
+class ModeServiceRow(NamedTuple):
     mode: str
     kind: str
     services: list[str]

@@ -44,10 +44,6 @@ CODES: dict[str, str] = {
 }
 
 
-def severity_of(code: str) -> Severity:
-    return Severity.ERROR if code.startswith("E") else Severity.WARNING
-
-
 @dataclass
 class Diagnostic:
     code: str
@@ -62,7 +58,7 @@ class Diagnostic:
 
     @property
     def severity(self) -> Severity:
-        return severity_of(self.code)
+        return Severity.ERROR if self.code.startswith("E") else Severity.WARNING
 
     def sort_key(self) -> tuple[str, int, str]:
         return (self.span.file, self.span.start, self.code)
@@ -119,7 +115,7 @@ def _render(diag: Diagnostic, index: LineIndex) -> str:
     line, column = index.position(diag.span.start)
     line_begin = index.starts[line - 1]
     start = line_begin + column - 1  # clamped to the end of the text
-    severity = "error" if diag.code[0] == "E" else "warning"  # as `severity_of` reads the code
+    severity = "error" if diag.code[0] == "E" else "warning"  # as `Diagnostic.severity` reads the code
     lines = [f"{diag.span.file}:{line}:{column}: {severity}[{diag.code}]: {diag.message}"]
     line_end = text.find("\n", start)
     if line_end == -1:

@@ -439,11 +439,10 @@ def _from_json(doc, cls: type, where: str, depth: int, ordinals: Iterator[int]):
             values[attr] = None if name is None else ModeSwitch(name, _synthetic_span(ordinals))
         else:
             values[attr] = _need(doc, key, kind, where, *optional)
-    node = cls(**values)
-    _check(node, where)
+    _check(cls, values, where)
     if doc.keys() - named:  # only now, so that a fault in a named key comes first
         raise _SchemaError(f"unknown key {next(key for key in doc if key not in named)!r} in {where}")
-    return node
+    return cls(**values)
 
 
 def _synthetic_span(ordinals: Iterator[int]) -> SourceSpan:
@@ -451,39 +450,39 @@ def _synthetic_span(ordinals: Iterator[int]) -> SourceSpan:
     return SourceSpan(ZERO_SPAN.file, k, k)
 
 
-def _check(node, where: str) -> None:
-    """Hold `node` to the rules of `.ucm` text that span several of its
-    fields, and keep a timeout's amount as the float text reads."""
-    if isinstance(node, ServiceDecl):
-        if not node.goals:  # `provides` takes one name or more
+def _check(cls: type, values: dict, where: str) -> None:
+    """Hold the field `values` of a `cls` node to the rules of `.ucm` text
+    that span several fields, and make a timeout's amount the float text reads."""
+    if cls is ServiceDecl:
+        if not values["goals"]:  # `provides` takes one name or more
             raise _SchemaError("key 'provides' in service is an empty list")
-    elif isinstance(node, Multiplicity):
-        for which, bound in (("lower", node.lower), ("upper", node.upper)):
+    elif cls is Multiplicity:
+        for which, bound in (("lower", values["lower"]), ("upper", values["upper"])):
             if bound is not None and bound_out_of_range(bound):
                 raise _SchemaError(f"multiplicity {which} bound is negative or has more than {MAX_DIGITS} digits")
-    elif isinstance(node, Outcome):
-        target = node.continue_target
-        if (node.kind == "continue") != (target is not None):  # text names it after `continue` only
-            raise _SchemaError(f"{node.kind} outcome {'lacks its' if target is None else 'has a'} continueTarget")
-    elif isinstance(node, (Scenario, ExtensionBlock)):
+    elif cls is Outcome:
+        kind, target = values["kind"], values["continue_target"]
+        if (kind == "continue") != (target is not None):  # text names it after `continue` only
+            raise _SchemaError(f"{kind} outcome {'lacks its' if target is None else 'has a'} continueTarget")
+    elif cls is Scenario or cls is ExtensionBlock:
         # Text reads a lone switch before the outcome of an empty body as the entry.
-        items = node.steps if isinstance(node, Scenario) else node.body
-        if node.entry_switch is None and node.exit_switch is not None and not items:
+        items = values["steps"] if cls is Scenario else values["body"]
+        if values["entry_switch"] is None and values["exit_switch"] is not None and not items:
             raise _SchemaError(f"{where} without steps has an exitModeSwitch but no entryModeSwitch")
-    elif isinstance(node, Timeout):
-        amount = node.amount
+    elif cls is Timeout:
+        amount = values["amount"]
         if not 0 < amount <= sys.float_info.max:  # NaN fails too; ints compare exactly
             raise _SchemaError("timeout amount is not positive and finite")
-        node.amount = float(amount)
-        if amount_out_of_range(node.amount):
+        values["amount"] = float(amount)
+        if amount_out_of_range(values["amount"]):
             raise _SchemaError(f"timeout amount {amount!r} needs more than {MAX_DIGITS} digits a side")
-    elif isinstance(node, ControlFlow):
-        lo, hi = node.repeat_from, node.repeat_to
-        if node.goto is None and lo is not None and hi is not None:
+    elif cls is ControlFlow:
+        goto, lo, hi = values["goto"], values["repeat_from"], values["repeat_to"]
+        if goto is None and lo is not None and hi is not None:
             for key, bound in (("repeatFrom", lo), ("repeatTo", hi)):  # as the parser's `repeat 2-4`
                 if bound.anchor_hi is not None or bound.suffix:
                     raise _SchemaError(f"{key} {bound.text!r} is not a plain step number")
-        elif node.goto is None or lo is not None or hi is not None:
+        elif goto is None or lo is not None or hi is not None:
             raise _SchemaError("control-flow step must set either goto or both repeatFrom and repeatTo")
 
 

@@ -19,6 +19,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, sort_diagnostics
 from .model import (
@@ -38,19 +39,13 @@ from .model import (
 )
 
 
-@dataclass
-class RaiseSite:
+class RaiseSite(NamedTuple):
     """One occurrence of an exception: a raise step with its surroundings."""
 
     use_case: UseCase
     block: ExtensionBlock | None  # None when raised in the main scenario
     step: Step
     anchored_steps: list[Step]  # parent-sequence steps the block hangs off
-
-    @property
-    def exception(self) -> ExceptionRef:
-        assert isinstance(self.step.payload, ExceptionRef)
-        return self.step.payload
 
 
 @dataclass
@@ -71,7 +66,8 @@ class ResolvedModel:
     `sites_by_exception`, the one copy of the raise sites, maps a qualified
     exception name to its sites in document order, and `handlers_by_exception`
     to the distinct handlers whose contexts name it, in document order (as
-    dict keys). Tables read use cases and exceptions through the name tables.
+    dict keys), both from the use cases names resolve to, not a later
+    declaration. Tables read use cases and exceptions through the name tables.
     """
 
     model: Model
@@ -89,8 +85,8 @@ class ResolvedModel:
         return self.bindings.get(id(node))
 
     def raise_sites(self) -> list[RaiseSite]:
-        """Every raise step, bound or not, grouped by exception in the order
-        of their first raise, each group in document order."""
+        """The raise steps of `sites_by_exception`, bound or not, grouped by
+        exception in the order of their first raise, each group in document order."""
         return [site for sites in self.sites_by_exception.values() for site in sites]
 
     def invocations_of(self, uc: UseCase) -> list[tuple[Step, UseCase]]:
@@ -216,6 +212,7 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
     labels: dict[str, Step] = {}  # first step per label text, built at the first reference by label
     invocations = resolved._invocations[id(uc)] = []
     use_cases = resolved.use_case_by_name
+    first = use_cases.get(uc.name) is uc  # only the declaration its name means files raise sites and handlers
     bind = partial(_bind, resolved, diags)
 
     def bind_exception(ref: ExceptionRef) -> None:
@@ -244,8 +241,9 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
                     invocations.append((step, target))
             elif kind is ExceptionRef:
                 bind_exception(payload)
-                sites = resolved.sites_by_exception.setdefault(payload.qualified_name, [])
-                sites.append(RaiseSite(uc, block, step, anchored))
+                if first:
+                    sites = resolved.sites_by_exception.setdefault(payload.qualified_name, [])
+                    sites.append(RaiseSite(uc, block, step, anchored))
             elif kind is ControlFlow:
                 index_labels()
                 goto, start, end = payload.goto, payload.repeat_from, payload.repeat_to
@@ -297,7 +295,7 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
     for ctx in uc.contexts:
         bind(ctx, use_cases, ctx.use_case, "E003", "context use case '{}' is not defined", ctx.use_case_span)
         bind_exception(ctx.exception)
-        if uc.is_handler:
+        if uc.is_handler and first:
             resolved.handlers_by_exception.setdefault(ctx.exception.qualified_name, {})[uc.name] = None
 
     if uc.main:

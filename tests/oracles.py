@@ -149,7 +149,7 @@ def reference_mode_switch_table(resolved: ResolvedModel) -> list[tuple[str, str,
     for site in resolved.raise_sites():
         switch = site.block and (site.block.entry_switch or site.block.exit_switch)
         if switch is not None:
-            entered.setdefault(site.exception.qualified_name, set()).add(switch.mode)
+            entered.setdefault(site.step.payload.qualified_name, set()).add(switch.mode)
 
     def emit(uc: UseCase, location: str, current: str, to_mode: str) -> str:
         if to_mode != current:

@@ -209,12 +209,34 @@ def _token_pieces(text: str) -> tuple[list[tuple[str, TokenKind, str]], str, dic
     return pieces, source[end:], {kind: sorted(tokens) for kind, tokens in by_kind.items()}
 
 
+def retarget(pieces: list[tuple[str, TokenKind, str]], i: int) -> None:
+    """Point the first `invoke` at or after token `i`, wrapping round to the
+    start, at the use case or handler whose header precedes it, so that it
+    invokes itself. Nothing changes when no invoke follows a header."""
+    for at in (j % len(pieces) for j in range(i, i + len(pieces))):
+        if pieces[at][2] == "invoke" and at + 1 < len(pieces):
+            head = next((j for j in range(at - 1, -1, -1) if pieces[j][2] in ("usecase", "handler")), None)
+            if head is not None:
+                gap, kind, _ = pieces[at + 1]
+                pieces[at + 1] = (gap, kind, pieces[head + 1][2])
+            return
+
+
+def retargeted(text: str, i: int) -> str:
+    """`text` after the `retarget` edit at token `i`."""
+    pieces, tail, _ = _token_pieces(text)
+    pieces = list(pieces)
+    retarget(pieces, i)
+    return "".join(gap + token for gap, _, token in pieces) + tail
+
+
 @st.composite
 def token_mutated_source(draw, texts: tuple[str, ...], edits: tuple[str, ...] = ("swap", "delete", "double")) -> str:
     """One of `texts` with 1-4 token edits, each at a drawn token and drawn
     from `edits`: swap it for another token of the same kind from the same
-    text, delete it, or double it. The whitespace and comments between
-    tokens are kept. Swaps alone keep the text parsing far more often."""
+    text, delete it, double it, or `retarget` the next invoke at its own use
+    case. The whitespace and comments between tokens are kept. Swaps alone
+    keep the text parsing far more often."""
     pieces, tail, by_kind = _token_pieces(draw(st.sampled_from(texts)))
     pieces = list(pieces)
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
@@ -225,6 +247,8 @@ def token_mutated_source(draw, texts: tuple[str, ...], edits: tuple[str, ...] = 
             pieces[i] = (gap, kind, draw(st.sampled_from(by_kind[kind])))
         elif edit == "delete":
             del pieces[i]
+        elif edit == "retarget":
+            retarget(pieces, i)
         else:
             pieces.insert(i + 1, (" ", kind, token))
     return "".join(gap + token for gap, _, token in pieces) + tail

@@ -409,10 +409,10 @@ def test_every_occurrence_appears_in_exactly_one_global_row(smartstore_resolved)
     sites = smartstore_resolved.raise_sites()
     globals_ = {r.exception for r in rows if r.is_global}
     non_global_rows = [r for r in rows if not r.is_global]
-    non_global_sites = [s for s in sites if s.exception.qualified_name not in globals_]
+    non_global_sites = [s for s in sites if s.step.payload.qualified_name not in globals_]
     assert len(non_global_rows) == len(non_global_sites)
     for site in sites:
-        assert any(r.exception == site.exception.qualified_name for r in rows)
+        assert any(r.exception == site.step.payload.qualified_name for r in rows)
 
 
 def test_usecase_view_restricts_and_reroots(smartstore_resolved):
@@ -651,6 +651,22 @@ def test_handler_summary_reports_a_cycle_without_raise_sites():
         exception_summary(resolved)
     assert counted.value.diagnostic.code == "E015"
     assert counted.value.diagnostic == listed.value.diagnostic
+
+
+def test_edges_raise_sites_and_rows_are_tuples_that_reject_assignment(smartstore_resolved):
+    """Each is built once, complete, and then only read."""
+    records = [
+        build_invocation_graph(smartstore_resolved).edges[0],
+        smartstore_resolved.raise_sites()[0],
+        exception_summary(smartstore_resolved)[0],
+        handler_summary(smartstore_resolved)[0],
+        mode_switch_table(smartstore_resolved)[0],
+        mode_service_table(smartstore_resolved.model)[0],
+    ]
+    for record in records:
+        assert isinstance(record, tuple), type(record)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
 
 
 # -- a name declared twice ----------------------------------------------------

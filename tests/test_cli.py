@@ -14,11 +14,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO_ROOT, chain_source, diamond_chain_source, nested_blocks_source, report_script
-from strategies import model_source, token_mutated_source
+from strategies import model_source, retargeted, token_mutated_source
 from test_diagnostics import CYCLIC, MULTI_DEFECT
 import ucm
 from ucm import analysis, export
@@ -868,6 +868,39 @@ def test_cli_never_crashes_on_token_mutations(tmp_path_factory, source):
     a swapped name say, takes a broken model through resolution,
     validation, the tables and the exports."""
     path = tmp_path_factory.mktemp("tokens") / "model.ucm"
+    path.write_text(source, encoding="utf-8")
+    _run_every_command(str(path), _first_use_case(source))
+
+
+@st.composite
+def parsed_retargeted_mutant(draw) -> str:
+    """A token mutant of swaps and retargeted invokes that parses, drawn
+    until one does."""
+    for _ in range(20):
+        source = draw(token_mutated_source(TOKEN_MUTATION_BASES, edits=("swap", "retarget")))
+        if parse(source)[0] is not None:
+            return source
+    reject()
+
+
+# The smart store with its first invoke retargeted: UseSmartStore invokes itself.
+SELF_INVOKING = retargeted(TOKEN_MUTATION_BASES[0], 0)
+
+
+def test_a_retargeted_invoke_is_an_invocation_cycle(tmp_path, capsys):
+    path = tmp_path / "model.ucm"
+    path.write_text(SELF_INVOKING, encoding="utf-8")
+    assert main(["table", "exceptions", str(path)]) == 1
+    assert "error[E015]: invocation cycle detected: UseSmartStore -> UseSmartStore" in capsys.readouterr().err
+
+
+@NEVER_CRASH
+@example(source=SELF_INVOKING)
+@given(source=parsed_retargeted_mutant())
+def test_cli_never_crashes_on_parsed_retargeted_mutants(tmp_path_factory, source):
+    """Mutants that parse take every command past the parser; a retargeted
+    invoke makes a cycle, which the tables report as E015."""
+    path = tmp_path_factory.mktemp("retargeted") / "model.ucm"
     path.write_text(source, encoding="utf-8")
     _run_every_command(str(path), _first_use_case(source))
 

@@ -10,6 +10,7 @@ import re
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -40,7 +41,7 @@ from ucm.export import (
     import_json,
     render_table,
 )
-from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS, STEP_KINDS, ExceptionRef, Model, Step
+from ucm.model import MAX_BLOCK_DEPTH, MAX_DIGITS, STEP_KINDS, ExceptionRef, Model, ModeSwitch, Step
 from ucm.parser import parse, parse_file
 from ucm.resolver import resolve
 from ucm.validation import validate
@@ -588,6 +589,25 @@ def test_layout_writes_every_field_of_each_class_under_its_own_key():
     step_keys = {"node", *(key for key, *_ in _LAYOUT[Step])}
     for payload in STEP_KINDS:
         assert step_keys.isdisjoint(key for key, *_ in _LAYOUT[payload]), payload
+
+
+def test_import_json_sets_each_field_of_each_node_once(monkeypatch):
+    """A node is complete when its constructor returns: a spy on every node
+    class counts the writes to each field of each node. The models stay
+    alive, so no two nodes share an id."""
+    paths = [CORPUS / "smartstore.ucm", CORPUS / "firealarm.ucm", REPO_ROOT / "tests/fixtures/all-productions.ucm"]
+    documents = [export_json(parse_file(path)[0]) for path in paths]
+    writes: Counter = Counter()
+
+    def spy(node, name, value):
+        writes[id(node), type(node).__name__, name] += 1
+        object.__setattr__(node, name, value)
+
+    for cls in [*_LAYOUT, ModeSwitch]:
+        monkeypatch.setattr(cls, "__setattr__", spy)
+    models = [import_json(document)[0] for document in documents]
+    assert all(models) and ("Timeout", "amount") in {key[1:] for key in writes}
+    assert [key[1:] for key, n in writes.items() if n > 1] == []
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,16 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS, REPO_ROOT, growth, hub_source, pipeline, wide_handler_source, wide_use_case_source
 from oracles import reference_step_numbering, unreached_handler_contexts
-from strategies import model_source
-from ucm.analysis import InvocationCycleError, build_invocation_graph, enumerate_paths
+from strategies import model_source, use_case_source
+from ucm.analysis import (
+    AnalysisError,
+    InvocationCycleError,
+    build_invocation_graph,
+    enumerate_paths,
+    exception_summary,
+    handler_summary,
+    mode_switch_table,
+)
 from ucm.cli import main
 from ucm.export import export_json, import_json
 from ucm.model import StepLabel, UseCase
@@ -712,6 +720,76 @@ def test_e007_follows_invocations_around_a_cycle():
 def test_e007_matches_a_reach_walk_per_context_on_generated_models(source):
     resolved, diags = pipeline(source)
     assert [(d.message, d.span) for d in diags if d.code == "E007"] == unreached_handler_contexts(resolved)
+
+
+# -- a name declared twice ---------------------------------------------------------
+# A second declaration is E014. It is bound and checked, but its raise steps
+# and handler contexts count nowhere: the name means its first declaration.
+
+
+def test_a_second_handler_declaration_handles_nothing():
+    """U raises X and R raises Y, which handler H handles in R. A second H
+    that handles X in U adds its E014 and leaves the W001 on U's raise."""
+    header = BASE_HEADER.replace(
+        "exceptions { }", "exceptions {\n  exception HardwareException::X\n  exception HardwareException::Y\n}"
+    )
+    base = (
+        header
+        + uc("U", "    1. raise HardwareException::X\n    outcome success")
+        + uc("R", "    1. raise HardwareException::Y\n    outcome success")
+        + _HANDLER_FOR_X.replace("A on HardwareException::X", "R on HardwareException::Y")
+    )
+    second = _HANDLER_FOR_X.replace("A on", "U on")
+    _, before = pipeline(base)
+    _, after = pipeline(base + second)
+    assert [(d.code, d.message) for d in before] == [
+        ("W001", "exception 'HardwareException::X' is raised here but never handled")
+    ]
+    assert [d.code for d in after] == ["E014", "W001"]
+    assert after[1] == before[0]
+    assert after[0].span.start == len(base) + second.index("H ")
+
+
+@st.composite
+def model_and_second_declaration(draw) -> tuple[str, str]:
+    """A generated model, and a second declaration of one of its use case or
+    handler names, with a body of its own, to append to it."""
+    base = draw(model_source())
+    model, _ = parse(base)
+    names = [uc.name for uc in model.use_cases]
+    exceptions = [exc.qualified_name for exc in model.exceptions]
+    modes = [mode.name for mode in model.modes]
+    second = use_case_source(draw(st.sampled_from(names)), draw(st.booleans()), names, exceptions, modes)
+    return base, draw(second) + "\n"
+
+
+def summaries(resolved) -> list:
+    """The exception, handler and mode-switch summaries, or the diagnostic
+    that refuses one."""
+    out = []
+    for summary in (exception_summary, handler_summary, mode_switch_table):
+        try:
+            out.append(summary(resolved))
+        except AnalysisError as err:
+            out.append(err.diagnostic)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(models=model_and_second_declaration())
+def test_a_second_declaration_changes_nothing_before_it_but_adds_e014(models):
+    """W003 and E005 suggestions may change: the second body's mode switches
+    still bind, and its actors still declare."""
+    base, second = models
+    before, before_diags = pipeline(base)
+    after, after_diags = pipeline(base + second)
+
+    def model_wide(diags):
+        return [d for d in diags if d.code in ("W001", "W002", "E007", "E009") and d.span.start < len(base)]
+
+    assert model_wide(after_diags) == model_wide(before_diags)
+    assert any(d.code == "E014" and d.span.start >= len(base) for d in after_diags)
+    assert summaries(after) == summaries(before)
 
 
 def test_hub_validates_in_linear_time():
