@@ -82,8 +82,8 @@ def _print_diagnostics(diags: list[Diagnostic], source: str) -> None:
     if sys.stderr.isatty() and not os.environ.get("NO_COLOR"):
         for i, (diag, text) in enumerate(zip(diags, texts)):
             # The severity follows `file:line:column: `; the file name may hold the same word.
-            color = "\x1b[31m" if diag.severity is Severity.ERROR else "\x1b[33m"
-            word, cut = diag.severity.value, len(diag.span.file)
+            word, cut = diag.severity, len(diag.span.file)
+            color = "\x1b[31m" if word is Severity.ERROR else "\x1b[33m"
             texts[i] = text[:cut] + text[cut:].replace(f"{word}[", f"{color}{word}\x1b[0m[", 1)
     sys.stderr.write("".join(text + "\n" for text in texts))
 

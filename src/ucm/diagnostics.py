@@ -1,19 +1,19 @@
 """Diagnostics: stable codes, severities, and text rendering.
 
 Codes are part of the tool's contract; scripts may match on them, so they
-never change meaning. E-codes are errors, W-codes warnings.
+never change meaning. E-codes are errors, W-codes warnings: a severity is the
+plain word "error" or "warning", which every rendering prints as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .lexer import normalize
 from .spans import LineIndex, SourceSpan
 
 
-class Severity(str, Enum):
+class Severity:  # the two words `Diagnostic.severity` returns
     ERROR = "error"
     WARNING = "warning"
 
@@ -57,7 +57,7 @@ class Diagnostic:
             raise ValueError(f"unknown diagnostic code {self.code}")
 
     @property
-    def severity(self) -> Severity:
+    def severity(self) -> str:
         return Severity.ERROR if self.code.startswith("E") else Severity.WARNING
 
     def sort_key(self) -> tuple[str, int, str]:
@@ -73,7 +73,7 @@ class Diagnostic:
         line, column = index.position(self.span.start)
         return {
             "code": self.code,
-            "severity": self.severity.value,
+            "severity": self.severity,
             "message": self.message,
             "file": self.span.file,
             "line": line,
@@ -115,8 +115,7 @@ def _render(diag: Diagnostic, index: LineIndex) -> str:
     line, column = index.position(diag.span.start)
     line_begin = index.starts[line - 1]
     start = line_begin + column - 1  # clamped to the end of the text
-    severity = "error" if diag.code[0] == "E" else "warning"  # as `Diagnostic.severity` reads the code
-    lines = [f"{diag.span.file}:{line}:{column}: {severity}[{diag.code}]: {diag.message}"]
+    lines = [f"{diag.span.file}:{line}:{column}: {diag.severity}[{diag.code}]: {diag.message}"]
     line_end = text.find("\n", start)
     if line_end == -1:
         line_end = len(text)

@@ -1,44 +1,43 @@
 """Tokenizer for `.ucm` sources.
 
-Token kinds: IDENT, LABEL, NUMBER and STRING carry a value; SYMBOL is one of
-`-> :: .. : , . { } [ ] *`; EOF ends the text and ERROR holds the rest of it
-from a bad character. Keywords are IDENT tokens, and the parser tests keywords
-and symbols alike by their text, so clause names remain usable as model
-identifiers. Labels (``2``, ``2-6a1``) are digit-led and lexed greedily, which
-keeps them distinct from identifiers. Digits are ASCII ``0-9`` only: any other
-Unicode digit is an unrecognized character. A string holds TAB and any
-character from U+0020 up except U+FFFE and U+FFFF. `//` comments run to end of
-line.
+A token kind is a plain word, held by one of seven constants, that a syntax
+error may name: IDENT ("identifier"), LABEL, NUMBER and STRING carry a value;
+SYMBOL is one of `-> :: .. : , . { } [ ] *`; EOF ("end of file") ends the text
+and ERROR ("unrecognized character") holds the rest of it from a bad character.
+Keywords are IDENT tokens, and the parser tests keywords and symbols alike by
+their text, so clause names remain usable as model identifiers. Labels (``2``,
+``2-6a1``) are digit-led and lexed greedily, which keeps them distinct from
+identifiers. Digits are ASCII ``0-9`` only: any other Unicode digit is an
+unrecognized character. A string holds TAB and any character from U+0020 up
+except U+FFFE and U+FFFF. `//` comments run to end of line.
 
 A token is a plain tuple `(kind, text, start, end)`, read by position through
-`KIND`, `TEXT`, `START` and `END`; the parser builds a `SourceSpan` only for
-AST nodes and errors. `scan` makes them in one `finditer`: each match skips
-the whitespace and comments before one token, and the last two alternatives,
-end of text and any other character, leave no offset unmatched and end the
-scan. `tokenize` raises an ERROR token's `lex_error` at once, the parser only
-when it reaches or peeks at that token.
+`KIND`, `TEXT`, `START` and `END`; its kind is the constant itself, which the
+parser tests with `is`. The parser builds a `SourceSpan` only for AST nodes
+and errors. `scan` makes them in one `finditer`: each match skips the
+whitespace and comments before one token, and the last two alternatives, end
+of text and any other character, leave no offset unmatched and end the scan.
+`tokenize` raises an ERROR token's `lex_error` at once, the parser only when
+it reaches or peeks at that token.
 """
 
 from __future__ import annotations
 
 import re
-from enum import Enum
 
 from .model import NON_STRING_CHARS, non_string_char
 from .spans import SourceSpan
 
 
-class TokenKind(Enum):
-    IDENT = "identifier"
-    LABEL = "label"
-    NUMBER = "number"
-    STRING = "string"
-    SYMBOL = "symbol"
-    EOF = "end of file"
-    ERROR = "unrecognized character"
+IDENT = "identifier"
+LABEL = "label"
+NUMBER = "number"
+STRING = "string"
+SYMBOL = "symbol"
+EOF = "end of file"
+ERROR = "unrecognized character"
 
-
-Token = tuple[TokenKind, str, int, int]
+Token = tuple[str, str, int, int]
 KIND, TEXT, START, END = range(4)
 
 
@@ -71,8 +70,8 @@ _STRING_CHAR = rf'[^"\\{NON_STRING_CHARS}]'
 _STRING = rf'"{_STRING_CHAR}*(?:\\[^{NON_STRING_CHARS}]{_STRING_CHAR}*)*"'
 _LOOSE_STRING_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"')
 
-# One group per token kind, named after its TokenKind member; _KINDS maps
-# each group's number to its kind. The most common kinds come first: IDENT and
+# One group per token kind, named after its constant; _KINDS maps each
+# group's number to its kind. The most common kinds come first: IDENT and
 # SYMBOL are 83% of the smart store's tokens. The order cannot change a token,
 # since the kinds start with disjoint characters (letter or `_`, symbol, digit,
 # quote), except NUMBER and LABEL, and NUMBER stays first so `1.5` is a number.
@@ -94,7 +93,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KINDS = (None, *(TokenKind[name] for name in sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)))
+_KINDS = (None, *(globals()[name] for name in sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)))
 
 
 def normalize(source: str) -> str:
@@ -108,7 +107,7 @@ def normalize(source: str) -> str:
 def scan(source: str) -> list[Token]:
     """The tokens of LF-normalized source, the last an EOF or ERROR token."""
     tokens = [(_KINDS[g := m.lastindex], m[g], m.start(g), m.end()) for m in _TOKEN_RE.finditer(source)]
-    if len(tokens) > 1 and tokens[-2][KIND] in (TokenKind.EOF, TokenKind.ERROR):
+    if len(tokens) > 1 and tokens[-2][KIND] in (EOF, ERROR):
         tokens.pop()  # finditer matches the empty end again after a match that reached it
     return tokens
 
@@ -124,7 +123,7 @@ def lex_error(token: Token, file: str) -> ParseError:
 
 def tokenize(source: str, file: str) -> list[Token]:
     """`scan`, raising the error of an ERROR token: the list ends in EOF."""
-    if (tokens := scan(source))[-1][KIND] is TokenKind.ERROR:
+    if (tokens := scan(source))[-1][KIND] is ERROR:
         raise lex_error(tokens[-1], file)
     return tokens
 

@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Callable, Collection, TypeVar
 
 from .diagnostics import Diagnostic
-from .lexer import END, KIND, START, TEXT, ParseError, Token, TokenKind, lex_error, normalize, scan, string_value
+from .lexer import EOF, ERROR, IDENT, LABEL, NUMBER, STRING
+from .lexer import END, KIND, START, TEXT, ParseError, Token, lex_error, normalize, scan, string_value
 from .model import (
     ActorRef,
     BLOCK_KINDS,
@@ -83,8 +84,6 @@ _CLAUSE_ORDER = {
 # The clauses that list entries.
 _LIST_CLAUSES = ("primary", "secondary", "facilitator", "contexts")
 
-_IDENT, _LABEL, _NUMBER, _STRING, _SYMBOL, _EOF, _ERROR = TokenKind  # definition order; faster than TokenKind.X
-
 _T = TypeVar("_T")
 
 
@@ -109,9 +108,9 @@ class _Parser:
     def error(self, expected: list[str]) -> ParseError:
         """The syntax error at the current token; at ERROR, its lexer error."""
         tok = self.current
-        if tok[KIND] is _ERROR:
+        if tok[KIND] is ERROR:
             return lex_error(tok, self.file)
-        found = tok[TEXT] if tok[KIND] is not _EOF else "end of file"
+        found = tok[TEXT] if tok[KIND] is not EOF else EOF
         wanted = " or ".join(expected)
         return ParseError(f"expected {wanted}, got {found!r}", self.span_of(tok), expected)
 
@@ -126,7 +125,7 @@ class _Parser:
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.current
-        if tok[KIND] is not _IDENT:
+        if tok[KIND] is not IDENT:
             raise self.error([what])
         self.pos += 1
         self.current = self.tokens[self.pos]
@@ -135,7 +134,7 @@ class _Parser:
     def peek(self) -> str:
         """The text of the token after the current IDENT; at ERROR, its lexer error."""
         tok = self.tokens[self.pos + 1]
-        if tok[KIND] is _ERROR:
+        if tok[KIND] is ERROR:
             raise lex_error(tok, self.file)
         return tok[TEXT]
 
@@ -147,8 +146,8 @@ class _Parser:
         return True
 
     def expect_string(self) -> str:
-        if self.current[KIND] is not _STRING:
-            raise self.error([_STRING.value])
+        if self.current[KIND] is not STRING:
+            raise self.error([STRING])
         return string_value(self.advance()[TEXT])
 
     def expect_word(self, table: Collection[str]) -> str:
@@ -174,7 +173,7 @@ class _Parser:
 
     def parse_label(self) -> tuple[StepLabel, Token]:
         tok = self.current
-        if tok[KIND] is not _LABEL:
+        if tok[KIND] is not LABEL:
             raise self.error(["step label"])
         label = self.labels.get(tok[TEXT])
         if label is None:
@@ -199,8 +198,8 @@ class _Parser:
         use_cases = []
         while self.current[TEXT] in ("usecase", "handler"):
             use_cases.append(self.parse_use_case())
-        if self.current[KIND] is not _EOF:
-            raise self.error([_EOF.value])
+        if self.current[KIND] is not EOF:
+            raise self.error([EOF])
         return Model(name, modes, exceptions, services, use_cases, self.span_from(start), self.file)
 
     def parse_list(self, parse_item: Callable[[], _T]) -> list[_T]:
@@ -309,7 +308,7 @@ class _Parser:
 
     def parse_int(self, what: str) -> int:
         tok = self.current
-        if tok[KIND] is not _LABEL or not (tok[TEXT].isascii() and tok[TEXT].isdigit()):
+        if tok[KIND] is not LABEL or not (tok[TEXT].isascii() and tok[TEXT].isdigit()):
             raise self.error([what])
         self.check_digits(tok)
         self.advance()
@@ -345,7 +344,7 @@ class _Parser:
         entry = self.parse_mode_switch()
         items: list[Step | ExtensionBlock] = []
         while True:
-            if self.current[KIND] is _LABEL:
+            if self.current[KIND] is LABEL:
                 items.append(self.parse_step())
             elif depth and self.current[TEXT] == "block":
                 items.append(self.parse_block(self.advance(), depth + 1))
@@ -367,7 +366,7 @@ class _Parser:
         self.expect(".")
         cur = self.current
         word = cur[TEXT]
-        if cur[KIND] is _IDENT and self.peek() == "->":
+        if cur[KIND] is IDENT and self.peek() == "->":
             self.pos += 2  # past the source endpoint and `->`
             self.current = self.tokens[self.pos]
             target = self.expect_ident("interaction endpoint")[TEXT]
@@ -409,7 +408,7 @@ class _Parser:
 
     def parse_timeout(self) -> Timeout:
         amount_tok = self.current  # its digit bound keeps the amount finite
-        if amount_tok[KIND] is _NUMBER:
+        if amount_tok[KIND] is NUMBER:
             self.check_digits(amount_tok)
             amount = float(self.advance()[TEXT])
         else:

@@ -54,9 +54,8 @@ class ResolvedModel:
     the raise sites, handlers and invocation adjacency the resolver met on
     its walk.
 
-    `_define` fills the four name tables, first definition wins, and
-    `actor_by_name` holds each actor's first reference under a known category.
-    `_bind` fills `bindings`, keyed by ``id()`` of the node that carries the
+    `_define` fills the four name tables, first definition wins. `_bind`
+    fills `bindings`, keyed by ``id()`` of the node that carries the
     reference: an invocation or goto/repeat step, an exception reference, a
     mode switch, a continue outcome or a handler context (its use case); a
     block binds to its anchor step. Mode `offers` and service `provides`
@@ -64,10 +63,12 @@ class ResolvedModel:
     after resolve(); safe to share across readers.
 
     `sites_by_exception`, the one copy of the raise sites, maps a qualified
-    exception name to its sites in document order, and `handlers_by_exception`
+    exception name to its sites in document order, `handlers_by_exception`
     to the distinct handlers whose contexts name it, in document order (as
-    dict keys), both from the use cases names resolve to, not a later
-    declaration. Tables read use cases and exceptions through the name tables.
+    dict keys), `switched_modes` holds each mode a switch binds to, and
+    `actor_by_name` each actor's first reference under a known category, all
+    from the use cases names resolve to, not a later declaration. Tables read
+    use cases and exceptions through the name tables.
     """
 
     model: Model
@@ -79,6 +80,7 @@ class ResolvedModel:
     bindings: dict[int, object] = field(default_factory=dict)
     sites_by_exception: dict[str, list[RaiseSite]] = field(default_factory=dict)
     handlers_by_exception: dict[str, dict[str, None]] = field(default_factory=dict)
+    switched_modes: set[str] = field(default_factory=set)
     _invocations: dict[int, list[tuple[Step, UseCase]]] = field(default_factory=dict)
 
     def binding_for(self, node: object) -> object | None:
@@ -174,22 +176,21 @@ def _collect_definitions(resolved: ResolvedModel, diags: list[Diagnostic]) -> No
 def _collect_actors(resolved: ResolvedModel, diags: list[Diagnostic]) -> None:
     """Actors are global entities identified by (category, name); reusing a
     name under a different category is a duplicate definition. Only a known
-    category declares, and the first declaration of each name goes into
-    `actor_by_name`: a missing or unknown category is the validator's E005."""
-    for uc in resolved.model.use_cases:
+    category declares, in a use case `use_case_by_name` holds; each later use
+    case of such a name is checked against those actors and its own. A missing
+    or unknown category is the validator's E005."""
+    use_cases = resolved.use_case_by_name
+    later = [uc for uc in resolved.model.use_cases if use_cases[uc.name] is not uc]
+    for uc in [*use_cases.values(), *later]:
+        actors = resolved.actor_by_name if use_cases[uc.name] is uc else {}  # a later one's own
         for ref in uc.all_actors():
             if ref.category not in ACTOR_CATEGORIES:
                 continue
-            prior = resolved.actor_by_name.setdefault(ref.name, ref)
+            prior = resolved.actor_by_name.get(ref.name) or actors.setdefault(ref.name, ref)
             if prior.category != ref.category:
-                diags.append(
-                    Diagnostic(
-                        "E014",
-                        f"actor '{ref.name}' redeclared as {ref.category} but previously {prior.category}",
-                        ref.span,
-                        related=[(prior.span, f"first declared as {prior.qualified_name}")],
-                    )
-                )
+                message = f"actor '{ref.name}' redeclared as {ref.category} but previously {prior.category}"
+                related = [(prior.span, f"first declared as {prior.qualified_name}")]
+                diags.append(Diagnostic("E014", message, ref.span, related=related))
 
 
 # A parent sequence as block anchors read it: the first step per label text,
@@ -229,6 +230,8 @@ def _bind_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
         for switch in (owner.entry_switch, owner.exit_switch):
             if switch is not None:
                 bind(switch, resolved.mode_by_name, switch.mode, "E013", "mode '{}' is not declared", switch.span)
+                if first and switch.mode in resolved.mode_by_name:
+                    resolved.switched_modes.add(switch.mode)
         block = owner if isinstance(owner, ExtensionBlock) else None
         for step in steps:
             payload = step.payload

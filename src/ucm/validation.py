@@ -29,7 +29,6 @@ from .model import (
     ExceptionRef,
     ExtensionBlock,
     Interaction,
-    ModeDecl,
     Step,
     StepLabel,
     UseCase,
@@ -176,7 +175,7 @@ def _check_model_rules(resolved: ResolvedModel, diags: list[Diagnostic]) -> None
       may interrupt any use case and are exempt)
     - W002: a header exception that is never raised
     - W003: a mode that is neither marked default, nor the start mode
-      (`default_mode`), nor the target of a mode switch (a resolver binding)
+      (`default_mode`), nor the target of a mode switch (`switched_modes`)
     """
     sites = resolved.sites_by_exception
     for name, raised in sites.items():
@@ -211,8 +210,7 @@ def _check_model_rules(resolved: ResolvedModel, diags: list[Diagnostic]) -> None
             message = f"exception '{exc.qualified_name}' is declared but never raised"
             diags.append(Diagnostic("W002", message, exc.span))
 
-    targeted = {target.name for target in resolved.bindings.values() if isinstance(target, ModeDecl)}
     start = resolved.model.default_mode()
     for mode in resolved.model.modes:
-        if not mode.is_default and mode is not start and mode.name not in targeted:
+        if not mode.is_default and mode is not start and mode.name not in resolved.switched_modes:
             diags.append(Diagnostic("W003", f"mode '{mode.name}' is declared but never switched to", mode.span))

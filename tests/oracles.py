@@ -21,7 +21,7 @@ import re
 import xml.etree.ElementTree as ET
 
 from ucm.export import _LAYOUT, _NODE_WORDS, _PAYLOAD, _SWITCH, FORMAT_VERSION
-from ucm.lexer import ParseError, TokenKind
+from ucm.lexer import EOF, IDENT, LABEL, NUMBER, STRING, SYMBOL, ParseError
 from ucm.model import (
     CATEGORY_KEYWORD,
     MAX_DIGITS,
@@ -333,18 +333,18 @@ _REFERENCE_TOKEN_RE = re.compile(
 )
 
 _REFERENCE_KINDS = {
-    "number": TokenKind.NUMBER,
-    "label": TokenKind.LABEL,
-    "ident": TokenKind.IDENT,
-    "string": TokenKind.STRING,
-    "arrow": TokenKind.SYMBOL,
-    "coloncolon": TokenKind.SYMBOL,
-    "dotdot": TokenKind.SYMBOL,
-    "punct": TokenKind.SYMBOL,
+    "number": NUMBER,
+    "label": LABEL,
+    "ident": IDENT,
+    "string": STRING,
+    "arrow": SYMBOL,
+    "coloncolon": SYMBOL,
+    "dotdot": SYMBOL,
+    "punct": SYMBOL,
 }
 
 
-def reference_tokenize(source: str, file: str) -> list[tuple[TokenKind, str, int, int]]:
+def reference_tokenize(source: str, file: str) -> list[tuple[str, str, int, int]]:
     """(kind, text, start, end) of every token of LF-normalized source, EOF
     last. First pass: `finditer` over whitespace, comments and tokens, one
     group each, stopping where it skips text. Second pass: drop whitespace and
@@ -372,7 +372,7 @@ def reference_tokenize(source: str, file: str) -> list[tuple[TokenKind, str, int
         if group not in ("ws", "comment"):
             kind = _REFERENCE_KINDS[group]
             tokens.append((kind, m.group(), m.start(), m.end()))
-    return tokens + [(TokenKind.EOF, "", pos, pos)]
+    return tokens + [(EOF, "", pos, pos)]
 
 
 def reference_render_table(table, format: str) -> str:

@@ -12,7 +12,7 @@ from functools import cache
 
 from hypothesis import strategies as st
 
-from ucm.lexer import TokenKind, normalize, scan
+from ucm.lexer import normalize, scan
 
 MODE_KINDS = ("normal", "degraded", "restricted", "emergency")
 CATEGORIES = ("HardwareException", "SoftwareException", "NetworkException", "EnvironmentException")
@@ -194,7 +194,7 @@ def invocation_model_source(draw) -> str:
 
 
 @cache
-def _token_pieces(text: str) -> tuple[list[tuple[str, TokenKind, str]], str, dict[TokenKind, list[str]]]:
+def _token_pieces(text: str) -> tuple[list[tuple[str, str, str]], str, dict[str, list[str]]]:
     """The tokens of `text` as (the whitespace and comments before it, its
     kind, its text), the text after the last one, and the distinct token
     texts of each kind."""
@@ -203,13 +203,13 @@ def _token_pieces(text: str) -> tuple[list[tuple[str, TokenKind, str]], str, dic
     for kind, token, start, stop in scan(source)[:-1]:
         pieces.append((source[end:start], kind, token))
         end = stop
-    by_kind: dict[TokenKind, set[str]] = {}
+    by_kind: dict[str, set[str]] = {}
     for _, kind, token in pieces:
         by_kind.setdefault(kind, set()).add(token)
     return pieces, source[end:], {kind: sorted(tokens) for kind, tokens in by_kind.items()}
 
 
-def retarget(pieces: list[tuple[str, TokenKind, str]], i: int) -> None:
+def retarget(pieces: list[tuple[str, str, str]], i: int) -> None:
     """Point the first `invoke` at or after token `i`, wrapping round to the
     start, at the use case or handler whose header precedes it, so that it
     invokes itself. Nothing changes when no invoke follows a header."""

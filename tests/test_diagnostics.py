@@ -25,6 +25,14 @@ def test_severity_follows_code_prefix():
         assert code[0] in "EW"
 
 
+def test_a_severity_is_its_plain_word():
+    """`Severity` names the two words; a diagnostic's severity is that very
+    string, which callers may test with `is` or `==` alike."""
+    error, warning = Diagnostic("E004", "x", span()).severity, Diagnostic("W001", "x", span()).severity
+    assert error is Severity.ERROR and error == "error" and type(error) is str
+    assert warning is Severity.WARNING and warning == "warning" and type(warning) is str
+
+
 def test_unknown_code_rejected():
     with pytest.raises(ValueError):
         Diagnostic("E999", "x", span())

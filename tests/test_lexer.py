@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
 from oracles import position_at, reference_line_starts, reference_tokenize
 from strategies import model_source
-from ucm.lexer import ParseError, TokenKind, normalize, string_value, tokenize
+from ucm import lexer
+from ucm.lexer import EOF, IDENT, STRING, ParseError, normalize, scan, string_value, tokenize
 from ucm.parser import parse
 from ucm.spans import LineIndex
 
@@ -46,7 +48,7 @@ def test_line_index_equals_position_at(text):
     for offset in range(len(text) + 3):
         assert index.position(offset) == position_at(text, offset), offset
     kind, _, start, end = tokenize(text, "t.ucm")[-1]
-    assert kind is TokenKind.EOF and start == end == len(text)
+    assert kind is EOF and start == end == len(text)
 
 
 @given(text=st.text(alphabet="ab \t\n", max_size=40))
@@ -194,11 +196,29 @@ def test_lex_error_after_a_long_skip_is_found_once_in_linear_time(text, offset):
     ]
 
 
+KIND_WORDS = {"identifier", "label", "number", "string", "symbol", "end of file", "unrecognized character"}
+
+
+def test_each_token_pattern_group_is_a_kind_word():
+    """A group of the token pattern is named after the constant that holds
+    its kind's word, and the group's number finds that word."""
+    groups = lexer._TOKEN_RE.groupindex
+    assert {getattr(lexer, name) for name in groups} == KIND_WORDS
+    for name, number in groups.items():
+        assert lexer._KINDS[number] is getattr(lexer, name)
+
+
+def test_scanning_every_production_yields_only_kind_words():
+    source = normalize((REPO_ROOT / "tests" / "fixtures" / "all-productions.ucm").read_text(encoding="utf-8"))
+    kinds = {kind for kind, _, _, _ in scan(source)}
+    assert kinds <= KIND_WORDS and EOF in kinds and IDENT in kinds
+
+
 def test_token_is_kind_text_and_offsets():
     ident, string, eof = tokenize('x "a\\"b"', "t.ucm")
-    assert ident == (TokenKind.IDENT, "x", 0, 1)
-    assert string == (TokenKind.STRING, '"a\\"b"', 2, 8)
-    assert eof == (TokenKind.EOF, "", 8, 8)
+    assert ident == (IDENT, "x", 0, 1)
+    assert string == (STRING, '"a\\"b"', 2, 8)
+    assert eof == (EOF, "", 8, 8)
     assert {type(tok) for tok in (ident, string, eof)} == {tuple}
 
 

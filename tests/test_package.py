@@ -3,6 +3,7 @@ table formats, named once in `export.TABLE_FORMATS`."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -49,6 +50,16 @@ def test_importing_the_package_loads_no_submodule():
     assert "ucm.parser" in loaded["parse"]
     assert "ucm.analysis" not in loaded["parse"] and "ucm.export" not in loaded["parse"]
     assert loaded["cli"] == "ucm.cli"
+
+
+def test_no_module_of_the_package_uses_enum():
+    """Kinds, severities and keywords are plain words: no module imports `enum`."""
+    for path in Path(ucm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] != "enum" for alias in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level or node.module.split(".")[0] != "enum", path.name
 
 
 def test_all_lists_the_public_names_in_order():

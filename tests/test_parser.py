@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, REPO_ROOT
 from oracles import reference_label_text
 from strategies import model_source
-from ucm.lexer import TokenKind
+from ucm.lexer import LABEL
 from ucm.model import (
     ExceptionRef,
     ExtensionBlock,
@@ -395,7 +395,7 @@ def test_every_label_of_a_model_round_trips_its_text(path):
     """Each label token reads back as its own text, and so does every label
     the parser shares between the steps and blocks that carry it."""
     source = normalize(path.read_text(encoding="utf-8"))
-    texts = {text for kind, text, _, _ in tokenize(source, path.name) if kind is TokenKind.LABEL}
+    texts = {text for kind, text, _, _ in tokenize(source, path.name) if kind is LABEL}
     assert texts
     for text in texts:
         assert StepLabel.parse(text).text == text

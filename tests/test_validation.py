@@ -26,7 +26,7 @@ from ucm.analysis import (
 )
 from ucm.cli import main
 from ucm.export import export_json, import_json
-from ucm.model import StepLabel, UseCase
+from ucm.model import ACTOR_CATEGORIES, StepLabel, UseCase
 from ucm.parser import parse, parse_file
 from ucm.resolver import resolve
 from ucm.spans import LineIndex
@@ -750,6 +750,50 @@ def test_a_second_handler_declaration_handles_nothing():
     assert after[0].span.start == len(base) + second.index("H ")
 
 
+def test_a_second_declaration_switches_to_no_mode(tmp_path, capsys):
+    """Only the first U counts for W003, as for the mode table: a switch to
+    Low in a second U leaves Low unswitched to, beside the second U's E014."""
+    header = BASE_HEADER.replace("modes { default normal Normal }", "modes {\n  default normal Normal\n  normal Low\n}")
+    body = '    1. internal "x"\n    outcome success'
+    source = header + uc("U", body) + uc("U", body.replace("    outcome", "    mode switch: Low\n    outcome"))
+    path = tmp_path / "m.ucm"
+    path.write_text(source, encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "warning[W003]: mode 'Low' is declared but never switched to" in err
+    assert "error[E014]: duplicate use case 'U'" in err
+    assert sorted(d.code for d in pipeline(source)[1]) == ["E014", "W003"]
+
+
+def test_a_second_declarations_actors_declare_nothing():
+    """A's uncategorised Clerk is suggested every category: the second B's
+    Device::Clerk declares nothing. A conflict there is still E014."""
+    body = '    1. internal "x"\n    outcome success'
+    source = (
+        BASE_HEADER
+        + uc("A", body, clauses="  primary: Clerk")
+        + uc("B", body, clauses="  primary: Human::Boss")
+        + uc("B", body, clauses="  primary: Device::Clerk")
+    )
+    resolved, diags = pipeline(source)
+    assert "Clerk" not in resolved.actor_by_name
+    assert [d.code for d in diags] == ["E014", "E005"]
+    assert diags[1].suggestions == ["use one of " + ", ".join(f"{c}::Clerk" for c in ACTOR_CATEGORIES)]
+    assert diags[1].suggestions[0].startswith("use one of Human::Clerk, ")
+
+    def conflicts(source: str) -> list[tuple[int, str]]:
+        return [(d.span.start, d.message) for d in pipeline(source)[1] if "redeclared" in d.message]
+
+    # The second B is checked against every declared actor, a later one too, and its own.
+    boss = source.replace("primary: Device::Clerk", "primary: Device::Boss")
+    assert conflicts(boss) == [(boss.index("Device::Boss"), "actor 'Boss' redeclared as Device but previously Human")]
+    later = source + uc("C", body, clauses="  primary: Human::Clerk")
+    message = "actor 'Clerk' redeclared as Device but previously Human"
+    assert conflicts(later) == [(later.index("Device::Clerk"), message)]
+    own = source.replace("primary: Device::Clerk", "primary: Device::Clerk\n  secondary: Human::Clerk")
+    assert conflicts(own) == [(own.index("Human::Clerk"), "actor 'Clerk' redeclared as Human but previously Device")]
+
+
 @st.composite
 def model_and_second_declaration(draw) -> tuple[str, str]:
     """A generated model, and a second declaration of one of its use case or
@@ -778,16 +822,17 @@ def summaries(resolved) -> list:
 @settings(max_examples=100, deadline=None)
 @given(models=model_and_second_declaration())
 def test_a_second_declaration_changes_nothing_before_it_but_adds_e014(models):
-    """W003 and E005 suggestions may change: the second body's mode switches
-    still bind, and its actors still declare."""
+    """No diagnostic before the second body changes, W003 and E005
+    suggestions included: its mode switches switch to no mode, and its actors
+    declare nothing."""
     base, second = models
     before, before_diags = pipeline(base)
     after, after_diags = pipeline(base + second)
 
-    def model_wide(diags):
-        return [d for d in diags if d.code in ("W001", "W002", "E007", "E009") and d.span.start < len(base)]
+    def in_base(diags):
+        return [d for d in diags if d.span.start < len(base)]
 
-    assert model_wide(after_diags) == model_wide(before_diags)
+    assert in_base(after_diags) == in_base(before_diags)
     assert any(d.code == "E014" and d.span.start >= len(base) for d in after_diags)
     assert summaries(after) == summaries(before)
 
