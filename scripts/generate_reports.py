@@ -18,7 +18,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from ucm.analysis import TABLES, AnalysisError  # noqa: E402
-from ucm.cli import load, report_unwritable_stdout, without_collector  # noqa: E402
+from ucm.cli import load, report_unwritable_stdout, without_collector, write_stdout  # noqa: E402
 from ucm.diagnostics import has_errors, sort_diagnostics  # noqa: E402
 from ucm.export import EXPORTS, TABLE_FORMATS, table_parts  # noqa: E402
 from ucm.lexer import normalize  # noqa: E402
@@ -41,7 +41,8 @@ def write(path: Path, parts: list[str]) -> bool:
         print(f"ucm: cannot write '{path}': {err.strerror or err}", file=sys.stderr)
         return False
     try:
-        print(f"wrote {path}", flush=True)  # flushed, so that a failing stdout fails here and not at exit
+        write_stdout([f"wrote {path}\n"])  # UTF-8, as `ucm` writes, whatever the locale
+        sys.stdout.flush()  # so that a failing stdout fails here and not at exit
     except OSError as err:
         report_unwritable_stdout(err)
         return False

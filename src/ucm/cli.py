@@ -4,10 +4,10 @@
 model; scripts/generate_reports.py calls it too. Both take their choices from
 the registries `analysis.TABLES`, `export.TABLE_FORMATS` and `export.EXPORTS`:
 the builder of each table kind and the writer of each format and target.
-Diagnostics go to stderr in one write, requested artifacts to stdout, a
-table as its parts, so output can be piped. Exit codes: 0 success, 1 model errors (or warnings
-under --strict), 2 usage or I/O problems, an output stream closed early or
-failing included.
+Diagnostics go to stderr in one write, requested artifacts to stdout as
+UTF-8 whatever the locale, a table as its parts, so output can be piped.
+Exit codes: 0 success, 1 model errors (or warnings under --strict), 2 usage
+or I/O problems, an output stream closed early or failing included.
 
 `main` and the report script's `generate` run with the cyclic collector off
 (`without_collector`): no command leaves a reference cycle, so reference
@@ -22,7 +22,7 @@ import contextlib
 import gc
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import analysis
@@ -108,13 +108,25 @@ def load(path: str | Path) -> tuple[str, ResolvedModel | None, list[Diagnostic]]
     return None
 
 
-def _write_artifact(text: str, output: str | None) -> bool:
+def write_stdout(parts: Iterable[str]) -> None:
+    """Write the text `parts` to stdout one at a time as UTF-8, a path's surrogate escapes as the bytes
+    they stand for, with no newline translation whatever the locale; a stdout with no binary buffer,
+    such as a `StringIO`, takes the text itself."""
+    if (buffer := getattr(sys.stdout, "buffer", None)) is None:
+        sys.stdout.writelines(parts)
+    else:
+        sys.stdout.flush()
+        buffer.writelines(part.encode("utf-8", "surrogateescape") for part in parts)
+
+
+def _write_artifact(parts: Iterable[str], output: str | None) -> bool:
+    """Write the text `parts` to stdout, or to the file `output`, as UTF-8; False if the file cannot be written."""
     if output is None:
-        sys.stdout.write(text)
+        write_stdout(parts)
         return True
     try:
         with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(parts)
     except OSError as err:
         print(f"ucm: cannot write '{output}': {err.strerror or err}", file=sys.stderr)
         return False
@@ -148,7 +160,7 @@ def _cmd_check(args: argparse.Namespace, source: str, resolved: ResolvedModel | 
         diags = sort_diagnostics(diags + validate(resolved))
     if args.format == "json":
         index = LineIndex(normalize(source)) if diags else None
-        sys.stdout.write(dump_json([d.to_dict(index) for d in diags]) + "\n")
+        write_stdout([dump_json([d.to_dict(index) for d in diags]), "\n"])
     else:
         _print_diagnostics(diags, source)
     if has_errors(diags):
@@ -170,7 +182,7 @@ def _cmd_table(args: argparse.Namespace, source: str, resolved: ResolvedModel | 
     except analysis.AnalysisError as err:
         _print_diagnostics([err.diagnostic], source)
         return MODEL_ERRORS
-    sys.stdout.writelines(table_parts(table, args.format))
+    write_stdout(table_parts(table, args.format))
     return OK
 
 
@@ -180,7 +192,7 @@ def _cmd_export(args: argparse.Namespace, source: str, resolved: ResolvedModel |
     _print_diagnostics(diags, source)
     if resolved is None:
         return MODEL_ERRORS
-    return OK if _write_artifact(EXPORTS[args.target](resolved), args.output) else USAGE_ERROR
+    return OK if _write_artifact([EXPORTS[args.target](resolved)], args.output) else USAGE_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:

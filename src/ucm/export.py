@@ -32,7 +32,6 @@ from .model import (
     Interaction,
     Internal,
     Invocation,
-    LEVELS,
     MAX_BLOCK_DEPTH,
     MAX_DIGITS,
     Model,
@@ -50,6 +49,7 @@ from .model import (
     StepLabel,
     TIME_UNITS,
     Timeout,
+    USE_CASE_CLAUSES,
     UseCase,
     amount_out_of_range,
     bound_out_of_range,
@@ -250,13 +250,9 @@ _LAYOUT: dict[type, tuple[tuple, ...]] = {
     ),
     ServiceDecl: (("name", "name", _IDENT), ("provides", "goals", _IDENTS)),
     UseCase: (
-        ("name", "name", _IDENT), ("handler", "is_handler", bool), ("scope", "scope", str, True),
-        ("level", "level", LEVELS, True), ("intention", "intention", str, True),
-        ("multiplicity", "multiplicity_text", str, True), ("primary", "primary_actors", [ActorRef]),
-        ("secondary", "secondary_actors", [ActorRef]), ("facilitator", "facilitator_actors", [ActorRef]),
-        ("precondition", "precondition", str, True), ("postcondition", "postcondition", str, True),
-        ("contexts", "contexts", [HandlerContext]), ("main", "main", Scenario, True),
-        ("extensions", "extensions", [ExtensionBlock]),
+        ("name", "name", _IDENT), ("handler", "is_handler", bool),
+        *(clause if type(clause[2]) is list else (*clause, True) for clause in USE_CASE_CLAUSES),
+        ("main", "main", Scenario, True), ("extensions", "extensions", [ExtensionBlock]),
     ),
     ActorRef: (
         ("category", "category", _IDENT, True), ("name", "name", _IDENT),
@@ -566,21 +562,18 @@ def export_xmi(resolved: ResolvedModel) -> str:
     for name, ref in actors.items():
         lines.append(f'    <ucm:Actor xmi:id="{actor_ids[name]}" name="{ref.name}"{_attr("category", ref.category or None)} />')
 
+    # A use case's free-text clauses, written after its level, and its actor roles, each as (keyword, attribute).
+    texts = [(word, attr) for word, attr, kind in USE_CASE_CLAUSES if kind is str]
+    roles = [(word, attr) for word, attr, kind in USE_CASE_CLAUSES if kind == [ActorRef]]
     for uc in model.use_cases:
         tag = "ucm:Handler" if uc.is_handler else "ucm:UseCase"
-        texts = (
-            ("scope", uc.scope), ("intention", uc.intention), ("multiplicity", uc.multiplicity_text),
-            ("precondition", uc.precondition), ("postcondition", uc.postcondition),
-        )
         start = len(lines)
         lines.append(
             f'    <{tag} xmi:id="{ids[id(uc)]}" name="{uc.name}"{_attr("level", uc.level)}'
-            + "".join([f' {name}="{_escape_attrib(text)}"' for name, text in texts if text is not None])
+            + "".join([f' {word}="{_escape_attrib(text)}"' for word, attr in texts if (text := getattr(uc, attr)) is not None])
         )
-        for role, role_refs in (
-            ("primary", uc.primary_actors), ("secondary", uc.secondary_actors), ("facilitator", uc.facilitator_actors)
-        ):
-            for ref in role_refs:
+        for role, attr in roles:
+            for ref in getattr(uc, attr):
                 mult = ref.multiplicity
                 bounds = "" if mult is None else f' lower="{mult.lower}" upper="{"*" if mult.upper is None else mult.upper}"'
                 lines.append(f'      <ucm:ActorRef role="{role}" actor="{actor_ids[ref.qualified_name]}"{bounds} />')

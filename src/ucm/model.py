@@ -361,12 +361,29 @@ class HandlerContext:
     span: SourceSpan
 
 
+# The use-case template: each clause as (keyword, UseCase attribute, kind) in the grammar's
+# mandatory order. The keyword is also its JSON key, XMI attribute and actor role. A kind is
+# `str`, `LEVELS` (one of its words) or a list of the class of its entries.
+USE_CASE_CLAUSES = (
+    ("scope", "scope", str),
+    ("level", "level", LEVELS),
+    ("intention", "intention", str),
+    ("multiplicity", "multiplicity_text", str),
+    ("primary", "primary_actors", [ActorRef]),
+    ("secondary", "secondary_actors", [ActorRef]),
+    ("facilitator", "facilitator_actors", [ActorRef]),
+    ("precondition", "precondition", str),
+    ("postcondition", "postcondition", str),
+    ("contexts", "contexts", [HandlerContext]),
+)
+
+
 @dataclass
 class UseCase:
     name: str
     is_handler: bool
-    scope: str | None
-    level: str | None  # one of LEVELS
+    scope: str | None  # scope to contexts: the attributes of USE_CASE_CLAUSES
+    level: str | None
     intention: str | None
     multiplicity_text: str | None
     primary_actors: list[ActorRef]

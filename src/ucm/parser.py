@@ -43,7 +43,6 @@ from .model import (
     Interaction,
     Internal,
     Invocation,
-    LEVELS,
     MAX_BLOCK_DEPTH,
     MAX_DIGITS,
     Model,
@@ -60,29 +59,15 @@ from .model import (
     StepLabel,
     TIME_UNITS,
     Timeout,
+    USE_CASE_CLAUSES,
     UseCase,
     too_many_digits,
 )
 from .spans import SourceSpan
 
 
-# Use-case clauses in their mandatory order, which is also the order of the
-# UseCase fields they fill; value is the rank used to reject out-of-order or
-# repeated clauses.
-_CLAUSE_ORDER = {
-    "scope": 0,
-    "level": 1,
-    "intention": 2,
-    "multiplicity": 3,
-    "primary": 4,
-    "secondary": 5,
-    "facilitator": 6,
-    "precondition": 7,
-    "postcondition": 8,
-    "contexts": 9,
-}
-# The clauses that list entries.
-_LIST_CLAUSES = ("primary", "secondary", "facilitator", "contexts")
+# The use-case clause keywords: one left after `parse_clauses` has read the clauses in order is repeated or out of order.
+_CLAUSE_WORDS = {word for word, _, _ in USE_CASE_CLAUSES}
 
 _T = TypeVar("_T")
 
@@ -263,32 +248,29 @@ class _Parser:
         if self.current[TEXT] == "extensions":
             extensions = self.parse_section("extensions", "block", self.parse_block)
         self.expect("}")
-        is_handler = start[TEXT] == "handler"
         return UseCase(
-            name_tok[TEXT], is_handler, *clauses, main, extensions, self.span_from(start), self.span_of(name_tok)
+            name_tok[TEXT], start[TEXT] == "handler", **clauses, main=main, extensions=extensions,
+            span=self.span_from(start), name_span=self.span_of(name_tok),
         )
 
-    def parse_clauses(self) -> list:
-        """The value of each use-case clause in `_CLAUSE_ORDER`: an absent
-        clause that lists entries is an empty list, any other None."""
-        values: dict[str, object] = {}
-        last_rank = -1
-        while (word := self.current[TEXT]) in _CLAUSE_ORDER:
-            rank = _CLAUSE_ORDER[word]
-            if rank <= last_rank:
-                raise ParseError(f"clause '{word}' repeated or out of order", self.span_of(self.current))
-            last_rank = rank
-            self.advance()
+    def parse_clauses(self) -> dict:
+        """The value of each use-case clause by its attribute, read in the template's
+        order: an absent clause that lists entries is an empty list, any other None."""
+        values = {}
+        for word, attr, kind in USE_CASE_CLAUSES:
+            if not self.accept(word):
+                values[attr] = [] if type(kind) is list else None
+                continue
             self.expect(":")
-            if word == "level":
-                values[word] = self.expect_word(LEVELS)
-            elif word == "contexts":
-                values[word] = self.parse_list(self.parse_context_entry)
-            elif word in _LIST_CLAUSES:
-                values[word] = self.parse_list(self.parse_actor_ref)
+            if kind is str:
+                values[attr] = self.expect_string()
+            elif type(kind) is tuple:
+                values[attr] = self.expect_word(kind)
             else:
-                values[word] = self.expect_string()
-        return [values.get(word, [] if word in _LIST_CLAUSES else None) for word in _CLAUSE_ORDER]
+                values[attr] = self.parse_list(self.parse_actor_ref if kind[0] is ActorRef else self.parse_context_entry)
+        if self.current[TEXT] in _CLAUSE_WORDS:
+            raise ParseError(f"clause '{self.current[TEXT]}' repeated or out of order", self.span_of(self.current))
+        return values
 
     def parse_actor_ref(self) -> ActorRef:
         start = self.expect_ident("actor reference")

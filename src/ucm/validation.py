@@ -31,18 +31,12 @@ from .model import (
     Interaction,
     Step,
     StepLabel,
+    USE_CASE_CLAUSES,
     UseCase,
     first_in_block_fields,
     successor_fields,
 )
 from .resolver import ResolvedModel, closure
-
-_CLAUSE_NAMES = (
-    ("scope", "scope"),
-    ("level", "level"),
-    ("intention", "intention"),
-    ("multiplicity_text", "multiplicity"),
-)
 
 
 def validate(resolved: ResolvedModel) -> list[Diagnostic]:
@@ -75,7 +69,8 @@ def _walk_use_case(resolved: ResolvedModel, uc: UseCase, diags: list[Diagnostic]
       for each raised exception nothing handles when such a block continues.
     """
     kind = "handler" if uc.is_handler else "use case"
-    missing = [label for attr, label in _CLAUSE_NAMES if getattr(uc, attr) is None]
+    # The template opens with its four mandatory clauses of one value, scope to multiplicity.
+    missing = [word for word, attr, _ in USE_CASE_CLAUSES[:4] if getattr(uc, attr) is None]
     if not uc.primary_actors:
         missing.append("primary actor")
     if uc.main is None:

@@ -386,6 +386,7 @@ def test_stdout_is_reproducible(capsys):
 
 GOLDEN = REPO_ROOT / "tests" / "golden"
 INVOCATION_PATHS = str(REPO_ROOT / "tests" / "fixtures" / "invocation-paths.ucm")
+NON_ASCII = str(REPO_ROOT / "tests" / "fixtures" / "non-ascii.ucm")
 GOLDEN_TABLES = {
     "smartstore-exceptions.md": ["table", "exceptions", SMARTSTORE],
     "smartstore-exceptions-IdentifyItem.md": ["table", "exceptions", SMARTSTORE, "--usecase", "IdentifyItem"],
@@ -403,6 +404,11 @@ GOLDEN_TABLES = {
     "invocation-paths-exceptions-Browse.csv": [
         "table", "exceptions", INVOCATION_PATHS, "--usecase", "Browse", "--format", "csv",
     ],
+    **{
+        f"non-ascii-{kind}.{fmt}": ["table", kind, NON_ASCII, "--format", fmt]
+        for kind in ("exceptions", "handlers")
+        for fmt in ("md", "csv")
+    },
     **{
         f"{name}-{kind}.csv": ["table", kind, path, "--format", "csv"]
         for name, path in (("smartstore", SMARTSTORE), ("firealarm", FIREALARM))
@@ -972,6 +978,44 @@ def test_table_exceptions_writes_the_golden_table_to_a_pipe(format):
     )
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == (REPO_ROOT / "tests" / "golden" / f"invocation-paths-exceptions.{format}").read_bytes()
+
+
+def run_under_encoding(args: list[str], encoding: str) -> subprocess.CompletedProcess:
+    """Run `python args` with `encoding` the encoding of its standard streams."""
+    env = {**os.environ, "PYTHONIOENCODING": encoding}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [UCM_PATH, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize(
+    "argv", [["export", "json"], ["export", "xmi"], ["table", "exceptions", "md"], ["table", "exceptions", "csv"]]
+)
+def test_stdout_is_utf8_whatever_the_locale(argv, encoding, tmp_path):
+    """A model's text outside ASCII reaches stdout as the UTF-8 bytes that
+    `-o` writes, or that the table's text encodes to, even where the
+    streams' encoding cannot hold it."""
+    if argv[0] == "export":
+        assert main([*argv, NON_ASCII, "-o", str(tmp_path / "out")]) == 0
+        expected = (tmp_path / "out").read_bytes()
+        done = run_under_encoding(["-m", "ucm.cli", *argv, NON_ASCII], encoding)
+    else:
+        resolved = load(NON_ASCII)[1]
+        expected = export.render_table(analysis.TABLES[argv[1]](resolved, None), argv[2]).encode()
+        done = run_under_encoding(["-m", "ucm.cli", *argv[:2], NON_ASCII, "--format", argv[2]], encoding)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == expected
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_report_script_names_its_files_in_utf8_whatever_the_locale(encoding, tmp_path):
+    out_dir = tmp_path / "rapports-\u00e9t\u00e9"
+    done = run_under_encoding([str(REPO_ROOT / "scripts" / "generate_reports.py"), "-o", str(out_dir), NON_ASCII], encoding)
+    assert (done.returncode, done.stderr) == (0, b"")
+    script = report_script()
+    names = [f"{name}.{fmt}" for name in script.REPORTS.values() for fmt in export.TABLE_FORMATS]
+    names += [f"model.{target}" for target in export.EXPORTS]
+    assert done.stdout == "".join(f"wrote {out_dir / 'non-ascii' / name}\n" for name in names).encode()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the system has no /dev/full")

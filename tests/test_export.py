@@ -174,6 +174,7 @@ GOLDEN_MODELS = {
     "smartstore": CORPUS / "smartstore.ucm",
     "firealarm": CORPUS / "firealarm.ucm",
     "all-productions": REPO_ROOT / "tests" / "fixtures" / "all-productions.ucm",
+    "non-ascii": REPO_ROOT / "tests" / "fixtures" / "non-ascii.ucm",
 }
 
 

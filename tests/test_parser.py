@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,11 +23,13 @@ from ucm.model import (
     Scenario,
     Step,
     StepLabel,
+    USE_CASE_CLAUSES,
     UseCase,
     first_in_block_fields,
     successor_fields,
 )
 from ucm.lexer import normalize, tokenize
+from ucm.export import _LAYOUT
 from ucm.parser import parse
 from ucm.spans import SourceSpan
 
@@ -227,6 +230,27 @@ def test_syntax_errors_are_all_or_nothing(source, fragment):
     assert len(diags) == 1
     assert diags[0].code == "E000"
     assert fragment in diags[0].message
+
+
+def test_the_clause_table_is_the_use_case_template():
+    """`USE_CASE_CLAUSES` names the UseCase fields of the clauses and the JSON
+    keys of a use case's clauses in order, and the parser holds text to that
+    order: swapping two adjacent clauses of a smart store use case is an E000."""
+    names = [f.name for f in fields(UseCase)]
+    assert [attr for _, attr, _ in USE_CASE_CLAUSES] == names[names.index("is_handler") + 1 : names.index("main")]
+    keys = [key for key, *_ in _LAYOUT[UseCase]]
+    assert keys[keys.index("handler") + 1 : keys.index("main")] == [word for word, _, _ in USE_CASE_CLAUSES]
+
+    lines = (CORPUS / "smartstore.ucm").read_text(encoding="utf-8").splitlines(keepends=True)
+    swapped_words = set()
+    for i in range(len(lines) - 1):
+        first, second = re.match(r"  ([a-z]+):", lines[i]), re.match(r"  ([a-z]+):", lines[i + 1])
+        if first and second:
+            model, diags = parse("".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2 :]))
+            assert model is None and diags[0].code == "E000"
+            assert diags[0].message == f"clause '{first[1]}' repeated or out of order", (first[1], second[1])
+            swapped_words |= {first[1], second[1]}
+    assert swapped_words == {word for word, _, _ in USE_CASE_CLAUSES}
 
 
 def test_unterminated_string_is_a_syntax_error():
